@@ -85,17 +85,13 @@ class PosteriorSummary:
 
 
 def _group_by_operator(observations):
-    # Group observation indices by operator object so cross-blocks can be
-    # built with one vectorized bifunction evaluation per operator (pair).
-    groups = []
-    seen = {}
+    # Group observation indices by operator value (equal operators share a
+    # group even as distinct objects) so cross-blocks can be built with one
+    # vectorized bifunction evaluation per operator (pair).
+    groups: dict[LinearOperator, list[int]] = {}
     for idx, obs in enumerate(observations):
-        key = id(obs.operator)
-        if key not in seen:
-            seen[key] = len(groups)
-            groups.append((obs.operator, []))
-        groups[seen[key]][1].append(idx)
-    return groups
+        groups.setdefault(obs.operator, []).append(idx)
+    return list(groups.items())
 
 
 def condition(p: GaussianProcessPrior, observations, grid: Grid, *,

@@ -187,6 +187,10 @@ def _parse_problem(tree):
                 f"problem.boundary[{i}] needs 'location' and 'value' (and optional "
                 f"'operator', 'noise_sd')"
             )
+        for key in ("location", "value", "noise_sd"):
+            if key in b and not isinstance(b[key], (int, float)):
+                raise ConfigError(f"problem.boundary[{i}].{key} must be a number, "
+                                  f"got {b[key]!r}")
     if out["max_error"] is not None and not isinstance(out["max_error"], (int, float)):
         raise ConfigError("problem.max_error must be a number")
     return out

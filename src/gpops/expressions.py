@@ -28,26 +28,65 @@ __all__ = ["Expr", "parse_expression"]
 
 
 class Expr:
-    """A node of the expression tree: evaluate with ``__call__``, derive with ``diff``."""
+    """A node of the expression tree: evaluate with ``__call__``, derive with ``diff``.
+
+    Nodes compare and hash by structure, and each node keeps its first
+    derivative once built, so repeated ``diff`` calls share subtrees.
+    """
+
+    _fields: tuple = ()  # attribute names that make up the node's structure
+    _hash = None
+    _derivative = None
 
     def __call__(self, x):
         raise NotImplementedError
 
-    def diff(self) -> "Expr":
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _diff(self) -> "Expr":
         raise NotImplementedError
+
+    def diff(self, order: int = 1) -> "Expr":
+        """The ``order``-th derivative, walking the chain of cached first derivatives."""
+        node = self
+        for _ in range(order):
+            if node._derivative is None:
+                node._derivative = node._diff()
+            node = node._derivative
+        return node
 
     def is_const(self, value=None) -> bool:
         return False
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return (type(self) is type(other) and hash(self) == hash(other)
+                and self._key() == other._key())
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((type(self).__name__, self._key()))
+        return self._hash
+
+    def __add__(self, other):
+        return _add(self, other)
+
+    def __mul__(self, other):
+        return _mul(self, other)
+
 
 class Const(Expr):
+    _fields = ("value",)
+
     def __init__(self, value):
         self.value = float(value)
 
     def __call__(self, x):
         return np.full(np.shape(x), self.value)
 
-    def diff(self):
+    def _diff(self):
         return Const(0.0)
 
     def is_const(self, value=None):
@@ -61,7 +100,7 @@ class Var(Expr):
     def __call__(self, x):
         return np.asarray(x, dtype=float)
 
-    def diff(self):
+    def _diff(self):
         return Const(1.0)
 
     def __repr__(self):
@@ -69,13 +108,15 @@ class Var(Expr):
 
 
 class Add(Expr):
+    _fields = ("a", "b")
+
     def __init__(self, a, b):
         self.a, self.b = a, b
 
     def __call__(self, x):
         return self.a(x) + self.b(x)
 
-    def diff(self):
+    def _diff(self):
         return _add(self.a.diff(), self.b.diff())
 
     def __repr__(self):
@@ -83,13 +124,15 @@ class Add(Expr):
 
 
 class Mul(Expr):
+    _fields = ("a", "b")
+
     def __init__(self, a, b):
         self.a, self.b = a, b
 
     def __call__(self, x):
         return self.a(x) * self.b(x)
 
-    def diff(self):
+    def _diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
 
     def __repr__(self):
@@ -99,6 +142,8 @@ class Mul(Expr):
 class Pow(Expr):
     """Power with a constant exponent; the restriction keeps diff closed-form."""
 
+    _fields = ("base", "exponent")
+
     def __init__(self, base, exponent: float):
         self.base = base
         self.exponent = float(exponent)
@@ -106,7 +151,7 @@ class Pow(Expr):
     def __call__(self, x):
         return self.base(x) ** self.exponent
 
-    def diff(self):
+    def _diff(self):
         c = self.exponent
         if c == 0:
             return Const(0.0)
@@ -119,13 +164,15 @@ class Pow(Expr):
 
 
 class Sin(Expr):
+    _fields = ("a",)
+
     def __init__(self, a):
         self.a = a
 
     def __call__(self, x):
         return np.sin(self.a(x))
 
-    def diff(self):
+    def _diff(self):
         return _mul(Cos(self.a), self.a.diff())
 
     def __repr__(self):
@@ -133,13 +180,15 @@ class Sin(Expr):
 
 
 class Cos(Expr):
+    _fields = ("a",)
+
     def __init__(self, a):
         self.a = a
 
     def __call__(self, x):
         return np.cos(self.a(x))
 
-    def diff(self):
+    def _diff(self):
         return _mul(_mul(Const(-1.0), Sin(self.a)), self.a.diff())
 
     def __repr__(self):
@@ -147,13 +196,15 @@ class Cos(Expr):
 
 
 class ExpF(Expr):
+    _fields = ("a",)
+
     def __init__(self, a):
         self.a = a
 
     def __call__(self, x):
         return np.exp(self.a(x))
 
-    def diff(self):
+    def _diff(self):
         return _mul(ExpF(self.a), self.a.diff())
 
     def __repr__(self):

@@ -3,21 +3,19 @@
 A :class:`MeanFunction` pairs a vectorized evaluator with whatever closed-form
 derivatives are available.  ``smoothness`` is the highest derivative order
 available in closed form (``math.inf`` for the expression-backed catalog).
-Operator application and composition consume and produce these; when closed
-forms run out, consumers may fall back to finite differences explicitly.
+Operator application consumes and produces these; when closed forms run out,
+consumers may fall back to finite differences explicitly.
 
-The same type doubles as the representation of operator coefficient
-functions, which are required to come with closed-form derivatives.
+Operator coefficients are not mean functions: they are expression trees
+(:class:`~gpops.expressions.Expr`), which always differentiate in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from math import comb
 
 import numpy as np
 
-from .errors import DomainViolationError, EvaluationError
 from .expressions import Expr, parse_expression
 
 __all__ = [
@@ -26,9 +24,6 @@ __all__ = [
     "constant_mean",
     "mean_from_expression",
     "mean_from_callable",
-    "mf_add",
-    "mf_scale",
-    "mf_mul",
 ]
 
 
@@ -46,27 +41,19 @@ class MeanFunction:
         Highest order for which ``deriv_factory`` returns an evaluator.
     label : str
         Display name used in error messages.
-    const_value : float, optional
-        Set when the function is a known constant; lets the operator algebra
-        drop vanishing terms.
     """
 
-    def __init__(self, evaluator, deriv_factory=None, smoothness=0, label="m",
-                 const_value=None):
+    def __init__(self, evaluator, deriv_factory=None, smoothness=0, label="m"):
         self._evaluator = evaluator
         self._deriv_factory = deriv_factory
         self.smoothness = smoothness
         self.label = label
-        self.const_value = const_value
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = self._evaluator(x)
         out = np.broadcast_to(np.asarray(out, dtype=float), x.shape)
         return float(out) if x.ndim == 0 else np.array(out)
-
-    def is_zero(self) -> bool:
-        return self.const_value == 0.0
 
     def derivative_evaluator(self, order: int):
         """Closed-form evaluator of the given derivative order, or ``None``."""
@@ -75,36 +62,6 @@ class MeanFunction:
         if order > self.smoothness or self._deriv_factory is None:
             return None
         return self._deriv_factory(order)
-
-    def derivative(self, order: int, strict: bool = False) -> "MeanFunction":
-        """The derivative as a new :class:`MeanFunction`.
-
-        Without a closed form: raise :class:`DomainViolationError` when
-        ``strict``, otherwise return a deferred function that raises
-        :class:`EvaluationError` only if it is ever evaluated.  The deferred
-        variant lets symbolic constructions (e.g. operator composition) be
-        built eagerly while surfacing missing derivatives at application time.
-        """
-        if order == 0:
-            return self
-        ev = self.derivative_evaluator(order)
-        if ev is None:
-            msg = (f"no closed-form derivative of order {order} for {self.label!r} "
-                   f"(smoothness {self.smoothness})")
-            if strict:
-                raise DomainViolationError(msg)
-
-            def _deferred(x, _msg=msg):
-                raise EvaluationError(_msg)
-
-            return MeanFunction(_deferred, smoothness=0, label=f"D^{order}[{self.label}]")
-        rem = self.smoothness - order if self.smoothness != math.inf else math.inf
-
-        def factory(d, base=self):
-            return base.derivative_evaluator(order + d)
-
-        const = 0.0 if self.const_value is not None else None
-        return MeanFunction(ev, factory, rem, f"D^{order}[{self.label}]", const_value=const)
 
     def __repr__(self):
         return f"MeanFunction({self.label!r}, smoothness={self.smoothness})"
@@ -116,34 +73,18 @@ def zero_mean() -> MeanFunction:
 
 
 def constant_mean(c: float) -> MeanFunction:
-    c = float(c)
-
-    def ev(x, _c=c):
-        return np.full(np.shape(x), _c)
-
-    def factory(order):
-        return lambda x: np.zeros(np.shape(x))
-
-    return MeanFunction(ev, factory, math.inf, label=repr(c), const_value=c)
+    return mean_from_expression(float(c))
 
 
 def mean_from_expression(source) -> MeanFunction:
-    """Build a mean (or coefficient) function from the expression grammar.
+    """Build a mean function from the expression grammar.
 
     All expressions are infinitely differentiable; derivatives are derived
-    symbolically and cached per order.
+    symbolically and cached on the expression tree.
     """
     expr = source if isinstance(source, Expr) else parse_expression(source)
     label = source if isinstance(source, str) else repr(expr)
-    chain = [expr]
-
-    def factory(order):
-        while len(chain) <= order:
-            chain.append(chain[-1].diff())
-        return chain[order]
-
-    const = expr.value if expr.is_const() else None
-    return MeanFunction(expr, factory, math.inf, label=label, const_value=const)
+    return MeanFunction(expr, expr.diff, math.inf, label=label)
 
 
 def mean_from_callable(f, derivatives=None, smoothness=None, label="f") -> MeanFunction:
@@ -159,87 +100,3 @@ def mean_from_callable(f, derivatives=None, smoothness=None, label="f") -> MeanF
             smoothness += 1
     factory = (lambda order: derivatives.get(order)) if derivatives else None
     return MeanFunction(f, factory, smoothness, label=label)
-
-
-def _coerce(f) -> MeanFunction:
-    if isinstance(f, MeanFunction):
-        return f
-    if isinstance(f, (int, float)):
-        return constant_mean(f)
-    if isinstance(f, (str, Expr)):
-        return mean_from_expression(f)
-    raise TypeError(f"cannot interpret {f!r} as a MeanFunction")
-
-
-def mf_add(f, g) -> MeanFunction:
-    """Pointwise sum, with derivative data combined term-wise."""
-    f, g = _coerce(f), _coerce(g)
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    if f.const_value is not None and g.const_value is not None:
-        return constant_mean(f.const_value + g.const_value)
-    smooth = min(f.smoothness, g.smoothness)
-
-    def ev(x):
-        return f(x) + g(x)
-
-    def factory(order):
-        ef, eg = f.derivative_evaluator(order), g.derivative_evaluator(order)
-        if ef is None or eg is None:
-            return None
-        return lambda x: ef(x) + eg(x)
-
-    return MeanFunction(ev, factory, smooth, label=f"({f.label} + {g.label})")
-
-
-def mf_scale(c: float, f) -> MeanFunction:
-    f = _coerce(f)
-    c = float(c)
-    if c == 0.0 or f.is_zero():
-        return zero_mean()
-    if c == 1.0:
-        return f
-    if f.const_value is not None:
-        return constant_mean(c * f.const_value)
-
-    def ev(x):
-        return c * f(x)
-
-    def factory(order):
-        ef = f.derivative_evaluator(order)
-        return None if ef is None else (lambda x: c * ef(x))
-
-    return MeanFunction(ev, factory, f.smoothness, label=f"{c:g}*{f.label}")
-
-
-def mf_mul(f, g) -> MeanFunction:
-    """Pointwise product; derivatives follow the Leibniz rule."""
-    f, g = _coerce(f), _coerce(g)
-    if f.is_zero() or g.is_zero():
-        return zero_mean()
-    if f.const_value is not None:
-        return mf_scale(f.const_value, g)
-    if g.const_value is not None:
-        return mf_scale(g.const_value, f)
-    smooth = min(f.smoothness, g.smoothness)
-
-    def ev(x):
-        return f(x) * g(x)
-
-    def factory(order):
-        parts = []
-        for j in range(order + 1):
-            ef = f.derivative_evaluator(j)
-            eg = g.derivative_evaluator(order - j)
-            if ef is None or eg is None:
-                return None
-            parts.append((comb(order, j), ef, eg))
-
-        def deriv(x):
-            return sum(c * ef(x) * eg(x) for c, ef, eg in parts)
-
-        return deriv
-
-    return MeanFunction(ev, factory, smooth, label=f"({f.label})*({g.label})")

@@ -1,7 +1,7 @@
 """Linear differential operators and their action on means and kernels.
 
-An operator is a finite sum ``sum_i a_i(x) d^i/dx^i`` with smooth coefficient
-functions.  It acts on
+An operator is a finite sum ``sum_i a_i(x) d^i/dx^i`` whose coefficients are
+closed-form expressions.  It acts on
 
 * mean functions, giving ``x -> sum_i a_i(x) f^(i)(x)``;
 * either argument of a kernel (``slot`` 1 or 2), giving a
@@ -31,9 +31,10 @@ from math import comb
 import numpy as np
 
 from .errors import DomainViolationError, EvaluationError, ParameterError
+from .expressions import Const, Expr, parse_expression
 from .grids import Grid
 from .kernels import Kernel
-from .means import MeanFunction, constant_mean, mf_add, mf_mul, mf_scale, zero_mean
+from .means import MeanFunction
 from .stencils import FDScheme, KERNEL_FALLBACK_SCHEME, fd_derivative, fd_mixed_partial
 
 __all__ = [
@@ -56,56 +57,84 @@ ARG1, ARG2 = 1, 2
 
 _METHODS = ("auto", "closed", "fd")
 
+_ONE = Const(1.0)
 
-def _coerce_coefficient(c) -> MeanFunction:
-    if isinstance(c, MeanFunction):
-        return c
+
+def _coerce_coefficient(c):
+    # (expression, label text) of a coefficient given as a number, string or Expr
+    if isinstance(c, Expr):
+        return c, repr(c)
     if isinstance(c, (int, float)):
-        return constant_mean(c)
+        return Const(c), repr(float(c))
     if isinstance(c, str):
-        from .means import mean_from_expression
+        return parse_expression(c), c
+    raise ParameterError(f"cannot interpret {c!r} as a coefficient expression")
 
-        return mean_from_expression(c)
-    raise ParameterError(f"cannot interpret {c!r} as a coefficient function")
+
+def _leibniz(b, j, a, i):
+    """Terms ``(order, coefficient)`` of ``(b d^j) o (a d^i)`` by the product rule.
+
+    ``b d^j (a f^(i)) = sum_l C(j, l) b a^(j-l) f^(i+l)``; terms whose
+    coefficient is identically zero are dropped.  Every operation on
+    operators (composition, application to a kernel argument, partials of a
+    transformed kernel, derivatives of a transformed mean) is this expansion.
+    """
+    out = []
+    for l in range(j + 1):
+        coeff = b * (Const(comb(j, l)) * a.diff(j - l))
+        if not coeff.is_const(0.0):
+            out.append((i + l, coeff))
+    return out
+
+
+def _times(val, c: Expr, x):
+    # val * c(x); a constant coefficient multiplies as a scalar, and 1 drops out
+    if c.is_const():
+        return val if c.value == 1.0 else val * c.value
+    return val * c(x)
 
 
 class LinearOperator:
-    """``sum_i a_i(x) d^i/dx^i`` with closed-form coefficient functions.
+    """``sum_i a_i(x) d^i/dx^i`` with closed-form coefficient expressions.
 
     ``terms`` is an iterable of ``(order, coefficient)`` pairs; coefficients
-    may be numbers, expression strings, or :class:`MeanFunction` instances.
-    Duplicate orders are merged; exact-zero coefficients are dropped.
+    may be numbers, expression strings, or :class:`~gpops.expressions.Expr`
+    trees, and are stored as ``Expr``.  Duplicate orders are merged;
+    exact-zero coefficients are dropped.  Operators compare and hash by
+    their terms; the label is for display only.
     """
 
     def __init__(self, terms, label=None):
-        merged: dict[int, MeanFunction] = {}
+        merged: dict[int, tuple[Expr, str]] = {}  # order -> (coefficient, label text)
         for order, coeff in terms:
             order = int(order)
             if order < 0:
                 raise ParameterError(f"derivative order must be >= 0, got {order}")
-            coeff = _coerce_coefficient(coeff)
-            merged[order] = mf_add(merged[order], coeff) if order in merged else coeff
-        merged = {o: c for o, c in merged.items() if not c.is_zero()}
-        if not merged:
-            merged = {0: zero_mean()}
-        self.terms = tuple(sorted(merged.items()))
-        self.order = max(o for o, _ in self.terms)
-        self.label = label if label is not None else self._default_label()
-
-    def _default_label(self):
-        parts = []
-        for order, coeff in self.terms:
-            d = "1" if order == 0 else ("d/dx" if order == 1 else f"d^{order}/dx^{order}")
-            if coeff.const_value == 1.0:
-                parts.append(d)
-            elif order == 0:
-                parts.append(coeff.label)
-            else:
-                parts.append(f"{coeff.label}*{d}")
-        return " + ".join(parts)
+            coeff, text = _coerce_coefficient(coeff)
+            if order in merged:
+                prev, prev_text = merged[order]
+                total = prev + coeff
+                text = (text if prev.is_const(0.0) else prev_text if coeff.is_const(0.0)
+                        else repr(total) if total.is_const() else f"({prev_text} + {text})")
+                coeff = total
+            merged[order] = (coeff, text)
+        items = sorted((o, ct) for o, ct in merged.items() if not ct[0].is_const(0.0))
+        if not items:
+            items = [(0, (Const(0.0), repr(0.0)))]
+        self.terms = tuple((o, c) for o, (c, _) in items)
+        self.order = self.terms[-1][0]
+        self.label = label if label is not None else _default_label(items)
 
     def is_identity(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][0] == 0 and self.terms[0][1].const_value == 1.0
+        return self.terms == ((0, _ONE),)
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearOperator):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(self.terms)
 
     def __add__(self, other):
         return add(self, other)
@@ -118,6 +147,19 @@ class LinearOperator:
 
     def __repr__(self):
         return f"LinearOperator({self.label!r}, order={self.order})"
+
+
+def _default_label(items):
+    parts = []
+    for order, (coeff, text) in items:
+        d = "1" if order == 0 else ("d/dx" if order == 1 else f"d^{order}/dx^{order}")
+        if coeff.is_const(1.0):
+            parts.append(d)
+        elif order == 0:
+            parts.append(text)
+        else:
+            parts.append(f"{text}*{d}")
+    return " + ".join(parts)
 
 
 def identity() -> LinearOperator:
@@ -142,26 +184,32 @@ def add(s: LinearOperator, t: LinearOperator) -> LinearOperator:
 
 def scale(c: float, t: LinearOperator) -> LinearOperator:
     """Scalar multiple of an operator, term-wise."""
-    return LinearOperator(
-        [(o, mf_scale(c, a)) for o, a in t.terms], label=f"{c:g}*({t.label})"
-    )
+    return LinearOperator([(o, Const(c) * a) for o, a in t.terms],
+                          label=f"{c:g}*({t.label})")
 
 
 def compose(s: LinearOperator, t: LinearOperator) -> LinearOperator:
-    """Leibniz-expanded composition ``s o t`` of order ``s.order + t.order``.
+    """Leibniz-expanded composition ``s o t`` of order ``s.order + t.order``."""
+    return LinearOperator([term for j, b in s.terms for i, a in t.terms
+                           for term in _leibniz(b, j, a, i)],
+                          label=f"({s.label}) o ({t.label})")
 
-    Coefficient derivatives needed by the expansion are taken from the
-    coefficients' closed forms; if one is missing, the error surfaces when
-    the composed operator is applied, not here.
-    """
-    new_terms = []
-    for j, b in s.terms:
-        for i, a in t.terms:
-            for l in range(j + 1):
-                coeff = mf_mul(b, mf_scale(comb(j, l), a.derivative(l, strict=False)))
-                if not coeff.is_zero():
-                    new_terms.append((i + j - l, coeff))
-    return LinearOperator(new_terms, label=f"({s.label}) o ({t.label})")
+
+def _weighted_sum(terms, derivative):
+    # Evaluator of x -> sum_i a_i(x) f^(i)(x) given f^(i) = derivative(i), or
+    # None when some f^(i) is missing.
+    pieces = [(c, derivative(order)) for order, c in terms]
+    if any(ev is None for _, ev in pieces):
+        return None
+
+    def evaluate(x):
+        total = None
+        for c, ev in pieces:
+            val = _times(np.asarray(ev(x), dtype=float), c, x)
+            total = val if total is None else total + val
+        return total
+
+    return evaluate
 
 
 def apply_to_function(op: LinearOperator, f: MeanFunction, *, method: str = "auto",
@@ -172,46 +220,44 @@ def apply_to_function(op: LinearOperator, f: MeanFunction, *, method: str = "aut
     ``method="auto"`` (or ``"fd"``) missing derivatives fall back to central
     finite differences of accuracy order 4; with ``method="closed"`` a
     missing derivative raises :class:`DomainViolationError` naming the
-    deficit.  The result's smoothness is ``f.smoothness - op.order``.
+    deficit.  The result's smoothness is ``f.smoothness - op.order``, or 0
+    when finite differences were used; its derivatives are
+    ``D^d (T f) = (D^d o T) f``.
     """
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}")
     scheme = scheme or FDScheme()
-    pieces = []
-    for order, coeff in op.terms:
-        if order == 0:
-            pieces.append(mf_mul(coeff, f))
-            continue
-        ev = None if method == "fd" else f.derivative_evaluator(order)
+    fd_used = False
+
+    def derivative(order):
+        nonlocal fd_used
+        ev = None if method == "fd" and order else f.derivative_evaluator(order)
         if ev is not None:
-            pieces.append(mf_mul(coeff, f.derivative(order)))
-        elif method == "closed":
+            return ev
+        if method == "closed":
             raise DomainViolationError(
                 f"operator {op.label!r} needs derivative order {order} of "
                 f"{f.label!r}, but only {f.smoothness} closed-form orders exist "
                 f"and finite differences are disallowed"
             )
-        else:
-            def fd_ev(x, _d=order):
-                x = np.asarray(x, dtype=float)
-                if x.ndim == 0:
-                    return fd_derivative(f, float(x), _d, scheme)
-                return np.array([fd_derivative(f, xi, _d, scheme) for xi in x.ravel()]).reshape(x.shape)
+        fd_used = True
 
-            fd_mf = MeanFunction(fd_ev, smoothness=0, label=f"fd^{order}[{f.label}]")
-            pieces.append(mf_mul(coeff, fd_mf))
-    combined = pieces[0]
-    for piece in pieces[1:]:
-        combined = mf_add(combined, piece)
-    budget = f.smoothness - op.order if f.smoothness != math.inf else math.inf
-    # fresh wrapper: never mutate a MeanFunction the caller may still hold
-    return MeanFunction(
-        combined._evaluator,
-        combined._deriv_factory,
-        min(combined.smoothness, budget),
-        label=f"{op.label}[{f.label}]",
-        const_value=combined.const_value,
-    )
+        def fd_ev(x):
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 0:
+                return fd_derivative(f, float(x), order, scheme)
+            return np.array([fd_derivative(f, xi, order, scheme) for xi in x.ravel()]).reshape(x.shape)
+
+        return fd_ev
+
+    evaluate = _weighted_sum(op.terms, derivative)
+
+    def factory(d):
+        terms = [term for i, a in op.terms for term in _leibniz(_ONE, d, a, i)]
+        return _weighted_sum(terms, f.derivative_evaluator)
+
+    smoothness = 0 if fd_used else f.smoothness - op.order
+    return MeanFunction(evaluate, factory, smoothness, label=f"{op.label}[{f.label}]")
 
 
 class _BiTerm:
@@ -227,11 +273,12 @@ class KernelBifunction:
     """A kernel with operators applied to its arguments, kept in closed form.
 
     Stores a sum of terms ``c1(x1) c2(x2) * partial(d1, d2) k`` over a base
-    kernel.  Evaluation resolves each term against the base kernel's
-    closed-form partials, falling back to tensor-product finite differences
-    per the construction method.  The spent derivative orders per argument
-    (``applied1``, ``applied2``) determine the remaining budget available to
-    further operator applications.
+    kernel, with expression coefficients.  Evaluation resolves each term
+    against the base kernel's closed-form partials, falling back to
+    tensor-product finite differences per the construction method.  The
+    spent derivative orders per argument (``applied1``, ``applied2``)
+    determine the remaining budget available to further operator
+    applications.
     """
 
     def __init__(self, base: Kernel, terms, method="auto", scheme=None, label=None):
@@ -249,7 +296,7 @@ class KernelBifunction:
         if isinstance(k, KernelBifunction):
             return k
         if isinstance(k, Kernel):
-            return cls(k, [_BiTerm(None, None, 0, 0)])
+            return cls(k, [_BiTerm(_ONE, _ONE, 0, 0)])
         raise ParameterError(f"expected a Kernel or KernelBifunction, got {type(k).__name__}")
 
     def remaining_budget(self, slot: int):
@@ -274,11 +321,7 @@ class KernelBifunction:
         total = 0.0
         for term, ev in zip(self.terms, self._evaluators):
             val = np.asarray(ev(x1, x2), dtype=float)
-            if term.c1 is not None:
-                val = val * term.c1(x1)
-            if term.c2 is not None:
-                val = val * term.c2(x2)
-            total = total + val
+            total = total + _times(_times(val, term.c1, x1), term.c2, x2)
         total = np.asarray(total, dtype=float)
         if x1.ndim == 0 and x2.ndim == 0:
             return float(total)
@@ -287,82 +330,24 @@ class KernelBifunction:
     def partial(self, d1: int, d2: int):
         """Closed-form partial of the transformed bifunction, or ``None``.
 
-        Exists when the needed deeper base-kernel partials and coefficient
-        derivatives are all available in closed form; used to give image
-        kernels their own partial metadata.
+        This is ``d^d1`` applied to argument 1 and ``d^d2`` to argument 2,
+        without a budget check; it exists when every base-kernel partial it
+        needs is closed-form.  Used to give image kernels their own partial
+        metadata.
         """
         if d1 == 0 and d2 == 0:
             return self.__call__
-        derived = _differentiate_terms(self.terms, d1, d2)
-        if derived is None:
+        terms = [_BiTerm(c1, c2, o1, o2) for t in self.terms
+                 for o1, c1 in _leibniz(_ONE, d1, t.c1, t.d1)
+                 for o2, c2 in _leibniz(_ONE, d2, t.c2, t.d2)]
+        try:
+            return KernelBifunction(self.base, terms, method="closed", label=self.label)
+        except EvaluationError:
             return None
-        resolved = []
-        for term in derived:
-            ev = self.base.partial(term.d1, term.d2)
-            if ev is None:
-                return None
-            resolved.append((term, ev))
-
-        def evaluate(x1, x2):
-            x1 = np.asarray(x1, dtype=float)
-            x2 = np.asarray(x2, dtype=float)
-            total = 0.0
-            for term, ev in resolved:
-                val = np.asarray(ev(x1, x2), dtype=float)
-                if term.c1 is not None:
-                    val = val * term.c1(x1)
-                if term.c2 is not None:
-                    val = val * term.c2(x2)
-                total = total + val
-            return total
-
-        return evaluate
 
     def __repr__(self):
         return (f"KernelBifunction({self.label!r}, terms={len(self.terms)}, "
                 f"applied=({self.applied1}, {self.applied2}))")
-
-
-def _coefficient_derivatives(c, e):
-    # (shift l, derived coefficient or None-for-1) pairs of d^(e-l) c for the
-    # Leibniz expansion; None result when a closed form is missing.
-    if c is None:
-        return [(e, None)]  # implicit constant 1: only the l == e term survives
-    out = []
-    for l in range(e + 1):
-        if l == e:
-            out.append((l, c))
-            continue
-        if c.derivative_evaluator(e - l) is None:
-            return None
-        d = c.derivative(e - l)
-        if not d.is_zero():
-            out.append((l, d))
-    return out
-
-
-def _differentiate_terms(terms, e1, e2):
-    # Pure derivative d^(e1,e2) of a term list via the Leibniz rule; None when
-    # a needed coefficient derivative lacks a closed form.
-    out = []
-    for t in terms:
-        parts1 = _coefficient_derivatives(t.c1, e1)
-        parts2 = _coefficient_derivatives(t.c2, e2)
-        if parts1 is None or parts2 is None:
-            return None
-        for l1, c1 in parts1:
-            for l2, c2 in parts2:
-                cc1, cc2 = c1, c2
-                factor = comb(e1, l1) * comb(e2, l2)
-                if factor != 1:
-                    if cc1 is not None:
-                        cc1 = mf_scale(factor, cc1)
-                    elif cc2 is not None:
-                        cc2 = mf_scale(factor, cc2)
-                    else:
-                        cc1 = constant_mean(factor)
-                out.append(_BiTerm(cc1, cc2, t.d1 + l1, t.d2 + l2))
-    return out
 
 
 def _check_slot(slot):
@@ -393,22 +378,10 @@ def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto",
     new_terms = []
     for order, a in op.terms:
         for t in bf.terms:
-            c_slot = t.c1 if slot == ARG1 else t.c2
-            for l in range(order + 1):
-                shift = order - l
-                if c_slot is None:
-                    if shift > 0:
-                        continue  # derivative of the implicit constant 1
-                    new_c = a
-                else:
-                    d_c = c_slot.derivative(shift, strict=False)
-                    new_c = mf_mul(a, mf_scale(comb(order, l), d_c))
-                    if new_c.is_zero():
-                        continue
-                if slot == ARG1:
-                    new_terms.append(_BiTerm(new_c, t.c2, t.d1 + l, t.d2))
-                else:
-                    new_terms.append(_BiTerm(t.c1, new_c, t.d1, t.d2 + l))
+            if slot == ARG1:
+                new_terms += [_BiTerm(c, t.c2, d, t.d2) for d, c in _leibniz(a, order, t.c1, t.d1)]
+            else:
+                new_terms += [_BiTerm(t.c1, c, t.d1, d) for d, c in _leibniz(a, order, t.c2, t.d2)]
     label = f"{op.label}_[arg{slot}] {bf.label}"
     return KernelBifunction(bf.base, new_terms, method=method,
                             scheme=scheme or bf.scheme, label=label)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gpops.cli import main
 
 BASE_VERIFY = """\
@@ -184,6 +186,26 @@ problem:
 """ % (tmp_path / "sol2")
     cfg = write(tmp_path, "solve2.yaml", text)
     assert main(["solve", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    '{location: 0.0, value: "abc"}',
+    '{location: "left", value: 0.0}',
+    '{location: 0.0, value: 0.0, noise_sd: "small"}',
+])
+def test_solve_non_numeric_boundary_exit_one(tmp_path, capsys, entry):
+    text = """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  boundary: [%s]
+""" % (tmp_path / "sol3", entry)
+    cfg = write(tmp_path, "solve3.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    assert "problem.boundary[0]" in capsys.readouterr().err
 
 
 def test_console_entry_point_help():

@@ -12,9 +12,11 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
-                                PosteriorSummary, condition, solve_linear_ode)
+                                PosteriorSummary, _group_by_operator, condition,
+                                solve_linear_ode)
 from gpops.errors import ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
@@ -256,3 +258,32 @@ def test_posterior_serialization():
     csv = post.to_csv()
     assert csv.splitlines()[0] == ",".join(PosteriorSummary.CSV_HEADER)
     assert len(csv.splitlines()) == 10
+
+
+def _observed_operator(kind):
+    # a fresh object on every call
+    if kind == 0:
+        return identity()
+    if kind == 1:
+        return derivative_operator(1)
+    return LinearOperator([(0, "x"), (1, 1.0)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_equal_operators_condition_alike_as_distinct_objects(rows):
+    p = make_prior()
+    grid = Grid.uniform_on(0.0, 1.0, 11)
+    shared = [_observed_operator(k) for k in range(3)]
+    fresh_obs = [Observation(_observed_operator(k), x, math.sin(3 * x), 1e-3) for k, x in rows]
+    shared_obs = [Observation(shared[k], x, math.sin(3 * x), 1e-3) for k, x in rows]
+
+    groups = _group_by_operator(fresh_obs)
+    assert len(groups) == len({k for k, _ in rows})
+    assert [idx for _, idx in groups] == [idx for _, idx in _group_by_operator(shared_obs)]
+
+    a = condition(p, fresh_obs, grid)
+    b = condition(p, shared_obs, grid)
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.cov, b.cov)
+    assert a.log_marginal == b.log_marginal

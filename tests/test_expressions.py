@@ -72,3 +72,15 @@ def test_quadratic_derivative_matches_calculus(a, b, c, x):
 def test_rejects_out_of_grammar(bad):
     with pytest.raises(ExpressionError):
         parse_expression(bad)
+
+
+def test_structural_equality_and_cached_derivatives():
+    e = parse_expression("x*sin(x) + 2")
+    assert e == parse_expression("x * sin(x) + 2.0")
+    assert hash(e) == hash(parse_expression("x * sin(x) + 2.0"))
+    assert e != parse_expression("sin(x)*x + 2")
+    assert parse_expression("cos(x)") != parse_expression("sin(x)")
+    assert e.diff(3) is e.diff().diff().diff()
+    x = np.linspace(-1, 1, 7)
+    np.testing.assert_allclose(e.diff(2)(x), 2 * np.cos(x) - x * np.sin(x), rtol=1e-14)
+    assert e.diff(0) is e

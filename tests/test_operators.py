@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from gpops.errors import DomainViolationError, EvaluationError
+from gpops.errors import DomainViolationError, EvaluationError, ParameterError
+from gpops.expressions import Expr
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import mean_from_callable, mean_from_expression
@@ -49,6 +50,26 @@ def test_operator_construction_and_order():
 def test_zero_coefficients_dropped():
     op = LinearOperator([(3, 0.0), (1, 1.0)])
     assert op.order == 1
+
+
+def test_operators_compare_by_value():
+    assert derivative_operator(1) == derivative_operator(1)
+    assert hash(derivative_operator(1)) == hash(derivative_operator(1))
+    assert compose(D1, D1) == derivative_operator(2)
+    assert hash(compose(D1, D1)) == hash(derivative_operator(2))
+    assert LinearOperator([(1, "1")], label="slope") == D1  # the label is ignored
+    assert LinearOperator([(1, "x")]) == XDX
+    assert LinearOperator([(1, "2*x")]) != XDX
+    assert LinearOperator([(1, 2.0)]) != D1
+    assert XDX_PLUS_1 != XDX
+    assert len({D1, derivative_operator(1), compose(identity(), D1)}) == 1
+
+
+def test_coefficients_are_expressions():
+    op = LinearOperator([(1, "x"), (0, 2)])
+    assert all(isinstance(c, Expr) for _, c in op.terms)
+    with pytest.raises(ParameterError):
+        LinearOperator([(1, mean_from_expression("x"))])
 
 
 # ------------------------------------------------- application to functions

@@ -8,7 +8,7 @@ from gpops.errors import DomainViolationError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import mean_from_expression, zero_mean
-from gpops.operators import derivative_operator, identity
+from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
 from gpops.verify import VerificationTolerances, verify_theorem
 
@@ -108,3 +108,21 @@ def test_cumulant_section_contents():
     for sec in rep.cumulant_check["per_order"]:
         assert len(sec["tuples"]) == 10
         assert sec["max_standardized"] >= 0.0
+
+
+def test_verdict_does_not_depend_on_kernel_variance():
+    # The commutator gate is relative to max|T1 T2 k|: rescaling the kernel
+    # variance rescales the residuals and the image Gram together, so the
+    # verdict for a given seed must not change.
+    op = LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])
+    grid = Grid.uniform_on(0.0, 1.0, 33)
+    reports = []
+    for variance in (1.0, 1e4):
+        p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5, variance))
+        reports.append(verify_theorem(p, op, grid, 2000, 7))
+    small, large = reports
+    assert large.cov_check["commutator_residual_closed"] > \
+        small.cov_check["commutator_residual_closed"]
+    assert small.passed
+    assert large.passed == small.passed
+    assert large.cov_check["passed"] == small.cov_check["passed"]
