@@ -26,7 +26,6 @@ from .linalg import chol_psd, gram
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_to_function
 from .processes import GaussianProcessPrior
 from .reportio import csv_lines, dumps_json
-from .stencils import FDScheme
 
 __all__ = ["Observation", "PosteriorSummary", "condition", "solve_linear_ode",
            "NOISE_FLOOR_VARIANCE"]
@@ -95,7 +94,6 @@ def _group_by_operator(observations):
 
 
 def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
-              method: str = "auto", scheme: FDScheme | None = None,
               max_jitter: float = 1e-8) -> PosteriorSummary:
     """Condition the prior on operator observations; tabulate on ``grid``.
 
@@ -129,19 +127,17 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     k_x_obs = np.empty((x.size, q))
     prior_obs_mean = np.empty(q)
     for op_j, idx_j in groups:
-        s2k = apply_arg(op_j, ARG2, p.kernel, method=method, scheme=scheme)
+        s2k = apply_arg(op_j, ARG2, p.kernel)
         cols = np.asarray(idx_j)
         k_x_obs[:, cols] = s2k(x[:, None], locs[cols][None, :])
-        t_mean = apply_to_function(op_j, p.mean, method=method, scheme=scheme)
+        t_mean = apply_to_function(op_j, p.mean)
         prior_obs_mean[cols] = t_mean(locs[cols])
 
     # Observation Gram: one operator applied per argument, pair by pair.
     k_obs = np.empty((q, q))
     for op_i, idx_i in groups:
         for op_j, idx_j in groups:
-            bf = apply_arg(op_i, ARG1, apply_arg(op_j, ARG2, p.kernel,
-                                                 method=method, scheme=scheme),
-                           method=method, scheme=scheme)
+            bf = apply_arg(op_i, ARG1, apply_arg(op_j, ARG2, p.kernel))
             rows = np.asarray(idx_i)
             cols = np.asarray(idx_j)
             k_obs[np.ix_(rows, cols)] = bf(locs[rows][:, None], locs[cols][None, :])
@@ -162,8 +158,7 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
 
 def solve_linear_ode(op: LinearOperator, rhs, boundary, grid: Grid,
                      p: GaussianProcessPrior, *, collocation: Grid | None = None,
-                     collocation_noise_sd: float = 0.0, method: str = "auto",
-                     scheme: FDScheme | None = None) -> PosteriorSummary:
+                     collocation_noise_sd: float = 0.0) -> PosteriorSummary:
     """Solve ``op u = rhs`` with boundary observations by GP collocation.
 
     Builds observations ``(op u)(x_i) = rhs(x_i)`` at the collocation points
@@ -180,4 +175,4 @@ def solve_linear_ode(op: LinearOperator, rhs, boundary, grid: Grid,
                        noise_sd=collocation_noise_sd)
            for xi in collocation.points]
     obs.extend(boundary)
-    return condition(p, obs, grid, method=method, scheme=scheme)
+    return condition(p, obs, grid)

@@ -9,6 +9,12 @@ estimated here by plugging sample means into the moments.  Cumulants of order
 three and above vanish exactly for Gaussian ensembles, which is what the
 verification harness tests.
 
+The moments are taken of columns centred on their full-sample means.  That
+shift leaves every cumulant of order two and above unchanged, and it keeps
+the moments free of cancellation when a column's mean is large against its
+spread.  Standard errors come from a jackknife over a fixed number of
+contiguous path blocks (``JACKKNIFE_FOLDS``).
+
 Estimates of orders one and two are delegated to the empirical mean and the
 unbiased empirical covariance, so they match those estimators to the last
 bit; the partition formula reduces to them up to the (N-1 vs N)
@@ -122,30 +128,18 @@ def _plugin_kappa(moments, partitions):
     return total
 
 
-def _fold_bounds(n, folds):
-    return np.linspace(0, n, folds + 1).astype(int)
-
-
-def _low_order_value(cols, order, n_paths):
-    # Delegated estimators for orders 1-2 (see module docstring).
-    if order == 1:
-        return float(np.mean(cols[0]))
-    a = cols[0] - np.mean(cols[0])
-    b = cols[1] - np.mean(cols[1])
-    return float(a @ b / (n_paths - 1))
-
-
-def empirical_cumulant(e: SampleEnsemble, indices, folds: int = JACKKNIFE_FOLDS
-                       ) -> CumulantEstimate:
+def empirical_cumulant(e: SampleEnsemble, indices) -> CumulantEstimate:
     """Plug-in cumulant of the ensemble columns picked by ``indices``.
 
     Indices may repeat (diagonal cumulants).  The standard error comes from a
-    grouped jackknife over ``folds`` contiguous path blocks: the estimator is
-    recomputed leaving each block out, and the spread of the leave-one-out
-    values is scaled by ``(J-1)/J``.
+    grouped jackknife over ``JACKKNIFE_FOLDS`` contiguous path blocks: the
+    estimator is recomputed leaving each block out, and the spread of the
+    leave-one-out values is scaled by ``(J-1)/J``.  All leave-one-out moments
+    come at once from per-block sums of the centred column products.
 
     Orders 1 and 2 reproduce ``empirical_mean`` / ``empirical_cov`` entries
-    exactly (identical floating-point values).
+    exactly (identical floating-point values); their jackknife uses the mean
+    and the unbiased covariance of the kept paths.
     """
     indices = tuple(int(i) for i in indices)
     n = len(indices)
@@ -153,45 +147,35 @@ def empirical_cumulant(e: SampleEnsemble, indices, folds: int = JACKKNIFE_FOLDS
         raise ParameterError(f"cumulant order must be in 1..{MAX_CUMULANT_ORDER}, got {n}")
     if e.n_paths < 100:
         raise ParameterError(f"need at least 100 paths, got {e.n_paths}")
-    if folds < 2 or folds > e.n_paths:
-        raise ParameterError("folds must be between 2 and the number of paths")
     points = tuple(float(e.grid.points[i]) for i in indices)
-    cols = [e.paths[:, i] for i in indices]
     n_paths = e.n_paths
-    bounds = _fold_bounds(n_paths, folds)
 
-    if n <= 2:
-        if n == 1:
-            value = float(empirical_mean(e)[indices[0]])
-        else:
-            value = float(empirical_cov(e)[indices[0], indices[1]])
-        fold_vals = np.empty(folds)
-        for j in range(folds):
-            keep = np.ones(n_paths, dtype=bool)
-            keep[bounds[j]:bounds[j + 1]] = False
-            fold_vals[j] = _low_order_value([c[keep] for c in cols], n, int(keep.sum()))
-    else:
-        partitions = enumerate_partitions(n)
-        subsets = [s for r in range(1, n + 1) for s in combinations(range(n), r)]
-        block_sums = {}
-        totals = {}
-        for s in subsets:
-            prod = cols[s[0]].astype(float, copy=True)
-            for i in s[1:]:
-                prod = prod * cols[i]
-            sums = np.add.reduceat(prod, bounds[:-1])
-            block_sums[s] = sums
-            totals[s] = float(sums.sum())
-        value = _plugin_kappa({s: totals[s] / n_paths for s in subsets}, partitions)
-        sizes = np.diff(bounds)
-        fold_vals = np.empty(folds)
-        for j in range(folds):
-            nj = n_paths - sizes[j]
-            moments = {s: (totals[s] - block_sums[s][j]) / nj for s in subsets}
-            fold_vals[j] = _plugin_kappa(moments, partitions)
+    # One row per index subset, in combinations order: the first n rows are the
+    # centred columns, every later row is its prefix's row times one column.
+    subsets = [s for r in range(1, n + 1) for s in combinations(range(n), r)]
+    row = {s: k for k, s in enumerate(subsets)}
+    prods = np.empty((len(subsets), n_paths))
+    prods[:n] = e.paths[:, list(indices)].T
+    prods[:n] -= prods[:n].mean(axis=1, keepdims=True)
+    for k, s in enumerate(subsets[n:], n):
+        np.multiply(prods[row[s[:-1]]], prods[s[-1]], out=prods[k])
+
+    bounds = np.linspace(0, n_paths, JACKKNIFE_FOLDS + 1).astype(int)
+    kept = n_paths - np.diff(bounds)
+    block_sums = np.add.reduceat(prods, bounds[:-1], axis=1)
+    totals = block_sums.sum(axis=1)
+    partitions = enumerate_partitions(n)
+    value = _plugin_kappa(dict(zip(subsets, totals / n_paths)), partitions)
+    fold_vals = _plugin_kappa(dict(zip(subsets, (totals[:, None] - block_sums) / kept)),
+                              partitions)
+    if n == 1:
+        value = empirical_mean(e)[indices[0]]
+    elif n == 2:
+        value = empirical_cov(e)[indices[0], indices[1]]
+        fold_vals = fold_vals * kept / (kept - 1)
 
     centered = fold_vals - fold_vals.mean()
-    se = float(np.sqrt((folds - 1) / folds * np.sum(centered**2)))
+    se = float(np.sqrt((JACKKNIFE_FOLDS - 1) / JACKKNIFE_FOLDS * np.sum(centered**2)))
     return CumulantEstimate(order=n, indices=indices, points=points,
                             value=float(value), standard_error=se)
 

@@ -35,7 +35,7 @@ from .expressions import Const, Expr, parse_expression
 from .grids import Grid
 from .kernels import Kernel
 from .means import MeanFunction
-from .stencils import FDScheme, KERNEL_FALLBACK_SCHEME, fd_derivative, fd_mixed_partial
+from .stencils import KERNEL_FALLBACK_SCHEME, fd_derivative, fd_mixed_partial
 
 __all__ = [
     "LinearOperator",
@@ -212,8 +212,8 @@ def _weighted_sum(terms, derivative):
     return evaluate
 
 
-def apply_to_function(op: LinearOperator, f: MeanFunction, *, method: str = "auto",
-                      scheme: FDScheme | None = None) -> MeanFunction:
+def apply_to_function(op: LinearOperator, f: MeanFunction, *,
+                      method: str = "auto") -> MeanFunction:
     """Apply the operator to a function: ``x -> sum_i a_i(x) f^(i)(x)``.
 
     Closed-form derivatives of ``f`` are used where present.  With
@@ -226,7 +226,6 @@ def apply_to_function(op: LinearOperator, f: MeanFunction, *, method: str = "aut
     """
     if method not in _METHODS:
         raise ParameterError(f"method must be one of {_METHODS}")
-    scheme = scheme or FDScheme()
     fd_used = False
 
     def derivative(order):
@@ -245,8 +244,8 @@ def apply_to_function(op: LinearOperator, f: MeanFunction, *, method: str = "aut
         def fd_ev(x):
             x = np.asarray(x, dtype=float)
             if x.ndim == 0:
-                return fd_derivative(f, float(x), order, scheme)
-            return np.array([fd_derivative(f, xi, order, scheme) for xi in x.ravel()]).reshape(x.shape)
+                return fd_derivative(f, float(x), order)
+            return np.array([fd_derivative(f, xi, order) for xi in x.ravel()]).reshape(x.shape)
 
         return fd_ev
 
@@ -281,11 +280,10 @@ class KernelBifunction:
     applications.
     """
 
-    def __init__(self, base: Kernel, terms, method="auto", scheme=None, label=None):
+    def __init__(self, base: Kernel, terms, method="auto", label=None):
         self.base = base
         self.terms = tuple(terms)
         self.method = method
-        self.scheme = scheme or KERNEL_FALLBACK_SCHEME
         self.label = label or base.label
         self.applied1 = max((t.d1 for t in self.terms), default=0)
         self.applied2 = max((t.d2 for t in self.terms), default=0)
@@ -313,7 +311,7 @@ class KernelBifunction:
                 f"kernel {self.base.label!r} has no closed-form partial "
                 f"({term.d1}, {term.d2}) and finite differences are disallowed"
             )
-        return fd_mixed_partial(self.base, term.d1, term.d2, self.scheme)
+        return fd_mixed_partial(self.base, term.d1, term.d2, KERNEL_FALLBACK_SCHEME)
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -355,8 +353,7 @@ def _check_slot(slot):
         raise ParameterError(f"slot must be {ARG1} (first argument) or {ARG2} (second), got {slot}")
 
 
-def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto",
-              scheme: FDScheme | None = None) -> KernelBifunction:
+def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto") -> KernelBifunction:
     """Apply an operator to one argument of a kernel (or transformed kernel).
 
     The sample-smoothness budget of the chosen argument must cover
@@ -383,29 +380,24 @@ def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto",
             else:
                 new_terms += [_BiTerm(t.c1, c, t.d1, d) for d, c in _leibniz(a, order, t.c2, t.d2)]
     label = f"{op.label}_[arg{slot}] {bf.label}"
-    return KernelBifunction(bf.base, new_terms, method=method,
-                            scheme=scheme or bf.scheme, label=label)
+    return KernelBifunction(bf.base, new_terms, method=method, label=label)
 
 
-def apply_both(op: LinearOperator, k, *, method: str = "auto",
-               scheme: FDScheme | None = None) -> KernelBifunction:
+def apply_both(op: LinearOperator, k, *, method: str = "auto") -> KernelBifunction:
     """Apply the operator to both kernel arguments (second argument first).
 
     This is the covariance transport of the operator; the choice of
     application order is immaterial, which :func:`commutator_residual`
     certifies numerically.
     """
-    inner = apply_arg(op, ARG2, k, method=method, scheme=scheme)
-    return apply_arg(op, ARG1, inner, method=method, scheme=scheme)
+    return apply_arg(op, ARG1, apply_arg(op, ARG2, k, method=method), method=method)
 
 
-def commutator_residual(op: LinearOperator, k, grid: Grid, *, method: str = "auto",
-                        scheme: FDScheme | None = None) -> float:
+def commutator_residual(op: LinearOperator, k, grid: Grid, *,
+                        method: str = "auto") -> float:
     """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|."""
-    a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k, method=method, scheme=scheme),
-                    method=method, scheme=scheme)
-    a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k, method=method, scheme=scheme),
-                    method=method, scheme=scheme)
+    a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k, method=method), method=method)
+    a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k, method=method), method=method)
     x = grid.points
     v12 = a12(x[:, None], x[None, :])
     v21 = a21(x[:, None], x[None, :])

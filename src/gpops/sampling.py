@@ -10,6 +10,11 @@ word budget (Philox advances in blocks of four words).  Uniforms are
 inverse-CDF images.  Because each path's substream depends only on (seed,
 path index), ensembles are bit-identical however generation is split across
 threads, and regenerating with equal inputs reproduces paths exactly.
+
+The paths are split into contiguous blocks of about ``BLOCK_WORDS`` words,
+and ``threads`` workers draw the blocks' uniforms and write their inverse-CDF
+images into one shared array.  The Cholesky product ``z @ L.T`` is left to
+BLAS.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ __all__ = [
 ]
 
 MAX_PATHWISE_ORDER = 4
+# Philox words per block of paths.  Small blocks keep each worker's
+# temporaries small; whole-slice temporaries left tens of MB held by the
+# allocator after the worker threads ended.
+BLOCK_WORDS = 2**16
 
 
 @dataclass(frozen=True)
@@ -78,18 +87,16 @@ def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int) -> n
 
 
 def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> np.ndarray:
-    if threads <= 1 or n_paths < 2 * threads:
-        u = _uniform_block(seed, 0, n_paths, n_points)
-    else:
-        u = np.empty((n_paths, n_points))
-        bounds = np.linspace(0, n_paths, threads + 1).astype(int)
+    z = np.empty((n_paths, n_points))
+    step = max(1, BLOCK_WORDS // _words_per_path(n_points))
 
-        def fill(lo, hi):
-            u[lo:hi] = _uniform_block(seed, lo, hi - lo, n_points)
+    def fill(lo):
+        hi = min(lo + step, n_paths)
+        ndtri(_uniform_block(seed, lo, hi - lo, n_points), out=z[lo:hi])
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: fill(*b), zip(bounds[:-1], bounds[1:])))
-    return ndtri(u)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(fill, range(0, n_paths, step)))
+    return z
 
 
 def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
@@ -103,6 +110,8 @@ def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     """
     if n_paths < 2:
         raise ParameterError("need at least two paths")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     L, _ = chol_psd(gram(p.kernel, grid), max_jitter=max_jitter)
     mean = p.mean(grid.points)
     z = _standard_normals(seed, n_paths, len(grid), threads)

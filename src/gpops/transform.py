@@ -21,7 +21,6 @@ from .linalg import chol_psd, cross_tabulate, gram
 from .operators import (ARG1, ARG2, KernelBifunction, LinearOperator, apply_arg,
                         apply_both, apply_to_function)
 from .processes import GaussianProcessPrior
-from .stencils import FDScheme
 
 __all__ = ["ImageProcess", "JointBlocks", "pushforward", "finite_dim_pushforward",
            "joint_blocks"]
@@ -44,9 +43,8 @@ def _image_kernel(bf: KernelBifunction, smoothness, symmetric, label) -> Kernel:
                   symmetric=symmetric, label=label)
 
 
-def pushforward(p: GaussianProcessPrior, op: LinearOperator, *, method: str = "auto",
-                scheme: FDScheme | None = None, check_grid: Grid | None = None
-                ) -> ImageProcess:
+def pushforward(p: GaussianProcessPrior, op: LinearOperator, *,
+                check_grid: Grid | None = None) -> ImageProcess:
     """Image process of ``p`` under ``op``: mean ``T m``, kernel ``T1 T2 k``.
 
     Requires ``op.order`` within both the kernel's sample smoothness and the
@@ -60,8 +58,8 @@ def pushforward(p: GaussianProcessPrior, op: LinearOperator, *, method: str = "a
     mathematical) defect, e.g. truncation error on a finite-difference path;
     the jitter used is recorded on the result.
     """
-    mean_v = apply_to_function(op, p.mean, method=method, scheme=scheme)
-    bf = apply_both(op, p.kernel, method=method, scheme=scheme)
+    mean_v = apply_to_function(op, p.mean)
+    bf = apply_both(op, p.kernel)
     s = p.kernel.sample_smoothness
     smooth_v = s if s == math.inf else s - op.order
     kernel_v = _image_kernel(bf, smooth_v, p.kernel.symmetric,
@@ -122,17 +120,16 @@ class JointBlocks:
 
 
 def joint_blocks(p: GaussianProcessPrior, op: LinearOperator, grid_x: Grid,
-                 grid_y: Grid, *, method: str = "auto",
-                 scheme: FDScheme | None = None) -> JointBlocks:
+                 grid_y: Grid) -> JointBlocks:
     """Prior covariance blocks needed to condition u on observations of Tu.
 
     ``k_uv[i, j] = Cov(u(x_i), (Tu)(y_j))`` applies the operator to the
     second kernel argument; ``k_vu`` applies it to the first, so that
     ``k_vu == k_uv.T`` on equal grids.
     """
-    t2k = apply_arg(op, ARG2, p.kernel, method=method, scheme=scheme)
-    t1k = apply_arg(op, ARG1, p.kernel, method=method, scheme=scheme)
-    t1t2k = apply_arg(op, ARG1, t2k, method=method, scheme=scheme)
+    t2k = apply_arg(op, ARG2, p.kernel)
+    t1k = apply_arg(op, ARG1, p.kernel)
+    t1t2k = apply_arg(op, ARG1, t2k)
     k_uu = gram(p.kernel, grid_x)
     k_uv = cross_tabulate(t2k, grid_x, grid_y)
     k_vu = cross_tabulate(t1k, grid_y, grid_x)

@@ -40,6 +40,8 @@ from .transform import pushforward
 __all__ = ["VerificationTolerances", "VerificationReport", "verify_theorem"]
 
 SCHEMA_VERSION = 1
+CUMULANT_ORDERS = (3, 4)
+TUPLES_PER_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,6 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                    n_paths: int, seed: int,
                    tolerances: VerificationTolerances | None = None, *,
                    expect_rejection: bool = False, threads: int = 1,
-                   cumulant_orders=(3, 4), tuples_per_order: int = 10,
                    config_echo: dict | None = None) -> VerificationReport:
     """Run the full empirical check of the operator-transport claims.
 
@@ -177,6 +178,7 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
 
     # (b) covariance: entrywise SE sqrt((k_ii k_jj + k_ij^2)/N), interior block
     cov_se = np.sqrt((np.outer(var_v, var_v) + k_v**2) / n_paths)
+    var_se = cov_se.diagonal()
     cov_se = np.where(cov_se == 0.0, np.finfo(float).tiny, cov_se)
     cov_dev = ecov - k_v
     block = np.outer(interior, interior)
@@ -204,8 +206,8 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     interior_idx = np.flatnonzero(interior)
     per_order = []
     cum_passed = True
-    for order in cumulant_orders:
-        tuples = default_cumulant_tuples(len(grid), order, count=tuples_per_order,
+    for order in CUMULANT_ORDERS:
+        tuples = default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
                                          lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
         entries = []
         worst = 0.0
@@ -223,11 +225,10 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         per_order.append({"order": order, "max_standardized": worst,
                           "threshold": tol.cumulant_z, "passed": bool(ok),
                           "tuples": entries})
-    cumulant_check = {"orders": list(cumulant_orders), "per_order": per_order,
+    cumulant_check = {"orders": list(CUMULANT_ORDERS), "per_order": per_order,
                       "passed": bool(cum_passed)}
 
     evar = np.diag(ecov)
-    var_se = np.sqrt((np.outer(var_v, var_v) + k_v**2) / n_paths).diagonal()
     per_point = [
         (int(i), float(x[i]), bool(interior[i]), float(emean[i]), float(mean_v[i]),
          float(mean_dev[i]), float(mean_se[i]), float(evar[i]), float(var_v[i]),

@@ -5,6 +5,8 @@ recurrence, and for small n the full partition sets are rebuilt by brute
 force over all block assignments.
 """
 
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,6 +174,68 @@ def test_gaussian_null_across_seeds():
         if worst > 5.0:
             fails += 1
     assert fails <= 1
+
+
+def _leave_block_out_oracle(paths, indices, folds=50):
+    # The estimator recomputed on each leave-one-block-out sample from raw
+    # moments, one boolean mask per block.
+    cols = paths[:, list(indices)]
+    n = len(indices)
+
+    def estimate(x):
+        if n == 1:
+            return x[:, 0].mean()
+        if n == 2:
+            a, b = x[:, 0] - x[:, 0].mean(), x[:, 1] - x[:, 1].mean()
+            return a @ b / (len(x) - 1)
+        total = 0.0
+        for part in enumerate_partitions(n):
+            term = (-1.0) ** (len(part) - 1) * factorial(len(part) - 1)
+            for block in part.blocks:
+                term *= np.mean(np.prod(x[:, [i - 1 for i in block]], axis=1))
+            total += term
+        return total
+
+    bounds = np.linspace(0, len(cols), folds + 1).astype(int)
+    fold_vals = []
+    for j in range(folds):
+        keep = np.ones(len(cols), dtype=bool)
+        keep[bounds[j]:bounds[j + 1]] = False
+        fold_vals.append(estimate(cols[keep]))
+    fold_vals = np.array(fold_vals)
+    se = np.sqrt((folds - 1) / folds * np.sum((fold_vals - fold_vals.mean()) ** 2))
+    return estimate(cols), se
+
+
+@pytest.mark.parametrize("indices", [(0,), (3,), (1, 4), (2, 2), (0, 1, 2), (1, 1, 4),
+                                     (0, 2, 3, 4), (2, 2, 4, 4), (3, 3, 3, 3)])
+def test_jackknife_matches_leave_block_out_oracle(indices):
+    # correlated, skewed columns with nonzero means; 1013 paths give blocks
+    # of unequal size
+    rng = np.random.default_rng(314)
+    base = rng.exponential(size=(1013, 5))
+    paths = base @ (np.eye(5) + 0.3 * rng.random((5, 5))) + np.linspace(-1.0, 1.0, 5)
+    e = SampleEnsemble(grid=Grid(np.linspace(0, 1, 5)), paths=paths, seed=0)
+    value, se = _leave_block_out_oracle(paths, indices)
+    est = empirical_cumulant(e, indices)
+    assert se > 0
+    assert abs(est.value - value) <= 1e-10 * se
+    assert abs(est.standard_error - se) <= 1e-10 * se
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_higher_cumulants_do_not_move_under_a_mean_shift(shift):
+    # raw moments would cancel catastrophically once |mean| >> sd
+    prior = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5, 1.0))
+    e = sample_paths(prior, Grid.uniform_on(0, 1, 9), 20000, 5)
+    shifted = SampleEnsemble(grid=e.grid, paths=e.paths + shift, seed=e.seed)
+    tuples = [(2, 2, 6, 6), (1, 4, 7)] + default_cumulant_tuples(9, 3, count=5) \
+        + default_cumulant_tuples(9, 4, count=5)
+    for t in tuples:
+        ref = empirical_cumulant(e, t)
+        moved = empirical_cumulant(shifted, t)
+        assert abs(moved.value - ref.value) <= 1e-6 * ref.standard_error
+        assert abs(moved.standard_error - ref.standard_error) <= 1e-6 * ref.standard_error
 
 
 def test_cumulant_estimate_metadata():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gpops.errors import GridSizeError, ParameterError
 from gpops.grids import Grid
@@ -9,8 +10,9 @@ from gpops.kernels import se_kernel
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (SampleEnsemble, apply_operator_pathwise,
-                            empirical_cov, empirical_mean, sample_paths)
+from gpops.sampling import (BLOCK_WORDS, SampleEnsemble, _standard_normals,
+                            _uniform_block, apply_operator_pathwise, empirical_cov,
+                            empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import pushforward
 
@@ -33,6 +35,25 @@ def test_thread_count_does_not_change_draws():
     c = sample_paths(PRIOR, g, 501, 7, threads=8)
     assert np.array_equal(a.paths, b.paths)
     assert np.array_equal(a.paths, c.paths)
+
+
+def test_thread_count_does_not_change_tiny_ensembles():
+    # more threads than paths: some workers get no block
+    g = Grid.uniform_on(0, 1, 5)
+    a = sample_paths(PRIOR, g, 3, 11, threads=1)
+    for threads in (2, 5):
+        assert np.array_equal(a.paths, sample_paths(PRIOR, g, 3, 11, threads=threads).paths)
+    with pytest.raises(ParameterError):
+        sample_paths(PRIOR, g, 3, 11, threads=0)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_block_splits_do_not_change_normals(threads):
+    # three paths past two full blocks, against one unsplit draw
+    n_points = 5
+    n_paths = 2 * (BLOCK_WORDS // 8) + 3  # 8 Philox words per 5-point path
+    whole = ndtri(_uniform_block(11, 0, n_paths, n_points))
+    assert np.array_equal(_standard_normals(11, n_paths, n_points, threads), whole)
 
 
 def test_path_substreams_depend_only_on_seed_and_index():
