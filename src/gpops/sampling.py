@@ -11,14 +11,16 @@ inverse-CDF images.  Because each path's substream depends only on (seed,
 path index), ensembles are bit-identical however generation is split across
 threads, and regenerating with equal inputs reproduces paths exactly.
 
-The paths are split into contiguous blocks of about ``BLOCK_WORDS`` words,
-and ``threads`` workers draw the blocks' uniforms and write their inverse-CDF
-images into one shared array.  The Cholesky product ``z @ L.T`` is left to
-BLAS.
+The paths are split into contiguous blocks of about ``BLOCK_WORDS`` words.
+The calling thread and ``threads - 1`` helper threads take the blocks one at
+a time, draw their uniforms and write their inverse-CDF images into one
+shared array, so a single thread runs no helper and hands nothing over.  The
+Cholesky product ``z @ L.T`` is left to BLAS.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -41,9 +43,9 @@ __all__ = [
 ]
 
 MAX_PATHWISE_ORDER = 4
-# Philox words per block of paths.  Small blocks keep each worker's
+# Philox words per block of paths.  Small blocks keep each thread's
 # temporaries small; whole-slice temporaries left tens of MB held by the
-# allocator after the worker threads ended.
+# allocator after helper threads ended.
 BLOCK_WORDS = 2**16
 
 
@@ -89,13 +91,24 @@ def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int) -> n
 def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> np.ndarray:
     z = np.empty((n_paths, n_points))
     step = max(1, BLOCK_WORDS // _words_per_path(n_points))
+    starts = range(0, n_paths, step)
+    pending = iter(starts)
+    lock = threading.Lock()
 
-    def fill(lo):
-        hi = min(lo + step, n_paths)
-        ndtri(_uniform_block(seed, lo, hi - lo, n_points), out=z[lo:hi])
+    def fill():
+        while True:
+            with lock:
+                lo = next(pending, None)
+            if lo is None:
+                return
+            hi = min(lo + step, n_paths)
+            ndtri(_uniform_block(seed, lo, hi - lo, n_points), out=z[lo:hi])
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(fill, range(0, n_paths, step)))
+        helpers = [pool.submit(fill) for _ in range(min(threads, len(starts)) - 1)]
+        fill()
+        for h in helpers:
+            h.result()
     return z
 
 

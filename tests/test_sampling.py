@@ -1,5 +1,7 @@
 """Seeded ensembles: reproducibility, statistics, pathwise operator action."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import ndtri
@@ -9,6 +11,7 @@ from gpops.grids import Grid
 from gpops.kernels import se_kernel
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
+import gpops.sampling
 from gpops.processes import GaussianProcessPrior
 from gpops.sampling import (BLOCK_WORDS, SampleEnsemble, _standard_normals,
                             _uniform_block, apply_operator_pathwise, empirical_cov,
@@ -54,6 +57,20 @@ def test_block_splits_do_not_change_normals(threads):
     n_paths = 2 * (BLOCK_WORDS // 8) + 3  # 8 Philox words per 5-point path
     whole = ndtri(_uniform_block(11, 0, n_paths, n_points))
     assert np.array_equal(_standard_normals(11, n_paths, n_points, threads), whole)
+
+
+def test_one_thread_draws_every_block_in_the_caller(monkeypatch):
+    # a single thread starts no helper, so no block is handed to another thread
+    drawn_by = set()
+
+    def spy(*args):
+        drawn_by.add(threading.get_ident())
+        return _uniform_block(*args)
+
+    monkeypatch.setattr(gpops.sampling, "_uniform_block", spy)
+    z = _standard_normals(11, 3 * (BLOCK_WORDS // 8), 5, 1)
+    assert drawn_by == {threading.get_ident()}
+    assert np.array_equal(z, ndtri(_uniform_block(11, 0, z.shape[0], 5)))
 
 
 def test_path_substreams_depend_only_on_seed_and_index():
