@@ -51,12 +51,18 @@ class Observation:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
-    """Posterior mean/covariance tabulated on a grid, plus the data evidence."""
+    """Posterior mean/covariance tabulated on a grid, plus the data evidence.
+
+    ``jitter`` is the diagonal shift the observation Gram's Cholesky
+    factorization needed (0 when it factored as is).  It is a diagnostic and
+    stays out of :meth:`to_dict`, so serialized posteriors keep their bytes.
+    """
 
     grid: Grid
     mean: np.ndarray
     cov: np.ndarray
     log_marginal: float
+    jitter: float = 0.0
 
     @property
     def variance(self) -> np.ndarray:
@@ -100,7 +106,8 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     Every observation operator must be applicable to the prior (the same
     smoothness guard as the pushforward), and observation locations must lie
     within the grid's span.  Returns the posterior mean and covariance on the
-    grid and the log marginal likelihood of the observations under the prior.
+    grid, the log marginal likelihood of the observations under the prior and
+    the jitter that ``chol_psd`` added to the observation Gram.
     """
     observations = list(observations)
     x = grid.points
@@ -141,9 +148,10 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
             rows = np.asarray(idx_i)
             cols = np.asarray(idx_j)
             k_obs[np.ix_(rows, cols)] = bf(locs[rows][:, None], locs[cols][None, :])
-    k_obs = 0.5 * (k_obs + k_obs.T) + np.diag(noise_var)
+    k_obs = 0.5 * (k_obs + k_obs.T)
+    k_obs[np.diag_indices(q)] += noise_var
 
-    L, _ = chol_psd(k_obs, max_jitter=max_jitter)
+    L, jitter = chol_psd(k_obs, max_jitter=max_jitter)
     residual = values - prior_obs_mean
     alpha = solve_triangular(L.T, solve_triangular(L, residual, lower=True), lower=False)
     w = solve_triangular(L, k_x_obs.T, lower=True)
@@ -153,7 +161,7 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     log_marginal = float(-0.5 * residual @ alpha - np.sum(np.log(np.diag(L)))
                          - 0.5 * q * math.log(2.0 * math.pi))
     return PosteriorSummary(grid=grid, mean=post_mean, cov=post_cov,
-                            log_marginal=log_marginal)
+                            log_marginal=log_marginal, jitter=jitter)
 
 
 def solve_linear_ode(op: LinearOperator, rhs, boundary, grid: Grid,

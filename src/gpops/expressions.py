@@ -31,11 +31,15 @@ class Expr:
     """A node of the expression tree: evaluate with ``__call__``, derive with ``diff``.
 
     Nodes compare and hash by structure, and each node keeps its first
-    derivative once built, so repeated ``diff`` calls share subtrees.
+    derivative once built, so repeated ``diff`` calls share subtrees.  The
+    two operands of ``+`` are stored in a canonical order, so commuted sums
+    such as ``x + 1`` and ``1 + x`` are equal trees; products keep the order
+    they were written in.
     """
 
     _fields: tuple = ()  # attribute names that make up the node's structure
     _hash = None
+    _order = None
     _derivative = None
 
     def __call__(self, x):
@@ -69,6 +73,14 @@ class Expr:
         if self._hash is None:
             self._hash = hash((type(self).__name__, self._key()))
         return self._hash
+
+    def _order_key(self) -> tuple:
+        # A total order over trees that is the same in every process (unlike
+        # hash(), which is salted for strings): node type, then fields.
+        if self._order is None:
+            self._order = (type(self).__name__,) + tuple(
+                f._order_key() if isinstance(f, Expr) else f for f in self._key())
+        return self._order
 
     def __add__(self, other):
         return _add(self, other)
@@ -218,6 +230,10 @@ def _add(a, b):
         return a
     if a.is_const() and b.is_const():
         return Const(a.value + b.value)
+    if b._order_key() < a._order_key():
+        # canonical operand order, so that ``x + 1`` and ``1 + x`` build equal
+        # trees; IEEE + commutes exactly, so no value changes
+        a, b = b, a
     return Add(a, b)
 
 

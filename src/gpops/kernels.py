@@ -12,6 +12,15 @@ the operator machinery relies on:
   is applicable only when ``q <= sample_smoothness``.  The underlying
   kernel-regularity => path-regularity implication is an analytic fact
   assumed per catalog entry, not something checked numerically.
+
+Both catalog kernels are stationary, ``k(x1, x2) = f(x1 - x2)``, so every
+mixed partial is a signed derivative of one profile:
+``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  Such a kernel
+carries ``profile(s, m)``, which returns ``[f(s), f'(s), ..., f^(m)(s)]``
+from one difference array (one ``exp`` for all orders), and
+``profile_order``, the highest order it supplies.  Its value and its
+``partial`` evaluators are read off the same routine, and transformed
+kernels use it to evaluate every partial they need in one pass.
 """
 
 from __future__ import annotations
@@ -45,7 +54,13 @@ class Kernel:
         A.s. differentiability order of sample paths.
     symmetric : bool
         Whether ``k(x1, x2) == k(x2, x1)``; all catalog kernels are.
+
+    ``profile`` is ``None`` here; :meth:`stationary` builds kernels that
+    have one.
     """
+
+    profile = None
+    profile_order = -1
 
     def __init__(self, evaluator, partial_factory=None, sample_smoothness=0,
                  symmetric=True, label="k"):
@@ -54,6 +69,25 @@ class Kernel:
         self.sample_smoothness = sample_smoothness
         self.symmetric = symmetric
         self.label = label
+
+    @classmethod
+    def stationary(cls, profile, profile_order, sample_smoothness, label) -> "Kernel":
+        """Kernel ``f(x1 - x2)`` given ``profile(s, m) = [f(s), ..., f^(m)(s)]``.
+
+        Partials up to total order ``profile_order`` are closed-form.
+        """
+
+        def partial_factory(d1, d2):
+            m = d1 + d2
+            if m > profile_order:
+                return None
+            sign = (-1.0) ** d2
+            return lambda x1, x2: sign * profile(x1 - x2, m)[m]
+
+        kernel = cls(lambda x1, x2: profile(x1 - x2, 0)[0], partial_factory,
+                     sample_smoothness=sample_smoothness, label=label)
+        kernel.profile, kernel.profile_order = profile, profile_order
+        return kernel
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -77,17 +111,6 @@ class Kernel:
         return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
 
 
-def _hermite_he(m, t):
-    # Probabilists' Hermite polynomial He_m via the three-term recurrence.
-    if m == 0:
-        return np.ones_like(t)
-    a = np.ones_like(t)
-    b = np.array(t, dtype=float, copy=True)
-    for k in range(1, m):
-        a, b = b, t * b - k * a
-    return b
-
-
 def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
     """Squared-exponential kernel ``var * exp(-(x1-x2)^2 / (2 ell^2))``.
 
@@ -95,7 +118,10 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
     operator applies.  Mixed partials are available in closed form for total
     order up to 6, via the Hermite-polynomial identity
 
-        d^m/dr^m exp(-r^2/2) = (-1)^m He_m(r) exp(-r^2/2).
+        d^m/dr^m exp(-r^2/2) = (-1)^m He_m(r) exp(-r^2/2),
+
+    with the probabilists' Hermite polynomials ``He_m`` built by one
+    three-term recurrence for all orders.
     """
     if not (lengthscale > 0 and variance > 0):
         raise ParameterError(
@@ -103,24 +129,19 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
         )
     ell, var = float(lengthscale), float(variance)
 
-    def ev(x1, x2):
-        t = (x1 - x2) / ell
-        return var * np.exp(-0.5 * t * t)
+    def profile(s, m):
+        t = s / ell
+        e = np.exp(-0.5 * t * t)
+        out = [var * e]
+        he_prev, he = 1.0, t
+        for k in range(1, m + 1):
+            if k > 1:
+                he_prev, he = he, t * he - (k - 1) * he_prev
+            out.append((-1.0) ** k * var * ell ** (-k) * he * e)
+        return out
 
-    def partial_factory(d1, d2):
-        m = d1 + d2
-        if m > SE_PARTIAL_BUDGET:
-            return None
-        sign = (-1.0) ** d1
-
-        def pev(x1, x2, _m=m, _sign=sign):
-            t = (x1 - x2) / ell
-            return _sign * var * ell ** (-_m) * _hermite_he(_m, t) * np.exp(-0.5 * t * t)
-
-        return pev
-
-    return Kernel(ev, partial_factory, sample_smoothness=math.inf,
-                  label=f"se(ell={ell:g}, var={var:g})")
+    return Kernel.stationary(profile, SE_PARTIAL_BUDGET, sample_smoothness=math.inf,
+                             label=f"se(ell={ell:g}, var={var:g})")
 
 
 def _matern_radial_coeffs(p: int, a: float) -> np.ndarray:
@@ -154,7 +175,8 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
 
     Derivatives of the radial profile ``P(r) exp(-a r)`` are computed by
     symbolic polynomial differentiation of the r >= 0 branch and extended to
-    r < 0 by even reflection.
+    r < 0 by even reflection: one ``exp(-a r)`` and one sign array serve
+    every order, with one polynomial per order.
     """
     if not any(abs(nu - v) < 1e-12 for v in MATERN_ORDERS):
         raise ParameterError(
@@ -167,34 +189,23 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
     ell, var = float(lengthscale), float(variance)
     p = int(round(nu - 0.5))
     a = math.sqrt(2.0 * nu) / ell
-    base_coeffs = _matern_radial_coeffs(p, a)
-    budget = 2 * p
+    # m-th r-derivative of P(r) exp(-a r), as polynomial coefficients in
+    # np.polyval order (highest power first).
+    coeffs = [_matern_radial_coeffs(p, a)]
+    for _ in range(2 * p):
+        coeffs.append(_poly_exp_derivative(coeffs[-1], a))
+    coeffs = [c[::-1] for c in coeffs]
 
-    # m-th s-derivative of k(s) on s >= 0, as polynomial coefficients.
-    deriv_coeffs = [base_coeffs]
-    for _ in range(budget):
-        deriv_coeffs.append(_poly_exp_derivative(deriv_coeffs[-1], a))
+    def profile(s, m):
+        r = np.abs(s)
+        e = np.exp(-a * r)
+        out = [var * np.polyval(coeffs[0], r) * e]
+        if m:
+            sign = np.where(s < 0, -1.0, 1.0)
+        for k in range(1, m + 1):
+            val = var * np.polyval(coeffs[k], r) * e
+            out.append(val * sign if k % 2 else val)
+        return out
 
-    def ev(x1, x2):
-        r = np.abs(x1 - x2)
-        return var * np.polyval(base_coeffs[::-1], r) * np.exp(-a * r)
-
-    def partial_factory(d1, d2):
-        m = d1 + d2
-        if m > budget:
-            return None
-        coeffs = deriv_coeffs[m]
-        sign = (-1.0) ** d2
-
-        def pev(x1, x2, _coeffs=coeffs, _sign=sign, _m=m):
-            s = np.asarray(x1 - x2, dtype=float)
-            r = np.abs(s)
-            val = var * np.polyval(_coeffs[::-1], r) * np.exp(-a * r)
-            if _m % 2:
-                val = val * np.where(s < 0, -1.0, 1.0)
-            return _sign * val
-
-        return pev
-
-    return Kernel(ev, partial_factory, sample_smoothness=p,
-                  label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})")
+    return Kernel.stationary(profile, 2 * p, sample_smoothness=p,
+                             label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})")

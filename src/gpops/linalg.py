@@ -19,7 +19,7 @@ def gram(kernel, grid: Grid, jitter: float = 0.0) -> np.ndarray:
     m = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
     m = 0.5 * (m + m.T)
     if jitter:
-        m = m + jitter * np.eye(len(x))
+        m[np.diag_indices_from(m)] += jitter
     return m
 
 
@@ -46,7 +46,8 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
     """Lower Cholesky factor of ``matrix + delta * I`` for the smallest workable delta.
 
     Tries the jitter ladder ``0, 1e-12, 1e-11, ..., max_jitter`` in order and
-    returns ``(L, delta)`` for the first success.
+    returns ``(L, delta)`` for the first success.  ``matrix`` itself is
+    factored first; each retry adds ``delta`` to the diagonal of a copy.
 
     Raises
     ------
@@ -58,11 +59,13 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotPositiveDefiniteError(f"expected a square matrix, got shape {m.shape}")
     ladder = jitter_ladder(max_jitter)
-    eye = np.eye(m.shape[0])
     for delta in ladder:
+        shifted = m
+        if delta:
+            shifted = m.copy()
+            shifted[np.diag_indices_from(shifted)] += delta
         try:
-            L = np.linalg.cholesky(m + delta * eye)
-            return L, delta
+            return np.linalg.cholesky(shifted), delta
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefiniteError(

@@ -259,42 +259,94 @@ def apply_to_function(op: LinearOperator, f: MeanFunction, *,
     return MeanFunction(evaluate, factory, smoothness, label=f"{op.label}[{f.label}]")
 
 
-class _BiTerm:
-    """One summand ``c1(x1) * c2(x2) * d^(d1,d2) k`` of a transformed kernel."""
+# Output entries per row block when a transformed kernel is tabulated, so
+# that the profile derivatives and weights of one block stay cache-sized.
+BLOCK_ENTRIES = 2**15
 
-    __slots__ = ("c1", "c2", "d1", "d2")
 
-    def __init__(self, c1, c2, d1, d2):
-        self.c1, self.c2, self.d1, self.d2 = c1, c2, d1, d2
+def _row_blocks(x1, x2, shape):
+    # Index expressions of the output's row blocks.  Rows split only when x1
+    # runs along the first axis and x2 is constant along it (an outer
+    # product); any other broadcast shape, a scalar included, is one block.
+    if (shape and x1.ndim == len(shape) and x1.shape[0] == shape[0]
+            and (x2.ndim < len(shape) or x2.shape[0] == 1)):
+        step = max(1, BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+        return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+    return [Ellipsis]
+
+
+def _value(c: Expr, x, cache):
+    # c(x), a constant as a float; each coefficient is evaluated once per call
+    if c.is_const():
+        return c.value
+    if c not in cache:
+        cache[c] = c(x)
+    return cache[c]
+
+
+def _weight_factors(pairs, x1, x2, values1, values2):
+    # The weight sum_k sign_k c1_k(x1) c2_k(x2) of one channel, as a part
+    # constant in x1 plus rank-1 rows [(c1(x1), v(x2))]: pairs that share c1
+    # add their signed c2 on x2, and constant c1 fold into the first part.
+    # The order of ``pairs`` fixes the order of every sum.
+    row_const, rows = None, {}
+    for sign, c1, c2 in pairs:
+        v = sign * _value(c2, x2, values2)
+        if c1.is_const():
+            v = c1.value * v
+            row_const = v if row_const is None else row_const + v
+        else:
+            rows[c1] = rows[c1] + v if c1 in rows else v
+    return row_const, [(_value(c1, x1, values1), v) for c1, v in rows.items()]
 
 
 class KernelBifunction:
     """A kernel with operators applied to its arguments, kept in closed form.
 
-    Stores a sum of terms ``c1(x1) c2(x2) * partial(d1, d2) k`` over a base
-    kernel, with expression coefficients.  Evaluation resolves each term
-    against the base kernel's closed-form partials, falling back to
-    tensor-product finite differences per the construction method.  The
-    spent derivative orders per argument (``applied1``, ``applied2``)
-    determine the remaining budget available to further operator
-    applications.
+    ``terms`` maps each derivative pair ``(d1, d2)`` to its coefficient
+    pairs ``(c1, c2)``, so the bifunction is the sum over keys and pairs of
+    ``c1(x1) c2(x2) * partial(d1, d2) k``.  The constructor takes an iterable
+    of ``(d1, d2, c1, c2)`` tuples.  The spent derivative orders per argument
+    (``applied1``, ``applied2``) determine the remaining budget available to
+    further operator applications.
+
+    Evaluation is one pass per row block of the output.  Every key whose
+    order ``d1 + d2`` the base kernel's profile covers shares the block's
+    profile derivatives ``f^(0..M)(x1 - x2)``, computed once up to the
+    largest order needed; each order ``m`` is multiplied by one weight
+    ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from rank-1
+    products of coefficients evaluated once per call.  Any other key (a
+    non-stationary base, an order beyond the profile, or ``method="fd"``)
+    is evaluated on its own in the same loop, through the base kernel's
+    partial or tensor-product finite differences per the construction
+    method.  No step uses BLAS, so values do not depend on its threads.
     """
 
     def __init__(self, base: Kernel, terms, method="auto", label=None):
         self.base = base
-        self.terms = tuple(terms)
         self.method = method
         self.label = label or base.label
-        self.applied1 = max((t.d1 for t in self.terms), default=0)
-        self.applied2 = max((t.d2 for t in self.terms), default=0)
-        self._evaluators = [self._resolve(t) for t in self.terms]
+        self.terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
+        for d1, d2, c1, c2 in terms:
+            self.terms.setdefault((d1, d2), []).append((c1, c2))
+        self.applied1 = max((d1 for d1, _ in self.terms), default=0)
+        self.applied2 = max((d2 for _, d2 in self.terms), default=0)
+        # channel -> [(sign, c1, c2)]; a channel is either a profile order,
+        # whose values (-1)^d2 f^(m) serve every key with d1 + d2 = m, or the
+        # evaluator of one key
+        self._channels: dict = {}
+        for (d1, d2), pairs in self.terms.items():
+            channel = self._resolve(d1, d2)
+            sign = (-1.0) ** d2 if isinstance(channel, int) else 1.0
+            self._channels.setdefault(channel, []).extend((sign, c1, c2) for c1, c2 in pairs)
+        self._top = max((c for c in self._channels if isinstance(c, int)), default=-1)
 
     @classmethod
     def wrap(cls, k) -> "KernelBifunction":
         if isinstance(k, KernelBifunction):
             return k
         if isinstance(k, Kernel):
-            return cls(k, [_BiTerm(_ONE, _ONE, 0, 0)])
+            return cls(k, [(0, 0, _ONE, _ONE)])
         raise ParameterError(f"expected a Kernel or KernelBifunction, got {type(k).__name__}")
 
     def remaining_budget(self, slot: int):
@@ -302,28 +354,43 @@ class KernelBifunction:
         s = self.base.sample_smoothness
         return s if s == math.inf else s - applied
 
-    def _resolve(self, term: _BiTerm):
-        closed = None if self.method == "fd" and (term.d1 or term.d2) else self.base.partial(term.d1, term.d2)
-        if closed is not None:
-            return closed
+    def _resolve(self, d1, d2):
+        # The profile order d1 + d2 when the base kernel's profile covers it,
+        # else an evaluator of the base partial, closed-form or FD.
+        m = d1 + d2
+        closed = not (self.method == "fd" and m)
+        if closed and m <= self.base.profile_order:
+            return m
+        ev = self.base.partial(d1, d2) if closed else None
+        if ev is not None:
+            return ev
         if self.method == "closed":
             raise EvaluationError(
                 f"kernel {self.base.label!r} has no closed-form partial "
-                f"({term.d1}, {term.d2}) and finite differences are disallowed"
+                f"({d1}, {d2}) and finite differences are disallowed"
             )
-        return fd_mixed_partial(self.base, term.d1, term.d2, KERNEL_FALLBACK_SCHEME)
+        return fd_mixed_partial(self.base, d1, d2, KERNEL_FALLBACK_SCHEME)
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        total = 0.0
-        for term, ev in zip(self.terms, self._evaluators):
-            val = np.asarray(ev(x1, x2), dtype=float)
-            total = total + _times(_times(val, term.c1, x1), term.c2, x2)
-        total = np.asarray(total, dtype=float)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        values1, values2 = {}, {}
+        channels = [(channel, *_weight_factors(pairs, x1, x2, values1, values2))
+                    for channel, pairs in self._channels.items()]
+        out = np.zeros(shape)
+        for blk in _row_blocks(x1, x2, shape):
+            x1b = x1[blk]
+            derivs = self.base.profile(x1b - x2, self._top) if self._top >= 0 else None
+            for channel, w, rows in channels:
+                for c1v, v in rows:
+                    term = c1v[blk] * v
+                    w = term if w is None else w + term
+                f = derivs[channel] if isinstance(channel, int) else channel(x1b, x2)
+                out[blk] += f * w
         if x1.ndim == 0 and x2.ndim == 0:
-            return float(total)
-        return total
+            return float(out)
+        return out
 
     def partial(self, d1: int, d2: int):
         """Closed-form partial of the transformed bifunction, or ``None``.
@@ -335,16 +402,17 @@ class KernelBifunction:
         """
         if d1 == 0 and d2 == 0:
             return self.__call__
-        terms = [_BiTerm(c1, c2, o1, o2) for t in self.terms
-                 for o1, c1 in _leibniz(_ONE, d1, t.c1, t.d1)
-                 for o2, c2 in _leibniz(_ONE, d2, t.c2, t.d2)]
+        terms = [(o1, o2, e1, e2) for (a1, a2), pairs in self.terms.items()
+                 for c1, c2 in pairs
+                 for o1, e1 in _leibniz(_ONE, d1, c1, a1)
+                 for o2, e2 in _leibniz(_ONE, d2, c2, a2)]
         try:
             return KernelBifunction(self.base, terms, method="closed", label=self.label)
         except EvaluationError:
             return None
 
     def __repr__(self):
-        return (f"KernelBifunction({self.label!r}, terms={len(self.terms)}, "
+        return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
                 f"applied=({self.applied1}, {self.applied2}))")
 
 
@@ -374,11 +442,12 @@ def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto") -> Kern
         )
     new_terms = []
     for order, a in op.terms:
-        for t in bf.terms:
-            if slot == ARG1:
-                new_terms += [_BiTerm(c, t.c2, d, t.d2) for d, c in _leibniz(a, order, t.c1, t.d1)]
-            else:
-                new_terms += [_BiTerm(t.c1, c, t.d1, d) for d, c in _leibniz(a, order, t.c2, t.d2)]
+        for (d1, d2), pairs in bf.terms.items():
+            for c1, c2 in pairs:
+                if slot == ARG1:
+                    new_terms += [(d, d2, c, c2) for d, c in _leibniz(a, order, c1, d1)]
+                else:
+                    new_terms += [(d1, d, c1, c) for d, c in _leibniz(a, order, c2, d2)]
     label = f"{op.label}_[arg{slot}] {bf.label}"
     return KernelBifunction(bf.base, new_terms, method=method, label=label)
 

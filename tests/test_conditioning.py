@@ -7,6 +7,7 @@ before the frozen error bound is asserted.
 """
 
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
 from gpops.errors import ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
-from gpops.linalg import gram
+from gpops.linalg import chol_psd, gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import (ARG1, ARG2, LinearOperator, apply_arg,
                              derivative_operator, identity)
@@ -284,6 +285,63 @@ def test_equal_operators_condition_alike_as_distinct_objects(rows):
 
     a = condition(p, fresh_obs, grid)
     b = condition(p, shared_obs, grid)
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.cov, b.cov)
+    assert a.log_marginal == b.log_marginal
+
+
+# ------------------------------------------------------------ reported jitter
+
+def _condition_capturing_gram(p, obs, grid, **kwargs):
+    # condition(), plus every (Gram, keyword arguments) it handed to chol_psd
+    captured = []
+
+    def spy(matrix, **kw):
+        captured.append((matrix.copy(), kw))
+        return chol_psd(matrix, **kw)
+
+    with mock.patch("gpops.conditioning.chol_psd", spy):
+        post = condition(p, obs, grid, **kwargs)
+    return post, captured
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([1.0, 1e8]),
+       st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+       st.sampled_from([0.0, 1e-3]))
+def test_condition_reports_the_jitter_chol_psd_used(variance, rows, noise_sd):
+    p = make_prior(var=variance)
+    obs = [Observation(_observed_operator(k), x, math.sin(3 * x), noise_sd) for k, x in rows]
+    post, captured = _condition_capturing_gram(p, obs, Grid.uniform_on(0.0, 1.0, 11),
+                                               max_jitter=1e-2)
+    (gram_obs, kw), = captured
+    assert post.jitter == chol_psd(gram_obs, **kw)[1]
+    assert "jitter" not in post.to_dict()
+
+
+def test_reported_jitter_is_zero_when_well_conditioned_and_positive_when_not():
+    grid = Grid.uniform_on(0.0, 1.0, 11)
+    assert condition(make_prior(), derivative_problem(), grid).jitter == 0.0
+    # 40 noiseless values under a kernel variance of 1e8: the 1e-8 floor is
+    # below the Gram's roundoff, so the factorization needs the ladder
+    obs = [Observation(identity(), float(x), 0.0) for x in np.linspace(0.0, 1.0, 40)]
+    post, captured = _condition_capturing_gram(make_prior(var=1e8), obs, grid, max_jitter=1e-2)
+    assert post.jitter > 0.0
+    assert post.jitter == chol_psd(captured[0][0], max_jitter=1e-2)[1]
+
+
+# ---------------------------------------------------------- commuted operands
+
+def test_commuted_coefficients_form_one_group_and_condition_alike():
+    p = make_prior()
+    grid = Grid.uniform_on(0.0, 1.0, 11)
+    xs = np.linspace(0.1, 0.9, 6)
+    spelled = [LinearOperator([(1, "x + 1")]), LinearOperator([(1, "1 + x")])]
+    mixed = [Observation(spelled[i % 2], float(x), math.cos(x), 1e-3) for i, x in enumerate(xs)]
+    shared = [Observation(spelled[0], float(x), math.cos(x), 1e-3) for x in xs]
+    assert len(_group_by_operator(mixed)) == 1
+    a = condition(p, mixed, grid)
+    b = condition(p, shared, grid)
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.cov, b.cov)
     assert a.log_marginal == b.log_marginal

@@ -68,3 +68,19 @@ def test_jitter_ladder_decade_steps():
     assert jitter_ladder(0.0) == [0.0]
     # a non-power endpoint is appended
     assert jitter_ladder(5e-9)[-1] == 5e-9
+
+
+def test_jitter_is_added_to_the_diagonal_of_a_copy_only():
+    # rank one, so the ladder must step past 0; the factor and the jittered
+    # Gram must equal those of the dense "+ delta * I" form bit for bit
+    v = np.linspace(-1.0, 2.0, 6)
+    m = np.outer(v, v)
+    before = m.copy()
+    L, delta = chol_psd(m, max_jitter=1e-6)
+    assert delta > 0.0
+    assert np.array_equal(m, before)
+    assert np.array_equal(L, np.linalg.cholesky(m + delta * np.eye(6)))
+
+    g = Grid.uniform_on(0.0, 1.0, 16)
+    plain = gram(se_kernel(1.0, 1.0), g)
+    assert np.array_equal(gram(se_kernel(1.0, 1.0), g, jitter=1e-6), plain + 1e-6 * np.eye(16))

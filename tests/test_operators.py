@@ -333,3 +333,14 @@ def test_linearity_of_function_application():
             lhs = apply_to_function(add(s, t), f)(x)
             rhs = apply_to_function(s, f)(x) + apply_to_function(t, f)(x)
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
+
+
+def test_commuted_sums_are_equal_operators():
+    a = LinearOperator([(1, "x + 1")])
+    b = LinearOperator([(1, "1 + x")])
+    assert a == b and hash(a) == hash(b)
+    assert LinearOperator([(0, "cos(x) + x^2 + 2")]) == LinearOperator([(0, "2 + (x^2 + cos(x))")])
+    # IEEE + commutes, so the canonical operand order leaves values unchanged
+    x = np.linspace(-2.0, 2.0, 9)
+    c = a.terms[0][1]
+    assert np.array_equal(c(x), x + 1.0)

@@ -1,0 +1,134 @@
+"""Transformed kernels: the shared-pass evaluator against a per-term oracle.
+
+``KernelBifunction`` evaluates every partial a transformed kernel needs in
+one pass per row block.  The oracle here is the plain per-term sum
+``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the bifunction's terms, with
+each base partial evaluated on its own (finite differences where the base
+has no closed form, or where the bifunction was built with
+``method="fd"``).  The two must agree to 1e-12 relative to max|value|.
+"""
+
+import numpy as np
+import pytest
+
+from gpops import operators
+from gpops.kernels import matern_kernel, se_kernel
+from gpops.means import zero_mean
+from gpops.operators import ARG1, ARG2, LinearOperator, apply_arg
+from gpops.processes import GaussianProcessPrior
+from gpops.stencils import KERNEL_FALLBACK_SCHEME, fd_mixed_partial
+from gpops.transform import pushforward
+
+RNG_SEED = 20240917
+RTOL = 1e-12
+
+COEFFICIENTS = ["1", "-2", "x", "1 + x^2", "cos(x)", "exp(-0.5*x)", "sin(2*x) + x"]
+
+
+def random_operator(rng, order):
+    # top-order term always present; lower orders with probability 0.7
+    terms = [(o, COEFFICIENTS[rng.integers(len(COEFFICIENTS))])
+             for o in range(order + 1) if o == order or rng.random() < 0.7]
+    return LinearOperator(terms)
+
+
+def per_term(bf, x1, x2):
+    total = 0.0
+    for (d1, d2), pairs in bf.terms.items():
+        ev = None if bf.method == "fd" and d1 + d2 else bf.base.partial(d1, d2)
+        if ev is None:
+            ev = fd_mixed_partial(bf.base, d1, d2, KERNEL_FALLBACK_SCHEME)
+        val = np.asarray(ev(x1, x2), dtype=float)
+        for c1, c2 in pairs:
+            total = total + c1(x1) * c2(x2) * val
+    return total
+
+
+def outer_points():
+    # more rows than one block holds, and not a whole number of blocks
+    m = 64
+    rows_per_block = operators.BLOCK_ENTRIES // m
+    n = 2 * rows_per_block + 37
+    return np.linspace(-1.5, 1.5, n)[:, None], np.linspace(-1.2, 1.4, m)[None, :]
+
+
+def assert_matches_per_term(bf):
+    x1, x2 = outer_points()
+    want = per_term(bf, x1, x2)
+    scale = np.max(np.abs(want))
+    assert scale > 0
+    got = bf(x1, x2)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= RTOL * scale
+
+    x = np.linspace(-1.0, 1.0, 50)
+    got = bf(x, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - per_term(bf, x, x))) <= RTOL * scale
+
+    got = bf(0.3, -0.45)
+    assert isinstance(got, float)
+    assert abs(got - float(per_term(bf, np.float64(0.3), np.float64(-0.45)))) <= RTOL * scale
+
+
+def transformed(k, rng, order1, order2, method="auto"):
+    op1, op2 = random_operator(rng, order1), random_operator(rng, order2)
+    return apply_arg(op1, ARG1, apply_arg(op2, ARG2, k, method=method), method=method)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_se_matches_per_term_sum(case):
+    rng = np.random.default_rng([RNG_SEED, case])
+    bf = transformed(se_kernel(0.7, 1.3), rng, int(rng.integers(0, 3)), 2)
+    assert_matches_per_term(bf)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
+def test_matern_matches_per_term_sum(nu):
+    k = matern_kernel(nu, 0.8, 1.1)
+    p = k.sample_smoothness
+    for case in range(2):
+        rng = np.random.default_rng([RNG_SEED, int(2 * nu), case])
+        assert_matches_per_term(transformed(k, rng, p, int(rng.integers(0, p + 1))))
+
+
+def test_image_kernel_base_matches_per_term_sum():
+    rng = np.random.default_rng([RNG_SEED, 99])
+    for k, inner_order in ((se_kernel(0.6, 0.9), 2), (matern_kernel(3.5, 1.1, 1.0), 1)):
+        prior = GaussianProcessPrior(mean=zero_mean(), kernel=k)
+        image = pushforward(prior, random_operator(rng, inner_order)).prior.kernel
+        assert image.profile is None  # not stationary: one base partial per key
+        bf = transformed(image, rng, 1, 1)
+        assert_matches_per_term(bf)
+
+
+def test_fd_fallback_keys_share_the_loop_with_profile_keys():
+    # total order 3 + 4 = 7 is beyond the squared exponential's closed-form
+    # budget of 6, so the top keys fall back to finite differences
+    rng = np.random.default_rng([RNG_SEED, 7])
+    k = se_kernel(0.9, 1.0)
+    op2 = random_operator(rng, 2)
+    bf = apply_arg(random_operator(rng, 3), ARG1, apply_arg(op2, ARG2, apply_arg(op2, ARG2, k)))
+    assert max(d1 + d2 for d1, d2 in bf.terms) > 6
+    assert any(d1 + d2 <= 6 for d1, d2 in bf.terms)
+    assert_matches_per_term(bf)
+
+
+def test_method_fd_matches_per_term_sum():
+    rng = np.random.default_rng([RNG_SEED, 11])
+    bf = transformed(se_kernel(0.7, 1.0), rng, 2, 2, method="fd")
+    assert bf.method == "fd"
+    assert_matches_per_term(bf)
+
+
+def test_catalog_partials_are_signed_profile_derivatives():
+    s = np.linspace(-2.0, 2.0, 41)
+    for k in (se_kernel(0.7, 1.3), matern_kernel(2.5, 0.8, 1.1)):
+        derivs = k.profile(s, k.profile_order)
+        assert len(derivs) == k.profile_order + 1
+        assert np.array_equal(derivs[0], k(s, np.zeros_like(s)))
+        for d1 in range(k.profile_order + 1):
+            d2 = k.profile_order - d1
+            sign = (-1.0) ** d2
+            assert np.array_equal(k.partial(d1, d2)(s, 0.0), sign * derivs[-1])
+        assert k.partial(k.profile_order + 1, 0) is None
