@@ -19,16 +19,14 @@ from .expressions import parse_expression
 from .grids import Grid
 from .kernels import Kernel, matern_kernel, se_kernel
 from .linalg import chol_psd, cross_tabulate, gram
-from .means import (MeanFunction, constant_mean, mean_from_callable,
-                    mean_from_expression, zero_mean)
+from .means import MeanFunction, constant_mean, mean_from_expression, zero_mean
 from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
                         apply_to_function, commutator_residual, compose,
                         derivative_operator, identity, scale)
 from .processes import GaussianProcessPrior
 from .sampling import (SampleEnsemble, apply_operator_pathwise, empirical_cov,
                        empirical_mean, operator_matrix, sample_paths)
-from .stencils import (FDScheme, differentiation_matrix, fd_derivative,
-                       fd_mixed_partial, fd_weights, interior_mask)
+from .stencils import differentiation_matrix, fd_mixed_partial, fd_weights, interior_mask
 from .transform import (ImageProcess, JointBlocks, finite_dim_pushforward,
                         joint_blocks, pushforward)
 from .verify import VerificationReport, VerificationTolerances, verify_theorem
@@ -38,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARG1", "ARG2",
     "ConfigError", "CumulantEstimate", "DimensionError", "DomainViolationError",
-    "EvaluationError", "ExpressionError", "FDScheme", "GaussianProcessPrior",
+    "EvaluationError", "ExpressionError", "GaussianProcessPrior",
     "GpopsError", "Grid", "GridSizeError", "ImageProcess", "JointBlocks",
     "Kernel", "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
     "Observation", "ParameterError", "Partition", "PosteriorSummary",
@@ -48,9 +46,9 @@ __all__ = [
     "condition", "constant_mean", "cross_tabulate", "default_cumulant_tuples",
     "derivative_operator", "differentiation_matrix", "empirical_cov",
     "empirical_cumulant", "empirical_mean", "enumerate_partitions",
-    "fd_derivative", "fd_mixed_partial", "fd_weights", "finite_dim_pushforward",
+    "fd_mixed_partial", "fd_weights", "finite_dim_pushforward",
     "gram", "identity", "interior_mask", "joint_blocks", "matern_kernel",
-    "mean_from_callable", "mean_from_expression", "operator_matrix",
+    "mean_from_expression", "operator_matrix",
     "parse_expression", "pushforward", "sample_paths", "scale", "se_kernel",
     "solve_linear_ode", "verify_theorem", "zero_mean",
 ]

@@ -175,6 +175,8 @@ def _parse_problem(tree):
         "reference": tree.get("reference"),
         "max_error": tree.get("max_error"),
     }
+    if out["collocation_count"] < 0:
+        raise ConfigError("problem.collocation_count must be >= 0 (0 uses the grid interior)")
     try:
         out["rhs_fn"] = mean_from_expression(out["rhs"])
         if out["reference"] is not None:

@@ -1,26 +1,24 @@
 """Covariance kernels with closed-form partial derivatives.
 
-Each :class:`Kernel` carries, besides its evaluator, two pieces of metadata
-the operator machinery relies on:
+Both catalog kernels are stationary, ``k(x1, x2) = f(x1 - x2)``, so every
+mixed partial is a signed derivative of one profile:
+``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  A
+:class:`Kernel` is that profile plus two pieces of metadata:
 
-* ``partial(d1, d2)`` -- closed-form mixed partial evaluators, where
-  available.  Consumers fall back to finite differences (or refuse) when a
-  partial is missing.
-* ``sample_smoothness`` -- the almost-sure differentiability order of sample
-  paths drawn from the kernel.  This is the static proxy for whether paths
-  lie in the domain of a differential operator: an operator of order ``q``
-  is applicable only when ``q <= sample_smoothness``.  The underlying
+* ``profile(s, m)`` returns ``[f(s), f'(s), ..., f^(m)(s)]`` from one
+  difference array (one ``exp`` for all orders), and ``profile_order`` is
+  the highest order it supplies.  The kernel's value and its
+  ``partial(d1, d2)`` evaluators are read off it, and transformed kernels
+  use it to evaluate every partial they need in one pass.
+* ``sample_smoothness`` is the almost-sure differentiability order of
+  sample paths drawn from the kernel.  This is the static proxy for whether
+  paths lie in the domain of a differential operator: an operator of order
+  ``q`` is applicable only when ``q <= sample_smoothness``.  The underlying
   kernel-regularity => path-regularity implication is an analytic fact
   assumed per catalog entry, not something checked numerically.
 
-Both catalog kernels are stationary, ``k(x1, x2) = f(x1 - x2)``, so every
-mixed partial is a signed derivative of one profile:
-``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  Such a kernel
-carries ``profile(s, m)``, which returns ``[f(s), f'(s), ..., f^(m)(s)]``
-from one difference array (one ``exp`` for all orders), and
-``profile_order``, the highest order it supplies.  Its value and its
-``partial`` evaluators are read off the same routine, and transformed
-kernels use it to evaluate every partial they need in one pass.
+The image of a kernel under operators is not a ``Kernel`` but a
+:class:`~gpops.operators.KernelBifunction` over the same catalog base.
 """
 
 from __future__ import annotations
@@ -42,57 +40,31 @@ MATERN_ORDERS = (0.5, 1.5, 2.5, 3.5)
 
 
 class Kernel:
-    """A symmetric positive-semidefinite bifunction on the index set.
+    """A stationary positive-semidefinite kernel ``k(x1, x2) = f(x1 - x2)``.
 
     Parameters
     ----------
-    evaluator : callable
-        Vectorized ``k(x1, x2)`` accepting broadcastable arrays.
-    partial_factory : callable, optional
-        ``(d1, d2) -> evaluator or None`` for closed-form mixed partials.
+    profile : callable
+        ``profile(s, m) -> [f(s), ..., f^(m)(s)]``, vectorized over ``s``.
+    profile_order : int
+        Highest order ``profile`` supplies; partials up to this total order
+        ``d1 + d2`` are closed-form.
     sample_smoothness : int or math.inf
         A.s. differentiability order of sample paths.
-    symmetric : bool
-        Whether ``k(x1, x2) == k(x2, x1)``; all catalog kernels are.
-
-    ``profile`` is ``None`` here; :meth:`stationary` builds kernels that
-    have one.
+    label : str
+        Display name.
     """
 
-    profile = None
-    profile_order = -1
-
-    def __init__(self, evaluator, partial_factory=None, sample_smoothness=0,
-                 symmetric=True, label="k"):
-        self._evaluator = evaluator
-        self._partial_factory = partial_factory
+    def __init__(self, profile, profile_order, sample_smoothness, label):
+        self.profile = profile
+        self.profile_order = profile_order
         self.sample_smoothness = sample_smoothness
-        self.symmetric = symmetric
         self.label = label
-
-    @classmethod
-    def stationary(cls, profile, profile_order, sample_smoothness, label) -> "Kernel":
-        """Kernel ``f(x1 - x2)`` given ``profile(s, m) = [f(s), ..., f^(m)(s)]``.
-
-        Partials up to total order ``profile_order`` are closed-form.
-        """
-
-        def partial_factory(d1, d2):
-            m = d1 + d2
-            if m > profile_order:
-                return None
-            sign = (-1.0) ** d2
-            return lambda x1, x2: sign * profile(x1 - x2, m)[m]
-
-        kernel = cls(lambda x1, x2: profile(x1 - x2, 0)[0], partial_factory,
-                     sample_smoothness=sample_smoothness, label=label)
-        kernel.profile, kernel.profile_order = profile, profile_order
-        return kernel
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        out = np.asarray(self._evaluator(x1, x2), dtype=float)
+        out = np.asarray(self.profile(x1 - x2, 0)[0], dtype=float)
         if x1.ndim == 0 and x2.ndim == 0:
             return float(out)
         return out
@@ -101,11 +73,11 @@ class Kernel:
         """Closed-form evaluator of d^(d1+d2) k / dx1^d1 dx2^d2, or ``None``."""
         if d1 < 0 or d2 < 0:
             raise ParameterError("derivative orders must be non-negative")
-        if d1 == d2 == 0:
-            return self._evaluator
-        if self._partial_factory is None:
+        m = d1 + d2
+        if m > self.profile_order:
             return None
-        return self._partial_factory(d1, d2)
+        sign, profile = (-1.0) ** d2, self.profile
+        return lambda x1, x2: sign * profile(x1 - x2, m)[m]
 
     def __repr__(self):
         return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
@@ -140,8 +112,8 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
             out.append((-1.0) ** k * var * ell ** (-k) * he * e)
         return out
 
-    return Kernel.stationary(profile, SE_PARTIAL_BUDGET, sample_smoothness=math.inf,
-                             label=f"se(ell={ell:g}, var={var:g})")
+    return Kernel(profile, SE_PARTIAL_BUDGET, sample_smoothness=math.inf,
+                  label=f"se(ell={ell:g}, var={var:g})")
 
 
 def _matern_radial_coeffs(p: int, a: float) -> np.ndarray:
@@ -207,5 +179,5 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
             out.append(val * sign if k % 2 else val)
         return out
 
-    return Kernel.stationary(profile, 2 * p, sample_smoothness=p,
-                             label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})")
+    return Kernel(profile, 2 * p, sample_smoothness=p,
+                  label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})")

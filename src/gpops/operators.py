@@ -3,17 +3,22 @@
 An operator is a finite sum ``sum_i a_i(x) d^i/dx^i`` whose coefficients are
 closed-form expressions.  It acts on
 
-* mean functions, giving ``x -> sum_i a_i(x) f^(i)(x)``;
+* mean functions, giving the expression ``sum_i a_i * f^(i)``;
 * either argument of a kernel (``slot`` 1 or 2), giving a
-  :class:`KernelBifunction` that tracks, per argument, how much of the
-  kernel's derivative budget has been spent;
+  :class:`KernelBifunction` over the catalog kernel that tracks, per
+  argument, how much of the kernel's derivative budget has been spent;
 * both arguments, which is the covariance transport of the operator.
+
+Both results stay in closed form over the catalog: a transformed mean is an
+expression and a transformed kernel is a bifunction over the base kernel, so
+applying a further operator expands onto the base again.
 
 Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
 :class:`DomainViolationError` regardless of whether finite differences could
 produce a number.  Within the budget, evaluation uses closed-form partials
-where the kernel has them and finite differences otherwise.
+where the kernel's profile covers the order and finite differences
+otherwise.
 
 A standing analytic assumption, not checked numerically: the covariance
 transport of a partially-defined operator is well posed when the operator is
@@ -35,7 +40,7 @@ from .expressions import Const, Expr, parse_expression
 from .grids import Grid
 from .kernels import Kernel
 from .means import MeanFunction
-from .stencils import KERNEL_FALLBACK_SCHEME, fd_derivative, fd_mixed_partial
+from .stencils import fd_mixed_partial
 
 __all__ = [
     "LinearOperator",
@@ -57,7 +62,7 @@ ARG1, ARG2 = 1, 2
 
 _METHODS = ("auto", "closed", "fd")
 
-_ONE = Const(1.0)
+_ZERO, _ONE = Const(0.0), Const(1.0)
 
 
 def _coerce_coefficient(c):
@@ -76,8 +81,8 @@ def _leibniz(b, j, a, i):
 
     ``b d^j (a f^(i)) = sum_l C(j, l) b a^(j-l) f^(i+l)``; terms whose
     coefficient is identically zero are dropped.  Every operation on
-    operators (composition, application to a kernel argument, partials of a
-    transformed kernel, derivatives of a transformed mean) is this expansion.
+    operators (composition, application to a kernel argument, including
+    to an already transformed kernel) is this expansion.
     """
     out = []
     for l in range(j + 1):
@@ -85,13 +90,6 @@ def _leibniz(b, j, a, i):
         if not coeff.is_const(0.0):
             out.append((i + l, coeff))
     return out
-
-
-def _times(val, c: Expr, x):
-    # val * c(x); a constant coefficient multiplies as a scalar, and 1 drops out
-    if c.is_const():
-        return val if c.value == 1.0 else val * c.value
-    return val * c(x)
 
 
 class LinearOperator:
@@ -195,68 +193,16 @@ def compose(s: LinearOperator, t: LinearOperator) -> LinearOperator:
                           label=f"({s.label}) o ({t.label})")
 
 
-def _weighted_sum(terms, derivative):
-    # Evaluator of x -> sum_i a_i(x) f^(i)(x) given f^(i) = derivative(i), or
-    # None when some f^(i) is missing.
-    pieces = [(c, derivative(order)) for order, c in terms]
-    if any(ev is None for _, ev in pieces):
-        return None
+def apply_to_function(op: LinearOperator, f: MeanFunction) -> MeanFunction:
+    """Apply the operator to a mean: the expression ``sum_i a_i * f^(i)``.
 
-    def evaluate(x):
-        total = None
-        for c, ev in pieces:
-            val = _times(np.asarray(ev(x), dtype=float), c, x)
-            total = val if total is None else total + val
-        return total
-
-    return evaluate
-
-
-def apply_to_function(op: LinearOperator, f: MeanFunction, *,
-                      method: str = "auto") -> MeanFunction:
-    """Apply the operator to a function: ``x -> sum_i a_i(x) f^(i)(x)``.
-
-    Closed-form derivatives of ``f`` are used where present.  With
-    ``method="auto"`` (or ``"fd"``) missing derivatives fall back to central
-    finite differences of accuracy order 4; with ``method="closed"`` a
-    missing derivative raises :class:`DomainViolationError` naming the
-    deficit.  The result's smoothness is ``f.smoothness - op.order``, or 0
-    when finite differences were used; its derivatives are
-    ``D^d (T f) = (D^d o T) f``.
+    Derivatives are symbolic, so the result is again a closed-form mean and
+    can itself be differentiated or pushed forward.
     """
-    if method not in _METHODS:
-        raise ParameterError(f"method must be one of {_METHODS}")
-    fd_used = False
-
-    def derivative(order):
-        nonlocal fd_used
-        ev = None if method == "fd" and order else f.derivative_evaluator(order)
-        if ev is not None:
-            return ev
-        if method == "closed":
-            raise DomainViolationError(
-                f"operator {op.label!r} needs derivative order {order} of "
-                f"{f.label!r}, but only {f.smoothness} closed-form orders exist "
-                f"and finite differences are disallowed"
-            )
-        fd_used = True
-
-        def fd_ev(x):
-            x = np.asarray(x, dtype=float)
-            if x.ndim == 0:
-                return fd_derivative(f, float(x), order)
-            return np.array([fd_derivative(f, xi, order) for xi in x.ravel()]).reshape(x.shape)
-
-        return fd_ev
-
-    evaluate = _weighted_sum(op.terms, derivative)
-
-    def factory(d):
-        terms = [term for i, a in op.terms for term in _leibniz(_ONE, d, a, i)]
-        return _weighted_sum(terms, f.derivative_evaluator)
-
-    smoothness = 0 if fd_used else f.smoothness - op.order
-    return MeanFunction(evaluate, factory, smoothness, label=f"{op.label}[{f.label}]")
+    expr = _ZERO
+    for order, a in op.terms:
+        expr = expr + a * f.expr.diff(order)
+    return MeanFunction(expr, label=f"{op.label}[{f.label}]")
 
 
 # Output entries per row block when a transformed kernel is tabulated, so
@@ -301,25 +247,30 @@ def _weight_factors(pairs, x1, x2, values1, values2):
 
 
 class KernelBifunction:
-    """A kernel with operators applied to its arguments, kept in closed form.
+    """A catalog kernel with operators applied to its arguments, in closed form.
 
     ``terms`` maps each derivative pair ``(d1, d2)`` to its coefficient
     pairs ``(c1, c2)``, so the bifunction is the sum over keys and pairs of
-    ``c1(x1) c2(x2) * partial(d1, d2) k``.  The constructor takes an iterable
-    of ``(d1, d2, c1, c2)`` tuples.  The spent derivative orders per argument
-    (``applied1``, ``applied2``) determine the remaining budget available to
-    further operator applications.
+    ``c1(x1) c2(x2) * partial(d1, d2) k`` for the catalog kernel ``k =
+    base``.  The constructor takes an iterable of ``(d1, d2, c1, c2)``
+    tuples.  The spent derivative orders per argument (``applied1``,
+    ``applied2``) determine the remaining budget available to further
+    operator applications, and ``sample_smoothness`` is what is left in
+    both arguments.  An image kernel (see
+    :func:`~gpops.transform.pushforward`) is such a bifunction, so it can
+    serve as a prior kernel and be transformed again; further operators
+    expand onto the same base.
 
     Evaluation is one pass per row block of the output.  Every key whose
     order ``d1 + d2`` the base kernel's profile covers shares the block's
     profile derivatives ``f^(0..M)(x1 - x2)``, computed once up to the
     largest order needed; each order ``m`` is multiplied by one weight
     ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from rank-1
-    products of coefficients evaluated once per call.  Any other key (a
-    non-stationary base, an order beyond the profile, or ``method="fd"``)
-    is evaluated on its own in the same loop, through the base kernel's
-    partial or tensor-product finite differences per the construction
-    method.  No step uses BLAS, so values do not depend on its threads.
+    products of coefficients evaluated once per call.  Any other key (an
+    order beyond the profile, or any key under ``method="fd"``) is
+    evaluated on its own in the same loop by tensor-product finite
+    differences of the base kernel; ``method="closed"`` refuses such keys.
+    No step uses BLAS, so values do not depend on its threads.
     """
 
     def __init__(self, base: Kernel, terms, method="auto", label=None):
@@ -349,27 +300,25 @@ class KernelBifunction:
             return cls(k, [(0, 0, _ONE, _ONE)])
         raise ParameterError(f"expected a Kernel or KernelBifunction, got {type(k).__name__}")
 
+    @property
+    def sample_smoothness(self):
+        return self.base.sample_smoothness - max(self.applied1, self.applied2)
+
     def remaining_budget(self, slot: int):
-        applied = self.applied1 if slot == ARG1 else self.applied2
-        s = self.base.sample_smoothness
-        return s if s == math.inf else s - applied
+        return self.base.sample_smoothness - (self.applied1 if slot == ARG1 else self.applied2)
 
     def _resolve(self, d1, d2):
-        # The profile order d1 + d2 when the base kernel's profile covers it,
-        # else an evaluator of the base partial, closed-form or FD.
+        # The profile order d1 + d2 when the base kernel's profile covers it
+        # and the method allows, else a finite-difference evaluator.
         m = d1 + d2
-        closed = not (self.method == "fd" and m)
-        if closed and m <= self.base.profile_order:
+        if m <= self.base.profile_order and not (self.method == "fd" and m):
             return m
-        ev = self.base.partial(d1, d2) if closed else None
-        if ev is not None:
-            return ev
         if self.method == "closed":
             raise EvaluationError(
                 f"kernel {self.base.label!r} has no closed-form partial "
                 f"({d1}, {d2}) and finite differences are disallowed"
             )
-        return fd_mixed_partial(self.base, d1, d2, KERNEL_FALLBACK_SCHEME)
+        return fd_mixed_partial(self.base, d1, d2)
 
     def __call__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -391,25 +340,6 @@ class KernelBifunction:
         if x1.ndim == 0 and x2.ndim == 0:
             return float(out)
         return out
-
-    def partial(self, d1: int, d2: int):
-        """Closed-form partial of the transformed bifunction, or ``None``.
-
-        This is ``d^d1`` applied to argument 1 and ``d^d2`` to argument 2,
-        without a budget check; it exists when every base-kernel partial it
-        needs is closed-form.  Used to give image kernels their own partial
-        metadata.
-        """
-        if d1 == 0 and d2 == 0:
-            return self.__call__
-        terms = [(o1, o2, e1, e2) for (a1, a2), pairs in self.terms.items()
-                 for c1, c2 in pairs
-                 for o1, e1 in _leibniz(_ONE, d1, c1, a1)
-                 for o2, e2 in _leibniz(_ONE, d2, c2, a2)]
-        try:
-            return KernelBifunction(self.base, terms, method="closed", label=self.label)
-        except EvaluationError:
-            return None
 
     def __repr__(self):
         return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
@@ -437,7 +367,7 @@ def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto") -> Kern
     if op.order > budget:
         raise DomainViolationError(
             f"operator {op.label!r} of order {op.order} exceeds the remaining "
-            f"sample-path smoothness budget {budget} of kernel {bf.base.label!r} "
+            f"sample-path smoothness budget {budget} of kernel {bf.label!r} "
             f"in argument {slot}; sample paths are (a.s.) not in the operator's domain"
         )
     new_terms = []

@@ -6,16 +6,21 @@ from dataclasses import dataclass
 
 from .kernels import Kernel
 from .means import MeanFunction
+from .operators import KernelBifunction
 
 __all__ = ["GaussianProcessPrior"]
 
 
 @dataclass(frozen=True)
 class GaussianProcessPrior:
-    """A GP prior; every finite marginal is multivariate normal by definition."""
+    """A GP prior; every finite marginal is multivariate normal by definition.
+
+    The kernel is a catalog :class:`Kernel`, or the
+    :class:`~gpops.operators.KernelBifunction` of an image process.
+    """
 
     mean: MeanFunction
-    kernel: Kernel
+    kernel: Kernel | KernelBifunction
 
     @property
     def label(self) -> str:

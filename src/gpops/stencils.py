@@ -1,23 +1,21 @@
-"""Finite-difference stencils: pointwise derivatives and grid matrices.
+"""Finite-difference stencils: kernel partials and grid matrices.
 
 All stencils have accuracy order 4.  Weights for arbitrary nodes come from
 Fornberg's recurrence, which also supplies the shifted (one-sided) stencils
-used near grid boundaries at the same accuracy order.
+used near grid boundaries at the same accuracy order.  Mixed partials of a
+kernel (where its closed forms run out, or when asked for explicitly) use
+tensor-product central stencils with one Richardson step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import EvaluationError, GridSizeError, ParameterError
+from .errors import GridSizeError, ParameterError
 from .grids import Grid
 
 __all__ = [
-    "FDScheme",
     "fd_weights",
-    "fd_derivative",
     "fd_mixed_partial",
     "differentiation_matrix",
     "stencil_width",
@@ -27,28 +25,7 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
-ACCURACY_ORDER = 4
 MAX_DERIVATIVE_ORDER = 4
-
-
-@dataclass(frozen=True)
-class FDScheme:
-    """Finite-difference policy: accuracy order 4, with one optional Richardson step."""
-
-    base_step: float = 1.0
-    richardson: bool = False
-    stencil_order: int = ACCURACY_ORDER
-
-    def __post_init__(self):
-        if self.base_step <= 0:
-            raise ParameterError("base_step must be positive")
-        if self.stencil_order != ACCURACY_ORDER:
-            raise ParameterError("only accuracy order 4 is supported")
-
-
-DEFAULT_SCHEME = FDScheme()
-# Richardson on by default where FD substitutes for missing kernel partials.
-KERNEL_FALLBACK_SCHEME = FDScheme(richardson=True)
 
 
 def fd_weights(x0: float, nodes, order: int) -> np.ndarray:
@@ -87,46 +64,19 @@ def _check_order(order):
         raise ParameterError(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {order}")
 
 
-def fd_derivative(f, x: float, order: int, scheme: FDScheme | None = None) -> float:
-    """Central finite-difference derivative of accuracy order 4 at a point.
-
-    The step is ``base_step * max(1, |x|) * eps**(1/(order+4))``; with
-    ``scheme.richardson`` one extrapolation step against the half-step value
-    is applied.  Non-finite function values on the stencil raise
-    :class:`EvaluationError`.
-    """
-    _check_order(order)
-    scheme = scheme or DEFAULT_SCHEME
-    offsets = _central_offsets(order)
-    weights = fd_weights(0.0, offsets, order)
-    h = scheme.base_step * max(1.0, abs(x)) * _EPS ** (1.0 / (order + 4))
-
-    def apply(step):
-        vals = np.array([f(x + o * step) for o in offsets], dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationError(
-                f"non-finite function value on the stencil around x={x!r}"
-            )
-        return float(weights @ vals) / step**order
-
-    if scheme.richardson:
-        return (16.0 * apply(h / 2.0) - apply(h)) / 15.0
-    return apply(h)
-
-
-def fd_mixed_partial(k, d1: int, d2: int, scheme: FDScheme | None = None):
+def fd_mixed_partial(k, d1: int, d2: int):
     """Vectorized evaluator for a mixed partial of a bifunction by tensor stencils.
 
-    Steps scale with the total order: ``eps**(1/(d1+d2+5))``, which balances
-    truncation against roundoff for the high mixed orders the kernel
-    machinery may request.  Returns a callable ``(x1, x2) -> array``.
+    Steps are ``max(1, |x|) * eps**(1/(d1+d2+5))`` per argument, which
+    balances truncation against roundoff for the high mixed orders the
+    kernel machinery may request, and one Richardson step extrapolates the
+    full- and half-step values.  Returns a callable ``(x1, x2) -> array``.
     """
     if d1 == 0 and d2 == 0:
         return lambda x1, x2: np.asarray(k(x1, x2), dtype=float)
     for d in (d1, d2):
         if not (0 <= d <= MAX_DERIVATIVE_ORDER):
             raise ParameterError(f"partial orders must be in 0..{MAX_DERIVATIVE_ORDER}")
-    scheme = scheme or DEFAULT_SCHEME
     o1 = _central_offsets(d1) if d1 else np.zeros(1)
     o2 = _central_offsets(d2) if d2 else np.zeros(1)
     w1 = fd_weights(0.0, o1, d1) if d1 else np.ones(1)
@@ -136,8 +86,8 @@ def fd_mixed_partial(k, d1: int, d2: int, scheme: FDScheme | None = None):
     def evaluate(x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        h1 = scheme.base_step * np.maximum(1.0, np.abs(x1)) * _EPS**expo
-        h2 = scheme.base_step * np.maximum(1.0, np.abs(x2)) * _EPS**expo
+        h1 = np.maximum(1.0, np.abs(x1)) * _EPS**expo
+        h2 = np.maximum(1.0, np.abs(x2)) * _EPS**expo
 
         def tensor(s1, s2):
             acc = 0.0
@@ -150,9 +100,7 @@ def fd_mixed_partial(k, d1: int, d2: int, scheme: FDScheme | None = None):
             denom = (s1**d1 if d1 else 1.0) * (s2**d2 if d2 else 1.0)
             return acc / denom
 
-        if scheme.richardson:
-            return (16.0 * tensor(h1 / 2.0, h2 / 2.0) - tensor(h1, h2)) / 15.0
-        return tensor(h1, h2)
+        return (16.0 * tensor(h1 / 2.0, h2 / 2.0) - tensor(h1, h2)) / 15.0
 
     return evaluate
 

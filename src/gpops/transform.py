@@ -2,24 +2,24 @@
 
 The image of ``GP(m, k)`` under an operator ``T`` is again a Gaussian
 process, with mean ``T m`` and kernel ``T`` applied to both kernel
-arguments.  The image kernel stays lazy (closed-form evaluators, not
-tabulated matrices), so the image process can itself be pushed forward
-again; tabulation happens only at matrix-level consumers.
+arguments.  Both stay in the closed form of a prior: the mean is an
+expression, and the kernel is the transformed
+:class:`~gpops.operators.KernelBifunction` over the catalog kernel.  The
+image process can therefore be pushed forward again, and the second
+operator expands onto the same catalog kernel, which evaluates in one
+profile pass.  Tabulation happens only at matrix-level consumers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefiniteError
 from .grids import Grid
-from .kernels import Kernel
 from .linalg import chol_psd, cross_tabulate, gram
-from .operators import (ARG1, ARG2, KernelBifunction, LinearOperator, apply_arg,
-                        apply_both, apply_to_function)
+from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_both, apply_to_function
 from .processes import GaussianProcessPrior
 
 __all__ = ["ImageProcess", "JointBlocks", "pushforward", "finite_dim_pushforward",
@@ -36,21 +36,14 @@ class ImageProcess:
     psd_jitter: float | None = None  # jitter needed by the optional PSD spot check
 
 
-def _image_kernel(bf: KernelBifunction, smoothness, symmetric, label) -> Kernel:
-    # Lazy kernel backed by the transformed bifunction; closed-form partials
-    # are inherited from the base kernel where the budget allows.
-    return Kernel(bf.__call__, bf.partial, sample_smoothness=smoothness,
-                  symmetric=symmetric, label=label)
-
-
 def pushforward(p: GaussianProcessPrior, op: LinearOperator, *,
                 check_grid: Grid | None = None) -> ImageProcess:
     """Image process of ``p`` under ``op``: mean ``T m``, kernel ``T1 T2 k``.
 
-    Requires ``op.order`` within both the kernel's sample smoothness and the
-    mean's available derivatives; violations raise
-    :class:`DomainViolationError`.  The image kernel's sample smoothness
-    drops by ``op.order``.
+    Requires ``op.order`` within the kernel's sample smoothness; violations
+    raise :class:`DomainViolationError`.  The image kernel is the
+    bifunction :func:`apply_both` builds, labelled ``[op]x2 k``; its sample
+    smoothness is ``op.order`` below the kernel's.
 
     When ``check_grid`` is given, the image kernel's Gram matrix on that grid
     is factorized as a runtime sanity check.  Positive semidefiniteness holds
@@ -59,11 +52,8 @@ def pushforward(p: GaussianProcessPrior, op: LinearOperator, *,
     the jitter used is recorded on the result.
     """
     mean_v = apply_to_function(op, p.mean)
-    bf = apply_both(op, p.kernel)
-    s = p.kernel.sample_smoothness
-    smooth_v = s if s == math.inf else s - op.order
-    kernel_v = _image_kernel(bf, smooth_v, p.kernel.symmetric,
-                             label=f"[{op.label}]x2 {p.kernel.label}")
+    kernel_v = apply_both(op, p.kernel)
+    kernel_v.label = f"[{op.label}]x2 {p.kernel.label}"
     delta = None
     if check_grid is not None:
         try:

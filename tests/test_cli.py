@@ -208,6 +208,23 @@ problem:
     assert "problem.boundary[0]" in capsys.readouterr().err
 
 
+def test_solve_negative_collocation_count_exit_one(tmp_path, capsys):
+    text = """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  collocation_count: -3
+  boundary: [{location: 0.0, value: 0.0}]
+""" % (tmp_path / "sol4")
+    cfg = write(tmp_path, "solve4.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    assert "problem.collocation_count" in capsys.readouterr().err
+    assert not (tmp_path / "sol4").exists()
+
+
 def test_console_entry_point_help():
     out = subprocess.run([sys.executable, "-m", "gpops.cli", "--help"],
                          capture_output=True, text=True)

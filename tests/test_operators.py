@@ -14,7 +14,7 @@ from gpops.errors import DomainViolationError, EvaluationError, ParameterError
 from gpops.expressions import Expr
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
-from gpops.means import mean_from_callable, mean_from_expression
+from gpops.means import mean_from_expression
 from gpops.operators import (ARG1, ARG2, LinearOperator, add, apply_arg,
                              apply_both, apply_to_function, commutator_residual,
                              compose, derivative_operator, identity, scale)
@@ -98,27 +98,11 @@ def test_apply_first_order_with_coefficient():
     assert g(x) == pytest.approx(x * math.cos(x) + math.sin(x), rel=1e-12)
 
 
-def test_apply_to_function_fd_fallback():
-    # a bare callable has no closed-form derivatives; auto falls back to FD
-    f = mean_from_callable(np.sin, label="sin")
-    g = apply_to_function(D1, f)
-    assert g(0.3) == pytest.approx(math.cos(0.3), abs=1e-9)
-    vals = g(np.array([0.0, 0.5]))
-    np.testing.assert_allclose(vals, np.cos([0.0, 0.5]), atol=1e-9)
-
-
-def test_apply_to_function_closed_mode_rejects_missing_derivative():
-    f = mean_from_callable(np.sin, label="sin")
-    with pytest.raises(DomainViolationError):
-        apply_to_function(D1, f, method="closed")
-
-
 def test_result_smoothness_drops_by_order():
-    f = mean_from_expression("sin(x)")
-    assert apply_to_function(D2, f).smoothness == math.inf
+    # kernels track the derivative budget via sample_smoothness
     k = matern_kernel(3.5, 1.0, 1.0)
-    # (context) kernels track the analogous budget via sample_smoothness
     assert k.sample_smoothness == 3
+    assert apply_both(D2, k).sample_smoothness == 1
 
 
 # -------------------------------------------------- application to kernels

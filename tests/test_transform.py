@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpops.errors import DimensionError, DomainViolationError
 from gpops.grids import Grid
@@ -90,6 +91,38 @@ def test_pushforward_composes():
         direct.prior.kernel(x[:, None], x[None, :]),
         atol=1e-8,
     )
+
+
+COEFFICIENTS = ["1", "-2", "x", "1 + x^2", "cos(x)", "exp(-0.5*x)"]
+
+
+def operators(max_order):
+    term = st.tuples(st.integers(0, max_order), st.sampled_from(COEFFICIENTS))
+    return st.lists(term, min_size=1, max_size=3).map(LinearOperator)
+
+
+@settings(max_examples=25, deadline=None)
+@given(operators(2), operators(2), st.sampled_from(["sin(x)", "x^3 + exp(x)", "x*cos(2*x)"]))
+def test_pushing_twice_is_pushing_the_composition(t, s, mean):
+    # Matern 7/2 paths have 3 derivatives: the budget spent by the first two
+    # pushes carries through the bifunction kernels and stops the third
+    k = matern_kernel(3.5, 0.9, 1.0)
+    once = pushforward(gp(mean, k), t)
+    if t.order + s.order > k.sample_smoothness:
+        with pytest.raises(DomainViolationError):
+            pushforward(once.prior, s)
+        return
+    twice = pushforward(once.prior, s)
+    direct = pushforward(gp(mean, k), compose(s, t))
+    x = np.linspace(-1.0, 1.0, 21)
+    want = direct.prior.mean(x)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(twice.prior.mean(x) - want)) <= 1e-12 * scale
+    left = k.sample_smoothness - t.order - s.order
+    assert twice.prior.kernel.sample_smoothness == left
+    assert direct.prior.kernel.sample_smoothness == left
+    with pytest.raises(DomainViolationError):
+        pushforward(twice.prior, derivative_operator(left + 1))
 
 
 def test_pushforward_kernel_bilinear_in_operator():

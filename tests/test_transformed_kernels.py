@@ -4,7 +4,7 @@
 one pass per row block.  The oracle here is the plain per-term sum
 ``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the bifunction's terms, with
 each base partial evaluated on its own (finite differences where the base
-has no closed form, or where the bifunction was built with
+profile does not reach the order, or where the bifunction was built with
 ``method="fd"``).  The two must agree to 1e-12 relative to max|value|.
 """
 
@@ -14,9 +14,9 @@ import pytest
 from gpops import operators
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import zero_mean
-from gpops.operators import ARG1, ARG2, LinearOperator, apply_arg
+from gpops.operators import ARG1, ARG2, LinearOperator, apply_arg, compose
 from gpops.processes import GaussianProcessPrior
-from gpops.stencils import KERNEL_FALLBACK_SCHEME, fd_mixed_partial
+from gpops.stencils import fd_mixed_partial
 from gpops.transform import pushforward
 
 RNG_SEED = 20240917
@@ -37,7 +37,7 @@ def per_term(bf, x1, x2):
     for (d1, d2), pairs in bf.terms.items():
         ev = None if bf.method == "fd" and d1 + d2 else bf.base.partial(d1, d2)
         if ev is None:
-            ev = fd_mixed_partial(bf.base, d1, d2, KERNEL_FALLBACK_SCHEME)
+            ev = fd_mixed_partial(bf.base, d1, d2)
         val = np.asarray(ev(x1, x2), dtype=float)
         for c1, c2 in pairs:
             total = total + c1(x1) * c2(x2) * val
@@ -92,14 +92,21 @@ def test_matern_matches_per_term_sum(nu):
         assert_matches_per_term(transformed(k, rng, p, int(rng.integers(0, p + 1))))
 
 
-def test_image_kernel_base_matches_per_term_sum():
+def test_nested_pushforward_expands_onto_the_catalog_kernel():
+    # an image kernel is a bifunction over the catalog kernel, so pushing the
+    # image forward again keeps every key within the base profile
     rng = np.random.default_rng([RNG_SEED, 99])
-    for k, inner_order in ((se_kernel(0.6, 0.9), 2), (matern_kernel(3.5, 1.1, 1.0), 1)):
+    x1, x2 = outer_points()
+    for k, inner_order, outer_order in ((se_kernel(0.6, 0.9), 2, 1),
+                                        (matern_kernel(3.5, 1.1, 1.0), 1, 2)):
         prior = GaussianProcessPrior(mean=zero_mean(), kernel=k)
-        image = pushforward(prior, random_operator(rng, inner_order)).prior.kernel
-        assert image.profile is None  # not stationary: one base partial per key
-        bf = transformed(image, rng, 1, 1)
-        assert_matches_per_term(bf)
+        t, s = random_operator(rng, inner_order), random_operator(rng, outer_order)
+        nested = pushforward(pushforward(prior, t).prior, s).prior.kernel
+        assert nested.base is k
+        assert max(d1 + d2 for d1, d2 in nested.terms) <= k.profile_order
+        assert_matches_per_term(nested)
+        want = pushforward(prior, compose(s, t)).prior.kernel(x1, x2)
+        assert np.max(np.abs(nested(x1, x2) - want)) <= RTOL * np.max(np.abs(want))
 
 
 def test_fd_fallback_keys_share_the_loop_with_profile_keys():
