@@ -50,13 +50,18 @@ class RunConfig:
 _REQUIRED = object()
 
 
+def _is(value, kind) -> bool:
+    # isinstance, except that a YAML boolean is never a number (bool subclasses int)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _get(tree, key, kind=None, default=_REQUIRED):
     if key not in tree:
         if default is not _REQUIRED:
             return default
         raise ConfigError(f"missing required config key {key!r}")
     value = tree[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and not _is(value, kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ConfigError(f"config key {key!r} must be {names}, got {type(value).__name__}")
     return value
@@ -68,7 +73,7 @@ def _parse_nu(raw):
             return float(Fraction(raw))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"kernel.nu: cannot parse {raw!r} as a fraction") from None
-    if isinstance(raw, (int, float)):
+    if _is(raw, (int, float)):
         return float(raw)
     raise ConfigError(f"kernel.nu must be a number or fraction string, got {raw!r}")
 
@@ -118,9 +123,9 @@ def parse_operator_spec(tree) -> LinearOperator:
                 f"operator.terms[{i}] must be a [order, coefficient] pair, got {item!r}"
             )
         order, coeff = item
-        if not isinstance(order, int) or order < 0:
+        if not _is(order, int) or order < 0:
             raise ConfigError(f"operator.terms[{i}]: order must be a non-negative integer")
-        if not isinstance(coeff, (str, int, float)):
+        if not _is(coeff, (str, int, float)):
             raise ConfigError(f"operator.terms[{i}]: coefficient must be an expression or number")
         terms.append((order, coeff))
     if not terms:
@@ -135,7 +140,7 @@ def _parse_grid(tree) -> Grid:
     if not isinstance(tree, dict):
         raise ConfigError("config key 'grid' must be a mapping")
     interval = _get(tree, "interval", list)
-    if len(interval) != 2 or not all(isinstance(v, (int, float)) for v in interval):
+    if len(interval) != 2 or not all(_is(v, (int, float)) for v in interval):
         raise ConfigError("grid.interval must be [a, b] with numbers a < b")
     count = _get(tree, "count", int)
     try:
@@ -153,7 +158,7 @@ def _parse_tolerances(tree) -> VerificationTolerances:
     kwargs = {}
     for name in ("mean_z", "cov_z", "cumulant_z", "commutator_closed", "commutator_fd"):
         value = tree.get(name, getattr(defaults, name))
-        if not isinstance(value, (int, float)):
+        if not _is(value, (int, float)):
             raise ConfigError(f"tolerances.{name} must be a number")
         kwargs[name] = float(value)
     unknown = set(tree) - set(kwargs)
@@ -190,10 +195,10 @@ def _parse_problem(tree):
                 f"'operator', 'noise_sd')"
             )
         for key in ("location", "value", "noise_sd"):
-            if key in b and not isinstance(b[key], (int, float)):
+            if key in b and not _is(b[key], (int, float)):
                 raise ConfigError(f"problem.boundary[{i}].{key} must be a number, "
                                   f"got {b[key]!r}")
-    if out["max_error"] is not None and not isinstance(out["max_error"], (int, float)):
+    if out["max_error"] is not None and not _is(out["max_error"], (int, float)):
         raise ConfigError("problem.max_error must be a number")
     return out
 

@@ -7,9 +7,11 @@ mixed partial is a signed derivative of one profile:
 
 * ``profile(s, m)`` returns ``[f(s), f'(s), ..., f^(m)(s)]`` from one
   difference array (one ``exp`` for all orders), and ``profile_order`` is
-  the highest order it supplies.  The kernel's value and its
-  ``partial(d1, d2)`` evaluators are read off it, and transformed kernels
-  use it to evaluate every partial they need in one pass.
+  the highest order it supplies (``math.inf`` for the squared exponential,
+  ``2p`` for Matern, which is the whole smoothness budget).  The kernel's
+  value and its ``partial(d1, d2)`` evaluators are read off it, and
+  transformed kernels evaluate every partial they need from it in one
+  pass; there is no other evaluation path.
 * ``sample_smoothness`` is the almost-sure differentiability order of
   sample paths drawn from the kernel.  This is the static proxy for whether
   paths lie in the domain of a differential operator: an operator of order
@@ -32,10 +34,6 @@ from .errors import ParameterError
 
 __all__ = ["Kernel", "se_kernel", "matern_kernel", "MATERN_ORDERS"]
 
-# Total derivative budget (d1 + d2) kept in closed form for the squared
-# exponential; enough for second-order operators on both arguments.
-SE_PARTIAL_BUDGET = 6
-
 MATERN_ORDERS = (0.5, 1.5, 2.5, 3.5)
 
 
@@ -46,7 +44,7 @@ class Kernel:
     ----------
     profile : callable
         ``profile(s, m) -> [f(s), ..., f^(m)(s)]``, vectorized over ``s``.
-    profile_order : int
+    profile_order : int or math.inf
         Highest order ``profile`` supplies; partials up to this total order
         ``d1 + d2`` are closed-form.
     sample_smoothness : int or math.inf
@@ -87,8 +85,8 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
     """Squared-exponential kernel ``var * exp(-(x1-x2)^2 / (2 ell^2))``.
 
     Sample paths are smooth (infinitely differentiable), so any catalog
-    operator applies.  Mixed partials are available in closed form for total
-    order up to 6, via the Hermite-polynomial identity
+    operator applies.  Mixed partials of every total order are closed-form,
+    via the Hermite-polynomial identity
 
         d^m/dr^m exp(-r^2/2) = (-1)^m He_m(r) exp(-r^2/2),
 
@@ -112,7 +110,7 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
             out.append((-1.0) ** k * var * ell ** (-k) * he * e)
         return out
 
-    return Kernel(profile, SE_PARTIAL_BUDGET, sample_smoothness=math.inf,
+    return Kernel(profile, math.inf, sample_smoothness=math.inf,
                   label=f"se(ell={ell:g}, var={var:g})")
 
 

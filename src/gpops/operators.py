@@ -15,10 +15,10 @@ applying a further operator expands onto the base again.
 
 Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
-:class:`DomainViolationError` regardless of whether finite differences could
-produce a number.  Within the budget, evaluation uses closed-form partials
-where the kernel's profile covers the order and finite differences
-otherwise.
+:class:`DomainViolationError`.  Within the budget every partial is
+closed-form: a catalog kernel's profile covers its whole smoothness budget.
+Finite differences are only an explicit reference
+(:meth:`KernelBifunction.fd`), never a substitute inside a reported number.
 
 A standing analytic assumption, not checked numerically: the covariance
 transport of a partially-defined operator is well posed when the operator is
@@ -59,8 +59,6 @@ __all__ = [
 
 # Argument slots of a bifunction; exactly two values.
 ARG1, ARG2 = 1, 2
-
-_METHODS = ("auto", "closed", "fd")
 
 _ZERO, _ONE = Const(0.0), Const(1.0)
 
@@ -261,36 +259,35 @@ class KernelBifunction:
     serve as a prior kernel and be transformed again; further operators
     expand onto the same base.
 
-    Evaluation is one pass per row block of the output.  Every key whose
-    order ``d1 + d2`` the base kernel's profile covers shares the block's
-    profile derivatives ``f^(0..M)(x1 - x2)``, computed once up to the
-    largest order needed; each order ``m`` is multiplied by one weight
-    ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from rank-1
-    products of coefficients evaluated once per call.  Any other key (an
-    order beyond the profile, or any key under ``method="fd"``) is
-    evaluated on its own in the same loop by tensor-product finite
-    differences of the base kernel; ``method="closed"`` refuses such keys.
-    No step uses BLAS, so values do not depend on its threads.
+    Evaluation is one pass per row block of the output.  Every key shares
+    the block's profile derivatives ``f^(0..M)(x1 - x2)``, computed once up
+    to the largest order needed; each order ``m`` is multiplied by one
+    weight ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from
+    rank-1 products of coefficients evaluated once per call.  No step uses
+    BLAS, so values do not depend on its threads.  A key beyond the base
+    profile has no closed form and raises :class:`EvaluationError` at
+    construction; :func:`apply_arg` never builds one, because a catalog
+    profile covers the kernel's whole smoothness budget.
     """
 
-    def __init__(self, base: Kernel, terms, method="auto", label=None):
+    def __init__(self, base: Kernel, terms, label=None):
         self.base = base
-        self.method = method
         self.label = label or base.label
         self.terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
         for d1, d2, c1, c2 in terms:
+            if d1 + d2 > base.profile_order:
+                raise EvaluationError(
+                    f"kernel {base.label!r} has no closed-form partial ({d1}, {d2}); "
+                    f"its profile stops at total order {base.profile_order}"
+                )
             self.terms.setdefault((d1, d2), []).append((c1, c2))
         self.applied1 = max((d1 for d1, _ in self.terms), default=0)
         self.applied2 = max((d2 for _, d2 in self.terms), default=0)
-        # channel -> [(sign, c1, c2)]; a channel is either a profile order,
-        # whose values (-1)^d2 f^(m) serve every key with d1 + d2 = m, or the
-        # evaluator of one key
-        self._channels: dict = {}
+        # profile order m -> [(sign, c1, c2)]; the values (-1)^d2 f^(m) serve
+        # every key with d1 + d2 = m
+        self._orders: dict[int, list] = {}
         for (d1, d2), pairs in self.terms.items():
-            channel = self._resolve(d1, d2)
-            sign = (-1.0) ** d2 if isinstance(channel, int) else 1.0
-            self._channels.setdefault(channel, []).extend((sign, c1, c2) for c1, c2 in pairs)
-        self._top = max((c for c in self._channels if isinstance(c, int)), default=-1)
+            self._orders.setdefault(d1 + d2, []).extend(((-1.0) ** d2, c1, c2) for c1, c2 in pairs)
 
     @classmethod
     def wrap(cls, k) -> "KernelBifunction":
@@ -307,43 +304,48 @@ class KernelBifunction:
     def remaining_budget(self, slot: int):
         return self.base.sample_smoothness - (self.applied1 if slot == ARG1 else self.applied2)
 
-    def _resolve(self, d1, d2):
-        # The profile order d1 + d2 when the base kernel's profile covers it
-        # and the method allows, else a finite-difference evaluator.
-        m = d1 + d2
-        if m <= self.base.profile_order and not (self.method == "fd" and m):
-            return m
-        if self.method == "closed":
-            raise EvaluationError(
-                f"kernel {self.base.label!r} has no closed-form partial "
-                f"({d1}, {d2}) and finite differences are disallowed"
-            )
-        return fd_mixed_partial(self.base, d1, d2)
-
     def __call__(self, x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        values1, values2 = {}, {}
-        channels = [(channel, *_weight_factors(pairs, x1, x2, values1, values2))
-                    for channel, pairs in self._channels.items()]
-        out = np.zeros(shape)
-        for blk in _row_blocks(x1, x2, shape):
-            x1b = x1[blk]
-            derivs = self.base.profile(x1b - x2, self._top) if self._top >= 0 else None
-            for channel, w, rows in channels:
-                for c1v, v in rows:
-                    term = c1v[blk] * v
-                    w = term if w is None else w + term
-                f = derivs[channel] if isinstance(channel, int) else channel(x1b, x2)
-                out[blk] += f * w
-        if x1.ndim == 0 and x2.ndim == 0:
-            return float(out)
-        return out
+        top, profile = max(self._orders, default=0), self.base.profile
+        return _tabulate(x1, x2, self._orders, lambda x1b, x2: profile(x1b - x2, top))
+
+    def fd(self, x1, x2):
+        """The same terms with each base partial taken by finite differences.
+
+        Every key is evaluated by :func:`~gpops.stencils.fd_mixed_partial`
+        (orders up to 4 per argument).  This is the reference the closed
+        form is checked against, as in :func:`commutator_residual`; calling
+        the bifunction never uses it.
+        """
+        evaluators = {key: fd_mixed_partial(self.base, *key) for key in self.terms}
+        channels = {key: [(1.0, c1, c2) for c1, c2 in pairs] for key, pairs in self.terms.items()}
+        return _tabulate(x1, x2, channels,
+                         lambda x1b, x2: {key: ev(x1b, x2) for key, ev in evaluators.items()})
 
     def __repr__(self):
         return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
                 f"applied=({self.applied1}, {self.applied2}))")
+
+
+def _tabulate(x1, x2, channels, values):
+    # sum over channels of values(x1b, x2)[channel] * W_channel, one row block
+    # at a time; channels maps each channel to its (sign, c1, c2) triples
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    shape = np.broadcast_shapes(x1.shape, x2.shape)
+    values1, values2 = {}, {}
+    weights = [(channel, *_weight_factors(pairs, x1, x2, values1, values2))
+               for channel, pairs in channels.items()]
+    out = np.zeros(shape)
+    for blk in _row_blocks(x1, x2, shape):
+        f = values(x1[blk], x2)
+        for channel, w, rows in weights:
+            for c1v, v in rows:
+                term = c1v[blk] * v
+                w = term if w is None else w + term
+            out[blk] += f[channel] * w
+    if x1.ndim == 0 and x2.ndim == 0:
+        return float(out)
+    return out
 
 
 def _check_slot(slot):
@@ -351,7 +353,7 @@ def _check_slot(slot):
         raise ParameterError(f"slot must be {ARG1} (first argument) or {ARG2} (second), got {slot}")
 
 
-def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto") -> KernelBifunction:
+def apply_arg(op: LinearOperator, slot: int, k) -> KernelBifunction:
     """Apply an operator to one argument of a kernel (or transformed kernel).
 
     The sample-smoothness budget of the chosen argument must cover
@@ -360,8 +362,6 @@ def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto") -> Kern
     budget, so repeated applications stay guarded.
     """
     _check_slot(slot)
-    if method not in _METHODS:
-        raise ParameterError(f"method must be one of {_METHODS}")
     bf = KernelBifunction.wrap(k)
     budget = bf.remaining_budget(slot)
     if op.order > budget:
@@ -379,25 +379,27 @@ def apply_arg(op: LinearOperator, slot: int, k, *, method: str = "auto") -> Kern
                 else:
                     new_terms += [(d1, d, c1, c) for d, c in _leibniz(a, order, c2, d2)]
     label = f"{op.label}_[arg{slot}] {bf.label}"
-    return KernelBifunction(bf.base, new_terms, method=method, label=label)
+    return KernelBifunction(bf.base, new_terms, label=label)
 
 
-def apply_both(op: LinearOperator, k, *, method: str = "auto") -> KernelBifunction:
+def apply_both(op: LinearOperator, k) -> KernelBifunction:
     """Apply the operator to both kernel arguments (second argument first).
 
     This is the covariance transport of the operator; the choice of
     application order is immaterial, which :func:`commutator_residual`
     certifies numerically.
     """
-    return apply_arg(op, ARG1, apply_arg(op, ARG2, k, method=method), method=method)
+    return apply_arg(op, ARG1, apply_arg(op, ARG2, k))
 
 
-def commutator_residual(op: LinearOperator, k, grid: Grid, *,
-                        method: str = "auto") -> float:
-    """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|."""
-    a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k, method=method), method=method)
-    a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k, method=method), method=method)
-    x = grid.points
-    v12 = a12(x[:, None], x[None, :])
-    v21 = a21(x[:, None], x[None, :])
-    return float(np.max(np.abs(v12 - v21)))
+def commutator_residual(op: LinearOperator, k, grid: Grid) -> tuple[float, float]:
+    """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|.
+
+    Returns ``(closed, fd)``: the residual of the closed-form evaluation and
+    that of the finite-difference reference :meth:`KernelBifunction.fd`.
+    """
+    a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k))
+    a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k))
+    x1, x2 = grid.points[:, None], grid.points[None, :]
+    return (float(np.max(np.abs(a12(x1, x2) - a21(x1, x2)))),
+            float(np.max(np.abs(a12.fd(x1, x2) - a21.fd(x1, x2)))))

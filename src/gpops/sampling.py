@@ -51,11 +51,16 @@ BLOCK_WORDS = 2**16
 
 @dataclass(frozen=True)
 class SampleEnsemble:
-    """N tabulated paths on a grid, remembering the seed that produced them."""
+    """N tabulated paths on a grid, remembering the seed that produced them.
+
+    ``jitter`` is the ``delta`` the sampling Cholesky added to the Gram
+    diagonal (see :func:`~gpops.linalg.chol_psd`); it is not serialized.
+    """
 
     grid: Grid
     paths: np.ndarray  # shape (N, len(grid))
     seed: int
+    jitter: float = 0.0
 
     def __post_init__(self):
         paths = np.asarray(self.paths, dtype=float)
@@ -113,23 +118,23 @@ def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> n
 
 
 def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
-                 *, max_jitter: float = 1e-8, threads: int = 1) -> SampleEnsemble:
+                 *, threads: int = 1) -> SampleEnsemble:
     """Draw N paths of the prior's finite marginal on the grid.
 
     Paths are ``mean + L z`` with ``L`` the jitter-laddered Cholesky factor of
-    the Gram matrix and ``z`` per-path standard normals (see the module
-    docstring for the substream derivation).  Deterministic in the seed and
-    independent of ``threads``.
+    the Gram matrix (its jitter is kept on the ensemble) and ``z`` per-path
+    standard normals (see the module docstring for the substream
+    derivation).  Deterministic in the seed and independent of ``threads``.
     """
     if n_paths < 2:
         raise ParameterError("need at least two paths")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
-    L, _ = chol_psd(gram(p.kernel, grid), max_jitter=max_jitter)
+    L, jitter = chol_psd(gram(p.kernel, grid))
     mean = p.mean(grid.points)
     z = _standard_normals(seed, n_paths, len(grid), threads)
     paths = mean + z @ L.T
-    return SampleEnsemble(grid=grid, paths=paths, seed=int(seed))
+    return SampleEnsemble(grid=grid, paths=paths, seed=int(seed), jitter=jitter)
 
 
 def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnsemble:
@@ -154,7 +159,7 @@ def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnse
                 f"{stencil_width(op.order)} for operator order {op.order}"
             )
     a_mat = operator_matrix(op, e.grid)
-    return SampleEnsemble(grid=e.grid, paths=e.paths @ a_mat.T, seed=e.seed)
+    return SampleEnsemble(grid=e.grid, paths=e.paths @ a_mat.T, seed=e.seed, jitter=e.jitter)
 
 
 def operator_matrix(op: LinearOperator, grid: Grid) -> np.ndarray:

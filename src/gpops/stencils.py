@@ -3,8 +3,9 @@
 All stencils have accuracy order 4.  Weights for arbitrary nodes come from
 Fornberg's recurrence, which also supplies the shifted (one-sided) stencils
 used near grid boundaries at the same accuracy order.  Mixed partials of a
-kernel (where its closed forms run out, or when asked for explicitly) use
-tensor-product central stencils with one Richardson step.
+kernel use tensor-product central stencils with one Richardson step; they
+serve only as the reference that closed-form partials are checked against
+(:meth:`~gpops.operators.KernelBifunction.fd`).
 """
 
 from __future__ import annotations

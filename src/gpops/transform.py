@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefiniteError
+from .errors import DimensionError
 from .grids import Grid
-from .linalg import chol_psd, cross_tabulate, gram
+# chol_psd is not called here; it stays importable because perfbench/tracing.py rebinds it
+from .linalg import chol_psd, cross_tabulate, gram  # noqa: F401
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_both, apply_to_function
 from .processes import GaussianProcessPrior
 
@@ -33,41 +34,22 @@ class ImageProcess:
     prior: GaussianProcessPrior
     source_label: str
     operator_label: str
-    psd_jitter: float | None = None  # jitter needed by the optional PSD spot check
 
 
-def pushforward(p: GaussianProcessPrior, op: LinearOperator, *,
-                check_grid: Grid | None = None) -> ImageProcess:
+def pushforward(p: GaussianProcessPrior, op: LinearOperator) -> ImageProcess:
     """Image process of ``p`` under ``op``: mean ``T m``, kernel ``T1 T2 k``.
 
     Requires ``op.order`` within the kernel's sample smoothness; violations
     raise :class:`DomainViolationError`.  The image kernel is the
     bifunction :func:`apply_both` builds, labelled ``[op]x2 k``; its sample
-    smoothness is ``op.order`` below the kernel's.
-
-    When ``check_grid`` is given, the image kernel's Gram matrix on that grid
-    is factorized as a runtime sanity check.  Positive semidefiniteness holds
-    by construction, so a nonzero jitter indicates numerical (not
-    mathematical) defect, e.g. truncation error on a finite-difference path;
-    the jitter used is recorded on the result.
+    smoothness is ``op.order`` below the kernel's.  Every partial it needs
+    is closed-form.
     """
     mean_v = apply_to_function(op, p.mean)
     kernel_v = apply_both(op, p.kernel)
     kernel_v.label = f"[{op.label}]x2 {p.kernel.label}"
-    delta = None
-    if check_grid is not None:
-        try:
-            _, delta = chol_psd(gram(kernel_v, check_grid), max_jitter=1e-8)
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(
-                f"image kernel of {p.kernel.label!r} under {op.label!r} failed the "
-                f"PSD spot check; this is a numerical defect of the evaluation "
-                f"path, not of the transport itself ({exc})",
-                tried=exc.tried,
-            ) from exc
     image_prior = GaussianProcessPrior(mean=mean_v, kernel=kernel_v)
-    return ImageProcess(prior=image_prior, source_label=p.label,
-                        operator_label=op.label, psd_jitter=delta)
+    return ImageProcess(prior=image_prior, source_label=p.label, operator_label=op.label)
 
 
 def finite_dim_pushforward(mean, cov, t_mat):

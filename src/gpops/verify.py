@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cumulants import default_cumulant_tuples, empirical_cumulant
-from .errors import DomainViolationError, EvaluationError
+from .errors import DomainViolationError
 from .grids import Grid
 from .linalg import gram
 from .operators import LinearOperator, commutator_residual
@@ -183,16 +183,12 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     cov_dev = ecov - k_v
     block = np.outer(interior, interior)
     cov_zmax = _standardized_max(cov_dev, cov_se, block)
-    try:
-        resid_closed = commutator_residual(op, p.kernel, grid, method="closed")
-    except EvaluationError:
-        resid_closed = None  # kernel lacks closed-form partials; FD path only
-    resid_fd = commutator_residual(op, p.kernel, grid, method="fd")
+    resid_closed, resid_fd = commutator_residual(op, p.kernel, grid)
     # Residuals are reported absolute but gated relative to the image kernel's
     # scale, so the verdict does not depend on the kernel variance.
     k_scale = float(np.max(np.abs(k_v)))
-    commutator_ok = (resid_closed is None or resid_closed <= tol.commutator_closed * k_scale) \
-        and resid_fd <= tol.commutator_fd * k_scale
+    commutator_ok = (resid_closed <= tol.commutator_closed * k_scale
+                     and resid_fd <= tol.commutator_fd * k_scale)
     cov_check = {
         "max_interior_standardized": cov_zmax,
         "max_interior_abs_deviation": float(np.max(np.abs(cov_dev[block]))),

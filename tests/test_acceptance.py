@@ -77,8 +77,7 @@ def test_criterion_2_covariance_transport_and_commutation():
     z = (np.abs(ecov - k_v) / se)[block]
     assert z.max() <= 5.0, f"standardized covariance deviation {z.max():.3f} > 5"
 
-    resid_closed = commutator_residual(D1, p.kernel, GRID33, method="closed")
-    resid_fd = commutator_residual(D1, p.kernel, GRID33, method="fd")
+    resid_closed, resid_fd = commutator_residual(D1, p.kernel, GRID33)
     assert resid_closed <= 1e-12
     assert resid_fd <= 1e-4
     report(f"ACCEPTANCE 2 (covariance transport): PASS  max|dev|/se = {z.max():.3f}, "

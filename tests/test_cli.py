@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+import gpops.cli
 from gpops.cli import main
+from gpops.conditioning import solve_linear_ode
 
 BASE_VERIFY = """\
 kernel: {{name: se, lengthscale: 1.0, variance: 1.0}}
@@ -223,6 +225,86 @@ problem:
     assert main(["solve", "--config", cfg]) == 1
     assert "problem.collocation_count" in capsys.readouterr().err
     assert not (tmp_path / "sol4").exists()
+
+
+BOOLEAN_BASE = """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 2
+seed: 1
+threads: 1
+tolerances: {mean_z: 5.0}
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  collocation_count: 10
+  boundary: [{location: 0.0, value: 0.0, noise_sd: 0.0}]
+  reference: "sin(x)"
+  max_error: 1.0e-2
+"""
+
+
+@pytest.mark.parametrize("number, boolean, key", [
+    ("collocation_count: 10", "collocation_count: true", "collocation_count"),
+    ("count: 17", "count: true", "count"),
+    ("samples: 2", "samples: true", "samples"),
+    ("seed: 1", "seed: true", "seed"),
+    ("threads: 1", "threads: true", "threads"),
+    ("lengthscale: 0.5", "lengthscale: true", "lengthscale"),
+    ("variance: 1.0", "variance: true", "variance"),
+    ('[[1, "1"]]', '[[true, "1"]]', "operator.terms[0]"),
+    ('[[1, "1"]]', "[[1, true]]", "operator.terms[0]"),
+    ("[0.0, 1.0]", "[0.0, true]", "grid.interval"),
+    ("mean_z: 5.0", "mean_z: true", "tolerances.mean_z"),
+    ("location: 0.0", "location: true", "problem.boundary[0].location"),
+    ("value: 0.0", "value: false", "problem.boundary[0].value"),
+    ("noise_sd: 0.0", "noise_sd: true", "problem.boundary[0].noise_sd"),
+    ("max_error: 1.0e-2", "max_error: true", "problem.max_error"),
+])
+def test_yaml_boolean_for_a_number_exit_one(tmp_path, capsys, number, boolean, key):
+    # bool subclasses int, so each of these once passed as 1 (or 0)
+    text = BOOLEAN_BASE % (tmp_path / "out")
+    assert text.count(number) == 1
+    cfg = write(tmp_path, "bool.yaml", text.replace(number, boolean))
+    assert main(["solve", "--config", cfg]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fourth_order_solve_is_closed_form(tmp_path, monkeypatch):
+    # u'''' + u = 17 sin 2x, solved by u = sin 2x.  The Gram of the d^4
+    # observations needs SE partials of total order 8; evaluated by finite
+    # differences it was indefinite, so the solve exited 1.
+    text = """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+mean: "0"
+operator: {terms: [[4, "1"], [0, "1"]]}
+grid: {interval: [0.0, 1.0], count: 65}
+output: "%s"
+problem:
+  rhs: "17*sin(2*x)"
+  collocation_count: 60
+  boundary:
+    - {location: 0.0, value: 0.0}
+    - {location: 1.0, value: 0.9092974268256817}
+    - {location: 0.0, value: 2.0, operator: {terms: [[1, "1"]]}}
+    - {location: 1.0, value: -0.8322936730942848, operator: {terms: [[1, "1"]]}}
+  reference: "sin(2*x)"
+  max_error: 1.0e-5
+""" % (tmp_path / "sol")
+    posteriors = []
+
+    def solve(*args, **kwargs):
+        posteriors.append(solve_linear_ode(*args, **kwargs))
+        return posteriors[-1]
+
+    monkeypatch.setattr(gpops.cli, "solve_linear_ode", solve)
+    cfg = write(tmp_path, "u4.yaml", text)
+    assert main(["solve", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "sol" / "solution.json").read_text())
+    assert doc["max_abs_error"] <= 1e-5
+    assert posteriors[0].jitter == 0.0
 
 
 def test_console_entry_point_help():

@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
+from gpops import operators
 from gpops.errors import DomainViolationError, EvaluationError, ParameterError
-from gpops.expressions import Expr
+from gpops.expressions import Const, Expr
 from gpops.grids import Grid
-from gpops.kernels import matern_kernel, se_kernel
+from gpops.kernels import MATERN_ORDERS, matern_kernel, se_kernel
 from gpops.means import mean_from_expression
-from gpops.operators import (ARG1, ARG2, LinearOperator, add, apply_arg,
+from gpops.operators import (ARG1, ARG2, KernelBifunction, LinearOperator, add, apply_arg,
                              apply_both, apply_to_function, commutator_residual,
                              compose, derivative_operator, identity, scale)
 
@@ -157,40 +158,56 @@ def test_remaining_budget_bookkeeping():
 
 
 def test_forced_fd_path_matches_closed_form():
-    k = se_kernel(1.0, 1.0)
-    closed = apply_both(D1, k)
-    fd = apply_both(D1, k, method="fd")
+    bf = apply_both(D1, se_kernel(1.0, 1.0))
     pts = np.linspace(0, 1, 9)
-    diff = np.abs(closed(pts[:, None], pts[None, :]) - fd(pts[:, None], pts[None, :]))
+    diff = np.abs(bf(pts[:, None], pts[None, :]) - bf.fd(pts[:, None], pts[None, :]))
     assert diff.max() <= 1e-6
 
 
-def test_closed_method_errors_when_partials_missing():
-    k = se_kernel(1.0, 1.0)
-    d4 = derivative_operator(4)
-    # (4, 4) exceeds the closed-form budget of 6 but not smoothness (inf)
+def test_no_silent_fd_within_the_smoothness_budget(monkeypatch):
+    # every partial an operator application can reach is closed-form, so the
+    # finite-difference reference is never called to produce a value
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite differences used outside KernelBifunction.fd")
+
+    monkeypatch.setattr(operators, "fd_mixed_partial", refuse)
+    x = np.linspace(-1.0, 1.0, 9)
+    cases = [(se_kernel(0.5, 1.0), q) for q in range(1, 5)]
+    materns = [matern_kernel(nu, 0.8, 1.0) for nu in MATERN_ORDERS]
+    cases += [(k, k.sample_smoothness) for k in materns]
+    for k, q in cases:
+        op = LinearOperator([(q, "1 + x^2"), (0, 1.0)])
+        values = apply_both(op, k)(x[:, None], x[None, :])
+        assert np.all(np.isfinite(values))
+
+
+def test_key_beyond_the_profile_raises_evaluation_error():
+    # apply_arg never builds such a key (the smoothness guard stops it first);
+    # only a directly constructed bifunction can ask for one
+    k = matern_kernel(2.5, 1.0, 1.0)  # profile order 2p = 4
+    one = Const(1.0)
+    KernelBifunction(k, [(2, 2, one, one)])
     with pytest.raises(EvaluationError):
-        apply_both(d4, k, method="closed")
-    apply_both(d4, k, method="auto")  # FD fallback is fine within smoothness
+        KernelBifunction(k, [(0, 0, one, one), (3, 2, one, one)])
 
 
 # ------------------------------------------------------------- commutation
 
 def test_commutator_identity_exact_zero():
     g = Grid.uniform_on(0, 1, 9)
-    assert commutator_residual(identity(), se_kernel(1, 1), g) == 0.0
+    assert commutator_residual(identity(), se_kernel(1, 1), g) == (0.0, 0.0)
 
 
 def test_commutator_closed_path():
     g = Grid.uniform_on(0, 1, 33)
-    resid = commutator_residual(D1, se_kernel(1, 1), g, method="closed")
-    assert resid <= 1e-12
+    closed, _ = commutator_residual(D1, se_kernel(1, 1), g)
+    assert closed <= 1e-12
 
 
 def test_commutator_fd_path_with_variable_coefficient():
     g = Grid.uniform_on(0, 1, 33)
-    resid = commutator_residual(XDX, se_kernel(1, 1), g, method="fd")
-    assert resid <= 1e-4
+    _, fd = commutator_residual(XDX, se_kernel(1, 1), g)
+    assert fd <= 1e-4
 
 
 def test_mixed_partial_orders_interchange_pointwise():
@@ -302,9 +319,9 @@ def test_linearity_on_fd_path():
     rng = np.random.default_rng(6)
     k = se_kernel(1.0, 1.0)
     x1, x2 = rng.uniform(-1, 1, size=(2, 10))
-    both = apply_arg(add(D1, XDX_PLUS_1), ARG2, k, method="fd")(x1, x2)
-    split = (apply_arg(D1, ARG2, k, method="fd")(x1, x2)
-             + apply_arg(XDX_PLUS_1, ARG2, k, method="fd")(x1, x2))
+    both = apply_arg(add(D1, XDX_PLUS_1), ARG2, k).fd(x1, x2)
+    split = (apply_arg(D1, ARG2, k).fd(x1, x2)
+             + apply_arg(XDX_PLUS_1, ARG2, k).fd(x1, x2))
     assert np.max(np.abs(both - split)) <= 1e-4
 
 

@@ -8,7 +8,7 @@ from scipy.special import ndtri
 
 from gpops.errors import GridSizeError, ParameterError
 from gpops.grids import Grid
-from gpops.kernels import se_kernel
+from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 import gpops.sampling
@@ -105,6 +105,18 @@ def test_mean_vector_enters_paths():
     e = sample_paths(p, g, 20000, 11)
     dev = np.abs(empirical_mean(e) - np.sin(g.points))
     assert dev.max() <= 5.0 / np.sqrt(20000)
+
+
+def test_ensemble_keeps_the_sampling_jitter():
+    # SE at lengthscale 0.5 on 33 points is numerically singular and takes the
+    # first ladder step; Matern 5/2 on 257 points factors as given
+    mean = mean_from_expression("sin(x)")
+    se = GaussianProcessPrior(mean=mean, kernel=se_kernel(0.5, 1.0))
+    e = sample_paths(se, Grid.uniform_on(0, 1, 33), 100, 1)
+    assert e.jitter == 1e-12
+    assert apply_operator_pathwise(derivative_operator(2), e).jitter == 1e-12
+    matern = GaussianProcessPrior(mean=mean, kernel=matern_kernel(2.5, 0.5, 1.0))
+    assert sample_paths(matern, Grid.uniform_on(0, 1, 257), 100, 1).jitter == 0.0
 
 
 def test_sample_paths_validation():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gpops.errors import DimensionError, DomainViolationError
 from gpops.grids import Grid
@@ -71,12 +71,6 @@ def test_pushforward_rejects_rough_prior():
         pushforward(p, D1)
 
 
-def test_pushforward_psd_spot_check_records_jitter():
-    img = pushforward(gp("0"), D1, check_grid=Grid.uniform_on(0, 1, 17))
-    assert img.psd_jitter is not None
-    assert img.psd_jitter <= 1e-8
-
-
 def test_pushforward_composes():
     # pushing forward twice equals pushing forward by the composition
     p = gp("sin(x)")
@@ -105,7 +99,10 @@ def operators(max_order):
 @given(operators(2), operators(2), st.sampled_from(["sin(x)", "x^3 + exp(x)", "x*cos(2*x)"]))
 def test_pushing_twice_is_pushing_the_composition(t, s, mean):
     # Matern 7/2 paths have 3 derivatives: the budget spent by the first two
-    # pushes carries through the bifunction kernels and stops the third
+    # pushes carries through the bifunction kernels and stops the third.  A
+    # zero operator (terms 1 + 1 - 2) has order 0 and a kernel without terms,
+    # so the order bookkeeping below does not describe it.
+    assume(LinearOperator([(0, 0.0)]) not in (t, s))
     k = matern_kernel(3.5, 0.9, 1.0)
     once = pushforward(gp(mean, k), t)
     if t.order + s.order > k.sample_smoothness:

@@ -3,9 +3,10 @@
 ``KernelBifunction`` evaluates every partial a transformed kernel needs in
 one pass per row block.  The oracle here is the plain per-term sum
 ``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the bifunction's terms, with
-each base partial evaluated on its own (finite differences where the base
-profile does not reach the order, or where the bifunction was built with
-``method="fd"``).  The two must agree to 1e-12 relative to max|value|.
+each base partial evaluated on its own: the base kernel's closed-form
+partial, or ``fd_mixed_partial`` for the finite-difference reference
+``KernelBifunction.fd``.  The two must agree to 1e-12 relative to
+max|value|.
 """
 
 import numpy as np
@@ -32,12 +33,10 @@ def random_operator(rng, order):
     return LinearOperator(terms)
 
 
-def per_term(bf, x1, x2):
+def per_term(bf, x1, x2, fd=False):
     total = 0.0
     for (d1, d2), pairs in bf.terms.items():
-        ev = None if bf.method == "fd" and d1 + d2 else bf.base.partial(d1, d2)
-        if ev is None:
-            ev = fd_mixed_partial(bf.base, d1, d2)
+        ev = fd_mixed_partial(bf.base, d1, d2) if fd else bf.base.partial(d1, d2)
         val = np.asarray(ev(x1, x2), dtype=float)
         for c1, c2 in pairs:
             total = total + c1(x1) * c2(x2) * val
@@ -52,28 +51,29 @@ def outer_points():
     return np.linspace(-1.5, 1.5, n)[:, None], np.linspace(-1.2, 1.4, m)[None, :]
 
 
-def assert_matches_per_term(bf):
+def assert_matches_per_term(bf, fd=False):
+    evaluate = bf.fd if fd else bf
     x1, x2 = outer_points()
-    want = per_term(bf, x1, x2)
+    want = per_term(bf, x1, x2, fd)
     scale = np.max(np.abs(want))
     assert scale > 0
-    got = bf(x1, x2)
+    got = evaluate(x1, x2)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= RTOL * scale
 
     x = np.linspace(-1.0, 1.0, 50)
-    got = bf(x, x)
+    got = evaluate(x, x)
     assert got.shape == x.shape
-    assert np.max(np.abs(got - per_term(bf, x, x))) <= RTOL * scale
+    assert np.max(np.abs(got - per_term(bf, x, x, fd))) <= RTOL * scale
 
-    got = bf(0.3, -0.45)
+    got = evaluate(0.3, -0.45)
     assert isinstance(got, float)
-    assert abs(got - float(per_term(bf, np.float64(0.3), np.float64(-0.45)))) <= RTOL * scale
+    assert abs(got - float(per_term(bf, np.float64(0.3), np.float64(-0.45), fd))) <= RTOL * scale
 
 
-def transformed(k, rng, order1, order2, method="auto"):
+def transformed(k, rng, order1, order2):
     op1, op2 = random_operator(rng, order1), random_operator(rng, order2)
-    return apply_arg(op1, ARG1, apply_arg(op2, ARG2, k, method=method), method=method)
+    return apply_arg(op1, ARG1, apply_arg(op2, ARG2, k))
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -109,33 +109,34 @@ def test_nested_pushforward_expands_onto_the_catalog_kernel():
         assert np.max(np.abs(nested(x1, x2) - want)) <= RTOL * np.max(np.abs(want))
 
 
-def test_fd_fallback_keys_share_the_loop_with_profile_keys():
-    # total order 3 + 4 = 7 is beyond the squared exponential's closed-form
-    # budget of 6, so the top keys fall back to finite differences
+def test_se_keys_past_total_order_six_are_closed_form():
+    # total order 3 + 4 = 7: the squared exponential's profile has no order
+    # limit, so the top keys share the one profile pass with the lower ones
     rng = np.random.default_rng([RNG_SEED, 7])
     k = se_kernel(0.9, 1.0)
     op2 = random_operator(rng, 2)
     bf = apply_arg(random_operator(rng, 3), ARG1, apply_arg(op2, ARG2, apply_arg(op2, ARG2, k)))
-    assert max(d1 + d2 for d1, d2 in bf.terms) > 6
+    assert max(d1 + d2 for d1, d2 in bf.terms) == 7
     assert any(d1 + d2 <= 6 for d1, d2 in bf.terms)
     assert_matches_per_term(bf)
 
 
 def test_method_fd_matches_per_term_sum():
     rng = np.random.default_rng([RNG_SEED, 11])
-    bf = transformed(se_kernel(0.7, 1.0), rng, 2, 2, method="fd")
-    assert bf.method == "fd"
-    assert_matches_per_term(bf)
+    bf = transformed(se_kernel(0.7, 1.0), rng, 2, 2)
+    assert_matches_per_term(bf, fd=True)
 
 
 def test_catalog_partials_are_signed_profile_derivatives():
     s = np.linspace(-2.0, 2.0, 41)
     for k in (se_kernel(0.7, 1.3), matern_kernel(2.5, 0.8, 1.1)):
-        derivs = k.profile(s, k.profile_order)
-        assert len(derivs) == k.profile_order + 1
+        top = min(k.profile_order, 9)  # the squared exponential has no top order
+        derivs = k.profile(s, top)
+        assert len(derivs) == top + 1
         assert np.array_equal(derivs[0], k(s, np.zeros_like(s)))
-        for d1 in range(k.profile_order + 1):
-            d2 = k.profile_order - d1
+        for d1 in range(top + 1):
+            d2 = top - d1
             sign = (-1.0) ** d2
             assert np.array_equal(k.partial(d1, d2)(s, 0.0), sign * derivs[-1])
-        assert k.partial(k.profile_order + 1, 0) is None
+        if top == k.profile_order:
+            assert k.partial(top + 1, 0) is None
