@@ -47,6 +47,12 @@ class Observation:
             raise ParameterError("observation location and value must be finite")
         if not (self.noise_sd >= 0.0):
             raise ParameterError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        try:
+            variance = float(self.noise_sd) ** 2
+        except OverflowError:
+            variance = math.inf
+        if not math.isfinite(variance):
+            raise ParameterError(f"noise_sd must have a finite variance, got {self.noise_sd}")
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,13 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     within the grid's span.  Returns the posterior mean and covariance on the
     grid, the log marginal likelihood of the observations under the prior and
     the jitter that ``chol_psd`` added to the observation Gram.
+
+    The observations are put in group order (one group per distinct
+    operator, in order of first appearance), which leaves the posterior
+    unchanged.  The Gram is then assembled in one array, lower triangle
+    only: each group pair below or on the diagonal is evaluated once,
+    straight into its slice, and ``chol_psd`` reads nothing above the
+    diagonal.
     """
     observations = list(observations)
     x = grid.points
@@ -124,31 +137,33 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
                 f"[{lo}, {hi}]"
             )
 
+    # Group order: every group pair is one slice of the Gram.
+    groups = _group_by_operator(observations)
+    observations = [observations[i] for _, idx in groups for i in idx]
+    bounds = np.cumsum([0] + [len(idx) for _, idx in groups])
+    spans = [(op, slice(a, b)) for (op, _), a, b in zip(groups, bounds[:-1], bounds[1:])]
     q = len(observations)
     locs = np.array([obs.location for obs in observations])
     values = np.array([obs.value for obs in observations])
     noise_var = np.array([obs.noise_sd**2 for obs in observations]) + NOISE_FLOOR_VARIANCE
-    groups = _group_by_operator(observations)
 
     # Cross-covariance of the grid values with each observed functional.
     k_x_obs = np.empty((x.size, q))
     prior_obs_mean = np.empty(q)
-    for op_j, idx_j in groups:
-        s2k = apply_arg(op_j, ARG2, p.kernel)
-        cols = np.asarray(idx_j)
-        k_x_obs[:, cols] = s2k(x[:, None], locs[cols][None, :])
-        t_mean = apply_to_function(op_j, p.mean)
-        prior_obs_mean[cols] = t_mean(locs[cols])
+    s2k = [apply_arg(op_j, ARG2, p.kernel) for op_j, _ in spans]
+    for (op_j, cols), s2k_j in zip(spans, s2k):
+        s2k_j(x[:, None], locs[None, cols], out=k_x_obs[:, cols])
+        prior_obs_mean[cols] = apply_to_function(op_j, p.mean)(locs[cols])
 
-    # Observation Gram: one operator applied per argument, pair by pair.
-    k_obs = np.empty((q, q))
-    for op_i, idx_i in groups:
-        for op_j, idx_j in groups:
-            bf = apply_arg(op_i, ARG1, apply_arg(op_j, ARG2, p.kernel))
-            rows = np.asarray(idx_i)
-            cols = np.asarray(idx_j)
-            k_obs[np.ix_(rows, cols)] = bf(locs[rows][:, None], locs[cols][None, :])
-    k_obs = 0.5 * (k_obs + k_obs.T)
+    # Observation Gram, lower triangle only (chol_psd reads no more): one
+    # operator applied per argument, each group pair i >= j evaluated once
+    # straight into its slice, diagonal pairs below their diagonal.
+    k_obs = np.zeros((q, q))
+    for i, (op_i, rows) in enumerate(spans):
+        for (_, cols), s2k_j in zip(spans[:i], s2k):
+            apply_arg(op_i, ARG1, s2k_j)(locs[rows, None], locs[None, cols],
+                                         out=k_obs[rows, cols])
+        apply_arg(op_i, ARG1, s2k[i]).fill_lower(locs[rows], k_obs[rows, rows])
     k_obs[np.diag_indices(q)] += noise_var
 
     L, jitter = chol_psd(k_obs, max_jitter=max_jitter)

@@ -49,6 +49,10 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
     returns ``(L, delta)`` for the first success.  ``matrix`` itself is
     factored first; each retry adds ``delta`` to the diagonal of a copy.
 
+    Only the lower triangle of ``matrix`` is read: entries above the
+    diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
+    triangle alone.
+
     Raises
     ------
     NotPositiveDefiniteError

@@ -304,9 +304,30 @@ class KernelBifunction:
     def remaining_budget(self, slot: int):
         return self.base.sample_smoothness - (self.applied1 if slot == ARG1 else self.applied2)
 
-    def __call__(self, x1, x2):
+    def __call__(self, x1, x2, out=None):
+        """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given."""
         top, profile = max(self._orders, default=0), self.base.profile
-        return _tabulate(x1, x2, self._orders, lambda x1b, x2: profile(x1b - x2, top))
+        return _tabulate(x1, x2, self._orders, lambda x1b, x2: profile(x1b - x2, top), out)
+
+    def fill_lower(self, x, out):
+        """Write the lower triangle of ``self(x[:, None], x[None, :])`` into ``out``.
+
+        Runs the row blocks of the full table, but each block's columns stop
+        at its last row, so about half the entries are evaluated.  Entries
+        above the diagonal are not written.  Every entry is the same
+        elementwise arithmetic as in the full table, so the two agree bit
+        for bit.  Returns ``out``.
+        """
+        x = np.asarray(x, dtype=float)
+        n = x.size
+        if x.ndim != 1 or out.shape != (n, n):
+            raise ParameterError(f"fill_lower needs 1-D points and an (n, n) target, "
+                                 f"got {x.shape} and {out.shape}")
+        for blk in _row_blocks(x[:, None], x[None, :], (n, n)):
+            lo, hi = blk.start, min(blk.stop, n)
+            np.copyto(out[lo:hi, :hi], self(x[lo:hi, None], x[None, :hi]),
+                      where=np.arange(hi) <= np.arange(lo, hi)[:, None])
+        return out
 
     def fd(self, x1, x2):
         """The same terms with each base partial taken by finite differences.
@@ -326,18 +347,23 @@ class KernelBifunction:
                 f"applied=({self.applied1}, {self.applied2}))")
 
 
-def _tabulate(x1, x2, channels, values):
+def _tabulate(x1, x2, channels, values, out=None):
     # sum over channels of values(x1b, x2)[channel] * W_channel, one row block
-    # at a time; channels maps each channel to its (sign, c1, c2) triples
+    # at a time, written into out (a new array if None); channels maps each
+    # channel to its (sign, c1, c2) triples
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     shape = np.broadcast_shapes(x1.shape, x2.shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ParameterError(f"output shape {out.shape} does not match the table's {shape}")
     values1, values2 = {}, {}
     weights = [(channel, *_weight_factors(pairs, x1, x2, values1, values2))
                for channel, pairs in channels.items()]
-    out = np.zeros(shape)
     for blk in _row_blocks(x1, x2, shape):
         f = values(x1[blk], x2)
+        out[blk] = 0.0
         for channel, w, rows in weights:
             for c1v, v in rows:
                 term = c1v[blk] * v

@@ -227,6 +227,25 @@ problem:
     assert not (tmp_path / "sol4").exists()
 
 
+@pytest.mark.parametrize("noise_sd", [".inf", "1.0e+200"])
+def test_solve_noise_without_a_finite_variance_exit_one(tmp_path, capsys, noise_sd):
+    text = """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  collocation_noise_sd: %s
+  boundary: [{location: 0.0, value: 0.0}]
+""" % (tmp_path / "sol5", noise_sd)
+    cfg = write(tmp_path, "solve5.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise_sd must have a finite variance")
+    assert "Traceback" not in err
+
+
 BOOLEAN_BASE = """\
 kernel: {name: se, lengthscale: 0.5, variance: 1.0}
 operator: {terms: [[1, "1"]]}

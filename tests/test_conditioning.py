@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_solve
 
 from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
                                 PosteriorSummary, _group_by_operator, condition,
@@ -24,7 +25,7 @@ from gpops.kernels import matern_kernel, se_kernel
 from gpops.linalg import chol_psd, gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import (ARG1, ARG2, LinearOperator, apply_arg,
-                             derivative_operator, identity)
+                             apply_to_function, derivative_operator, identity)
 from gpops.processes import GaussianProcessPrior
 
 D1 = derivative_operator(1)
@@ -73,6 +74,13 @@ def test_observation_validation():
     g = Grid.uniform_on(0.0, 1.0, 9)
     with pytest.raises(ParameterError):
         condition(p, [Observation(identity(), 2.0, 0.0, 0.0)], g)  # outside span
+
+
+@pytest.mark.parametrize("noise_sd", [math.inf, 1e200])
+def test_observation_rejects_noise_without_a_finite_variance(noise_sd):
+    # once these reached condition() and died in scipy (inf) or in noise_sd**2
+    with pytest.raises(ParameterError, match="finite variance"):
+        Observation(identity(), 0.5, 0.0, noise_sd)
 
 
 # ------------------------------------------------- derivative-data regression
@@ -345,3 +353,59 @@ def test_commuted_coefficients_form_one_group_and_condition_alike():
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.cov, b.cov)
     assert a.log_marginal == b.log_marginal
+
+
+# ------------------------------------------------- group-order Gram assembly
+
+def _dense_reference(p, obs, grid, max_jitter):
+    # every (i, j) pair evaluated on its own in the caller's order, the full
+    # table symmetrised and factored: the assembly condition() replaces
+    k, x, q = p.kernel, grid.points, len(obs)
+    kmat = np.empty((q, q))
+    for i, a in enumerate(obs):
+        for j, b in enumerate(obs):
+            bf = apply_arg(a.operator, ARG1, apply_arg(b.operator, ARG2, k))
+            kmat[i, j] = bf(a.location, b.location)
+    kmat = 0.5 * (kmat + kmat.T)
+    kmat[np.diag_indices(q)] += [o.noise_sd**2 + NOISE_FLOOR_VARIANCE for o in obs]
+    L, jitter = chol_psd(kmat, max_jitter=max_jitter)
+    k_x = np.column_stack([apply_arg(o.operator, ARG2, k)(x, o.location) for o in obs])
+    residual = np.array([o.value - float(apply_to_function(o.operator, p.mean)(o.location))
+                         for o in obs])
+    alpha = cho_solve((L, True), residual)
+    mean = p.mean(x) + k_x @ alpha
+    cov = gram(k, grid) - k_x @ cho_solve((L, True), k_x.T)
+    log_marginal = (-0.5 * residual @ alpha - np.sum(np.log(np.diag(L)))
+                    - 0.5 * q * math.log(2.0 * math.pi))
+    return mean, cov, log_marginal, jitter
+
+
+def _interleaved_three_operators():
+    # kinds 0, 1, 2, 0, 1, 2, ... as in the condition-perobs benchmark
+    xs = np.random.default_rng(5).uniform(0.0, 1.0, 30)
+    return make_prior(mean="sin(x)"), [
+        Observation(_observed_operator(i % 3), float(x), math.sin(3 * x), 1e-2)
+        for i, x in enumerate(xs)]
+
+
+def _retry_case():
+    # the variance-1e8 Gram of the reported-jitter test, which needs the ladder
+    return make_prior(var=1e8), [Observation(identity(), float(x), 0.0)
+                                 for x in np.linspace(0.0, 1.0, 40)]
+
+
+@pytest.mark.parametrize("case", ["interleaved", "shuffled", "retry"])
+def test_group_order_assembly_matches_a_dense_reference(case):
+    p, obs = _retry_case() if case == "retry" else _interleaved_three_operators()
+    if case == "shuffled":
+        obs = [obs[i] for i in np.random.default_rng(6).permutation(len(obs))]
+    grid = Grid.uniform_on(0.0, 1.0, 21)
+    post = condition(p, obs, grid, max_jitter=1e-2)
+    mean, cov, log_marginal, jitter = _dense_reference(p, obs, grid, max_jitter=1e-2)
+    assert (post.jitter > 0.0) == (case == "retry")
+    assert post.jitter == jitter
+    scale = p.kernel(0.0, 0.0)
+    assert np.max(np.abs(post.mean - mean)) <= 1e-9 * math.sqrt(scale)
+    assert np.max(np.abs(post.variance - np.diag(cov))) <= 1e-12 * scale
+    assert np.max(np.abs(post.cov - cov)) <= 1e-12 * scale
+    assert post.log_marginal == pytest.approx(log_marginal, rel=1e-8)

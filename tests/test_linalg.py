@@ -84,3 +84,20 @@ def test_jitter_is_added_to_the_diagonal_of_a_copy_only():
     g = Grid.uniform_on(0.0, 1.0, 16)
     plain = gram(se_kernel(1.0, 1.0), g)
     assert np.array_equal(gram(se_kernel(1.0, 1.0), g, jitter=1e-6), plain + 1e-6 * np.eye(16))
+
+
+@pytest.mark.parametrize("case", ["rung0", "retry"])
+def test_chol_psd_reads_only_the_lower_triangle(case):
+    # condition() fills only the lower triangle of its Gram and relies on this
+    rng = np.random.default_rng(7)
+    if case == "rung0":
+        m = gram(se_kernel(0.3, 1.0), Grid(np.sort(rng.uniform(0.0, 1.0, 40))), jitter=1e-6)
+    else:
+        v = rng.standard_normal(12)
+        m = np.outer(v, v)
+    L, delta = chol_psd(m, max_jitter=1e-4)
+    assert (delta == 0.0) == (case == "rung0")
+    for lower in (np.tril(m), np.tril(m) + np.triu(np.full_like(m, np.nan), 1)):
+        L_lower, delta_lower = chol_psd(lower, max_jitter=1e-4)
+        assert delta_lower == delta
+        assert np.array_equal(L_lower, L)

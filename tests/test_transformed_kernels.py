@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gpops import operators
+from gpops.errors import ParameterError
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import zero_mean
 from gpops.operators import ARG1, ARG2, LinearOperator, apply_arg, compose
@@ -140,3 +141,43 @@ def test_catalog_partials_are_signed_profile_derivatives():
             assert np.array_equal(k.partial(d1, d2)(s, 0.0), sign * derivs[-1])
         if top == k.profile_order:
             assert k.partial(top + 1, 0) is None
+
+
+def _square_block_size():
+    # the n whose row block of the n x n table holds exactly n rows
+    n = 1
+    while operators.BLOCK_ENTRIES // (n + 1) >= n + 1:
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("size", ["1", "2", "step-1", "step", "step+1", "2002"])
+@pytest.mark.parametrize("kernel", ["se", "matern"])
+def test_fill_lower_is_the_lower_triangle_of_the_table(size, kernel):
+    step = _square_block_size()
+    n = {"1": 1, "2": 2, "step-1": step - 1, "step": step, "step+1": step + 1,
+         "2002": 2002}[size]
+    rng = np.random.default_rng([RNG_SEED, 13, n])
+    k = se_kernel(0.4, 1.2) if kernel == "se" else matern_kernel(3.5, 0.5, 0.9)
+    bf = transformed(k, rng, 2, 1)  # not symmetric, so the triangle is not a mirror
+    x = np.sort(rng.uniform(-1.0, 1.0, n)) ** 3  # non-uniform spacing
+    full = bf(x[:, None], x[None, :])
+    sentinel = -7.25
+    out = np.full((n, n), sentinel)
+    assert bf.fill_lower(x, out) is out
+    lower = np.tril_indices(n)
+    assert np.array_equal(out[lower], full[lower])
+    assert np.all(out[np.triu_indices(n, 1)] == sentinel)
+
+
+def test_call_writes_into_a_given_out_array():
+    rng = np.random.default_rng([RNG_SEED, 17])
+    bf = transformed(se_kernel(0.6, 1.0), rng, 1, 2)
+    x1, x2 = outer_points()
+    target = np.full((x1.shape[0], x2.shape[1] + 3), np.nan)
+    view = target[:, 1:-2]
+    assert bf(x1, x2, out=view) is view
+    assert np.array_equal(view, bf(x1, x2))
+    assert np.isnan(target[:, [0, -2, -1]]).all()
+    with pytest.raises(ParameterError):
+        bf(x1, x2, out=target)
