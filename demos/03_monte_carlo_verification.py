@@ -27,9 +27,8 @@ print("mean check : standardized max =",
       round(report.mean_check["max_interior_standardized"], 3),
       "(threshold", report.mean_check["threshold"], ")")
 print("cov check  : standardized max =",
-      round(report.cov_check["max_interior_standardized"], 3))
-print("commutator : closed =", report.cov_check["commutator_residual_closed"],
-      " fd =", report.cov_check["commutator_residual_fd"])
+      round(report.cov_check["max_interior_standardized"], 3),
+      "(threshold", report.cov_check["threshold"], ")")
 for sec in report.cumulant_check["per_order"]:
     print(f"cumulants  : order {sec['order']} standardized max =",
           round(sec["max_standardized"], 3))

@@ -3,10 +3,9 @@
 The package computes the image of a GP prior under an operator
 ``T = sum_i a_i(x) d^i/dx^i`` (mean ``T m``, kernel with ``T`` applied to
 each argument), verifies that transport empirically against seeded
-Monte-Carlo ensembles (means, covariances, commutation of the argument
-applications, and vanishing higher cumulants), and uses the same covariance
-blocks to condition on observations of ``T u`` -- including solving linear
-ODEs by collocation.
+Monte-Carlo ensembles (means, covariances, and vanishing higher cumulants),
+and uses the same covariance blocks to condition on observations of ``T u``
+-- including solving linear ODEs by collocation.
 """
 
 from .conditioning import Observation, PosteriorSummary, condition, solve_linear_ode

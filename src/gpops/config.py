@@ -156,7 +156,7 @@ def _parse_tolerances(tree) -> VerificationTolerances:
         raise ConfigError("config key 'tolerances' must be a mapping")
     defaults = VerificationTolerances()
     kwargs = {}
-    for name in ("mean_z", "cov_z", "cumulant_z", "commutator_closed", "commutator_fd"):
+    for name in ("mean_z", "cov_z", "cumulant_z"):
         value = tree.get(name, getattr(defaults, name))
         if not _is(value, (int, float)):
             raise ConfigError(f"tolerances.{name} must be a number")
@@ -233,11 +233,6 @@ def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:
     expected = _get(tree, "expected", str, default="verification")
     if expected not in ("verification", "rejection"):
         raise ConfigError("expected must be 'verification' or 'rejection'")
-    if operator.order > 0 and len(grid) < operator.order + 4:
-        raise ConfigError(
-            f"grid.count={len(grid)} is below the stencil footprint "
-            f"{operator.order + 4} of the operator (order {operator.order})"
-        )
     tolerances = _parse_tolerances(tree.get("tolerances"))
     problem = _parse_problem(tree.get("problem"))
     out_dir = output if output is not None else _get(tree, "output", str, default="out")

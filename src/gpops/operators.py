@@ -411,9 +411,11 @@ def apply_arg(op: LinearOperator, slot: int, k) -> KernelBifunction:
 def apply_both(op: LinearOperator, k) -> KernelBifunction:
     """Apply the operator to both kernel arguments (second argument first).
 
-    This is the covariance transport of the operator; the choice of
-    application order is immaterial, which :func:`commutator_residual`
-    certifies numerically.
+    This is the covariance transport of the operator.  The application
+    order is immaterial by construction: an application to one argument
+    changes only that argument's partial orders and coefficients, so both
+    orders build the same terms.  :func:`commutator_residual` measures the
+    difference of their tables, which is summation-order roundoff.
     """
     return apply_arg(op, ARG1, apply_arg(op, ARG2, k))
 

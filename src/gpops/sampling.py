@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import GridSizeError, ParameterError
+from .errors import ParameterError
 from .grids import Grid
 from .linalg import chol_psd, gram
 from .operators import LinearOperator
 from .processes import GaussianProcessPrior
-from .stencils import differentiation_matrix, stencil_width
+from .stencils import differentiation_matrix
 
 __all__ = [
     "SampleEnsemble",
@@ -42,7 +42,6 @@ __all__ = [
     "empirical_cov",
 ]
 
-MAX_PATHWISE_ORDER = 4
 # Philox words per block of paths.  Small blocks keep each thread's
 # temporaries small; whole-slice temporaries left tens of MB held by the
 # allocator after helper threads ended.
@@ -142,22 +141,11 @@ def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnse
 
     Rows within reach of an endpoint use shifted one-sided stencils; the
     companion statistics exclude those columns from interior comparisons.
-    Requires a uniform grid with at least the stencil footprint of points and
-    an operator of order at most 4.
+    :func:`~gpops.stencils.differentiation_matrix` requires an operator of
+    order at most 4 (``ParameterError``) and, for a differentiating operator,
+    a uniform grid with at least the stencil footprint of points
+    (``GridSizeError``).
     """
-    if op.order > MAX_PATHWISE_ORDER:
-        raise ParameterError(
-            f"pathwise application supports operator order <= {MAX_PATHWISE_ORDER}, "
-            f"got {op.order}"
-        )
-    if op.order > 0:
-        if not e.grid.uniform:
-            raise GridSizeError("pathwise operator application requires a uniform grid")
-        if len(e.grid) < stencil_width(op.order):
-            raise GridSizeError(
-                f"grid of {len(e.grid)} points is smaller than the stencil footprint "
-                f"{stencil_width(op.order)} for operator order {op.order}"
-            )
     a_mat = operator_matrix(op, e.grid)
     return SampleEnsemble(grid=e.grid, paths=e.paths @ a_mat.T, seed=e.seed, jitter=e.jitter)
 
@@ -167,8 +155,7 @@ def operator_matrix(op: LinearOperator, grid: Grid) -> np.ndarray:
     x = grid.points
     out = np.zeros((x.size, x.size))
     for order, coeff in op.terms:
-        d = differentiation_matrix(grid, order) if order else np.eye(x.size)
-        out += coeff(x)[:, None] * d
+        out += coeff(x)[:, None] * differentiation_matrix(grid, order)
     return out
 
 

@@ -107,6 +107,39 @@ grid: {interval: [0.0, 1.0], count: 3}
     assert "stencil" in capsys.readouterr().err
 
 
+def test_stale_commutator_tolerance_exit_one(tmp_path, capsys):
+    # a tolerance key that verify does not gate on is an error, not ignored
+    text = BASE_VERIFY.format(out=tmp_path / "out") + "tolerances: {commutator_fd: 1.0e-4}\n"
+    cfg = write(tmp_path, "stale.yaml", text)
+    assert main(["verify", "--config", cfg]) == 1
+    assert "commutator_fd" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_output_grid_below_the_stencil_footprint(tmp_path):
+    # Only verify builds grid stencils; solve collocates at its own points and
+    # reads the grid as output locations, so 5 points (footprint 6) are fine.
+    text = """\
+kernel: {name: se, lengthscale: 1.0, variance: 1.0}
+operator: {terms: [[2, "1"], [0, "1"]]}
+grid: {interval: [0.0, 1.0], count: 5}
+output: "%s"
+problem:
+  rhs: "0"
+  collocation_count: 40
+  boundary:
+    - {location: 0.0, value: 0.0}
+    - {location: 0.0, value: 1.0, operator: {terms: [[1, "1"]]}}
+  reference: "sin(x)"
+  max_error: 1.0e-3
+""" % (tmp_path / "sol")
+    cfg = write(tmp_path, "solve5pt.yaml", text)
+    assert main(["solve", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "sol" / "solution.json").read_text())
+    assert len(doc["grid"]) == 5
+    assert doc["passed"] is True
+
+
 def test_missing_config_file_exit_one(tmp_path):
     assert main(["verify", "--config", str(tmp_path / "nope.yaml")]) == 1
 

@@ -6,9 +6,11 @@ derivative bookkeeping.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpops import operators
 from gpops.errors import DomainViolationError, EvaluationError, ParameterError
@@ -208,6 +210,32 @@ def test_commutator_fd_path_with_variable_coefficient():
     g = Grid.uniform_on(0, 1, 33)
     _, fd = commutator_residual(XDX, se_kernel(1, 1), g)
     assert fd <= 1e-4
+
+
+X_COEFFICIENTS = ["x", "1 + x^2", "cos(x)", "exp(-0.5*x)", "sin(2*x) + x", "-3*x^2"]
+
+
+def _term_multiset(bf):
+    return Counter((key, c1, c2) for key, pairs in bf.terms.items() for c1, c2 in pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(X_COEFFICIENTS)),
+                min_size=1, max_size=3),
+       st.sampled_from(["se", "matern52"]))
+def test_argument_applications_commute_by_construction(terms, kernel):
+    # An operator on argument 1 touches only c1 and the first partial order,
+    # one on argument 2 only c2 and the second, so both application orders
+    # build the same (key, c1, c2) multiset; tables differ by summation order
+    # at most.
+    op = LinearOperator(terms)
+    k = se_kernel(0.5, 1.0) if kernel == "se" else matern_kernel(2.5, 0.5, 1.0)
+    a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k))
+    a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k))
+    assert _term_multiset(a12) == _term_multiset(a21)
+    x = Grid.uniform_on(-1.0, 1.0, 33).points
+    t12, t21 = a12(x[:, None], x[None, :]), a21(x[:, None], x[None, :])
+    assert np.max(np.abs(t12 - t21)) <= 1e-13 * np.max(np.abs(t12))
 
 
 def test_mixed_partial_orders_interchange_pointwise():

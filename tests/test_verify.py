@@ -23,8 +23,6 @@ def test_identity_operator_report_passes():
     assert rep.mean_check["passed"]
     assert rep.cov_check["passed"]
     assert rep.cumulant_check["passed"]
-    # identity transport reproduces the pure-sampling baseline
-    assert rep.cov_check["commutator_residual_closed"] == 0.0
 
 
 def test_derivative_operator_report_passes():
@@ -33,8 +31,6 @@ def test_derivative_operator_report_passes():
     rep = verify_theorem(p, derivative_operator(1), GRID, 5000, 42)
     assert rep.passed
     assert rep.mean_check["max_interior_standardized"] <= 5.0
-    assert rep.cov_check["commutator_residual_closed"] <= 1e-12
-    assert rep.cov_check["commutator_residual_fd"] <= 1e-4
 
 
 def test_rejection_contract_pass():
@@ -69,7 +65,7 @@ def test_report_numbers_are_bit_identical_across_runs():
 def test_report_json_schema_and_roundtrip():
     rep = verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 3)
     doc = json.loads(rep.to_json())
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["kind"] == "verification"
     assert set(doc) >= {"mode", "config", "tolerances", "mean_check", "cov_check",
                         "cumulant_check", "passed"}
@@ -111,9 +107,6 @@ def test_cumulant_section_contents():
 
 
 def test_verdict_does_not_depend_on_kernel_variance():
-    # The commutator gate is relative to max|T1 T2 k|: rescaling the kernel
-    # variance rescales the residuals and the image Gram together, so the
-    # verdict for a given seed must not change.
     op = LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])
     grid = Grid.uniform_on(0.0, 1.0, 33)
     reports = []
@@ -121,8 +114,6 @@ def test_verdict_does_not_depend_on_kernel_variance():
         p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5, variance))
         reports.append(verify_theorem(p, op, grid, 2000, 7))
     small, large = reports
-    assert large.cov_check["commutator_residual_closed"] > \
-        small.cov_check["commutator_residual_closed"]
     assert small.passed
     assert large.passed == small.passed
     assert large.cov_check["passed"] == small.cov_check["passed"]
