@@ -40,7 +40,7 @@ bvp_prior = GaussianProcessPrior(mean=zero_mean(), kernel=matern_kernel(3.5, 1.5
 bvp_grid = Grid.uniform_on(0.0, math.pi, 65)
 bcs = [Observation(identity(), 0.0, 0.0), Observation(identity(), math.pi, 0.0)]
 
-solution = solve_linear_ode(derivative_operator(2), lambda x: -math.sin(x), bcs,
+solution = solve_linear_ode(derivative_operator(2), lambda x: -np.sin(x), bcs,
                             bvp_grid, bvp_prior,
                             collocation=Grid(np.linspace(0.0, math.pi, 40)),
                             collocation_noise_sd=1e-4)

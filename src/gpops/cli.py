@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, load_config
-from .conditioning import Observation, solve_linear_ode
+from .conditioning import solve_linear_ode
 from .errors import ConfigError, GpopsError
 from .grids import Grid
 from .linalg import cross_tabulate
@@ -63,18 +63,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_TOLERANCE
 
 
-def _boundary_observations(cfg: RunConfig):
-    from .config import parse_operator_spec
-
-    out = []
-    for spec in cfg.problem["boundary"]:
-        op = parse_operator_spec(spec.get("operator"))
-        out.append(Observation(operator=op, location=float(spec["location"]),
-                               value=float(spec["value"]),
-                               noise_sd=float(spec.get("noise_sd", 0.0))))
-    return out
-
-
 def cmd_solve(cfg: RunConfig) -> int:
     """Solve the configured operator equation by GP collocation."""
     if cfg.problem is None:
@@ -86,7 +74,7 @@ def cmd_solve(cfg: RunConfig) -> int:
         pts = np.linspace(cfg.grid.points[0], cfg.grid.points[-1], count)
         collocation = Grid(pts)
     posterior = solve_linear_ode(
-        cfg.operator, rhs, _boundary_observations(cfg), cfg.grid, cfg.prior,
+        cfg.operator, rhs, cfg.problem["boundary"], cfg.grid, cfg.prior,
         collocation=collocation,
         collocation_noise_sd=float(cfg.problem["collocation_noise_sd"]),
     )

@@ -120,7 +120,10 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     unchanged.  The Gram is then assembled in one array, lower triangle
     only: each group pair below or on the diagonal is evaluated once,
     straight into its slice, and ``chol_psd`` reads nothing above the
-    diagonal.
+    diagonal.  With its factor ``L``, one forward solve
+    ``L [v | W] = [y - m_obs | K_obs,x]`` gives the mean ``m(x) + W'v``, the
+    covariance ``K_xx - W'W`` (exactly symmetric: BLAS forms ``W'W`` once)
+    and, from ``v'v``, the log marginal.
     """
     observations = list(observations)
     x = grid.points
@@ -147,13 +150,14 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     values = np.array([obs.value for obs in observations])
     noise_var = np.array([obs.noise_sd**2 for obs in observations]) + NOISE_FLOOR_VARIANCE
 
-    # Cross-covariance of the grid values with each observed functional.
-    k_x_obs = np.empty((x.size, q))
-    prior_obs_mean = np.empty(q)
+    # b = [y - m_obs | K_obs,x] in Fortran order, so that the cross-covariance
+    # k_x_obs = b[:, 1:].T is a row-major table the bifunctions fill in place.
+    b = np.empty((q, 1 + x.size), order="F")
+    k_x_obs = b[:, 1:].T
     s2k = [apply_arg(op_j, ARG2, p.kernel) for op_j, _ in spans]
     for (op_j, cols), s2k_j in zip(spans, s2k):
         s2k_j(x[:, None], locs[None, cols], out=k_x_obs[:, cols])
-        prior_obs_mean[cols] = apply_to_function(op_j, p.mean)(locs[cols])
+        b[cols, 0] = values[cols] - apply_to_function(op_j, p.mean)(locs[cols])
 
     # Observation Gram, lower triangle only (chol_psd reads no more): one
     # operator applied per argument, each group pair i >= j evaluated once
@@ -167,13 +171,11 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     k_obs[np.diag_indices(q)] += noise_var
 
     L, jitter = chol_psd(k_obs, max_jitter=max_jitter)
-    residual = values - prior_obs_mean
-    alpha = solve_triangular(L.T, solve_triangular(L, residual, lower=True), lower=False)
-    w = solve_triangular(L, k_x_obs.T, lower=True)
-    post_mean = p.mean(x) + k_x_obs @ alpha
+    vw = solve_triangular(L, b, lower=True, overwrite_b=True)
+    v, w = vw[:, 0], vw[:, 1:]
+    post_mean = p.mean(x) + w.T @ v
     post_cov = k_xx - w.T @ w
-    post_cov = 0.5 * (post_cov + post_cov.T)
-    log_marginal = float(-0.5 * residual @ alpha - np.sum(np.log(np.diag(L)))
+    log_marginal = float(-0.5 * v @ v - np.sum(np.log(np.diag(L)))
                          - 0.5 * q * math.log(2.0 * math.pi))
     return PosteriorSummary(grid=grid, mean=post_mean, cov=post_cov,
                             log_marginal=log_marginal, jitter=jitter)
@@ -187,15 +189,16 @@ def solve_linear_ode(op: LinearOperator, rhs, boundary, grid: Grid,
     Builds observations ``(op u)(x_i) = rhs(x_i)`` at the collocation points
     (by default the interior of the output grid, leaving endpoints to the
     boundary conditions), appends the boundary observations, and conditions
-    the prior on all of them.
+    the prior on all of them.  ``rhs`` is called once, on the array of
+    collocation points, so it must be vectorized (a
+    :class:`~gpops.means.MeanFunction` or a numpy expression).
     """
-    if collocation is None:
-        pts = grid.points[1:-1]
-        if pts.size == 0:
-            raise ParameterError("grid too small to derive collocation points")
-        collocation = Grid(pts)
-    obs = [Observation(operator=op, location=float(xi), value=float(rhs(xi)),
+    pts = grid.points[1:-1] if collocation is None else collocation.points
+    if pts.size == 0:
+        raise ParameterError("grid too small to derive collocation points")
+    values = np.broadcast_to(np.asarray(rhs(pts), dtype=float), pts.shape)
+    obs = [Observation(operator=op, location=float(xi), value=float(vi),
                        noise_sd=collocation_noise_sd)
-           for xi in collocation.points]
+           for xi, vi in zip(pts, values)]
     obs.extend(boundary)
     return condition(p, obs, grid)

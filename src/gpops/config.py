@@ -7,11 +7,12 @@ file-driven so campaigns are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import yaml
 
+from .conditioning import Observation
 from .errors import ConfigError, ExpressionError, ParameterError
 from .grids import Grid
 from .kernels import Kernel, matern_kernel, se_kernel
@@ -154,13 +155,12 @@ def _parse_tolerances(tree) -> VerificationTolerances:
         return VerificationTolerances()
     if not isinstance(tree, dict):
         raise ConfigError("config key 'tolerances' must be a mapping")
-    defaults = VerificationTolerances()
     kwargs = {}
-    for name in ("mean_z", "cov_z", "cumulant_z"):
-        value = tree.get(name, getattr(defaults, name))
+    for f in fields(VerificationTolerances):
+        value = tree.get(f.name, f.default)
         if not _is(value, (int, float)):
-            raise ConfigError(f"tolerances.{name} must be a number")
-        kwargs[name] = float(value)
+            raise ConfigError(f"tolerances.{f.name} must be a number")
+        kwargs[f.name] = float(value)
     unknown = set(tree) - set(kwargs)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -188,19 +188,31 @@ def _parse_problem(tree):
             out["reference_fn"] = mean_from_expression(out["reference"])
     except ExpressionError as exc:
         raise ConfigError(f"problem: {exc}") from exc
-    for i, b in enumerate(out["boundary"]):
-        if not isinstance(b, dict) or "location" not in b or "value" not in b:
-            raise ConfigError(
-                f"problem.boundary[{i}] needs 'location' and 'value' (and optional "
-                f"'operator', 'noise_sd')"
-            )
-        for key in ("location", "value", "noise_sd"):
-            if key in b and not _is(b[key], (int, float)):
-                raise ConfigError(f"problem.boundary[{i}].{key} must be a number, "
-                                  f"got {b[key]!r}")
-    if out["max_error"] is not None and not _is(out["max_error"], (int, float)):
-        raise ConfigError("problem.max_error must be a number")
+    out["boundary"] = [_parse_boundary(i, b) for i, b in enumerate(out["boundary"])]
+    if out["max_error"] is not None:
+        if not _is(out["max_error"], (int, float)):
+            raise ConfigError("problem.max_error must be a number")
+        if out["reference"] is None:
+            raise ConfigError("problem.max_error needs problem.reference to bound the error of")
     return out
+
+
+def _parse_boundary(i, b) -> Observation:
+    if not isinstance(b, dict) or "location" not in b or "value" not in b:
+        raise ConfigError(
+            f"problem.boundary[{i}] needs 'location' and 'value' (and optional "
+            f"'operator', 'noise_sd')"
+        )
+    for key in ("location", "value", "noise_sd"):
+        if key in b and not _is(b[key], (int, float)):
+            raise ConfigError(f"problem.boundary[{i}].{key} must be a number, "
+                              f"got {b[key]!r}")
+    try:
+        return Observation(operator=parse_operator_spec(b.get("operator")),
+                           location=float(b["location"]), value=float(b["value"]),
+                           noise_sd=float(b.get("noise_sd", 0.0)))
+    except (ConfigError, ParameterError) as exc:
+        raise ConfigError(f"problem.boundary[{i}]: {exc}") from exc
 
 
 def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:

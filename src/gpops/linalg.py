@@ -10,17 +10,14 @@ from .grids import Grid
 __all__ = ["gram", "cross_tabulate", "chol_psd", "jitter_ladder"]
 
 
-def gram(kernel, grid: Grid, jitter: float = 0.0) -> np.ndarray:
-    """Kernel matrix ``[k(x_i, x_j)] + jitter * I`` on a grid.
+def gram(kernel, grid: Grid) -> np.ndarray:
+    """Kernel matrix ``[k(x_i, x_j)]`` on a grid.
 
     The result is symmetrized after assembly so it is exactly symmetric.
     """
     x = grid.points
     m = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
-    m = 0.5 * (m + m.T)
-    if jitter:
-        m[np.diag_indices_from(m)] += jitter
-    return m
+    return 0.5 * (m + m.T)
 
 
 def cross_tabulate(bifunction, grid_rows: Grid, grid_cols: Grid) -> np.ndarray:

@@ -19,7 +19,7 @@ boundary deviations are still reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,11 +53,7 @@ class VerificationTolerances:
     cumulant_z: float = 5.0
 
     def to_dict(self):
-        return {
-            "mean_z": self.mean_z,
-            "cov_z": self.cov_z,
-            "cumulant_z": self.cumulant_z,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -227,6 +227,7 @@ problem:
     '{location: 0.0, value: "abc"}',
     '{location: "left", value: 0.0}',
     '{location: 0.0, value: 0.0, noise_sd: "small"}',
+    '{location: 0.0, value: 0.0, operator: {terms: [[1, "y"]]}}',
 ])
 def test_solve_non_numeric_boundary_exit_one(tmp_path, capsys, entry):
     text = """\
@@ -241,6 +242,24 @@ problem:
     cfg = write(tmp_path, "solve3.yaml", text)
     assert main(["solve", "--config", cfg]) == 1
     assert "problem.boundary[0]" in capsys.readouterr().err
+
+
+def test_solve_max_error_without_reference_exit_one(tmp_path, capsys):
+    # without a reference the bound has no error to bound
+    text = """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  boundary: [{location: 0.0, value: 5.0}]
+  max_error: 1.0e-12
+""" % (tmp_path / "sol6")
+    cfg = write(tmp_path, "solve6.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    assert "problem.max_error" in capsys.readouterr().err
+    assert not (tmp_path / "sol6").exists()
 
 
 def test_solve_negative_collocation_count_exit_one(tmp_path, capsys):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
                                 PosteriorSummary, _group_by_operator, condition,
@@ -226,14 +226,22 @@ def test_condition_guards_operator_domain():
 # ------------------------------------------------------------------ ODE solve
 
 def test_ode_first_order():
-    # u' = cos with u(0) = 0, solved as a convenience wrapper around condition
+    # u' = cos with u(0) = 0, solved as a convenience wrapper around condition;
+    # rhs is called once, on the collocation array
+    calls = []
+
+    def rhs(x):
+        calls.append(np.array(x))
+        return np.cos(x)
+
     p = make_prior()
     g = Grid.uniform_on(0.0, 1.0, 65)
-    post = solve_linear_ode(D1, lambda x: math.cos(x),
-                            [Observation(identity(), 0.0, 0.0, 0.0)], g, p,
-                            collocation=Grid(np.linspace(0, 1, 20)),
-                            collocation_noise_sd=1e-4)
+    colloc = Grid(np.linspace(0, 1, 20))
+    post = solve_linear_ode(D1, rhs, [Observation(identity(), 0.0, 0.0, 0.0)], g, p,
+                            collocation=colloc, collocation_noise_sd=1e-4)
     assert np.abs(post.mean - np.sin(g.points)).max() <= 1e-2
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], colloc.points)
 
 
 def test_ode_second_order_boundary_value_problem():
@@ -243,7 +251,7 @@ def test_ode_second_order_boundary_value_problem():
     g = Grid.uniform_on(0.0, math.pi, 65)
     bcs = [Observation(identity(), 0.0, 0.0, 0.0),
            Observation(identity(), math.pi, 0.0, 0.0)]
-    post = solve_linear_ode(derivative_operator(2), lambda x: -math.sin(x), bcs, g,
+    post = solve_linear_ode(derivative_operator(2), lambda x: -np.sin(x), bcs, g,
                             prior, collocation=Grid(np.linspace(0.0, math.pi, 40)),
                             collocation_noise_sd=1e-4)
     assert np.abs(post.mean - np.sin(g.points)).max() <= 5e-2
@@ -252,9 +260,23 @@ def test_ode_second_order_boundary_value_problem():
 def test_ode_identity_operator_is_regression():
     p = make_prior(ell=0.4)
     g = Grid.uniform_on(0.0, 1.0, 33)
-    post = solve_linear_ode(identity(), lambda x: math.sin(3 * x), [], g, p,
+    post = solve_linear_ode(identity(), lambda x: np.sin(3 * x), [], g, p,
                             collocation_noise_sd=1e-4)
     assert np.abs(post.mean - np.sin(3 * g.points)).max() <= 1e-2
+
+
+def test_condition_makes_one_triangular_solve():
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return solve_triangular(*args, **kwargs)
+
+    # two operator groups; the right-hand sides are [residual | K_obs,x]
+    obs, grid = derivative_problem(), Grid.uniform_on(0.0, 1.0, 17)
+    with mock.patch("gpops.conditioning.solve_triangular", spy):
+        condition(make_prior(), obs, grid)
+    assert calls == [(len(obs), 1 + len(grid))]
 
 
 def test_posterior_serialization():
@@ -325,6 +347,7 @@ def test_condition_reports_the_jitter_chol_psd_used(variance, rows, noise_sd):
     (gram_obs, kw), = captured
     assert post.jitter == chol_psd(gram_obs, **kw)[1]
     assert "jitter" not in post.to_dict()
+    assert np.array_equal(post.cov, post.cov.T)
 
 
 def test_reported_jitter_is_zero_when_well_conditioned_and_positive_when_not():
