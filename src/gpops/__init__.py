@@ -17,7 +17,7 @@ from .errors import (ConfigError, DimensionError, DomainViolationError,
 from .expressions import parse_expression
 from .grids import Grid
 from .kernels import Kernel, matern_kernel, se_kernel
-from .linalg import chol_psd, cross_tabulate, gram
+from .linalg import chol_psd, gram
 from .means import MeanFunction, constant_mean, mean_from_expression, zero_mean
 from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
                         apply_to_function, commutator_residual, compose,
@@ -26,8 +26,7 @@ from .processes import GaussianProcessPrior
 from .sampling import (SampleEnsemble, apply_operator_pathwise, empirical_cov,
                        empirical_mean, operator_matrix, sample_paths)
 from .stencils import differentiation_matrix, fd_mixed_partial, fd_weights, interior_mask
-from .transform import (ImageProcess, JointBlocks, finite_dim_pushforward,
-                        joint_blocks, pushforward)
+from .transform import JointBlocks, finite_dim_pushforward, joint_blocks, pushforward
 from .verify import VerificationReport, VerificationTolerances, verify_theorem
 
 __version__ = "0.1.0"
@@ -36,13 +35,13 @@ __all__ = [
     "ARG1", "ARG2",
     "ConfigError", "CumulantEstimate", "DimensionError", "DomainViolationError",
     "EvaluationError", "ExpressionError", "GaussianProcessPrior",
-    "GpopsError", "Grid", "GridSizeError", "ImageProcess", "JointBlocks",
+    "GpopsError", "Grid", "GridSizeError", "JointBlocks",
     "Kernel", "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
     "Observation", "ParameterError", "Partition", "PosteriorSummary",
     "SampleEnsemble", "VerificationReport", "VerificationTolerances",
     "add", "apply_arg", "apply_both", "apply_operator_pathwise",
     "apply_to_function", "chol_psd", "commutator_residual", "compose",
-    "condition", "constant_mean", "cross_tabulate", "default_cumulant_tuples",
+    "condition", "constant_mean", "default_cumulant_tuples",
     "derivative_operator", "differentiation_matrix", "empirical_cov",
     "empirical_cumulant", "empirical_mean", "enumerate_partitions",
     "fd_mixed_partial", "fd_weights", "finite_dim_pushforward",

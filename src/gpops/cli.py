@@ -26,10 +26,9 @@ from .config import RunConfig, load_config
 from .conditioning import solve_linear_ode
 from .errors import ConfigError, GpopsError
 from .grids import Grid
-from .linalg import cross_tabulate
-from .operators import ARG1, ARG2, apply_arg
 from .reportio import csv_lines, dumps_json
 from .sampling import sample_paths
+from .transform import joint_blocks
 from .verify import verify_theorem
 
 __all__ = ["main"]
@@ -120,21 +119,11 @@ def cmd_sample(cfg: RunConfig) -> int:
 
 def cmd_kernel_table(cfg: RunConfig) -> int:
     """Tabulate the kernel and its operator transforms on the grid square."""
-    k = cfg.kernel
-    op = cfg.operator
-    t2k = apply_arg(op, ARG2, k)
-    t1k = apply_arg(op, ARG1, k)
-    t1t2k = apply_arg(op, ARG1, t2k)
     g = cfg.grid
-    tables = [cross_tabulate(fn, g, g) for fn in
-              (lambda a, b: k(a, b), t2k, t1k, t1t2k)]
-    rows = []
-    x = g.points
-    for i in range(len(g)):
-        for j in range(len(g)):
-            rows.append((float(x[i]), float(x[j]), float(tables[0][i, j]),
-                         float(tables[2][i, j]), float(tables[1][i, j]),
-                         float(tables[3][i, j])))
+    jb = joint_blocks(cfg.prior, cfg.operator, g, g)
+    x1, x2 = np.meshgrid(g.points, g.points, indexing="ij")
+    rows = np.column_stack([a.ravel() for a in
+                            (x1, x2, jb.k_uu, jb.k_vu, jb.k_uv, jb.k_vv)]).tolist()
     out = _out_dir(cfg)
     _write(out / "kernel_table.csv",
            csv_lines(("x1", "x2", "k", "T1k", "T2k", "T1T2k"), rows))

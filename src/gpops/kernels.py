@@ -81,6 +81,13 @@ class Kernel:
         return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
 
 
+def _check_hyperparameters(lengthscale, variance):
+    if not all(0 < v < math.inf for v in (lengthscale, variance)):
+        raise ParameterError(
+            f"lengthscale and variance must be positive and finite, got {lengthscale}, {variance}"
+        )
+
+
 def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
     """Squared-exponential kernel ``var * exp(-(x1-x2)^2 / (2 ell^2))``.
 
@@ -93,10 +100,7 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
     with the probabilists' Hermite polynomials ``He_m`` built by one
     three-term recurrence for all orders.
     """
-    if not (lengthscale > 0 and variance > 0):
-        raise ParameterError(
-            f"lengthscale and variance must be positive, got {lengthscale}, {variance}"
-        )
+    _check_hyperparameters(lengthscale, variance)
     ell, var = float(lengthscale), float(variance)
 
     def profile(s, m):
@@ -152,10 +156,7 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
         raise ParameterError(
             f"nu must be one of {MATERN_ORDERS} (half-integer catalog), got {nu}"
         )
-    if not (lengthscale > 0 and variance > 0):
-        raise ParameterError(
-            f"lengthscale and variance must be positive, got {lengthscale}, {variance}"
-        )
+    _check_hyperparameters(lengthscale, variance)
     ell, var = float(lengthscale), float(variance)
     p = int(round(nu - 0.5))
     a = math.sqrt(2.0 * nu) / ell

@@ -7,7 +7,7 @@ import numpy as np
 from .errors import NotPositiveDefiniteError
 from .grids import Grid
 
-__all__ = ["gram", "cross_tabulate", "chol_psd", "jitter_ladder"]
+__all__ = ["gram", "chol_psd", "jitter_ladder"]
 
 
 def gram(kernel, grid: Grid) -> np.ndarray:
@@ -18,13 +18,6 @@ def gram(kernel, grid: Grid) -> np.ndarray:
     x = grid.points
     m = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
     return 0.5 * (m + m.T)
-
-
-def cross_tabulate(bifunction, grid_rows: Grid, grid_cols: Grid) -> np.ndarray:
-    """Tabulate a bifunction on the product of two grids (rows x cols)."""
-    xr = grid_rows.points[:, None]
-    xc = grid_cols.points[None, :]
-    return np.asarray(bifunction(xr, xc), dtype=float)
 
 
 def jitter_ladder(max_jitter: float):

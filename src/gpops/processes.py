@@ -16,7 +16,7 @@ class GaussianProcessPrior:
     """A GP prior; every finite marginal is multivariate normal by definition.
 
     The kernel is a catalog :class:`Kernel`, or the
-    :class:`~gpops.operators.KernelBifunction` of an image process.
+    :class:`~gpops.operators.KernelBifunction` of an image prior.
     """
 
     mean: MeanFunction

@@ -1,12 +1,14 @@
 """Deterministic JSON/CSV writers for reports.
 
-Numbers are rendered with 17 significant digits so serialized values
-round-trip to the exact double; combined with fixed key order this makes
-outputs byte-identical across runs with equal inputs.
+Numbers are written in Python's shortest round-trip form (``repr`` of the
+float), so every serialized value parses back to the exact double; with
+insertion-ordered keys this makes outputs byte-identical across runs with
+equal inputs.  Non-finite numbers are refused.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 from .errors import ParameterError
@@ -22,73 +24,19 @@ def format_number(x) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ParameterError(f"cannot serialize non-finite number {x!r}")
-    return format(x, ".17g")
-
-
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def _emit(obj, indent, out):
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, float)):
-        out.append(format_number(obj))
-    elif isinstance(obj, str):
-        out.append(f'"{_escape(obj)}"')
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise ParameterError(f"JSON keys must be strings, got {key!r}")
-            out.append(f'{pad}  "{_escape(key)}": ')
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise ParameterError(f"cannot serialize {type(obj).__name__}")
+    return repr(x)
 
 
 def dumps_json(obj) -> str:
-    """Serialize to JSON with insertion-ordered keys and 17-digit floats."""
-    out = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """Serialize to indented JSON with insertion-ordered keys and round-trip floats."""
+    try:
+        return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"cannot serialize report: {exc}") from exc
 
 
 def csv_lines(header, rows) -> str:
-    """CSV text with numbers in 17-significant-digit form and '\\n' endings."""
+    """CSV text with numbers in round-trip form and '\\n' endings."""
     lines = [",".join(header)]
     for row in rows:
         cells = []

@@ -1,13 +1,17 @@
 """Pushforward of a GP prior through a linear operator.
 
 The image of ``GP(m, k)`` under an operator ``T`` is again a Gaussian
-process, with mean ``T m`` and kernel ``T`` applied to both kernel
-arguments.  Both stay in the closed form of a prior: the mean is an
-expression, and the kernel is the transformed
+process prior, with mean ``T m`` and kernel ``T`` applied to both kernel
+arguments, and :func:`pushforward` returns it as a
+:class:`~gpops.processes.GaussianProcessPrior`.  Both parts stay in closed
+form: the mean is an expression, and the kernel is the transformed
 :class:`~gpops.operators.KernelBifunction` over the catalog kernel.  The
-image process can therefore be pushed forward again, and the second
-operator expands onto the same catalog kernel, which evaluates in one
-profile pass.  Tabulation happens only at matrix-level consumers.
+image can therefore be pushed forward again, and the second operator
+expands onto the same catalog kernel, which evaluates in one profile pass.
+
+:func:`joint_blocks` tabulates the covariance blocks of ``(u, Tu)``.  It
+evaluates ``T2 k`` once and returns its transpose as the ``(Tu, u)``
+block, so ``k_vu == k_uv.T`` exactly.
 """
 
 from __future__ import annotations
@@ -19,25 +23,15 @@ import numpy as np
 from .errors import DimensionError
 from .grids import Grid
 # chol_psd is not called here; it stays importable because perfbench/tracing.py rebinds it
-from .linalg import chol_psd, cross_tabulate, gram  # noqa: F401
+from .linalg import chol_psd, gram  # noqa: F401
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_both, apply_to_function
 from .processes import GaussianProcessPrior
 
-__all__ = ["ImageProcess", "JointBlocks", "pushforward", "finite_dim_pushforward",
-           "joint_blocks"]
+__all__ = ["JointBlocks", "pushforward", "finite_dim_pushforward", "joint_blocks"]
 
 
-@dataclass(frozen=True)
-class ImageProcess:
-    """The image GP of a prior under an operator, with provenance."""
-
-    prior: GaussianProcessPrior
-    source_label: str
-    operator_label: str
-
-
-def pushforward(p: GaussianProcessPrior, op: LinearOperator) -> ImageProcess:
-    """Image process of ``p`` under ``op``: mean ``T m``, kernel ``T1 T2 k``.
+def pushforward(p: GaussianProcessPrior, op: LinearOperator) -> GaussianProcessPrior:
+    """Image prior of ``p`` under ``op``: mean ``T m``, kernel ``T1 T2 k``.
 
     Requires ``op.order`` within the kernel's sample smoothness; violations
     raise :class:`DomainViolationError`.  The image kernel is the
@@ -48,8 +42,7 @@ def pushforward(p: GaussianProcessPrior, op: LinearOperator) -> ImageProcess:
     mean_v = apply_to_function(op, p.mean)
     kernel_v = apply_both(op, p.kernel)
     kernel_v.label = f"[{op.label}]x2 {p.kernel.label}"
-    image_prior = GaussianProcessPrior(mean=mean_v, kernel=kernel_v)
-    return ImageProcess(prior=image_prior, source_label=p.label, operator_label=op.label)
+    return GaussianProcessPrior(mean=mean_v, kernel=kernel_v)
 
 
 def finite_dim_pushforward(mean, cov, t_mat):
@@ -96,15 +89,12 @@ def joint_blocks(p: GaussianProcessPrior, op: LinearOperator, grid_x: Grid,
     """Prior covariance blocks needed to condition u on observations of Tu.
 
     ``k_uv[i, j] = Cov(u(x_i), (Tu)(y_j))`` applies the operator to the
-    second kernel argument; ``k_vu`` applies it to the first, so that
-    ``k_vu == k_uv.T`` on equal grids.
+    second kernel argument, evaluated once on ``grid_x x grid_y``;
+    ``k_vu`` is its transpose, exactly.  ``k_uu`` and ``k_vv`` come from
+    :func:`~gpops.linalg.gram`, so both are exactly symmetric.
     """
     t2k = apply_arg(op, ARG2, p.kernel)
-    t1k = apply_arg(op, ARG1, p.kernel)
-    t1t2k = apply_arg(op, ARG1, t2k)
+    k_uv = t2k(grid_x.points[:, None], grid_y.points[None, :])
     k_uu = gram(p.kernel, grid_x)
-    k_uv = cross_tabulate(t2k, grid_x, grid_y)
-    k_vu = cross_tabulate(t1k, grid_y, grid_x)
-    k_vv = cross_tabulate(t1t2k, grid_y, grid_y)
-    k_vv = 0.5 * (k_vv + k_vv.T)
-    return JointBlocks(k_uu, k_uv, k_vu, k_vv, grid_x, grid_y)
+    k_vv = gram(apply_arg(op, ARG1, t2k), grid_y)
+    return JointBlocks(k_uu, k_uv, k_uv.T, k_vv, grid_x, grid_y)

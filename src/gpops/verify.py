@@ -140,8 +140,8 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                                   passed=False, rejection=rejection)
 
     x = grid.points
-    mean_v = image.prior.mean(x)
-    k_v = gram(image.prior.kernel, grid)
+    mean_v = image.mean(x)
+    k_v = gram(image.kernel, grid)
     var_v = np.clip(np.diag(k_v), 0.0, None)
 
     ensemble = sample_paths(p, grid, n_paths, seed, threads=threads)

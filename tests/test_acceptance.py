@@ -50,9 +50,9 @@ def test_criterion_1_mean_transport():
 
     x = GRID33.points
     image = pushforward(p, D1)
-    predicted = image.prior.mean(x)
+    predicted = image.mean(x)
     np.testing.assert_allclose(predicted, np.cos(x), atol=1e-12)
-    k_v_diag = np.array([image.prior.kernel(v, v) for v in x])
+    k_v_diag = np.array([image.kernel(v, v) for v in x])
     se = np.sqrt(k_v_diag / N_PATHS)  # analytic MC standard error of the mean
     inner = interior_mask(len(GRID33), 1)
     z = np.abs(emean - np.cos(x))[inner] / se[inner]
@@ -69,7 +69,7 @@ def test_criterion_2_covariance_transport_and_commutation():
     transformed = apply_operator_pathwise(D1, ensemble)
     ecov = empirical_cov(transformed)
 
-    k_v = gram(pushforward(p, D1).prior.kernel, GRID33)
+    k_v = gram(pushforward(p, D1).kernel, GRID33)
     var = np.diag(k_v)
     se = np.sqrt((np.outer(var, var) + k_v**2) / N_PATHS)
     inner = interior_mask(len(GRID33), 1)

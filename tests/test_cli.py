@@ -162,21 +162,32 @@ output: "%s"
     assert meta["n_paths"] == 40 and meta["seed"] == 7
 
 
-def test_kernel_table_identity_columns_match(tmp_path):
+@pytest.mark.parametrize("lengthscale, terms, count", [
+    (1.0, '[[0, "1"]]', 5),
+    (0.5, '[[0, "1 + x^2"], [1, "cos(x)"], [2, "exp(-0.5*x)"]]', 33),
+], ids=["identity", "three-term"])
+def test_kernel_table_identity_columns_match(tmp_path, lengthscale, terms, count):
     text = """\
-kernel: {name: se, lengthscale: 1.0, variance: 1.0}
-operator: {terms: [[0, "1"]]}
-grid: {interval: [0.0, 1.0], count: 5}
+kernel: {name: se, lengthscale: %r, variance: 1.0}
+operator: {terms: %s}
+grid: {interval: [0.0, 1.0], count: %d}
 output: "%s"
-""" % (tmp_path / "kt")
+""" % (lengthscale, terms, count, tmp_path / "kt")
     cfg = write(tmp_path, "kt.yaml", text)
     assert main(["kernel-table", "--config", cfg]) == 0
     lines = (tmp_path / "kt" / "kernel_table.csv").read_text().strip().splitlines()
     assert lines[0] == "x1,x2,k,T1k,T2k,T1T2k"
-    assert len(lines) == 26
+    assert len(lines) == count * count + 1
+    table = {}
     for line in lines[1:]:
         cells = line.split(",")
-        assert cells[2] == cells[5]  # identity operator: T1T2k equals k exactly
+        table[cells[0], cells[1]] = [float(c) for c in cells[2:]]
+    for (x1, x2), (k, t1k, t2k, t1t2k) in table.items():
+        _, t1k_mirror, t2k_mirror, t1t2k_mirror = table[x2, x1]
+        assert t1t2k == t1t2k_mirror  # T1T2k(x1, x2) == T1T2k(x2, x1) exactly
+        assert t1k == t2k_mirror  # T1k(x1, x2) == T2k(x2, x1) exactly
+        if terms == '[[0, "1"]]':
+            assert k == t1t2k  # identity operator: T1T2k equals k exactly
 
 
 def test_solve_writes_error_field(tmp_path):
@@ -296,6 +307,30 @@ problem:
     err = capsys.readouterr().err
     assert err.startswith("error: noise_sd must have a finite variance")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, kernel", [
+    ("solve", "{name: se, lengthscale: 0.5, variance: .inf}"),
+    ("verify", "{name: se, lengthscale: .inf, variance: 1.0}"),
+], ids=["solve-variance", "verify-lengthscale"])
+def test_non_finite_kernel_hyperparameter_exit_one(tmp_path, capsys, command, kernel):
+    text = """\
+kernel: %s
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 200
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  boundary: [{location: 0.0, value: 0.0}]
+""" % (kernel, tmp_path / "inf")
+    cfg = write(tmp_path, "inf.yaml", text)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: kernel: lengthscale and variance must be positive "
+                          "and finite")
+    assert "Traceback" not in err
+    assert not (tmp_path / "inf").exists()
 
 
 BOOLEAN_BASE = """\

@@ -83,7 +83,8 @@ def test_matern52_at_unit_lag_three_routes():
     assert k(0.0, 1.0) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("bad_args", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+@pytest.mark.parametrize("bad_args", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -2.0),
+                                      (math.inf, 1.0), (1.0, math.inf)])
 def test_se_parameter_domain(bad_args):
     with pytest.raises(ParameterError):
         se_kernel(*bad_args)
@@ -94,6 +95,9 @@ def test_matern_parameter_domain():
         matern_kernel(2.0, 1.0, 1.0)  # not half-integer
     with pytest.raises(ParameterError):
         matern_kernel(1.5, -1.0, 1.0)
+    for bad_args in ((math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ParameterError):
+            matern_kernel(1.5, *bad_args)
 
 
 # ------------------------------------------------------------- invariants

@@ -6,7 +6,7 @@ import pytest
 from gpops.errors import NotPositiveDefiniteError
 from gpops.grids import Grid
 from gpops.kernels import se_kernel
-from gpops.linalg import chol_psd, cross_tabulate, gram, jitter_ladder
+from gpops.linalg import chol_psd, gram, jitter_ladder
 
 
 def test_gram_single_point():
@@ -22,13 +22,6 @@ def test_gram_two_points():
     e = math.exp(-0.5)
     np.testing.assert_allclose(m, [[1.0, e], [e, 1.0]], rtol=1e-15)
     assert np.array_equal(m, m.T)  # exactly symmetric after assembly
-
-
-def test_cross_tabulate_shape():
-    k = se_kernel(1.0, 1.0)
-    t = cross_tabulate(k, Grid([0.0, 0.5, 1.0]), Grid([0.0, 1.0]))
-    assert t.shape == (3, 2)
-    assert t[0, 1] == pytest.approx(math.exp(-0.5))
 
 
 def test_chol_psd_identity_needs_no_jitter():

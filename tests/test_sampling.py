@@ -216,7 +216,7 @@ def test_expectation_commutes_with_pathwise_operator():
     n = 20000
     e = sample_paths(p, g, n, 5)
     ve = apply_operator_pathwise(derivative_operator(1), e)
-    predicted = pushforward(p, derivative_operator(1)).prior.mean(g.points)
+    predicted = pushforward(p, derivative_operator(1)).mean(g.points)
     inner = interior_mask(33, 1)
     dev = np.abs(empirical_mean(ve) - predicted)[inner]
     assert dev.max() <= 5.0 / np.sqrt(n) + 1e-6

@@ -102,11 +102,11 @@ def test_nested_pushforward_expands_onto_the_catalog_kernel():
                                         (matern_kernel(3.5, 1.1, 1.0), 1, 2)):
         prior = GaussianProcessPrior(mean=zero_mean(), kernel=k)
         t, s = random_operator(rng, inner_order), random_operator(rng, outer_order)
-        nested = pushforward(pushforward(prior, t).prior, s).prior.kernel
+        nested = pushforward(pushforward(prior, t), s).kernel
         assert nested.base is k
         assert max(d1 + d2 for d1, d2 in nested.terms) <= k.profile_order
         assert_matches_per_term(nested)
-        want = pushforward(prior, compose(s, t)).prior.kernel(x1, x2)
+        want = pushforward(prior, compose(s, t)).kernel(x1, x2)
         assert np.max(np.abs(nested(x1, x2) - want)) <= RTOL * np.max(np.abs(want))
 
 
