@@ -25,7 +25,7 @@ from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
 from .processes import GaussianProcessPrior
 from .sampling import (SampleEnsemble, apply_operator_pathwise, empirical_cov,
                        empirical_mean, operator_matrix, sample_paths)
-from .stencils import differentiation_matrix, fd_mixed_partial, fd_weights, interior_mask
+from .stencils import differentiation_matrix, fd_weights, interior_mask
 from .transform import JointBlocks, finite_dim_pushforward, joint_blocks, pushforward
 from .verify import VerificationReport, VerificationTolerances, verify_theorem
 
@@ -44,7 +44,7 @@ __all__ = [
     "condition", "constant_mean", "default_cumulant_tuples",
     "derivative_operator", "differentiation_matrix", "empirical_cov",
     "empirical_cumulant", "empirical_mean", "enumerate_partitions",
-    "fd_mixed_partial", "fd_weights", "finite_dim_pushforward",
+    "fd_weights", "finite_dim_pushforward",
     "gram", "identity", "interior_mask", "joint_blocks", "matern_kernel",
     "mean_from_expression", "operator_matrix",
     "parse_expression", "pushforward", "sample_paths", "scale", "se_kernel",

@@ -9,8 +9,9 @@ The accepted grammar (used verbatim by the run-config format) is
 with the usual precedence (^ binds tightest and is right-associative, then *,
 then +).  '^' denotes exponentiation and the exponent must be a constant.
 Unary minus is accepted anywhere a number is, so negative constants are
-writable.  Every expression is infinitely differentiable in closed form, which
-is what makes these usable as operator coefficients.
+writable.  Every constant, as written or folded, must be a finite real.
+Every expression is infinitely differentiable in closed form, which is what
+makes these usable as operator coefficients.
 
 Expressions evaluate vectorized over numpy arrays and differentiate
 symbolically via :meth:`Expr.diff`.
@@ -19,6 +20,7 @@ symbolically via :meth:`Expr.diff`.
 from __future__ import annotations
 
 import ast
+import math
 
 import numpy as np
 
@@ -32,9 +34,10 @@ class Expr:
 
     Nodes compare and hash by structure, and each node keeps its first
     derivative once built, so repeated ``diff`` calls share subtrees.  The
-    two operands of ``+`` are stored in a canonical order, so commuted sums
-    such as ``x + 1`` and ``1 + x`` are equal trees; products keep the order
-    they were written in.
+    two operands of ``+`` and of ``*`` are stored in a canonical order, so
+    commuted sums and products such as ``x + 1`` and ``1 + x``, or
+    ``x*sin(x)`` and ``sin(x)*x``, are equal trees.  Like terms are not
+    collected: ``x + x`` and ``2*x`` stay different trees.
     """
 
     _fields: tuple = ()  # attribute names that make up the node's structure
@@ -246,6 +249,9 @@ def _mul(a, b):
         return a
     if a.is_const() and b.is_const():
         return Const(a.value * b.value)
+    if b._order_key() < a._order_key():
+        # canonical operand order, as in _add; IEEE * commutes exactly
+        a, b = b, a
     return Mul(a, b)
 
 
@@ -253,6 +259,17 @@ _FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": ExpF}
 
 
 def _convert(node, source):
+    # Every constant built here, written or folded, must be a finite real.
+    try:
+        expr = _convert_node(node, source)
+    except ArithmeticError:  # a pole, or an overflow on the way to a float
+        expr = Const(math.nan)
+    if expr.is_const() and not math.isfinite(expr.value):
+        raise ExpressionError(f"constant in {source!r} is not a finite real number")
+    return expr
+
+
+def _convert_node(node, source):
     if isinstance(node, ast.Expression):
         return _convert(node.body, source)
     if isinstance(node, ast.Constant):
@@ -281,7 +298,8 @@ def _convert(node, source):
                 )
             base = _convert(node.left, source)
             if base.is_const():
-                return Const(base.value**exponent.value)
+                value = base.value**exponent.value  # complex for (-1)^0.5
+                return Const(value if isinstance(value, float) else math.nan)
             return Pow(base, exponent.value)
         raise ExpressionError(
             f"operator {type(node.op).__name__} not in the grammar "
@@ -307,10 +325,10 @@ def parse_expression(source) -> Expr:
     """Parse an expression string (or bare number) into an :class:`Expr`.
 
     Raises :class:`ExpressionError` with position information on malformed
-    input.
+    input, and on a constant that is not a finite real number.
     """
     if isinstance(source, (int, float)) and not isinstance(source, bool):
-        return Const(source)
+        return _convert(ast.Constant(source), repr(source))
     if not isinstance(source, str):
         raise ExpressionError(f"expected an expression string, got {type(source).__name__}")
     # '^' is exponentiation in this grammar; '**' is not part of it.

@@ -17,8 +17,8 @@ Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
 :class:`DomainViolationError`.  Within the budget every partial is
 closed-form: a catalog kernel's profile covers its whole smoothness budget.
-Finite differences are only an explicit reference
-(:meth:`KernelBifunction.fd`), never a substitute inside a reported number.
+No kernel partial comes from finite differences; the tests keep that
+reference to check the closed form against (``tests/fd_reference.py``).
 
 A standing analytic assumption, not checked numerically: the covariance
 transport of a partially-defined operator is well posed when the operator is
@@ -31,16 +31,16 @@ closed-form smooth functions.
 from __future__ import annotations
 
 import math
+import numbers
 from math import comb
 
 import numpy as np
 
-from .errors import DomainViolationError, EvaluationError, ParameterError
+from .errors import DomainViolationError, EvaluationError, ExpressionError, ParameterError
 from .expressions import Const, Expr, parse_expression
 from .grids import Grid
 from .kernels import Kernel
 from .means import MeanFunction
-from .stencils import fd_mixed_partial
 
 __all__ = [
     "LinearOperator",
@@ -68,7 +68,10 @@ def _coerce_coefficient(c):
     if isinstance(c, Expr):
         return c, repr(c)
     if isinstance(c, (int, float)):
-        return Const(c), repr(float(c))
+        try:
+            return parse_expression(c), repr(float(c))
+        except ExpressionError:
+            raise ParameterError(f"coefficient {c!r} is not a finite number") from None
     if isinstance(c, str):
         return parse_expression(c), c
     raise ParameterError(f"cannot interpret {c!r} as a coefficient expression")
@@ -103,9 +106,9 @@ class LinearOperator:
     def __init__(self, terms, label=None):
         merged: dict[int, tuple[Expr, str]] = {}  # order -> (coefficient, label text)
         for order, coeff in terms:
+            if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+                raise ParameterError(f"derivative order must be an integer >= 0, got {order!r}")
             order = int(order)
-            if order < 0:
-                raise ParameterError(f"derivative order must be >= 0, got {order}")
             coeff, text = _coerce_coefficient(coeff)
             if order in merged:
                 prev, prev_text = merged[order]
@@ -165,12 +168,8 @@ def identity() -> LinearOperator:
 
 def derivative_operator(order: int = 1) -> LinearOperator:
     """Pure ``d^order/dx^order``."""
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    if order == 0:
-        return identity()
-    label = "d/dx" if order == 1 else f"d^{order}/dx^{order}"
-    return LinearOperator([(order, 1.0)], label=label)
+    op = LinearOperator([(order, 1.0)], label="d/dx" if order == 1 else f"d^{order}/dx^{order}")
+    return identity() if op.order == 0 else op
 
 
 def add(s: LinearOperator, t: LinearOperator) -> LinearOperator:
@@ -229,7 +228,7 @@ def _value(c: Expr, x, cache):
 
 
 def _weight_factors(pairs, x1, x2, values1, values2):
-    # The weight sum_k sign_k c1_k(x1) c2_k(x2) of one channel, as a part
+    # The weight sum_k sign_k c1_k(x1) c2_k(x2) of one profile order, as a part
     # constant in x1 plus rank-1 rows [(c1(x1), v(x2))]: pairs that share c1
     # add their signed c2 on x2, and constant c1 fold into the first part.
     # The order of ``pairs`` fixes the order of every sum.
@@ -306,8 +305,28 @@ class KernelBifunction:
 
     def __call__(self, x1, x2, out=None):
         """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given."""
-        top, profile = max(self._orders, default=0), self.base.profile
-        return _tabulate(x1, x2, self._orders, lambda x1b, x2: profile(x1b - x2, top), out)
+        x1 = np.asarray(x1, dtype=float)
+        x2 = np.asarray(x2, dtype=float)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ParameterError(f"output shape {out.shape} does not match the table's {shape}")
+        values1, values2 = {}, {}
+        weights = [(m, *_weight_factors(triples, x1, x2, values1, values2))
+                   for m, triples in self._orders.items()]
+        top = max(self._orders, default=0)
+        for blk in _row_blocks(x1, x2, shape):
+            f = self.base.profile(x1[blk] - x2, top)
+            out[blk] = 0.0
+            for m, w, rows in weights:
+                for c1v, v in rows:
+                    term = c1v[blk] * v
+                    w = term if w is None else w + term
+                out[blk] += f[m] * w
+        if x1.ndim == 0 and x2.ndim == 0:
+            return float(out)
+        return out
 
     def fill_lower(self, x, out):
         """Write the lower triangle of ``self(x[:, None], x[None, :])`` into ``out``.
@@ -329,49 +348,9 @@ class KernelBifunction:
                       where=np.arange(hi) <= np.arange(lo, hi)[:, None])
         return out
 
-    def fd(self, x1, x2):
-        """The same terms with each base partial taken by finite differences.
-
-        Every key is evaluated by :func:`~gpops.stencils.fd_mixed_partial`
-        (orders up to 4 per argument).  This is the reference the closed
-        form is checked against, as in :func:`commutator_residual`; calling
-        the bifunction never uses it.
-        """
-        evaluators = {key: fd_mixed_partial(self.base, *key) for key in self.terms}
-        channels = {key: [(1.0, c1, c2) for c1, c2 in pairs] for key, pairs in self.terms.items()}
-        return _tabulate(x1, x2, channels,
-                         lambda x1b, x2: {key: ev(x1b, x2) for key, ev in evaluators.items()})
-
     def __repr__(self):
         return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
                 f"applied=({self.applied1}, {self.applied2}))")
-
-
-def _tabulate(x1, x2, channels, values, out=None):
-    # sum over channels of values(x1b, x2)[channel] * W_channel, one row block
-    # at a time, written into out (a new array if None); channels maps each
-    # channel to its (sign, c1, c2) triples
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    shape = np.broadcast_shapes(x1.shape, x2.shape)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ParameterError(f"output shape {out.shape} does not match the table's {shape}")
-    values1, values2 = {}, {}
-    weights = [(channel, *_weight_factors(pairs, x1, x2, values1, values2))
-               for channel, pairs in channels.items()]
-    for blk in _row_blocks(x1, x2, shape):
-        f = values(x1[blk], x2)
-        out[blk] = 0.0
-        for channel, w, rows in weights:
-            for c1v, v in rows:
-                term = c1v[blk] * v
-                w = term if w is None else w + term
-            out[blk] += f[channel] * w
-    if x1.ndim == 0 and x2.ndim == 0:
-        return float(out)
-    return out
 
 
 def _check_slot(slot):
@@ -420,14 +399,9 @@ def apply_both(op: LinearOperator, k) -> KernelBifunction:
     return apply_arg(op, ARG1, apply_arg(op, ARG2, k))
 
 
-def commutator_residual(op: LinearOperator, k, grid: Grid) -> tuple[float, float]:
-    """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|.
-
-    Returns ``(closed, fd)``: the residual of the closed-form evaluation and
-    that of the finite-difference reference :meth:`KernelBifunction.fd`.
-    """
+def commutator_residual(op: LinearOperator, k, grid: Grid) -> float:
+    """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|, in closed form."""
     a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k))
     a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k))
     x1, x2 = grid.points[:, None], grid.points[None, :]
-    return (float(np.max(np.abs(a12(x1, x2) - a21(x1, x2)))),
-            float(np.max(np.abs(a12.fd(x1, x2) - a21.fd(x1, x2)))))
+    return float(np.max(np.abs(a12(x1, x2) - a21(x1, x2))))

@@ -1,11 +1,9 @@
-"""Finite-difference stencils: kernel partials and grid matrices.
+"""Finite-difference stencils for differentiating sample paths on a grid.
 
 All stencils have accuracy order 4.  Weights for arbitrary nodes come from
 Fornberg's recurrence, which also supplies the shifted (one-sided) stencils
-used near grid boundaries at the same accuracy order.  Mixed partials of a
-kernel use tensor-product central stencils with one Richardson step; they
-serve only as the reference that closed-form partials are checked against
-(:meth:`~gpops.operators.KernelBifunction.fd`).
+used near grid boundaries at the same accuracy order.  Kernel partials never
+come from here: they are closed-form (:mod:`gpops.operators`).
 """
 
 from __future__ import annotations
@@ -17,14 +15,11 @@ from .grids import Grid
 
 __all__ = [
     "fd_weights",
-    "fd_mixed_partial",
     "differentiation_matrix",
     "stencil_width",
     "boundary_widths",
     "interior_mask",
 ]
-
-_EPS = np.finfo(float).eps
 
 MAX_DERIVATIVE_ORDER = 4
 
@@ -54,56 +49,9 @@ def fd_weights(x0: float, nodes, order: int) -> np.ndarray:
     return w[order]
 
 
-def _central_offsets(order: int) -> np.ndarray:
-    # Symmetric footprints giving accuracy order 4: +-2 for orders 1-2, +-3 for 3-4.
-    half = 2 if order <= 2 else 3
-    return np.arange(-half, half + 1, dtype=float)
-
-
 def _check_order(order):
     if not (1 <= order <= MAX_DERIVATIVE_ORDER):
         raise ParameterError(f"derivative order must be in 1..{MAX_DERIVATIVE_ORDER}, got {order}")
-
-
-def fd_mixed_partial(k, d1: int, d2: int):
-    """Vectorized evaluator for a mixed partial of a bifunction by tensor stencils.
-
-    Steps are ``max(1, |x|) * eps**(1/(d1+d2+5))`` per argument, which
-    balances truncation against roundoff for the high mixed orders the
-    kernel machinery may request, and one Richardson step extrapolates the
-    full- and half-step values.  Returns a callable ``(x1, x2) -> array``.
-    """
-    if d1 == 0 and d2 == 0:
-        return lambda x1, x2: np.asarray(k(x1, x2), dtype=float)
-    for d in (d1, d2):
-        if not (0 <= d <= MAX_DERIVATIVE_ORDER):
-            raise ParameterError(f"partial orders must be in 0..{MAX_DERIVATIVE_ORDER}")
-    o1 = _central_offsets(d1) if d1 else np.zeros(1)
-    o2 = _central_offsets(d2) if d2 else np.zeros(1)
-    w1 = fd_weights(0.0, o1, d1) if d1 else np.ones(1)
-    w2 = fd_weights(0.0, o2, d2) if d2 else np.ones(1)
-    expo = 1.0 / (d1 + d2 + 5)
-
-    def evaluate(x1, x2):
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        h1 = np.maximum(1.0, np.abs(x1)) * _EPS**expo
-        h2 = np.maximum(1.0, np.abs(x2)) * _EPS**expo
-
-        def tensor(s1, s2):
-            acc = 0.0
-            for i, wi in enumerate(w1):
-                xi = x1 + o1[i] * s1
-                row = 0.0
-                for j, wj in enumerate(w2):
-                    row = row + wj * np.asarray(k(xi, x2 + o2[j] * s2), dtype=float)
-                acc = acc + wi * row
-            denom = (s1**d1 if d1 else 1.0) * (s2**d2 if d2 else 1.0)
-            return acc / denom
-
-        return (16.0 * tensor(h1 / 2.0, h2 / 2.0) - tensor(h1, h2)) / 15.0
-
-    return evaluate
 
 
 def stencil_width(order: int) -> int:

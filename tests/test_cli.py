@@ -333,6 +333,35 @@ problem:
     assert not (tmp_path / "inf").exists()
 
 
+@pytest.mark.parametrize("mean, terms, message", [
+    ('"(-1)^0.5"', '[[1, "1"]]', "mean: constant in '(-1)^0.5' is not a finite real"),
+    ('"0^-1"', '[[1, "1"]]', "mean: constant in '0^-1' is not a finite real"),
+    ('"10^400"', '[[1, "1"]]', "mean: constant in '10^400' is not a finite real"),
+    ('"1e999"', '[[1, "1"]]', "mean: constant in '1e999' is not a finite real"),
+    ('"0"', '[[1, "1e308*10"]]', "operator: constant in '1e308*10' is not a finite real"),
+    ('"0"', '[[1, "(-1)^0.5"]]', "operator: constant in '(-1)^0.5' is not a finite real"),
+    ('"0"', "[[1, .nan]]", "operator: coefficient nan is not a finite number"),
+    ('"0"', "[[0, 1], [1, -.inf]]", "operator: coefficient -inf is not a finite number"),
+], ids=["mean-complex", "mean-pole", "mean-overflow", "mean-inf-literal",
+        "coefficient-folds-to-inf", "coefficient-complex", "coefficient-nan",
+        "coefficient-inf"])
+def test_constant_that_is_not_a_finite_real_exit_one(tmp_path, capsys, mean, terms, message):
+    text = """\
+kernel: {name: se, lengthscale: 1.0}
+mean: %s
+operator: {terms: %s}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 200
+output: "%s"
+""" % (mean, terms, tmp_path / "out")
+    cfg = write(tmp_path, "const.yaml", text)
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 BOOLEAN_BASE = """\
 kernel: {name: se, lengthscale: 0.5, variance: 1.0}
 operator: {terms: [[1, "1"]]}

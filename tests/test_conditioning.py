@@ -363,11 +363,10 @@ def test_reported_jitter_is_zero_when_well_conditioned_and_positive_when_not():
 
 # ---------------------------------------------------------- commuted operands
 
-def test_commuted_coefficients_form_one_group_and_condition_alike():
+def _assert_spellings_form_one_group_and_condition_alike(spelled):
     p = make_prior()
     grid = Grid.uniform_on(0.0, 1.0, 11)
     xs = np.linspace(0.1, 0.9, 6)
-    spelled = [LinearOperator([(1, "x + 1")]), LinearOperator([(1, "1 + x")])]
     mixed = [Observation(spelled[i % 2], float(x), math.cos(x), 1e-3) for i, x in enumerate(xs)]
     shared = [Observation(spelled[0], float(x), math.cos(x), 1e-3) for x in xs]
     assert len(_group_by_operator(mixed)) == 1
@@ -376,6 +375,17 @@ def test_commuted_coefficients_form_one_group_and_condition_alike():
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.cov, b.cov)
     assert a.log_marginal == b.log_marginal
+
+
+def test_commuted_coefficients_form_one_group_and_condition_alike():
+    _assert_spellings_form_one_group_and_condition_alike(
+        [LinearOperator([(1, "x + 1")]), LinearOperator([(1, "1 + x")])])
+
+
+def test_commuted_products_form_one_group_and_condition_alike():
+    _assert_spellings_form_one_group_and_condition_alike(
+        [LinearOperator([(1, "x*sin(x)"), (0, 1.0)]),
+         LinearOperator([(1, "sin(x)*x"), (0, 1.0)])])
 
 
 # ------------------------------------------------- group-order Gram assembly

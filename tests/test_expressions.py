@@ -12,6 +12,7 @@ def test_basic_values():
     assert parse_expression("x^2")(3.0) == 9.0
     assert parse_expression("2*x + 1")(2.0) == 5.0
     assert parse_expression("-1.5")(0.0) == -1.5
+    assert parse_expression("(-2)^3")(0.0) == -8.0
     assert parse_expression("sin(x)")(0.0) == 0.0
     assert np.isclose(parse_expression("cos(x)")(0.0), 1.0)
     assert np.isclose(parse_expression("exp(x)")(1.0), np.e)
@@ -74,11 +75,30 @@ def test_rejects_out_of_grammar(bad):
         parse_expression(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    "(-1)^0.5",      # a complex power
+    "0^-1",          # a pole
+    "10^400",        # a power past the float range
+    "1e999",         # a literal that reads as inf
+    pytest.param("1" + "0" * 400, id="integer-literal-past-the-float-range"),
+    "1e308*10",      # a product that folds to inf
+    "1e308 + 1e308", # a sum that folds to inf
+    "-1e999*x",      # inside a larger expression
+    "x^1e999",       # an exponent
+    float("inf"),
+    float("nan"),
+    pytest.param(10**400, id="integer-past-the-float-range"),
+])
+def test_rejects_constants_that_are_not_finite_reals(bad):
+    with pytest.raises(ExpressionError, match="not a finite real number"):
+        parse_expression(bad)
+
+
 def test_structural_equality_and_cached_derivatives():
     e = parse_expression("x*sin(x) + 2")
     assert e == parse_expression("x * sin(x) + 2.0")
     assert hash(e) == hash(parse_expression("x * sin(x) + 2.0"))
-    assert e != parse_expression("sin(x)*x + 2")
+    assert e == parse_expression("sin(x)*x + 2")
     assert parse_expression("cos(x)") != parse_expression("sin(x)")
     assert e.diff(3) is e.diff().diff().diff()
     x = np.linspace(-1, 1, 7)

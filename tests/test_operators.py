@@ -22,6 +22,8 @@ from gpops.operators import (ARG1, ARG2, KernelBifunction, LinearOperator, add, 
                              apply_both, apply_to_function, commutator_residual,
                              compose, derivative_operator, identity, scale)
 
+from fd_reference import bifunction_fd, commutator_residual_fd
+
 D1 = derivative_operator(1)
 D2 = derivative_operator(2)
 XDX = LinearOperator([(1, "x")], label="x*d/dx")
@@ -73,6 +75,28 @@ def test_coefficients_are_expressions():
     assert all(isinstance(c, Expr) for _, c in op.terms)
     with pytest.raises(ParameterError):
         LinearOperator([(1, mean_from_expression("x"))])
+
+
+def test_order_must_be_an_integer():
+    for order in (1.5, 1.0, 0.0, "2", True, False, None):
+        with pytest.raises(ParameterError, match="must be an integer >= 0"):
+            LinearOperator([(order, 1.0)])
+        with pytest.raises(ParameterError, match="must be an integer >= 0"):
+            derivative_operator(order)
+    # any integer type is an order
+    assert derivative_operator(np.int64(2)) == derivative_operator(2)
+    assert LinearOperator([(np.int32(1), "x")]) == XDX
+    with pytest.raises(ParameterError, match="must be an integer >= 0"):
+        derivative_operator(-1)
+
+
+@pytest.mark.parametrize("coefficient", [
+    float("nan"), float("inf"), -float("inf"),
+    pytest.param(10**400, id="integer-past-the-float-range"),
+])
+def test_numeric_coefficient_must_be_finite(coefficient):
+    with pytest.raises(ParameterError, match="not a finite number"):
+        LinearOperator([(1, coefficient)])
 
 
 # ------------------------------------------------- application to functions
@@ -162,17 +186,15 @@ def test_remaining_budget_bookkeeping():
 def test_forced_fd_path_matches_closed_form():
     bf = apply_both(D1, se_kernel(1.0, 1.0))
     pts = np.linspace(0, 1, 9)
-    diff = np.abs(bf(pts[:, None], pts[None, :]) - bf.fd(pts[:, None], pts[None, :]))
+    diff = np.abs(bf(pts[:, None], pts[None, :]) - bifunction_fd(bf, pts[:, None], pts[None, :]))
     assert diff.max() <= 1e-6
 
 
-def test_no_silent_fd_within_the_smoothness_budget(monkeypatch):
-    # every partial an operator application can reach is closed-form, so the
-    # finite-difference reference is never called to produce a value
-    def refuse(*args, **kwargs):
-        raise AssertionError("finite differences used outside KernelBifunction.fd")
-
-    monkeypatch.setattr(operators, "fd_mixed_partial", refuse)
+def test_no_silent_fd_within_the_smoothness_budget():
+    # every partial an operator application can reach is closed-form, and the
+    # package has no finite-difference path for kernels that one could take
+    assert not hasattr(operators, "fd_mixed_partial")
+    assert not hasattr(KernelBifunction, "fd")
     x = np.linspace(-1.0, 1.0, 9)
     cases = [(se_kernel(0.5, 1.0), q) for q in range(1, 5)]
     materns = [matern_kernel(nu, 0.8, 1.0) for nu in MATERN_ORDERS]
@@ -197,19 +219,18 @@ def test_key_beyond_the_profile_raises_evaluation_error():
 
 def test_commutator_identity_exact_zero():
     g = Grid.uniform_on(0, 1, 9)
-    assert commutator_residual(identity(), se_kernel(1, 1), g) == (0.0, 0.0)
+    assert commutator_residual(identity(), se_kernel(1, 1), g) == 0.0
+    assert commutator_residual_fd(identity(), se_kernel(1, 1), g) == 0.0
 
 
 def test_commutator_closed_path():
     g = Grid.uniform_on(0, 1, 33)
-    closed, _ = commutator_residual(D1, se_kernel(1, 1), g)
-    assert closed <= 1e-12
+    assert commutator_residual(D1, se_kernel(1, 1), g) <= 1e-12
 
 
 def test_commutator_fd_path_with_variable_coefficient():
     g = Grid.uniform_on(0, 1, 33)
-    _, fd = commutator_residual(XDX, se_kernel(1, 1), g)
-    assert fd <= 1e-4
+    assert commutator_residual_fd(XDX, se_kernel(1, 1), g) <= 1e-4
 
 
 X_COEFFICIENTS = ["x", "1 + x^2", "cos(x)", "exp(-0.5*x)", "sin(2*x) + x", "-3*x^2"]
@@ -347,9 +368,9 @@ def test_linearity_on_fd_path():
     rng = np.random.default_rng(6)
     k = se_kernel(1.0, 1.0)
     x1, x2 = rng.uniform(-1, 1, size=(2, 10))
-    both = apply_arg(add(D1, XDX_PLUS_1), ARG2, k).fd(x1, x2)
-    split = (apply_arg(D1, ARG2, k).fd(x1, x2)
-             + apply_arg(XDX_PLUS_1, ARG2, k).fd(x1, x2))
+    both = bifunction_fd(apply_arg(add(D1, XDX_PLUS_1), ARG2, k), x1, x2)
+    split = (bifunction_fd(apply_arg(D1, ARG2, k), x1, x2)
+             + bifunction_fd(apply_arg(XDX_PLUS_1, ARG2, k), x1, x2))
     assert np.max(np.abs(both - split)) <= 1e-4
 
 

@@ -5,8 +5,10 @@ import pytest
 
 from gpops.errors import GridSizeError, ParameterError
 from gpops.grids import Grid
-from gpops.stencils import (boundary_widths, differentiation_matrix, fd_mixed_partial,
-                            fd_weights, interior_mask, stencil_width)
+from gpops.stencils import (boundary_widths, differentiation_matrix, fd_weights,
+                            interior_mask, stencil_width)
+
+from fd_reference import fd_mixed_partial
 
 
 def fd_derivative(f, x, order):

@@ -3,10 +3,8 @@
 ``KernelBifunction`` evaluates every partial a transformed kernel needs in
 one pass per row block.  The oracle here is the plain per-term sum
 ``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the bifunction's terms, with
-each base partial evaluated on its own: the base kernel's closed-form
-partial, or ``fd_mixed_partial`` for the finite-difference reference
-``KernelBifunction.fd``.  The two must agree to 1e-12 relative to
-max|value|.
+each base partial evaluated on its own by the base kernel's closed-form
+partial.  The two must agree to 1e-12 relative to max|value|.
 """
 
 import numpy as np
@@ -18,8 +16,9 @@ from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import zero_mean
 from gpops.operators import ARG1, ARG2, LinearOperator, apply_arg, compose
 from gpops.processes import GaussianProcessPrior
-from gpops.stencils import fd_mixed_partial
 from gpops.transform import pushforward
+
+from fd_reference import per_term_sum
 
 RNG_SEED = 20240917
 RTOL = 1e-12
@@ -34,14 +33,8 @@ def random_operator(rng, order):
     return LinearOperator(terms)
 
 
-def per_term(bf, x1, x2, fd=False):
-    total = 0.0
-    for (d1, d2), pairs in bf.terms.items():
-        ev = fd_mixed_partial(bf.base, d1, d2) if fd else bf.base.partial(d1, d2)
-        val = np.asarray(ev(x1, x2), dtype=float)
-        for c1, c2 in pairs:
-            total = total + c1(x1) * c2(x2) * val
-    return total
+def per_term(bf, x1, x2):
+    return per_term_sum(bf, x1, x2, bf.base.partial)
 
 
 def outer_points():
@@ -52,24 +45,23 @@ def outer_points():
     return np.linspace(-1.5, 1.5, n)[:, None], np.linspace(-1.2, 1.4, m)[None, :]
 
 
-def assert_matches_per_term(bf, fd=False):
-    evaluate = bf.fd if fd else bf
+def assert_matches_per_term(bf):
     x1, x2 = outer_points()
-    want = per_term(bf, x1, x2, fd)
+    want = per_term(bf, x1, x2)
     scale = np.max(np.abs(want))
     assert scale > 0
-    got = evaluate(x1, x2)
+    got = bf(x1, x2)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= RTOL * scale
 
     x = np.linspace(-1.0, 1.0, 50)
-    got = evaluate(x, x)
+    got = bf(x, x)
     assert got.shape == x.shape
-    assert np.max(np.abs(got - per_term(bf, x, x, fd))) <= RTOL * scale
+    assert np.max(np.abs(got - per_term(bf, x, x))) <= RTOL * scale
 
-    got = evaluate(0.3, -0.45)
+    got = bf(0.3, -0.45)
     assert isinstance(got, float)
-    assert abs(got - float(per_term(bf, np.float64(0.3), np.float64(-0.45), fd))) <= RTOL * scale
+    assert abs(got - float(per_term(bf, np.float64(0.3), np.float64(-0.45)))) <= RTOL * scale
 
 
 def transformed(k, rng, order1, order2):
@@ -120,12 +112,6 @@ def test_se_keys_past_total_order_six_are_closed_form():
     assert max(d1 + d2 for d1, d2 in bf.terms) == 7
     assert any(d1 + d2 <= 6 for d1, d2 in bf.terms)
     assert_matches_per_term(bf)
-
-
-def test_method_fd_matches_per_term_sum():
-    rng = np.random.default_rng([RNG_SEED, 11])
-    bf = transformed(se_kernel(0.7, 1.0), rng, 2, 2)
-    assert_matches_per_term(bf, fd=True)
 
 
 def test_catalog_partials_are_signed_profile_derivatives():
