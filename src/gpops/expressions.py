@@ -178,52 +178,31 @@ class Pow(Expr):
         return f"({self.base!r} ^ {self.exponent!r})"
 
 
-class Sin(Expr):
-    _fields = ("a",)
+class Func(Expr):
+    """``name(a)`` for a function of the grammar: ``sin``, ``cos`` or ``exp``."""
 
-    def __init__(self, a):
-        self.a = a
+    _fields = ("name", "a")
 
-    def __call__(self, x):
-        return np.sin(self.a(x))
-
-    def _diff(self):
-        return _mul(Cos(self.a), self.a.diff())
-
-    def __repr__(self):
-        return f"sin({self.a!r})"
-
-
-class Cos(Expr):
-    _fields = ("a",)
-
-    def __init__(self, a):
-        self.a = a
+    def __init__(self, name: str, a):
+        self.name, self.a = name, a
 
     def __call__(self, x):
-        return np.cos(self.a(x))
+        return _VALUES[self.name](self.a(x))
 
     def _diff(self):
-        return _mul(_mul(Const(-1.0), Sin(self.a)), self.a.diff())
+        # chain rule: name'(a) * a'
+        return _mul(_DERIVATIVES[self.name](self.a), self.a.diff())
 
     def __repr__(self):
-        return f"cos({self.a!r})"
+        return f"{self.name}({self.a!r})"
 
 
-class ExpF(Expr):
-    _fields = ("a",)
-
-    def __init__(self, a):
-        self.a = a
-
-    def __call__(self, x):
-        return np.exp(self.a(x))
-
-    def _diff(self):
-        return _mul(ExpF(self.a), self.a.diff())
-
-    def __repr__(self):
-        return f"exp({self.a!r})"
+_VALUES = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_DERIVATIVES = {
+    "sin": lambda a: Func("cos", a),
+    "cos": lambda a: _mul(Const(-1.0), Func("sin", a)),
+    "exp": lambda a: Func("exp", a),
+}
 
 
 def _add(a, b):
@@ -253,9 +232,6 @@ def _mul(a, b):
         # canonical operand order, as in _add; IEEE * commutes exactly
         a, b = b, a
     return Mul(a, b)
-
-
-_FUNCTIONS = {"sin": Sin, "cos": Cos, "exp": ExpF}
 
 
 def _convert(node, source):
@@ -308,11 +284,11 @@ def _convert_node(node, source):
     if isinstance(node, ast.Call):
         if (
             isinstance(node.func, ast.Name)
-            and node.func.id in _FUNCTIONS
+            and node.func.id in _VALUES
             and len(node.args) == 1
             and not node.keywords
         ):
-            return _FUNCTIONS[node.func.id](_convert(node.args[0], source))
+            return Func(node.func.id, _convert(node.args[0], source))
         raise ExpressionError(
             f"only sin(...), cos(...), exp(...) calls are allowed in {source!r}"
         )

@@ -9,9 +9,9 @@ mixed partial is a signed derivative of one profile:
   difference array (one ``exp`` for all orders), and ``profile_order`` is
   the highest order it supplies (``math.inf`` for the squared exponential,
   ``2p`` for Matern, which is the whole smoothness budget).  The kernel's
-  value and its ``partial(d1, d2)`` evaluators are read off it, and
-  transformed kernels evaluate every partial they need from it in one
-  pass; there is no other evaluation path.
+  value is read off it, and every partial comes from it through
+  :class:`~gpops.operators.KernelBifunction` (see :mod:`gpops.operators`
+  for one partial alone); there is no other evaluation path.
 * ``sample_smoothness`` is the almost-sure differentiability order of
   sample paths drawn from the kernel.  This is the static proxy for whether
   paths lie in the domain of a differential operator: an operator of order
@@ -66,16 +66,6 @@ class Kernel:
         if x1.ndim == 0 and x2.ndim == 0:
             return float(out)
         return out
-
-    def partial(self, d1: int, d2: int):
-        """Closed-form evaluator of d^(d1+d2) k / dx1^d1 dx2^d2, or ``None``."""
-        if d1 < 0 or d2 < 0:
-            raise ParameterError("derivative orders must be non-negative")
-        m = d1 + d2
-        if m > self.profile_order:
-            return None
-        sign, profile = (-1.0) ** d2, self.profile
-        return lambda x1, x2: sign * profile(x1 - x2, m)[m]
 
     def __repr__(self):
         return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import EvaluationError
 from .expressions import Expr, parse_expression
 
 __all__ = [
@@ -30,8 +31,14 @@ class MeanFunction:
         self.label = label
 
     def __call__(self, x):
+        """The mean at ``x``; :class:`EvaluationError` where it is not finite."""
         x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(np.asarray(self.expr(x), dtype=float), x.shape)
+        with np.errstate(all="ignore"):
+            out = np.broadcast_to(np.asarray(self.expr(x), dtype=float), x.shape)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise EvaluationError(
+                f"mean {self.label!r} is not finite at x = {float(x[bad][0])!r}")
         return float(out) if x.ndim == 0 else np.array(out)
 
     def __repr__(self):

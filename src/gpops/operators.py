@@ -17,8 +17,11 @@ Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
 :class:`DomainViolationError`.  Within the budget every partial is
 closed-form: a catalog kernel's profile covers its whole smoothness budget.
-No kernel partial comes from finite differences; the tests keep that
-reference to check the closed form against (``tests/fd_reference.py``).
+:class:`KernelBifunction` is the only evaluator of kernel partials; one
+partial alone is the one-key bifunction ``apply_arg(derivative_operator(d1),
+ARG1, apply_arg(derivative_operator(d2), ARG2, k))``.  No kernel partial
+comes from finite differences; the tests keep that reference to check the
+closed form against (``tests/fd_reference.py``).
 
 A standing analytic assumption, not checked numerically: the covariance
 transport of a partially-defined operator is well posed when the operator is
@@ -178,9 +181,11 @@ def add(s: LinearOperator, t: LinearOperator) -> LinearOperator:
 
 
 def scale(c: float, t: LinearOperator) -> LinearOperator:
-    """Scalar multiple of an operator, term-wise."""
-    return LinearOperator([(o, Const(c) * a) for o, a in t.terms],
-                          label=f"{c:g}*({t.label})")
+    """Scalar multiple of an operator, term-wise; ``c`` must be a finite real number."""
+    if not isinstance(c, numbers.Real):
+        raise ParameterError(f"scale factor must be a real number, got {c!r}")
+    factor, _ = _coerce_coefficient(c if isinstance(c, int) else float(c))
+    return LinearOperator([(o, factor * a) for o, a in t.terms], label=f"{c:g}*({t.label})")
 
 
 def compose(s: LinearOperator, t: LinearOperator) -> LinearOperator:

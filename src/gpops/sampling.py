@@ -131,8 +131,8 @@ def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
         raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))
     mean = p.mean(grid.points)
-    z = _standard_normals(seed, n_paths, len(grid), threads)
-    paths = mean + z @ L.T
+    paths = _standard_normals(seed, n_paths, len(grid), threads) @ L.T
+    paths += mean  # in place: no second N x n array
     return SampleEnsemble(grid=grid, paths=paths, seed=int(seed), jitter=jitter)
 
 

@@ -144,8 +144,8 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     k_v = gram(image.kernel, grid)
     var_v = np.clip(np.diag(k_v), 0.0, None)
 
-    ensemble = sample_paths(p, grid, n_paths, seed, threads=threads)
-    transformed = apply_operator_pathwise(op, ensemble)
+    # nested, so the prior paths are freed before empirical_cov's centred copy
+    transformed = apply_operator_pathwise(op, sample_paths(p, grid, n_paths, seed, threads=threads))
     emean = empirical_mean(transformed)
     ecov = empirical_cov(transformed)
 

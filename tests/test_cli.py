@@ -362,6 +362,37 @@ output: "%s"
     assert not (tmp_path / "out").exists()
 
 
+SINGULAR_BASE = """\
+kernel: {name: se, lengthscale: 0.5}
+mean: "%s"
+operator: {terms: [[%d, "%s"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 200
+output: "%s"
+problem:
+  rhs: "cos(x)"
+  collocation_count: 10
+  boundary: [{location: 0.0, value: 0.0}, {location: 1.0, value: 1.0}]
+"""
+
+
+@pytest.mark.parametrize("command, mean, order, coefficient, message", [
+    ("verify", "x^-1", 1, "1", "mean 'd/dx[x^-1]' is not finite at x = 0.0"),
+    ("sample", "x^-1", 1, "1", "mean 'x^-1' is not finite at x = 0.0"),
+    ("solve", "x^-1", 2, "1", "mean 'd^2/dx^2[x^-1]' is not finite at x = 0.0"),
+    ("verify", "sin(x)", 1, "x^-0.5", "mean 'x^-0.5*d/dx[sin(x)]' is not finite at x = 0.0"),
+], ids=["verify-mean", "sample-mean", "solve-mean", "verify-coefficient"])
+def test_mean_not_finite_on_the_grid_exit_one(tmp_path, capsys, command, mean, order,
+                                              coefficient, message):
+    # finite as written, singular at x = 0: one named error, no numpy warning
+    text = SINGULAR_BASE % (mean, order, coefficient, tmp_path / "out")
+    cfg = write(tmp_path, "singular.yaml", text)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: " + message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 BOOLEAN_BASE = """\
 kernel: {name: se, lengthscale: 0.5, variance: 1.0}
 operator: {terms: [[1, "1"]]}

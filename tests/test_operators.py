@@ -99,6 +99,20 @@ def test_numeric_coefficient_must_be_finite(coefficient):
         LinearOperator([(1, coefficient)])
 
 
+def test_scale_factor_must_be_a_finite_real():
+    # a scale factor multiplies every coefficient, so it is checked like one
+    for factor in (float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(ParameterError, match="not a finite number"):
+            scale(factor, D1)
+        with pytest.raises(ParameterError, match="not a finite number"):
+            factor * D1
+    for factor in ("2", "x", None):
+        with pytest.raises(ParameterError, match="must be a real number"):
+            scale(factor, D1)
+    assert scale(np.int64(3), D1) == LinearOperator([(1, 3.0)])
+    assert (0.5 * XDX).terms == LinearOperator([(1, "0.5*x")]).terms
+
+
 # ------------------------------------------------- application to functions
 
 def test_apply_to_function_polynomial():
@@ -265,7 +279,7 @@ def test_mixed_partial_orders_interchange_pointwise():
     k = se_kernel(1.0, 1.0)
     h = 1e-4
     pts = [(0.0, 0.5), (0.3, 0.9), (-1.0, 0.2)]
-    closed = k.partial(1, 1)
+    closed = apply_both(D1, k)
     for x1, x2 in pts:
         d12 = ((k(x1 + h, x2 + h) - k(x1 + h, x2 - h))
                - (k(x1 - h, x2 + h) - k(x1 - h, x2 - h))) / (4 * h * h)
@@ -340,6 +354,17 @@ def test_operator_sugar():
     assert apply_to_function(D1 + identity(), f)(0.0) == pytest.approx(2.0)
     assert apply_to_function(3.0 * D1, f)(0.0) == pytest.approx(3.0)
     assert apply_to_function(D1 @ D1, f)(0.0) == pytest.approx(1.0)
+
+
+def test_mean_not_finite_where_evaluated_names_the_mean():
+    # a named error, not a numpy warning, where a mean or its image has a pole
+    f = mean_from_expression("x^-1")
+    assert f(0.5) == 2.0
+    with pytest.raises(EvaluationError, match=r"mean 'x\^-1' is not finite at x = 0.0"):
+        f(np.array([0.5, 0.0, -1.0]))
+    image = apply_to_function(LinearOperator([(1, "x^-0.5")]), mean_from_expression("sin(x)"))
+    with pytest.raises(EvaluationError, match=r"x\^-0.5\*d/dx\[sin\(x\)\]' is not finite at x = -1.0"):
+        image(np.array([[1.0, -1.0], [0.0, 2.0]]))
 
 
 # ------------------------------------------------------ linearity properties

@@ -3,18 +3,20 @@
 ``KernelBifunction`` evaluates every partial a transformed kernel needs in
 one pass per row block.  The oracle here is the plain per-term sum
 ``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the bifunction's terms, with
-each base partial evaluated on its own by the base kernel's closed-form
-partial.  The two must agree to 1e-12 relative to max|value|.
+each base partial evaluated on its own as the signed profile derivative
+``(-1)^d2 f^(d1+d2)(x1 - x2)``.  The two must agree to 1e-12 relative to
+max|value|.
 """
 
 import numpy as np
 import pytest
 
 from gpops import operators
-from gpops.errors import ParameterError
+from gpops.errors import DomainViolationError, ParameterError
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import zero_mean
-from gpops.operators import ARG1, ARG2, LinearOperator, apply_arg, compose
+from gpops.operators import (ARG1, ARG2, LinearOperator, apply_arg, compose,
+                             derivative_operator)
 from gpops.processes import GaussianProcessPrior
 from gpops.transform import pushforward
 
@@ -34,7 +36,8 @@ def random_operator(rng, order):
 
 
 def per_term(bf, x1, x2):
-    return per_term_sum(bf, x1, x2, bf.base.partial)
+    return per_term_sum(bf, x1, x2, lambda d1, d2: lambda a, b: (
+        (-1.0) ** d2 * bf.base.profile(a - b, d1 + d2)[d1 + d2]))
 
 
 def outer_points():
@@ -115,18 +118,23 @@ def test_se_keys_past_total_order_six_are_closed_form():
 
 
 def test_catalog_partials_are_signed_profile_derivatives():
+    # the one-key bifunction of every key within the per-argument budget is
+    # (-1)^d2 f^(d1+d2), bit for bit
     s = np.linspace(-2.0, 2.0, 41)
-    for k in (se_kernel(0.7, 1.3), matern_kernel(2.5, 0.8, 1.1)):
+    for k in (se_kernel(0.7, 1.3), matern_kernel(2.5, 0.8, 1.1), matern_kernel(3.5, 0.6, 0.9)):
         top = min(k.profile_order, 9)  # the squared exponential has no top order
         derivs = k.profile(s, top)
         assert len(derivs) == top + 1
         assert np.array_equal(derivs[0], k(s, np.zeros_like(s)))
-        for d1 in range(top + 1):
-            d2 = top - d1
-            sign = (-1.0) ** d2
-            assert np.array_equal(k.partial(d1, d2)(s, 0.0), sign * derivs[-1])
+        budget = min(k.sample_smoothness, top)
+        for d1 in range(budget + 1):
+            for d2 in range(min(budget, top - d1) + 1):
+                bf = apply_arg(derivative_operator(d1), ARG1,
+                               apply_arg(derivative_operator(d2), ARG2, k))
+                assert np.array_equal(bf(s, 0.0), (-1.0) ** d2 * derivs[d1 + d2])
         if top == k.profile_order:
-            assert k.partial(top + 1, 0) is None
+            with pytest.raises(DomainViolationError):
+                apply_arg(derivative_operator(k.sample_smoothness + 1), ARG1, k)
 
 
 def _square_block_size():
