@@ -80,8 +80,6 @@ def _parse_nu(raw):
 
 
 def _parse_kernel(tree) -> Kernel:
-    if not isinstance(tree, dict):
-        raise ConfigError("config key 'kernel' must be a mapping")
     name = _get(tree, "name", str)
     lengthscale = _get(tree, "lengthscale", (int, float))
     variance = _get(tree, "variance", (int, float), default=1.0)
@@ -138,8 +136,6 @@ def parse_operator_spec(tree) -> LinearOperator:
 
 
 def _parse_grid(tree) -> Grid:
-    if not isinstance(tree, dict):
-        raise ConfigError("config key 'grid' must be a mapping")
     interval = _get(tree, "interval", list)
     if len(interval) != 2 or not all(_is(v, (int, float)) for v in interval):
         raise ConfigError("grid.interval must be [a, b] with numbers a < b")

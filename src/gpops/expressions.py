@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import ExpressionError
+from .errors import EvaluationError, ExpressionError
 
-__all__ = ["Expr", "parse_expression"]
+__all__ = ["Expr", "parse_expression", "evaluate_finite"]
 
 
 class Expr:
@@ -318,3 +318,18 @@ def parse_expression(source) -> Expr:
             f"cannot parse {source!r}: {exc.msg} at line {exc.lineno}, column {exc.offset}"
         ) from None
     return _convert(tree, source)
+
+
+def evaluate_finite(expr: Expr, x, kind: str, label) -> np.ndarray:
+    """``expr`` on ``x``, broadcast to its shape.
+
+    Raises :class:`EvaluationError` naming ``kind``, ``label`` and the first
+    point where the value is not finite, with numpy's warnings silenced.
+    """
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.broadcast_to(np.asarray(expr(x), dtype=float), x.shape)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise EvaluationError(f"{kind} {label!r} is not finite at x = {float(x[bad][0])!r}")
+    return out

@@ -6,9 +6,8 @@ mixed partial is a signed derivative of one profile:
 :class:`Kernel` is that profile plus two pieces of metadata:
 
 * ``profile(s, m)`` returns ``[f(s), f'(s), ..., f^(m)(s)]`` from one
-  difference array (one ``exp`` for all orders), and ``profile_order`` is
-  the highest order it supplies (``math.inf`` for the squared exponential,
-  ``2p`` for Matern, which is the whole smoothness budget).  The kernel's
+  difference array (one ``exp`` for all orders), up to total order
+  ``2 * sample_smoothness``, the whole smoothness budget.  The kernel's
   value is read off it, and every partial comes from it through
   :class:`~gpops.operators.KernelBifunction` (see :mod:`gpops.operators`
   for one partial alone); there is no other evaluation path.
@@ -44,18 +43,16 @@ class Kernel:
     ----------
     profile : callable
         ``profile(s, m) -> [f(s), ..., f^(m)(s)]``, vectorized over ``s``.
-    profile_order : int or math.inf
-        Highest order ``profile`` supplies; partials up to this total order
-        ``d1 + d2`` are closed-form.
     sample_smoothness : int or math.inf
-        A.s. differentiability order of sample paths.
+        A.s. differentiability order of sample paths; ``profile`` supplies
+        every order up to twice this, so partials up to that total order
+        ``d1 + d2`` are closed-form.
     label : str
         Display name.
     """
 
-    def __init__(self, profile, profile_order, sample_smoothness, label):
+    def __init__(self, profile, sample_smoothness, label):
         self.profile = profile
-        self.profile_order = profile_order
         self.sample_smoothness = sample_smoothness
         self.label = label
 
@@ -104,7 +101,7 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
             out.append((-1.0) ** k * var * ell ** (-k) * he * e)
         return out
 
-    return Kernel(profile, math.inf, sample_smoothness=math.inf,
+    return Kernel(profile, sample_smoothness=math.inf,
                   label=f"se(ell={ell:g}, var={var:g})")
 
 
@@ -168,5 +165,5 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
             out.append(val * sign if k % 2 else val)
         return out
 
-    return Kernel(profile, 2 * p, sample_smoothness=p,
+    return Kernel(profile, sample_smoothness=p,
                   label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})")

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EvaluationError
-from .expressions import Expr, parse_expression
+from .expressions import Expr, evaluate_finite, parse_expression
 
 __all__ = [
     "MeanFunction",
@@ -32,14 +31,8 @@ class MeanFunction:
 
     def __call__(self, x):
         """The mean at ``x``; :class:`EvaluationError` where it is not finite."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.broadcast_to(np.asarray(self.expr(x), dtype=float), x.shape)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            raise EvaluationError(
-                f"mean {self.label!r} is not finite at x = {float(x[bad][0])!r}")
-        return float(out) if x.ndim == 0 else np.array(out)
+        out = evaluate_finite(self.expr, x, "mean", self.label)
+        return float(out) if out.ndim == 0 else np.array(out)
 
     def __repr__(self):
         return f"MeanFunction({self.label!r})"

@@ -40,7 +40,7 @@ from math import comb
 import numpy as np
 
 from .errors import DomainViolationError, EvaluationError, ExpressionError, ParameterError
-from .expressions import Const, Expr, parse_expression
+from .expressions import Const, Expr, evaluate_finite, parse_expression
 from .grids import Grid
 from .kernels import Kernel
 from .means import MeanFunction
@@ -224,11 +224,12 @@ def _row_blocks(x1, x2, shape):
 
 
 def _value(c: Expr, x, cache):
-    # c(x), a constant as a float; each coefficient is evaluated once per call
+    # c(x), a constant as a float; each coefficient is evaluated once per call,
+    # and EvaluationError names it where it is not finite
     if c.is_const():
         return c.value
     if c not in cache:
-        cache[c] = c(x)
+        cache[c] = evaluate_finite(c, x, "coefficient", c)
     return cache[c]
 
 
@@ -279,10 +280,10 @@ class KernelBifunction:
         self.label = label or base.label
         self.terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
         for d1, d2, c1, c2 in terms:
-            if d1 + d2 > base.profile_order:
+            if d1 + d2 > 2 * base.sample_smoothness:
                 raise EvaluationError(
                     f"kernel {base.label!r} has no closed-form partial ({d1}, {d2}); "
-                    f"its profile stops at total order {base.profile_order}"
+                    f"its profile stops at total order {2 * base.sample_smoothness}"
                 )
             self.terms.setdefault((d1, d2), []).append((c1, c2))
         self.applied1 = max((d1 for d1, _ in self.terms), default=0)

@@ -95,11 +95,12 @@ class VerificationReport:
         return csv_lines(self.CSV_HEADER, self.per_point)
 
 
-def _standardized_max(dev, se, mask):
-    if not np.any(mask):
-        return 0.0
-    z = np.abs(dev[mask]) / se[mask]
-    return float(np.max(z))
+def _z_gate(dev, se, mask, threshold, **extra) -> dict:
+    """Max ``|dev| / se`` over ``mask`` against ``threshold``; ``extra`` keys precede the verdict."""
+    z = float(np.max(np.abs(dev[mask]) / se[mask]))
+    return {"max_interior_standardized": z,
+            "max_interior_abs_deviation": float(np.max(np.abs(dev[mask]))),
+            **extra, "threshold": threshold, "passed": bool(z <= threshold)}
 
 
 def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
@@ -125,19 +126,16 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
 
     try:
         image = pushforward(p, op)
+        occurred, message = False, "operator was accepted but rejection was expected"
     except DomainViolationError as exc:
-        rejection = {"expected": expect_rejection, "occurred": True, "message": str(exc)}
-        if expect_rejection:
-            rejection["passed"] = True
-            return VerificationReport(config=config, tolerances=tol, mode="rejection",
-                                      passed=True, rejection=rejection)
-        raise
+        if not expect_rejection:
+            raise
+        occurred, message = True, str(exc)
     if expect_rejection:
-        rejection = {"expected": True, "occurred": False,
-                     "message": "operator was accepted but rejection was expected",
-                     "passed": False}
+        rejection = {"expected": True, "occurred": occurred, "message": message,
+                     "passed": occurred}
         return VerificationReport(config=config, tolerances=tol, mode="rejection",
-                                  passed=False, rejection=rejection)
+                                  passed=occurred, rejection=rejection)
 
     x = grid.points
     mean_v = image.mean(x)
@@ -155,55 +153,32 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     mean_se = np.sqrt(var_v / n_paths)
     mean_se = np.where(mean_se == 0.0, np.finfo(float).tiny, mean_se)
     mean_dev = emean - mean_v
-    mean_zmax = _standardized_max(mean_dev, mean_se, interior)
-    mean_check = {
-        "max_interior_standardized": mean_zmax,
-        "max_interior_abs_deviation": float(np.max(np.abs(mean_dev[interior]))),
-        "max_boundary_abs_deviation": float(np.max(np.abs(mean_dev[~interior]))) if np.any(~interior) else 0.0,
-        "mc_se_interior_max": float(np.max(mean_se[interior])),
-        "threshold": tol.mean_z,
-        "passed": bool(mean_zmax <= tol.mean_z),
-    }
+    mean_check = _z_gate(
+        mean_dev, mean_se, interior, tol.mean_z,
+        max_boundary_abs_deviation=float(np.max(np.abs(mean_dev[~interior]))) if np.any(~interior) else 0.0,
+        mc_se_interior_max=float(np.max(mean_se[interior])))
 
     # (b) covariance: entrywise SE sqrt((k_ii k_jj + k_ij^2)/N), interior block
     cov_se = np.sqrt((np.outer(var_v, var_v) + k_v**2) / n_paths)
     var_se = cov_se.diagonal()
     cov_se = np.where(cov_se == 0.0, np.finfo(float).tiny, cov_se)
-    cov_dev = ecov - k_v
-    block = np.outer(interior, interior)
-    cov_zmax = _standardized_max(cov_dev, cov_se, block)
-    cov_check = {
-        "max_interior_standardized": cov_zmax,
-        "max_interior_abs_deviation": float(np.max(np.abs(cov_dev[block]))),
-        "threshold": tol.cov_z,
-        "passed": bool(cov_zmax <= tol.cov_z),
-    }
+    cov_check = _z_gate(ecov - k_v, cov_se, np.outer(interior, interior), tol.cov_z)
 
     # (c) higher cumulants over a deterministic tuple set, interior indices
     interior_idx = np.flatnonzero(interior)
     per_order = []
-    cum_passed = True
     for order in CUMULANT_ORDERS:
         tuples = default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
                                          lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
-        entries = []
-        worst = 0.0
-        for t in tuples:
-            est = empirical_cumulant(transformed, t)
-            worst = max(worst, est.standardized)
-            entries.append({
-                "indices": list(est.indices),
-                "value": est.value,
-                "standard_error": est.standard_error,
-                "standardized": est.standardized,
-            })
-        ok = worst <= tol.cumulant_z
-        cum_passed = cum_passed and ok
+        ests = [empirical_cumulant(transformed, t) for t in tuples]
+        worst = max(est.standardized for est in ests)
         per_order.append({"order": order, "max_standardized": worst,
-                          "threshold": tol.cumulant_z, "passed": bool(ok),
-                          "tuples": entries})
+                          "threshold": tol.cumulant_z, "passed": bool(worst <= tol.cumulant_z),
+                          "tuples": [{"indices": list(est.indices), "value": est.value,
+                                      "standard_error": est.standard_error,
+                                      "standardized": est.standardized} for est in ests]})
     cumulant_check = {"orders": list(CUMULANT_ORDERS), "per_order": per_order,
-                      "passed": bool(cum_passed)}
+                      "passed": all(sec["passed"] for sec in per_order)}
 
     evar = np.diag(ecov)
     per_point = [

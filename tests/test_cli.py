@@ -381,7 +381,13 @@ problem:
     ("sample", "x^-1", 1, "1", "mean 'x^-1' is not finite at x = 0.0"),
     ("solve", "x^-1", 2, "1", "mean 'd^2/dx^2[x^-1]' is not finite at x = 0.0"),
     ("verify", "sin(x)", 1, "x^-0.5", "mean 'x^-0.5*d/dx[sin(x)]' is not finite at x = 0.0"),
-], ids=["verify-mean", "sample-mean", "solve-mean", "verify-coefficient"])
+    # under a zero mean the image mean folds to 0, and only the kernel
+    # tables evaluate the coefficient
+    ("verify", "0", 1, "x^-0.5", "coefficient (x ^ -0.5) is not finite at x = 0.0"),
+    ("kernel-table", "0", 1, "x^-0.5", "coefficient (x ^ -0.5) is not finite at x = 0.0"),
+    ("solve", "0", 2, "x^-0.5", "coefficient (x ^ -0.5) is not finite at x = 0.0"),
+], ids=["verify-mean", "sample-mean", "solve-mean", "verify-coefficient",
+        "verify-zero-mean-coefficient", "kernel-table-coefficient", "solve-coefficient"])
 def test_mean_not_finite_on_the_grid_exit_one(tmp_path, capsys, command, mean, order,
                                               coefficient, message):
     # finite as written, singular at x = 0: one named error, no numpy warning
@@ -390,6 +396,66 @@ def test_mean_not_finite_on_the_grid_exit_one(tmp_path, capsys, command, mean, o
     assert main([command, "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err == "error: " + message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+CONFIG_ERROR_PROBLEM = """\
+problem:
+  rhs: "cos(x)"
+  collocation_count: 10
+  boundary: [{location: 0.0, value: 0.0}]
+  reference: "sin(x)"
+  max_error: 1.0e-2
+"""
+CONFIG_ERROR_BASE = """\
+kernel: {name: matern, nu: "5/2", lengthscale: 0.5}
+mean: "0"
+operator: {terms: [[1, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 2
+seed: 1
+threads: 1
+expected: verification
+tolerances: {mean_z: 5.0}
+output: "%s"
+""" + CONFIG_ERROR_PROBLEM
+
+
+@pytest.mark.parametrize("old, new, key", [
+    (None, "- 1\n", "top level"),
+    ('kernel: {name: matern, nu: "5/2", lengthscale: 0.5}\n', "", "'kernel'"),
+    ('nu: "5/2"', 'nu: "x/2"', "kernel.nu"),
+    ('nu: "5/2"', 'nu: "1/0"', "kernel.nu"),
+    ('nu: "5/2"', "nu: [1]", "kernel.nu"),
+    ('operator: {terms: [[1, "1"]]}', 'operator: [[1, "1"]]', "operator"),
+    ('[[1, "1"]]', "[[1]]", "operator.terms[0]"),
+    ('[[1, "1"]]', "[]", "operator.terms"),
+    ("[0.0, 1.0]", "[1, 0]", "grid"),
+    ("{mean_z: 5.0}", "3", "'tolerances'"),
+    (CONFIG_ERROR_PROBLEM, "problem: 3\n", "'problem'"),
+    ('rhs: "cos(x)"', 'rhs: "x^"', "problem"),
+    ("[{location: 0.0, value: 0.0}]", "[3]", "problem.boundary[0]"),
+    ("value: 0.0", "value: x", "problem.boundary[0].value"),
+    ('  reference: "sin(x)"\n', "", "problem.max_error"),
+    ("max_error: 1.0e-2", "max_error: x", "problem.max_error"),
+    ("collocation_count: 10", "collocation_count: -1", "problem.collocation_count"),
+    ("samples: 2", "samples: 1", "samples"),
+    ("expected: verification", "expected: maybe", "expected"),
+    ("threads: 1", "threads: 0", "threads"),
+])
+def test_config_error_names_the_key_exit_one(tmp_path, capsys, old, new, key):
+    text = CONFIG_ERROR_BASE % (tmp_path / "out")
+    if old is None:
+        text = new
+    else:
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg = write(tmp_path, "bad.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert key in err
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

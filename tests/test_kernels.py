@@ -171,7 +171,7 @@ def test_se_partials_to_order_16_match_mpmath():
     # roundoff of order m within 1e-15 of max|f^(m)|
     ell, var = 0.7, 1.3
     k = se_kernel(ell, var)
-    assert k.profile_order == math.inf
+    assert 2 * k.sample_smoothness == math.inf
     s = np.linspace(-3.0, 3.0, 61)
     with mpmath.workdps(50):
         def f(x):

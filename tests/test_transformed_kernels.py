@@ -99,7 +99,7 @@ def test_nested_pushforward_expands_onto_the_catalog_kernel():
         t, s = random_operator(rng, inner_order), random_operator(rng, outer_order)
         nested = pushforward(pushforward(prior, t), s).kernel
         assert nested.base is k
-        assert max(d1 + d2 for d1, d2 in nested.terms) <= k.profile_order
+        assert max(d1 + d2 for d1, d2 in nested.terms) <= 2 * k.sample_smoothness
         assert_matches_per_term(nested)
         want = pushforward(prior, compose(s, t)).kernel(x1, x2)
         assert np.max(np.abs(nested(x1, x2) - want)) <= RTOL * np.max(np.abs(want))
@@ -122,7 +122,7 @@ def test_catalog_partials_are_signed_profile_derivatives():
     # (-1)^d2 f^(d1+d2), bit for bit
     s = np.linspace(-2.0, 2.0, 41)
     for k in (se_kernel(0.7, 1.3), matern_kernel(2.5, 0.8, 1.1), matern_kernel(3.5, 0.6, 0.9)):
-        top = min(k.profile_order, 9)  # the squared exponential has no top order
+        top = min(2 * k.sample_smoothness, 9)  # the squared exponential has no top order
         derivs = k.profile(s, top)
         assert len(derivs) == top + 1
         assert np.array_equal(derivs[0], k(s, np.zeros_like(s)))
@@ -132,7 +132,7 @@ def test_catalog_partials_are_signed_profile_derivatives():
                 bf = apply_arg(derivative_operator(d1), ARG1,
                                apply_arg(derivative_operator(d2), ARG2, k))
                 assert np.array_equal(bf(s, 0.0), (-1.0) ** d2 * derivs[d1 + d2])
-        if top == k.profile_order:
+        if top == 2 * k.sample_smoothness:
             with pytest.raises(DomainViolationError):
                 apply_arg(derivative_operator(k.sample_smoothness + 1), ARG1, k)
 

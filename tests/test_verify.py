@@ -2,14 +2,19 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import gpops.verify
 from gpops.errors import DomainViolationError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
+from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
+from gpops.sampling import SampleEnsemble, apply_operator_pathwise, sample_paths
+from gpops.transform import pushforward
 from gpops.verify import VerificationTolerances, verify_theorem
 
 GRID = Grid.uniform_on(0.0, 1.0, 17)
@@ -117,3 +122,57 @@ def test_verdict_does_not_depend_on_kernel_variance():
     assert small.passed
     assert large.passed == small.passed
     assert large.cov_check["passed"] == small.cov_check["passed"]
+
+
+# Negative controls: each injects one defect into the ensemble that verify
+# draws, on the setup of the benchmark's verify-small workload, and must fail
+# exactly the gate that tests for it.
+CONTROL_PRIOR = GaussianProcessPrior(mean=mean_from_expression("sin(x)"),
+                                     kernel=se_kernel(0.5))
+CONTROL_OP = LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])
+CONTROL_GRID = Grid.uniform_on(0.0, 1.0, 33)
+CONTROL_PATHS = 100_000
+
+
+def _shift_mean(op, e):
+    # 8 Monte-Carlo standard errors of the image mean at every point
+    image = pushforward(CONTROL_PRIOR, CONTROL_OP)
+    se = np.sqrt(np.diag(gram(image.kernel, CONTROL_GRID)) / CONTROL_PATHS)
+    out = apply_operator_pathwise(op, e)
+    return SampleEnsemble(out.grid, out.paths + 8.0 * se, out.seed, out.jitter)
+
+
+def _longer_lengthscale(p, grid, n_paths, seed, *, threads=1):
+    # a kernel 5% off the one whose image the gates predict
+    wrong = GaussianProcessPrior(mean=p.mean, kernel=se_kernel(0.525))
+    return sample_paths(wrong, grid, n_paths, seed, threads=threads)
+
+
+def _scale_mixture(p, grid, n_paths, seed, *, threads=1):
+    # m + sqrt(W) (u - m) with E W = 1: the prior's mean and covariance, not Gaussian
+    e = sample_paths(p, grid, n_paths, seed, threads=threads)
+    m = p.mean(grid.points)
+    w = np.random.default_rng(seed).gamma(4.0, 0.25, size=(n_paths, 1))
+    return SampleEnsemble(grid, m + np.sqrt(w) * (e.paths - m), e.seed, e.jitter)
+
+
+def _failed_gates(rep):
+    gates = {"mean": rep.mean_check["passed"], "cov": rep.cov_check["passed"]}
+    gates.update((f"cumulant{sec['order']}", sec["passed"])
+                 for sec in rep.cumulant_check["per_order"])
+    return {name for name, passed in gates.items() if not passed}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("target, patch, failed", [
+    ("apply_operator_pathwise", _shift_mean, {"mean"}),
+    ("sample_paths", _longer_lengthscale, {"cov"}),
+    ("sample_paths", _scale_mixture, {"cumulant4"}),
+    (None, None, set()),
+], ids=["mean-shift", "lengthscale", "scale-mixture", "null"])
+def test_negative_control_fails_exactly_its_gate(monkeypatch, seed, target, patch, failed):
+    if target is not None:
+        monkeypatch.setattr(gpops.verify, target, patch)
+    rep = verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, CONTROL_PATHS, seed)
+    assert _failed_gates(rep) == failed
+    assert rep.passed == (not failed)
