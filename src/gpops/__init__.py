@@ -23,8 +23,9 @@ from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
                         apply_to_function, commutator_residual, compose,
                         derivative_operator, identity, scale)
 from .processes import GaussianProcessPrior
-from .sampling import (SampleEnsemble, apply_operator_pathwise, empirical_cov,
-                       empirical_mean, operator_matrix, sample_paths)
+from .sampling import (FactoredDraw, SampleEnsemble, apply_operator_pathwise,
+                       draw_factored, empirical_cov, empirical_mean, operator_matrix,
+                       sample_paths)
 from .stencils import differentiation_matrix, fd_weights, interior_mask
 from .transform import JointBlocks, finite_dim_pushforward, joint_blocks, pushforward
 from .verify import VerificationReport, VerificationTolerances, verify_theorem
@@ -34,7 +35,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ARG1", "ARG2",
     "ConfigError", "CumulantEstimate", "DimensionError", "DomainViolationError",
-    "EvaluationError", "ExpressionError", "GaussianProcessPrior",
+    "EvaluationError", "ExpressionError", "FactoredDraw", "GaussianProcessPrior",
     "GpopsError", "Grid", "GridSizeError", "JointBlocks",
     "Kernel", "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
     "Observation", "ParameterError", "Partition", "PosteriorSummary",
@@ -42,7 +43,7 @@ __all__ = [
     "add", "apply_arg", "apply_both", "apply_operator_pathwise",
     "apply_to_function", "chol_psd", "commutator_residual", "compose",
     "condition", "constant_mean", "default_cumulant_tuples",
-    "derivative_operator", "differentiation_matrix", "empirical_cov",
+    "derivative_operator", "differentiation_matrix", "draw_factored", "empirical_cov",
     "empirical_cumulant", "empirical_mean", "enumerate_partitions",
     "fd_weights", "finite_dim_pushforward",
     "gram", "identity", "interior_mask", "joint_blocks", "matern_kernel",

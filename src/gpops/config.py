@@ -178,12 +178,11 @@ def _parse_problem(tree):
     }
     if out["collocation_count"] < 0:
         raise ConfigError("problem.collocation_count must be >= 0 (0 uses the grid interior)")
-    try:
-        out["rhs_fn"] = mean_from_expression(out["rhs"])
-        if out["reference"] is not None:
-            out["reference_fn"] = mean_from_expression(out["reference"])
-    except ExpressionError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+    for key in ("rhs", "reference") if out["reference"] is not None else ("rhs",):
+        try:
+            out[f"{key}_fn"] = mean_from_expression(out[key])
+        except ExpressionError as exc:
+            raise ConfigError(f"problem.{key}: {exc}") from exc
     out["boundary"] = [_parse_boundary(i, b) for i, b in enumerate(out["boundary"])]
     if out["max_error"] is not None:
         if not _is(out["max_error"], (int, float)):

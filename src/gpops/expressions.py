@@ -314,10 +314,23 @@ def parse_expression(source) -> Expr:
     try:
         tree = ast.parse(translated, mode="eval")
     except SyntaxError as exc:
+        lineno = exc.lineno or 1
+        column = _source_column(source.split("\n")[lineno - 1], exc.offset)
         raise ExpressionError(
-            f"cannot parse {source!r}: {exc.msg} at line {exc.lineno}, column {exc.offset}"
+            f"cannot parse {source!r}: {exc.msg} at line {lineno}, column {column}"
         ) from None
     return _convert(tree, source)
+
+
+def _source_column(line: str, offset) -> int:
+    """1-based column in ``line`` of a syntax error at ``offset`` of its translation.
+
+    Each '^' is two characters ('**') in the parsed text.  An offset of 0 or
+    past the end (Python's report when the input ends mid-expression) maps to
+    one past the last character.
+    """
+    cols = [i + 1 for i, ch in enumerate(line) for _ in range(2 if ch == "^" else 1)]
+    return cols[offset - 1] if 0 < (offset or 0) <= len(cols) else len(line) + 1
 
 
 def evaluate_finite(expr: Expr, x, kind: str, label) -> np.ndarray:

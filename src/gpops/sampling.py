@@ -14,8 +14,14 @@ threads, and regenerating with equal inputs reproduces paths exactly.
 The paths are split into contiguous blocks of about ``BLOCK_WORDS`` words.
 The calling thread and ``threads - 1`` helper threads take the blocks one at
 a time, draw their uniforms and write their inverse-CDF images into one
-shared array, so a single thread runs no helper and hands nothing over.  The
-Cholesky product ``z @ L.T`` is left to BLAS.
+shared array, so a single thread runs no helper and hands nothing over.
+
+:func:`draw_factored` stops there and returns the draw in factored form: the
+mean ``m``, the Cholesky factor ``L`` and the normals ``z`` as a white
+ensemble.  :func:`sample_paths` is ``m + z @ L.T`` of that draw, with the
+product left to BLAS.  A caller that needs only statistics of a linear image
+``A u`` of the paths can push the moments of ``z`` through ``T = A L`` instead
+of forming the paths (``verify_theorem`` does).
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ from .stencils import differentiation_matrix
 
 __all__ = [
     "SampleEnsemble",
+    "FactoredDraw",
+    "draw_factored",
     "sample_paths",
     "apply_operator_pathwise",
     "empirical_mean",
@@ -46,6 +54,8 @@ __all__ = [
 # temporaries small; whole-slice temporaries left tens of MB held by the
 # allocator after helper threads ended.
 BLOCK_WORDS = 2**16
+# Path entries per centred block of the empirical covariance (4 MB of doubles).
+COV_BLOCK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,26 @@ def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> n
     return z
 
 
-def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
-                 *, threads: int = 1) -> SampleEnsemble:
-    """Draw N paths of the prior's finite marginal on the grid.
+@dataclass(frozen=True)
+class FactoredDraw:
+    """A seeded draw of the prior's grid marginal, kept as ``(m, L, z)``.
 
-    Paths are ``mean + L z`` with ``L`` the jitter-laddered Cholesky factor of
-    the Gram matrix (its jitter is kept on the ensemble) and ``z`` per-path
-    standard normals (see the module docstring for the substream
+    Path ``i`` is ``mean + factor @ white.paths[i]``.  ``white`` holds the
+    per-path standard normals on the same grid, with the seed and the
+    sampling Cholesky's jitter.
+    """
+
+    mean: np.ndarray  # shape (n,)
+    factor: np.ndarray  # lower triangular, shape (n, n)
+    white: SampleEnsemble  # paths of shape (N, n)
+
+
+def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
+                  *, threads: int = 1) -> FactoredDraw:
+    """The prior's mean and Gram factor on the grid, and N paths of standard normals.
+
+    ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
+    the per-path normals (see the module docstring for the substream
     derivation).  Deterministic in the seed and independent of ``threads``.
     """
     if n_paths < 2:
@@ -130,14 +153,29 @@ def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))
-    mean = p.mean(grid.points)
-    paths = _standard_normals(seed, n_paths, len(grid), threads) @ L.T
-    paths += mean  # in place: no second N x n array
-    return SampleEnsemble(grid=grid, paths=paths, seed=int(seed), jitter=jitter)
+    z = _standard_normals(seed, n_paths, len(grid), threads)
+    return FactoredDraw(mean=p.mean(grid.points), factor=L,
+                        white=SampleEnsemble(grid=grid, paths=z, seed=int(seed), jitter=jitter))
+
+
+def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
+                 *, threads: int = 1) -> SampleEnsemble:
+    """Draw N paths of the prior's finite marginal on the grid.
+
+    Paths are ``mean + L z`` of :func:`draw_factored`'s draw; the ensemble
+    keeps its seed and jitter.
+    """
+    d = draw_factored(p, grid, n_paths, seed, threads=threads)
+    paths = d.white.paths @ d.factor.T
+    paths += d.mean  # in place: no second N x n array
+    return SampleEnsemble(grid=grid, paths=paths, seed=d.white.seed, jitter=d.white.jitter)
 
 
 def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnsemble:
     """Apply the operator to every path via grid stencils of accuracy order 4.
+
+    This is the pathwise reference: ``verify_theorem`` takes the same
+    statistics from the moments of the white draw instead.
 
     Rows within reach of an endpoint use shifted one-sided stencils; the
     companion statistics exclude those columns from interior comparisons.
@@ -165,6 +203,17 @@ def empirical_mean(e: SampleEnsemble) -> np.ndarray:
 
 
 def empirical_cov(e: SampleEnsemble) -> np.ndarray:
-    """Unbiased (N-1) sample covariance of the ensemble columns."""
-    centered = e.paths - e.paths.mean(axis=0)
-    return centered.T @ centered / (e.n_paths - 1)
+    """Unbiased (N-1) sample covariance of the ensemble columns.
+
+    The paths are centred in row blocks of about ``COV_BLOCK_ENTRIES``
+    entries, so no centred copy of the whole ensemble is held.  Each block's
+    product is exactly symmetric, and so is their sum.
+    """
+    mean = e.paths.mean(axis=0)
+    rows = max(1, COV_BLOCK_ENTRIES // e.paths.shape[1])
+    out = np.zeros((mean.size, mean.size))
+    for lo in range(0, e.n_paths, rows):
+        centered = e.paths[lo:lo + rows] - mean
+        out += centered.T @ centered
+    out /= e.n_paths - 1
+    return out

@@ -1,8 +1,8 @@
 """Monte-Carlo verification that operator transport matches pathwise reality.
 
-``verify_theorem`` samples prior paths, applies the operator to each path by
-grid stencils, and compares the resulting empirical statistics against the
-closed-form image process:
+``verify_theorem`` draws a seeded ensemble of prior paths ``u = m + L z`` on
+the grid and compares the statistics of its stencilled image ``A u`` against
+the closed-form image process:
 
 (a) the empirical mean of the transformed ensemble against the transformed
     mean function, standardized by the per-point Monte-Carlo standard error;
@@ -11,6 +11,17 @@ closed-form image process:
 (c) standardized third- and fourth-order cumulants of the transformed
     ensemble, which must be statistically indistinguishable from zero if the
     image process is Gaussian.
+
+Neither the prior paths nor their images are formed.  With ``T = A L``, the
+image ensemble is ``A m + z T^t``, so its mean is ``A m + T zbar`` and its
+covariance ``T cov(z) T^t``: the moments of the white normals pushed through
+:func:`~gpops.transform.finite_dim_pushforward`.  ``cov(z)`` is close to the
+identity, so this product loses nothing to cancellation, where
+``A cov(u) A^t`` cancels under a high-order stencil over a smooth prior.
+Against the covariance of 20k stencilled paths (relative to its largest
+entry), ``T cov(z) T^t`` agreed to 6e-12 and ``A cov(u) A^t`` only to 3.5e-4
+for SE with lengthscale 1 under d^4 on 65 points.  Only the few image columns
+that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
 
 Comparisons exclude the boundary rows whose stencils are one-sided (their
 truncation constants are larger and say nothing about the process itself);
@@ -32,10 +43,13 @@ from .linalg import gram
 from .operators import LinearOperator, commutator_residual  # noqa: F401
 from .processes import GaussianProcessPrior
 from .reportio import csv_lines, dumps_json
-from .sampling import (apply_operator_pathwise, empirical_cov, empirical_mean,
-                       sample_paths)
+from .sampling import (SampleEnsemble, draw_factored, empirical_cov, empirical_mean,
+                       operator_matrix)
+# sample_paths and apply_operator_pathwise are not called here; they stay
+# importable because perfbench/tracing.py rebinds them
+from .sampling import apply_operator_pathwise, sample_paths  # noqa: F401
 from .stencils import interior_mask
-from .transform import pushforward
+from .transform import finite_dim_pushforward, pushforward
 
 __all__ = ["VerificationTolerances", "VerificationReport", "verify_theorem"]
 
@@ -142,12 +156,27 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     k_v = gram(image.kernel, grid)
     var_v = np.clip(np.diag(k_v), 0.0, None)
 
-    # nested, so the prior paths are freed before empirical_cov's centred copy
-    transformed = apply_operator_pathwise(op, sample_paths(p, grid, n_paths, seed, threads=threads))
-    emean = empirical_mean(transformed)
-    ecov = empirical_cov(transformed)
+    # the image ensemble A u = A m + z T^t, from the moments of z (module docstring)
+    draw = draw_factored(p, grid, n_paths, seed, threads=threads)
+    a_mat = operator_matrix(op, grid)
+    t_mat = a_mat @ draw.factor
+    a_mean = a_mat @ draw.mean
+    t_zbar, ecov = finite_dim_pushforward(empirical_mean(draw.white),
+                                          empirical_cov(draw.white), t_mat)
+    emean = a_mean + t_zbar
 
     interior = interior_mask(len(grid), op.order)
+    interior_idx = np.flatnonzero(interior)
+    tuples = {order: default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
+                                             lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
+              for order in CUMULANT_ORDERS}
+    # the image columns the cumulants read, as an ensemble on their own points
+    cols = sorted({i for ts in tuples.values() for t in ts for i in t})
+    column = {c: k for k, c in enumerate(cols)}
+    thin_paths = draw.white.paths @ t_mat[cols].T
+    thin_paths += a_mean[cols]
+    thin = SampleEnsemble(grid=Grid(x[cols]), paths=thin_paths, seed=draw.white.seed,
+                          jitter=draw.white.jitter)
 
     # (a) mean: per-point MC standard error sqrt(k_v(x,x)/N)
     mean_se = np.sqrt(var_v / n_paths)
@@ -164,19 +193,17 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     cov_se = np.where(cov_se == 0.0, np.finfo(float).tiny, cov_se)
     cov_check = _z_gate(ecov - k_v, cov_se, np.outer(interior, interior), tol.cov_z)
 
-    # (c) higher cumulants over a deterministic tuple set, interior indices
-    interior_idx = np.flatnonzero(interior)
+    # (c) higher cumulants over a deterministic tuple set, interior grid indices
     per_order = []
     for order in CUMULANT_ORDERS:
-        tuples = default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
-                                         lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
-        ests = [empirical_cumulant(transformed, t) for t in tuples]
+        ests = [empirical_cumulant(thin, [column[i] for i in t]) for t in tuples[order]]
         worst = max(est.standardized for est in ests)
         per_order.append({"order": order, "max_standardized": worst,
                           "threshold": tol.cumulant_z, "passed": bool(worst <= tol.cumulant_z),
-                          "tuples": [{"indices": list(est.indices), "value": est.value,
+                          "tuples": [{"indices": list(t), "value": est.value,
                                       "standard_error": est.standard_error,
-                                      "standardized": est.standardized} for est in ests]})
+                                      "standardized": est.standardized}
+                                     for t, est in zip(tuples[order], ests)]})
     cumulant_check = {"orders": list(CUMULANT_ORDERS), "per_order": per_order,
                       "passed": all(sec["passed"] for sec in per_order)}
 

@@ -434,6 +434,11 @@ output: "%s"
     ("{mean_z: 5.0}", "3", "'tolerances'"),
     (CONFIG_ERROR_PROBLEM, "problem: 3\n", "'problem'"),
     ('rhs: "cos(x)"', 'rhs: "x^"', "problem"),
+    ('rhs: "cos(x)"', 'rhs: "1 + x^"', "problem.rhs: cannot parse '1 + x^'"),
+    ('reference: "sin(x)"', 'reference: "x^"', "problem.reference: cannot parse 'x^'"),
+    # a trailing operator points past the end; each '^' counts as one column
+    ('reference: "sin(x)"', 'reference: "1 + x^"', "at line 1, column 7"),
+    ('reference: "sin(x)"', 'reference: "2^x +* 1"', "at line 1, column 6"),
     ("[{location: 0.0, value: 0.0}]", "[3]", "problem.boundary[0]"),
     ("value: 0.0", "value: x", "problem.boundary[0].value"),
     ('  reference: "sin(x)"\n', "", "problem.max_error"),

@@ -14,8 +14,8 @@ from gpops.operators import LinearOperator, derivative_operator, identity
 import gpops.sampling
 from gpops.processes import GaussianProcessPrior
 from gpops.sampling import (BLOCK_WORDS, SampleEnsemble, _standard_normals,
-                            _uniform_block, apply_operator_pathwise, empirical_cov,
-                            empirical_mean, sample_paths)
+                            _uniform_block, apply_operator_pathwise, draw_factored,
+                            empirical_cov, empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import pushforward
 
@@ -48,6 +48,17 @@ def test_thread_count_does_not_change_tiny_ensembles():
         assert np.array_equal(a.paths, sample_paths(PRIOR, g, 3, 11, threads=threads).paths)
     with pytest.raises(ParameterError):
         sample_paths(PRIOR, g, 3, 11, threads=0)
+
+
+def test_sample_paths_is_mean_plus_factor_times_white_draw():
+    p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=se_kernel(0.5))
+    g = Grid.uniform_on(0, 1, 9)
+    d = draw_factored(p, g, 200, 42, threads=2)
+    assert np.array_equal(d.white.paths, _standard_normals(42, 200, 9, 1))
+    assert np.array_equal(d.mean, np.sin(g.points))
+    e = sample_paths(p, g, 200, 42)
+    assert np.array_equal(e.paths, d.white.paths @ d.factor.T + d.mean)
+    assert (e.seed, e.jitter) == (d.white.seed, d.white.jitter) == (42, 0.0)
 
 
 @pytest.mark.parametrize("threads", [1, 3])

@@ -1,11 +1,13 @@
 """The verification harness: reports, determinism, rejection contract."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import gpops.verify
+from gpops.cumulants import default_cumulant_tuples, empirical_cumulant
 from gpops.errors import DomainViolationError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
@@ -13,8 +15,10 @@ from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import SampleEnsemble, apply_operator_pathwise, sample_paths
-from gpops.transform import pushforward
+from gpops.sampling import (SampleEnsemble, apply_operator_pathwise, draw_factored,
+                            empirical_cov, empirical_mean, sample_paths)
+from gpops.stencils import interior_mask
+from gpops.transform import finite_dim_pushforward, pushforward
 from gpops.verify import VerificationTolerances, verify_theorem
 
 GRID = Grid.uniform_on(0.0, 1.0, 17)
@@ -124,9 +128,9 @@ def test_verdict_does_not_depend_on_kernel_variance():
     assert large.cov_check["passed"] == small.cov_check["passed"]
 
 
-# Negative controls: each injects one defect into the ensemble that verify
-# draws, on the setup of the benchmark's verify-small workload, and must fail
-# exactly the gate that tests for it.
+# Negative controls: each injects one defect into the factored draw that
+# verify takes, on the setup of the benchmark's verify-small workload, and must
+# fail exactly the gate that tests for it.
 CONTROL_PRIOR = GaussianProcessPrior(mean=mean_from_expression("sin(x)"),
                                      kernel=se_kernel(0.5))
 CONTROL_OP = LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])
@@ -134,26 +138,31 @@ CONTROL_GRID = Grid.uniform_on(0.0, 1.0, 33)
 CONTROL_PATHS = 100_000
 
 
-def _shift_mean(op, e):
-    # 8 Monte-Carlo standard errors of the image mean at every point
+def _shift_mean(p, grid, n_paths, seed, *, threads=1):
+    # a constant c added to m: its image c (1 + x^2) is at least 8 Monte-Carlo
+    # standard errors of the image mean at every interior point
+    d = draw_factored(p, grid, n_paths, seed, threads=threads)
     image = pushforward(CONTROL_PRIOR, CONTROL_OP)
-    se = np.sqrt(np.diag(gram(image.kernel, CONTROL_GRID)) / CONTROL_PATHS)
-    out = apply_operator_pathwise(op, e)
-    return SampleEnsemble(out.grid, out.paths + 8.0 * se, out.seed, out.jitter)
+    se = np.sqrt(np.diag(gram(image.kernel, grid)) / n_paths)
+    interior = interior_mask(len(grid), CONTROL_OP.order)
+    c = 8.0 * np.max(se[interior] / (1.0 + grid.points[interior] ** 2))
+    return dataclasses.replace(d, mean=d.mean + c)
 
 
 def _longer_lengthscale(p, grid, n_paths, seed, *, threads=1):
-    # a kernel 5% off the one whose image the gates predict
+    # the factor of a kernel 5% off the one whose image the gates predict
     wrong = GaussianProcessPrior(mean=p.mean, kernel=se_kernel(0.525))
-    return sample_paths(wrong, grid, n_paths, seed, threads=threads)
+    return draw_factored(wrong, grid, n_paths, seed, threads=threads)
 
 
 def _scale_mixture(p, grid, n_paths, seed, *, threads=1):
-    # m + sqrt(W) (u - m) with E W = 1: the prior's mean and covariance, not Gaussian
-    e = sample_paths(p, grid, n_paths, seed, threads=threads)
-    m = p.mean(grid.points)
+    # rows of z scaled by sqrt(W) with E W = 1: the prior's mean and
+    # covariance, not Gaussian
+    d = draw_factored(p, grid, n_paths, seed, threads=threads)
+    z = d.white
     w = np.random.default_rng(seed).gamma(4.0, 0.25, size=(n_paths, 1))
-    return SampleEnsemble(grid, m + np.sqrt(w) * (e.paths - m), e.seed, e.jitter)
+    white = SampleEnsemble(z.grid, np.sqrt(w) * z.paths, z.seed, z.jitter)
+    return dataclasses.replace(d, white=white)
 
 
 def _failed_gates(rep):
@@ -164,15 +173,63 @@ def _failed_gates(rep):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("target, patch, failed", [
-    ("apply_operator_pathwise", _shift_mean, {"mean"}),
-    ("sample_paths", _longer_lengthscale, {"cov"}),
-    ("sample_paths", _scale_mixture, {"cumulant4"}),
-    (None, None, set()),
+@pytest.mark.parametrize("patch, failed", [
+    (_shift_mean, {"mean"}),
+    (_longer_lengthscale, {"cov"}),
+    (_scale_mixture, {"cumulant4"}),
+    (None, set()),
 ], ids=["mean-shift", "lengthscale", "scale-mixture", "null"])
-def test_negative_control_fails_exactly_its_gate(monkeypatch, seed, target, patch, failed):
-    if target is not None:
-        monkeypatch.setattr(gpops.verify, target, patch)
+def test_negative_control_fails_exactly_its_gate(monkeypatch, seed, patch, failed):
+    if patch is not None:
+        monkeypatch.setattr(gpops.verify, "draw_factored", patch)
     rep = verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, CONTROL_PATHS, seed)
     assert _failed_gates(rep) == failed
     assert rep.passed == (not failed)
+
+
+# verify pushes the moments of the white normals through T = A L and builds
+# only the image columns that the cumulants read; the reference stencils every
+# path and takes its statistics from the whole transformed ensemble.
+EQUIVALENCE_RTOL = 1e-9
+
+
+@pytest.mark.parametrize("p, op, grid", [
+    (CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID),
+    (GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5)),
+     derivative_operator(2), Grid.uniform_on(0.0, 1.0, 257)),
+    (PRIOR, derivative_operator(4), Grid.uniform_on(0.0, 1.0, 65)),
+], ids=["verify-small", "matern52-d2-257", "se-d4-65"])
+def test_moment_pushforward_matches_pathwise_reference(monkeypatch, p, op, grid):
+    n_paths, seed = 20_000, 1
+    pushed = []
+
+    def spy(*args):
+        pushed.append(finite_dim_pushforward(*args))
+        return pushed[-1]
+
+    monkeypatch.setattr(gpops.verify, "finite_dim_pushforward", spy)
+    rep = verify_theorem(p, op, grid, n_paths, seed)
+    ref = apply_operator_pathwise(op, sample_paths(p, grid, n_paths, seed))
+    ref_mean, ref_cov = empirical_mean(ref), empirical_cov(ref)
+    sd = np.sqrt(np.diag(ref_cov))
+
+    # sizes the differences are relative to: of the columns, of the covariance,
+    # and of a product of columns for a cumulant
+    mean = np.array([row[3] for row in rep.per_point])
+    assert np.max(np.abs(mean - ref_mean)) <= EQUIVALENCE_RTOL * np.max(np.abs(ref_mean) + sd)
+    (_, cov), = pushed
+    assert np.max(np.abs(cov - ref_cov)) <= EQUIVALENCE_RTOL * np.max(np.abs(ref_cov))
+    var = np.array([row[7] for row in rep.per_point])
+    assert np.array_equal(var, np.diag(cov))
+
+    interior = np.flatnonzero(interior_mask(len(grid), op.order))
+    for sec in rep.cumulant_check["per_order"]:
+        tuples = default_cumulant_tuples(len(grid), sec["order"],
+                                         count=gpops.verify.TUPLES_PER_ORDER,
+                                         lo=int(interior[0]), hi=int(interior[-1]))
+        assert [tuple(t["indices"]) for t in sec["tuples"]] == tuples
+        for t in sec["tuples"]:
+            est = empirical_cumulant(ref, t["indices"])
+            assert abs(t["value"] - est.value) <= EQUIVALENCE_RTOL * np.prod(sd[t["indices"]])
+            assert abs(t["standard_error"] - est.standard_error) <= \
+                EQUIVALENCE_RTOL * np.prod(sd[t["indices"]])
