@@ -16,7 +16,7 @@ from .errors import (ConfigError, DimensionError, DomainViolationError,
                      NotPositiveDefiniteError, ParameterError)
 from .expressions import parse_expression
 from .grids import Grid
-from .kernels import Kernel, matern_kernel, se_kernel
+from .kernels import Kernel, KernelBifunction, matern_kernel, se_kernel
 from .linalg import chol_psd, gram
 from .means import MeanFunction, constant_mean, mean_from_expression, zero_mean
 from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
@@ -36,8 +36,8 @@ __all__ = [
     "ARG1", "ARG2",
     "ConfigError", "CumulantEstimate", "DimensionError", "DomainViolationError",
     "EvaluationError", "ExpressionError", "FactoredDraw", "GaussianProcessPrior",
-    "GpopsError", "Grid", "GridSizeError", "JointBlocks",
-    "Kernel", "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
+    "GpopsError", "Grid", "GridSizeError", "JointBlocks", "Kernel", "KernelBifunction",
+    "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
     "Observation", "ParameterError", "Partition", "PosteriorSummary",
     "SampleEnsemble", "VerificationReport", "VerificationTolerances",
     "add", "apply_arg", "apply_both", "apply_operator_pathwise",

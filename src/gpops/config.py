@@ -7,15 +7,18 @@ file-driven so campaigns are reproducible.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 
 import yaml
 
 from .conditioning import Observation
 from .errors import ConfigError, ExpressionError, ParameterError
+from .expressions import evaluate_finite, parse_expression
 from .grids import Grid
-from .kernels import Kernel, matern_kernel, se_kernel
+from .kernels import KernelBifunction, matern_kernel, se_kernel
 from .means import MeanFunction, mean_from_expression
 from .operators import LinearOperator, identity
 from .processes import GaussianProcessPrior
@@ -30,7 +33,7 @@ KERNEL_NAMES = ("se", "matern")
 class RunConfig:
     """Everything a subcommand needs, already validated and constructed."""
 
-    kernel: Kernel
+    kernel: KernelBifunction
     mean: MeanFunction
     operator: LinearOperator
     grid: Grid
@@ -68,6 +71,13 @@ def _get(tree, key, kind=None, default=_REQUIRED):
     return value
 
 
+def _threshold(key, value):
+    # a pass threshold that a finite statistic can meet: a finite number > 0
+    if not (_is(value, (int, float)) and 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
 def _parse_nu(raw):
     if isinstance(raw, str):
         try:
@@ -79,7 +89,7 @@ def _parse_nu(raw):
     raise ConfigError(f"kernel.nu must be a number or fraction string, got {raw!r}")
 
 
-def _parse_kernel(tree) -> Kernel:
+def _parse_kernel(tree) -> KernelBifunction:
     name = _get(tree, "name", str)
     lengthscale = _get(tree, "lengthscale", (int, float))
     variance = _get(tree, "variance", (int, float), default=1.0)
@@ -153,10 +163,7 @@ def _parse_tolerances(tree) -> VerificationTolerances:
         raise ConfigError("config key 'tolerances' must be a mapping")
     kwargs = {}
     for f in fields(VerificationTolerances):
-        value = tree.get(f.name, f.default)
-        if not _is(value, (int, float)):
-            raise ConfigError(f"tolerances.{f.name} must be a number")
-        kwargs[f.name] = float(value)
+        kwargs[f.name] = _threshold(f"tolerances.{f.name}", tree.get(f.name, f.default))
     unknown = set(tree) - set(kwargs)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
@@ -178,15 +185,19 @@ def _parse_problem(tree):
     }
     if out["collocation_count"] < 0:
         raise ConfigError("problem.collocation_count must be >= 0 (0 uses the grid interior)")
+    sd = out["collocation_noise_sd"]
+    if not (0 <= sd and sd * sd <= sys.float_info.max):
+        raise ConfigError(f"problem.collocation_noise_sd must be a number >= 0 "
+                          f"with a finite square, got {sd!r}")
     for key in ("rhs", "reference") if out["reference"] is not None else ("rhs",):
         try:
-            out[f"{key}_fn"] = mean_from_expression(out[key])
+            expr = parse_expression(out[key])
         except ExpressionError as exc:
             raise ConfigError(f"problem.{key}: {exc}") from exc
+        out[f"{key}_fn"] = partial(evaluate_finite, expr, kind=f"problem.{key}", label=out[key])
     out["boundary"] = [_parse_boundary(i, b) for i, b in enumerate(out["boundary"])]
     if out["max_error"] is not None:
-        if not _is(out["max_error"], (int, float)):
-            raise ConfigError("problem.max_error must be a number")
+        _threshold("problem.max_error", out["max_error"])
         if out["reference"] is None:
             raise ConfigError("problem.max_error needs problem.reference to bound the error of")
     return out

@@ -2,24 +2,24 @@
 
 Both catalog kernels are stationary, ``k(x1, x2) = f(x1 - x2)``, so every
 mixed partial is a signed derivative of one profile:
-``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  A
-:class:`Kernel` is that profile plus two pieces of metadata:
+``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  A catalog
+kernel is the one-key :class:`KernelBifunction` ``(0, 0, 1, 1)``, its own
+image under the identity, so prior and image kernels are one type with one
+evaluator.  Its ``base`` is a :class:`Kernel`, the non-callable record of:
 
-* ``profile(s, m)`` returns ``[f(s), f'(s), ..., f^(m)(s)]`` from one
+* ``profile(s, m)``, which returns ``[f(s), f'(s), ..., f^(m)(s)]`` from one
   difference array (one ``exp`` for all orders), up to total order
-  ``2 * sample_smoothness``, the whole smoothness budget.  The kernel's
-  value is read off it, and every partial comes from it through
-  :class:`~gpops.operators.KernelBifunction` (see :mod:`gpops.operators`
-  for one partial alone); there is no other evaluation path.
-* ``sample_smoothness`` is the almost-sure differentiability order of
+  ``2 * sample_smoothness``, the whole smoothness budget.  The value and
+  every partial come from it (see :mod:`gpops.operators` for one partial
+  alone); there is no other evaluation path.
+* ``sample_smoothness``, the almost-sure differentiability order of
   sample paths drawn from the kernel.  This is the static proxy for whether
   paths lie in the domain of a differential operator: an operator of order
   ``q`` is applicable only when ``q <= sample_smoothness``.  The underlying
   kernel-regularity => path-regularity implication is an analytic fact
   assumed per catalog entry, not something checked numerically.
 
-The image of a kernel under operators is not a ``Kernel`` but a
-:class:`~gpops.operators.KernelBifunction` over the same catalog base.
+A custom kernel is ``KernelBifunction(Kernel(profile, sample_smoothness, label))``.
 """
 
 from __future__ import annotations
@@ -29,15 +29,23 @@ from math import factorial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EvaluationError, ParameterError
+from .expressions import Const, Expr, evaluate_finite
 
-__all__ = ["Kernel", "se_kernel", "matern_kernel", "MATERN_ORDERS"]
+__all__ = ["Kernel", "KernelBifunction", "se_kernel", "matern_kernel", "MATERN_ORDERS"]
 
 MATERN_ORDERS = (0.5, 1.5, 2.5, 3.5)
 
+# Argument slots of a bifunction; exactly two values.
+ARG1, ARG2 = 1, 2
+
+_ONE = Const(1.0)
+
 
 class Kernel:
-    """A stationary positive-semidefinite kernel ``k(x1, x2) = f(x1 - x2)``.
+    """The profile record of a stationary kernel ``k(x1, x2) = f(x1 - x2)``.
+
+    Not callable: it is the ``base`` of the kernel ``KernelBifunction(self)``.
 
     Parameters
     ----------
@@ -56,16 +64,155 @@ class Kernel:
         self.sample_smoothness = sample_smoothness
         self.label = label
 
-    def __call__(self, x1, x2):
+    def __repr__(self):
+        return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
+
+
+# Output entries per row block when a kernel is tabulated, so
+# that the profile derivatives and weights of one block stay cache-sized.
+BLOCK_ENTRIES = 2**15
+
+
+def _row_blocks(x1, x2, shape):
+    # Index expressions of the output's row blocks.  Rows split only when x1
+    # runs along the first axis and x2 is constant along it (an outer
+    # product); any other broadcast shape, a scalar included, is one block.
+    if (shape and x1.ndim == len(shape) and x1.shape[0] == shape[0]
+            and (x2.ndim < len(shape) or x2.shape[0] == 1)):
+        step = max(1, BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
+        return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
+    return [Ellipsis]
+
+
+def _value(c: Expr, x, cache):
+    # c(x), a constant as a float; each coefficient is evaluated once per call,
+    # and EvaluationError names it where it is not finite
+    if c.is_const():
+        return c.value
+    if c not in cache:
+        cache[c] = evaluate_finite(c, x, "coefficient", c)
+    return cache[c]
+
+
+def _weight_factors(pairs, x1, x2, values1, values2):
+    # The weight sum_k sign_k c1_k(x1) c2_k(x2) of one profile order, as a part
+    # constant in x1 plus rank-1 rows [(c1(x1), v(x2))]: pairs that share c1
+    # add their signed c2 on x2, and constant c1 fold into the first part.
+    # The order of ``pairs`` fixes the order of every sum.
+    row_const, rows = None, {}
+    for sign, c1, c2 in pairs:
+        v = sign * _value(c2, x2, values2)
+        if c1.is_const():
+            v = c1.value * v
+            row_const = v if row_const is None else row_const + v
+        else:
+            rows[c1] = rows[c1] + v if c1 in rows else v
+    return row_const, [(_value(c1, x1, values1), v) for c1, v in rows.items()]
+
+
+class KernelBifunction:
+    """A catalog kernel with operators applied to its arguments, in closed form.
+
+    ``terms`` maps each derivative pair ``(d1, d2)`` to its coefficient
+    pairs ``(c1, c2)``, so the bifunction is the sum over keys and pairs of
+    ``c1(x1) c2(x2) * partial(d1, d2) f`` for the profile record ``f =
+    base``, a :class:`Kernel`.  The constructor takes an iterable of ``(d1,
+    d2, c1, c2)`` tuples; the default, the identity key ``(0, 0, 1, 1)``,
+    is the catalog kernel itself.  The spent derivative orders per argument
+    (``applied1``, ``applied2``) determine the remaining budget available
+    to further operator applications, and ``sample_smoothness`` is what is
+    left in both arguments.  An image kernel (see
+    :func:`~gpops.transform.pushforward`) is such a bifunction, so it can
+    serve as a prior kernel and be transformed again; further operators
+    expand onto the same base.
+
+    Evaluation is one pass per row block of the output.  Every key shares
+    the block's profile derivatives ``f^(0..M)(x1 - x2)``, computed once up
+    to the largest order needed; each order ``m`` is multiplied by one
+    weight ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from
+    rank-1 products of coefficients evaluated once per call.  No step uses
+    BLAS, so values do not depend on its threads.  A key beyond the base
+    profile has no closed form and raises :class:`EvaluationError` at
+    construction; :func:`~gpops.operators.apply_arg` never builds one,
+    because a catalog profile covers the kernel's whole smoothness budget.
+    """
+
+    def __init__(self, base: Kernel, terms=((0, 0, _ONE, _ONE),), label=None):
+        if not isinstance(base, Kernel):
+            raise ParameterError(f"a bifunction's base must be a Kernel, got {type(base).__name__}")
+        self.base = base
+        self.label = label or base.label
+        self.terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
+        for d1, d2, c1, c2 in terms:
+            if d1 + d2 > 2 * base.sample_smoothness:
+                raise EvaluationError(
+                    f"kernel {base.label!r} has no closed-form partial ({d1}, {d2}); "
+                    f"its profile stops at total order {2 * base.sample_smoothness}"
+                )
+            self.terms.setdefault((d1, d2), []).append((c1, c2))
+        self.applied1 = max((d1 for d1, _ in self.terms), default=0)
+        self.applied2 = max((d2 for _, d2 in self.terms), default=0)
+        # profile order m -> [(sign, c1, c2)]; the values (-1)^d2 f^(m) serve
+        # every key with d1 + d2 = m
+        self._orders: dict[int, list] = {}
+        for (d1, d2), pairs in self.terms.items():
+            self._orders.setdefault(d1 + d2, []).extend(((-1.0) ** d2, c1, c2) for c1, c2 in pairs)
+
+    @property
+    def sample_smoothness(self):
+        return self.base.sample_smoothness - max(self.applied1, self.applied2)
+
+    def remaining_budget(self, slot: int):
+        return self.base.sample_smoothness - (self.applied1 if slot == ARG1 else self.applied2)
+
+    def __call__(self, x1, x2, out=None):
+        """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given."""
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        out = np.asarray(self.profile(x1 - x2, 0)[0], dtype=float)
+        shape = np.broadcast_shapes(x1.shape, x2.shape)
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise ParameterError(f"output shape {out.shape} does not match the table's {shape}")
+        values1, values2 = {}, {}
+        weights = [(m, *_weight_factors(triples, x1, x2, values1, values2))
+                   for m, triples in self._orders.items()]
+        top = max(self._orders, default=0)
+        for blk in _row_blocks(x1, x2, shape):
+            f = self.base.profile(x1[blk] - x2, top)
+            out[blk] = 0.0
+            for m, w, rows in weights:
+                for c1v, v in rows:
+                    term = c1v[blk] * v
+                    w = term if w is None else w + term
+                out[blk] += f[m] * w
         if x1.ndim == 0 and x2.ndim == 0:
             return float(out)
         return out
 
+    def fill_lower(self, x, out):
+        """Write the lower triangle of ``self(x[:, None], x[None, :])`` into ``out``.
+
+        Runs the row blocks of the full table, but each block's columns stop
+        at its last row, so about half the entries are evaluated.  Entries
+        above the diagonal are not written.  Every entry is the same
+        elementwise arithmetic as in the full table, so the two agree bit
+        for bit.  Returns ``out``.
+        """
+        x = np.asarray(x, dtype=float)
+        n = x.size
+        if x.ndim != 1 or out.shape != (n, n):
+            raise ParameterError(f"fill_lower needs 1-D points and an (n, n) target, "
+                                 f"got {x.shape} and {out.shape}")
+        for blk in _row_blocks(x[:, None], x[None, :], (n, n)):
+            lo, hi = blk.start, min(blk.stop, n)
+            np.copyto(out[lo:hi, :hi], self(x[lo:hi, None], x[None, :hi]),
+                      where=np.arange(hi) <= np.arange(lo, hi)[:, None])
+        return out
+
     def __repr__(self):
-        return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
+        return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
+                f"applied=({self.applied1}, {self.applied2}))")
 
 
 def _check_hyperparameters(lengthscale, variance):
@@ -75,7 +222,7 @@ def _check_hyperparameters(lengthscale, variance):
         )
 
 
-def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
+def se_kernel(lengthscale: float, variance: float = 1.0) -> KernelBifunction:
     """Squared-exponential kernel ``var * exp(-(x1-x2)^2 / (2 ell^2))``.
 
     Sample paths are smooth (infinitely differentiable), so any catalog
@@ -101,8 +248,8 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> Kernel:
             out.append((-1.0) ** k * var * ell ** (-k) * he * e)
         return out
 
-    return Kernel(profile, sample_smoothness=math.inf,
-                  label=f"se(ell={ell:g}, var={var:g})")
+    return KernelBifunction(Kernel(profile, sample_smoothness=math.inf,
+                                   label=f"se(ell={ell:g}, var={var:g})"))
 
 
 def _matern_radial_coeffs(p: int, a: float) -> np.ndarray:
@@ -124,7 +271,7 @@ def _poly_exp_derivative(coeffs: np.ndarray, a: float) -> np.ndarray:
     return out
 
 
-def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kernel:
+def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> KernelBifunction:
     """Half-integer Matern kernel for nu in {1/2, 3/2, 5/2, 7/2}.
 
     Sample paths have exactly ``ceil(nu) - 1`` derivatives; closed-form mixed
@@ -165,5 +312,5 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
             out.append(val * sign if k % 2 else val)
         return out
 
-    return Kernel(profile, sample_smoothness=p,
-                  label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})")
+    return KernelBifunction(Kernel(profile, sample_smoothness=p,
+                                   label=f"matern(nu={nu:g}, ell={ell:g}, var={var:g})"))

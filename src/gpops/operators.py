@@ -5,21 +5,21 @@ closed-form expressions.  It acts on
 
 * mean functions, giving the expression ``sum_i a_i * f^(i)``;
 * either argument of a kernel (``slot`` 1 or 2), giving a
-  :class:`KernelBifunction` over the catalog kernel that tracks, per
-  argument, how much of the kernel's derivative budget has been spent;
+  :class:`~gpops.kernels.KernelBifunction` over the catalog kernel that
+  tracks, per argument, how much of the kernel's derivative budget is spent;
 * both arguments, which is the covariance transport of the operator.
 
 Both results stay in closed form over the catalog: a transformed mean is an
-expression and a transformed kernel is a bifunction over the base kernel, so
-applying a further operator expands onto the base again.
+expression, and a kernel, catalog or transformed, is a bifunction over the
+catalog base, so a further operator expands onto the base again.  This
+module is the operator algebra; :mod:`gpops.kernels` evaluates kernels.
 
 Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
 :class:`DomainViolationError`.  Within the budget every partial is
 closed-form: a catalog kernel's profile covers its whole smoothness budget.
-:class:`KernelBifunction` is the only evaluator of kernel partials; one
-partial alone is the one-key bifunction ``apply_arg(derivative_operator(d1),
-ARG1, apply_arg(derivative_operator(d2), ARG2, k))``.  No kernel partial
+One partial alone is the one-key bifunction ``apply_arg(derivative_operator(
+d1), ARG1, apply_arg(derivative_operator(d2), ARG2, k))``.  No kernel partial
 comes from finite differences; the tests keep that reference to check the
 closed form against (``tests/fd_reference.py``).
 
@@ -33,16 +33,15 @@ closed-form smooth functions.
 
 from __future__ import annotations
 
-import math
 import numbers
 from math import comb
 
 import numpy as np
 
-from .errors import DomainViolationError, EvaluationError, ExpressionError, ParameterError
-from .expressions import Const, Expr, evaluate_finite, parse_expression
+from .errors import DomainViolationError, ExpressionError, ParameterError
+from .expressions import Const, Expr, parse_expression
 from .grids import Grid
-from .kernels import Kernel
+from .kernels import ARG1, ARG2, KernelBifunction
 from .means import MeanFunction
 
 __all__ = [
@@ -59,9 +58,6 @@ __all__ = [
     "ARG1",
     "ARG2",
 ]
-
-# Argument slots of a bifunction; exactly two values.
-ARG1, ARG2 = 1, 2
 
 _ZERO, _ONE = Const(0.0), Const(1.0)
 
@@ -207,190 +203,35 @@ def apply_to_function(op: LinearOperator, f: MeanFunction) -> MeanFunction:
     return MeanFunction(expr, label=f"{op.label}[{f.label}]")
 
 
-# Output entries per row block when a transformed kernel is tabulated, so
-# that the profile derivatives and weights of one block stay cache-sized.
-BLOCK_ENTRIES = 2**15
-
-
-def _row_blocks(x1, x2, shape):
-    # Index expressions of the output's row blocks.  Rows split only when x1
-    # runs along the first axis and x2 is constant along it (an outer
-    # product); any other broadcast shape, a scalar included, is one block.
-    if (shape and x1.ndim == len(shape) and x1.shape[0] == shape[0]
-            and (x2.ndim < len(shape) or x2.shape[0] == 1)):
-        step = max(1, BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
-        return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-    return [Ellipsis]
-
-
-def _value(c: Expr, x, cache):
-    # c(x), a constant as a float; each coefficient is evaluated once per call,
-    # and EvaluationError names it where it is not finite
-    if c.is_const():
-        return c.value
-    if c not in cache:
-        cache[c] = evaluate_finite(c, x, "coefficient", c)
-    return cache[c]
-
-
-def _weight_factors(pairs, x1, x2, values1, values2):
-    # The weight sum_k sign_k c1_k(x1) c2_k(x2) of one profile order, as a part
-    # constant in x1 plus rank-1 rows [(c1(x1), v(x2))]: pairs that share c1
-    # add their signed c2 on x2, and constant c1 fold into the first part.
-    # The order of ``pairs`` fixes the order of every sum.
-    row_const, rows = None, {}
-    for sign, c1, c2 in pairs:
-        v = sign * _value(c2, x2, values2)
-        if c1.is_const():
-            v = c1.value * v
-            row_const = v if row_const is None else row_const + v
-        else:
-            rows[c1] = rows[c1] + v if c1 in rows else v
-    return row_const, [(_value(c1, x1, values1), v) for c1, v in rows.items()]
-
-
-class KernelBifunction:
-    """A catalog kernel with operators applied to its arguments, in closed form.
-
-    ``terms`` maps each derivative pair ``(d1, d2)`` to its coefficient
-    pairs ``(c1, c2)``, so the bifunction is the sum over keys and pairs of
-    ``c1(x1) c2(x2) * partial(d1, d2) k`` for the catalog kernel ``k =
-    base``.  The constructor takes an iterable of ``(d1, d2, c1, c2)``
-    tuples.  The spent derivative orders per argument (``applied1``,
-    ``applied2``) determine the remaining budget available to further
-    operator applications, and ``sample_smoothness`` is what is left in
-    both arguments.  An image kernel (see
-    :func:`~gpops.transform.pushforward`) is such a bifunction, so it can
-    serve as a prior kernel and be transformed again; further operators
-    expand onto the same base.
-
-    Evaluation is one pass per row block of the output.  Every key shares
-    the block's profile derivatives ``f^(0..M)(x1 - x2)``, computed once up
-    to the largest order needed; each order ``m`` is multiplied by one
-    weight ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from
-    rank-1 products of coefficients evaluated once per call.  No step uses
-    BLAS, so values do not depend on its threads.  A key beyond the base
-    profile has no closed form and raises :class:`EvaluationError` at
-    construction; :func:`apply_arg` never builds one, because a catalog
-    profile covers the kernel's whole smoothness budget.
-    """
-
-    def __init__(self, base: Kernel, terms, label=None):
-        self.base = base
-        self.label = label or base.label
-        self.terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
-        for d1, d2, c1, c2 in terms:
-            if d1 + d2 > 2 * base.sample_smoothness:
-                raise EvaluationError(
-                    f"kernel {base.label!r} has no closed-form partial ({d1}, {d2}); "
-                    f"its profile stops at total order {2 * base.sample_smoothness}"
-                )
-            self.terms.setdefault((d1, d2), []).append((c1, c2))
-        self.applied1 = max((d1 for d1, _ in self.terms), default=0)
-        self.applied2 = max((d2 for _, d2 in self.terms), default=0)
-        # profile order m -> [(sign, c1, c2)]; the values (-1)^d2 f^(m) serve
-        # every key with d1 + d2 = m
-        self._orders: dict[int, list] = {}
-        for (d1, d2), pairs in self.terms.items():
-            self._orders.setdefault(d1 + d2, []).extend(((-1.0) ** d2, c1, c2) for c1, c2 in pairs)
-
-    @classmethod
-    def wrap(cls, k) -> "KernelBifunction":
-        if isinstance(k, KernelBifunction):
-            return k
-        if isinstance(k, Kernel):
-            return cls(k, [(0, 0, _ONE, _ONE)])
-        raise ParameterError(f"expected a Kernel or KernelBifunction, got {type(k).__name__}")
-
-    @property
-    def sample_smoothness(self):
-        return self.base.sample_smoothness - max(self.applied1, self.applied2)
-
-    def remaining_budget(self, slot: int):
-        return self.base.sample_smoothness - (self.applied1 if slot == ARG1 else self.applied2)
-
-    def __call__(self, x1, x2, out=None):
-        """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given."""
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        shape = np.broadcast_shapes(x1.shape, x2.shape)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape:
-            raise ParameterError(f"output shape {out.shape} does not match the table's {shape}")
-        values1, values2 = {}, {}
-        weights = [(m, *_weight_factors(triples, x1, x2, values1, values2))
-                   for m, triples in self._orders.items()]
-        top = max(self._orders, default=0)
-        for blk in _row_blocks(x1, x2, shape):
-            f = self.base.profile(x1[blk] - x2, top)
-            out[blk] = 0.0
-            for m, w, rows in weights:
-                for c1v, v in rows:
-                    term = c1v[blk] * v
-                    w = term if w is None else w + term
-                out[blk] += f[m] * w
-        if x1.ndim == 0 and x2.ndim == 0:
-            return float(out)
-        return out
-
-    def fill_lower(self, x, out):
-        """Write the lower triangle of ``self(x[:, None], x[None, :])`` into ``out``.
-
-        Runs the row blocks of the full table, but each block's columns stop
-        at its last row, so about half the entries are evaluated.  Entries
-        above the diagonal are not written.  Every entry is the same
-        elementwise arithmetic as in the full table, so the two agree bit
-        for bit.  Returns ``out``.
-        """
-        x = np.asarray(x, dtype=float)
-        n = x.size
-        if x.ndim != 1 or out.shape != (n, n):
-            raise ParameterError(f"fill_lower needs 1-D points and an (n, n) target, "
-                                 f"got {x.shape} and {out.shape}")
-        for blk in _row_blocks(x[:, None], x[None, :], (n, n)):
-            lo, hi = blk.start, min(blk.stop, n)
-            np.copyto(out[lo:hi, :hi], self(x[lo:hi, None], x[None, :hi]),
-                      where=np.arange(hi) <= np.arange(lo, hi)[:, None])
-        return out
-
-    def __repr__(self):
-        return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
-                f"applied=({self.applied1}, {self.applied2}))")
-
-
-def _check_slot(slot):
-    if slot not in (ARG1, ARG2):
-        raise ParameterError(f"slot must be {ARG1} (first argument) or {ARG2} (second), got {slot}")
-
-
-def apply_arg(op: LinearOperator, slot: int, k) -> KernelBifunction:
-    """Apply an operator to one argument of a kernel (or transformed kernel).
+def apply_arg(op: LinearOperator, slot: int, k: KernelBifunction) -> KernelBifunction:
+    """Apply an operator to one argument of a kernel, catalog or transformed.
 
     The sample-smoothness budget of the chosen argument must cover
     ``op.order``; otherwise :class:`DomainViolationError` is raised before
     any numerics happen.  The result records the remaining per-argument
     budget, so repeated applications stay guarded.
     """
-    _check_slot(slot)
-    bf = KernelBifunction.wrap(k)
-    budget = bf.remaining_budget(slot)
+    if slot not in (ARG1, ARG2):
+        raise ParameterError(f"slot must be {ARG1} (first argument) or {ARG2} (second), got {slot}")
+    if not isinstance(k, KernelBifunction):
+        raise ParameterError(f"expected a KernelBifunction, got {type(k).__name__}")
+    budget = k.remaining_budget(slot)
     if op.order > budget:
         raise DomainViolationError(
             f"operator {op.label!r} of order {op.order} exceeds the remaining "
-            f"sample-path smoothness budget {budget} of kernel {bf.label!r} "
+            f"sample-path smoothness budget {budget} of kernel {k.label!r} "
             f"in argument {slot}; sample paths are (a.s.) not in the operator's domain"
         )
     new_terms = []
     for order, a in op.terms:
-        for (d1, d2), pairs in bf.terms.items():
+        for (d1, d2), pairs in k.terms.items():
             for c1, c2 in pairs:
                 if slot == ARG1:
                     new_terms += [(d, d2, c, c2) for d, c in _leibniz(a, order, c1, d1)]
                 else:
                     new_terms += [(d1, d, c1, c) for d, c in _leibniz(a, order, c2, d2)]
-    label = f"{op.label}_[arg{slot}] {bf.label}"
-    return KernelBifunction(bf.base, new_terms, label=label)
+    label = f"{op.label}_[arg{slot}] {k.label}"
+    return KernelBifunction(k.base, new_terms, label=label)
 
 
 def apply_both(op: LinearOperator, k) -> KernelBifunction:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import Kernel
+from .kernels import KernelBifunction
 from .means import MeanFunction
-from .operators import KernelBifunction
 
 __all__ = ["GaussianProcessPrior"]
 
@@ -15,12 +14,12 @@ __all__ = ["GaussianProcessPrior"]
 class GaussianProcessPrior:
     """A GP prior; every finite marginal is multivariate normal by definition.
 
-    The kernel is a catalog :class:`Kernel`, or the
-    :class:`~gpops.operators.KernelBifunction` of an image prior.
+    The kernel is a :class:`~gpops.kernels.KernelBifunction`: the one-key
+    bifunction of a catalog kernel, or the transformed one of an image prior.
     """
 
     mean: MeanFunction
-    kernel: Kernel | KernelBifunction
+    kernel: KernelBifunction
 
     @property
     def label(self) -> str:

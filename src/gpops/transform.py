@@ -5,7 +5,7 @@ process prior, with mean ``T m`` and kernel ``T`` applied to both kernel
 arguments, and :func:`pushforward` returns it as a
 :class:`~gpops.processes.GaussianProcessPrior`.  Both parts stay in closed
 form: the mean is an expression, and the kernel is the transformed
-:class:`~gpops.operators.KernelBifunction` over the catalog kernel.  The
+:class:`~gpops.kernels.KernelBifunction` over the catalog kernel.  The
 image can therefore be pushed forward again, and the second operator
 expands onto the same catalog kernel, which evaluates in one profile pass.
 

@@ -16,6 +16,7 @@ compare the closed form against an independent numerical derivative:
 import numpy as np
 
 from gpops.errors import ParameterError
+from gpops.kernels import KernelBifunction
 from gpops.operators import ARG1, ARG2, apply_arg
 from gpops.stencils import MAX_DERIVATIVE_ORDER, fd_weights
 
@@ -81,7 +82,8 @@ def per_term_sum(bf, x1, x2, partial):
 
 def bifunction_fd(bf, x1, x2):
     """``bf`` on ``broadcast(x1, x2)`` with each base partial taken by finite differences."""
-    return per_term_sum(bf, x1, x2, lambda d1, d2: fd_mixed_partial(bf.base, d1, d2))
+    base = KernelBifunction(bf.base)
+    return per_term_sum(bf, x1, x2, lambda d1, d2: fd_mixed_partial(base, d1, d2))
 
 
 def commutator_residual_fd(op, k, grid):

@@ -305,7 +305,8 @@ problem:
     cfg = write(tmp_path, "solve5.yaml", text)
     assert main(["solve", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: noise_sd must have a finite variance")
+    assert err.startswith("config error: problem.collocation_noise_sd must be a number >= 0 "
+                          "with a finite square")
     assert "Traceback" not in err
 
 
@@ -444,6 +445,16 @@ output: "%s"
     ('  reference: "sin(x)"\n', "", "problem.max_error"),
     ("max_error: 1.0e-2", "max_error: x", "problem.max_error"),
     ("collocation_count: 10", "collocation_count: -1", "problem.collocation_count"),
+    ("collocation_count: 10", "collocation_noise_sd: -1.0", "problem.collocation_noise_sd"),
+    ("collocation_count: 10", "collocation_noise_sd: .nan", "problem.collocation_noise_sd"),
+    # a pass threshold must be one that a finite statistic can meet
+    ("{mean_z: 5.0}", "{mean_z: .inf}", "tolerances.mean_z"),
+    ("{mean_z: 5.0}", "{cov_z: .nan}", "tolerances.cov_z"),
+    ("{mean_z: 5.0}", "{cumulant_z: -3}", "tolerances.cumulant_z"),
+    ("{mean_z: 5.0}", "{mean_z: 0}", "tolerances.mean_z"),
+    ("max_error: 1.0e-2", "max_error: .nan", "problem.max_error"),
+    ("max_error: 1.0e-2", "max_error: .inf", "problem.max_error"),
+    ("max_error: 1.0e-2", "max_error: -1.0", "problem.max_error"),
     ("samples: 2", "samples: 1", "samples"),
     ("expected: verification", "expected: maybe", "expected"),
     ("threads: 1", "threads: 0", "threads"),
@@ -461,6 +472,20 @@ def test_config_error_names_the_key_exit_one(tmp_path, capsys, old, new, key):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('reference: "sin(x)"', 'reference: "x^-1"', "problem.reference 'x^-1'"),
+    # collocation_count 10 on [0, 1] puts a collocation point at the pole
+    ('rhs: "cos(x)"', 'rhs: "x^-1"', "problem.rhs 'x^-1'"),
+])
+def test_solve_function_not_finite_names_its_key_exit_one(tmp_path, capsys, old, new, message):
+    # the prior mean is 0, so no "mean" is to blame
+    text = (CONFIG_ERROR_BASE % (tmp_path / "out")).replace(old, new)
+    cfg = write(tmp_path, "pole.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message} is not finite at x = 0.0\n"
     assert not (tmp_path / "out").exists()
 
 

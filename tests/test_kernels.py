@@ -17,7 +17,7 @@ import sympy as sp
 
 from gpops.errors import DomainViolationError, NotPositiveDefiniteError, ParameterError
 from gpops.grids import Grid
-from gpops.kernels import MATERN_ORDERS, matern_kernel, se_kernel
+from gpops.kernels import MATERN_ORDERS, Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import chol_psd, gram
 from gpops.operators import ARG1, ARG2, apply_arg, derivative_operator
 
@@ -87,6 +87,36 @@ def test_matern52_at_unit_lag_three_routes():
     sklearn = pytest.importorskip("sklearn.gaussian_process.kernels")
     ref = sklearn.Matern(length_scale=1.0, nu=2.5)(np.array([[0.0]]), np.array([[1.0]]))[0, 0]
     assert k(0.0, 1.0) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [se_kernel(0.6, 1.3)] + [matern_kernel(nu, 0.8, 1.1)
+                                                        for nu in MATERN_ORDERS],
+                         ids=["se"] + [f"matern{nu}" for nu in MATERN_ORDERS])
+def test_catalog_kernel_is_the_identity_key_over_its_profile(k):
+    # a catalog kernel is the one-key bifunction (0, 0, 1, 1); its table is
+    # the profile value, bit for bit, and its Gram is that table
+    assert isinstance(k, KernelBifunction) and isinstance(k.base, Kernel)
+    assert list(k.terms) == [(0, 0)] and not callable(k.base)
+    assert k.sample_smoothness == k.base.sample_smoothness
+    value = k(0.3, -0.45)
+    assert isinstance(value, float)
+    assert value == k.base.profile(np.float64(0.3) - np.float64(-0.45), 0)[0]
+    grid = Grid.uniform_on(-1.0, 2.0, 257)  # more rows than one block holds
+    x = grid.points
+    table = k(x[:, None], x[None, :])
+    want = k.base.profile(x[:, None] - x[None, :], 0)[0]
+    assert np.array_equal(table, want)
+    assert np.array_equal(gram(k, grid), 0.5 * (want + want.T))
+
+
+def test_non_kernel_is_refused_as_a_bifunction_base_and_by_apply_arg():
+    k = se_kernel(1.0, 1.0)
+    for bad in (k, lambda x1, x2: 0.0, "se", None):
+        with pytest.raises(ParameterError):
+            KernelBifunction(bad)
+    for bad in (k.base, lambda x1, x2: 0.0, "se", None):
+        with pytest.raises(ParameterError):
+            apply_arg(derivative_operator(1), ARG1, bad)
 
 
 @pytest.mark.parametrize("bad_args", [(-1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (1.0, -2.0),

@@ -224,9 +224,9 @@ def test_key_beyond_the_profile_raises_evaluation_error():
     # only a directly constructed bifunction can ask for one
     k = matern_kernel(2.5, 1.0, 1.0)  # profile order 2p = 4
     one = Const(1.0)
-    KernelBifunction(k, [(2, 2, one, one)])
+    KernelBifunction(k.base, [(2, 2, one, one)])
     with pytest.raises(EvaluationError):
-        KernelBifunction(k, [(0, 0, one, one), (3, 2, one, one)])
+        KernelBifunction(k.base, [(0, 0, one, one), (3, 2, one, one)])
 
 
 # ------------------------------------------------------------- commutation
