@@ -10,7 +10,7 @@ and uses the same covariance blocks to condition on observations of ``T u``
 
 from .conditioning import Observation, PosteriorSummary, condition, solve_linear_ode
 from .cumulants import (CumulantEstimate, Partition, default_cumulant_tuples,
-                        empirical_cumulant, enumerate_partitions)
+                        empirical_cumulant, empirical_cumulants, enumerate_partitions)
 from .errors import (ConfigError, DimensionError, DomainViolationError,
                      EvaluationError, ExpressionError, GpopsError, GridSizeError,
                      NotPositiveDefiniteError, ParameterError)
@@ -44,7 +44,7 @@ __all__ = [
     "apply_to_function", "chol_psd", "commutator_residual", "compose",
     "condition", "constant_mean", "default_cumulant_tuples",
     "derivative_operator", "differentiation_matrix", "draw_factored", "empirical_cov",
-    "empirical_cumulant", "empirical_mean", "enumerate_partitions",
+    "empirical_cumulant", "empirical_cumulants", "empirical_mean", "enumerate_partitions",
     "fd_weights", "finite_dim_pushforward",
     "gram", "identity", "interior_mask", "joint_blocks", "matern_kernel",
     "mean_from_expression", "operator_matrix",

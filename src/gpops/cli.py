@@ -72,6 +72,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     if count:
         pts = np.linspace(cfg.grid.points[0], cfg.grid.points[-1], count)
         collocation = Grid(pts)
+    # a reference that is not finite on the grid fails before the solve, not after
+    ref_fn = cfg.problem.get("reference_fn")
+    ref = ref_fn(cfg.grid.points) if ref_fn is not None else None
     posterior = solve_linear_ode(
         cfg.operator, rhs, cfg.problem["boundary"], cfg.grid, cfg.prior,
         collocation=collocation,
@@ -79,8 +82,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     )
     doc = posterior.to_dict()
     exit_code = EXIT_PASS
-    if cfg.problem.get("reference_fn") is not None:
-        ref = cfg.problem["reference_fn"](cfg.grid.points)
+    if ref is not None:
         max_err = float(np.max(np.abs(posterior.mean - ref)))
         doc["reference"] = cfg.problem["reference"]
         doc["max_abs_error"] = max_err

@@ -78,21 +78,29 @@ def _threshold(key, value):
     return float(value)
 
 
+def _float(key, value) -> float:
+    # a YAML integer, or the value of a fraction string, can be too large for a float
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{key} is too large for a float") from None
+
+
 def _parse_nu(raw):
     if isinstance(raw, str):
         try:
-            return float(Fraction(raw))
+            raw = Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"kernel.nu: cannot parse {raw!r} as a fraction") from None
-    if _is(raw, (int, float)):
-        return float(raw)
-    raise ConfigError(f"kernel.nu must be a number or fraction string, got {raw!r}")
+    elif not _is(raw, (int, float)):
+        raise ConfigError(f"kernel.nu must be a number or fraction string, got {raw!r}")
+    return _float("kernel.nu", raw)
 
 
 def _parse_kernel(tree) -> KernelBifunction:
     name = _get(tree, "name", str)
-    lengthscale = _get(tree, "lengthscale", (int, float))
-    variance = _get(tree, "variance", (int, float), default=1.0)
+    lengthscale = _float("kernel.lengthscale", _get(tree, "lengthscale", (int, float)))
+    variance = _float("kernel.variance", _get(tree, "variance", (int, float), default=1.0))
     try:
         if name == "se":
             return se_kernel(lengthscale, variance)
@@ -150,8 +158,10 @@ def _parse_grid(tree) -> Grid:
     if len(interval) != 2 or not all(_is(v, (int, float)) for v in interval):
         raise ConfigError("grid.interval must be [a, b] with numbers a < b")
     count = _get(tree, "count", int)
+    _float("grid.count", count)  # a count too large for a float is too large for numpy
     try:
-        return Grid.uniform_on(float(interval[0]), float(interval[1]), count)
+        return Grid.uniform_on(_float("grid.interval", interval[0]),
+                               _float("grid.interval", interval[1]), count)
     except ParameterError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -209,14 +219,14 @@ def _parse_boundary(i, b) -> Observation:
             f"problem.boundary[{i}] needs 'location' and 'value' (and optional "
             f"'operator', 'noise_sd')"
         )
+    num = {}
     for key in ("location", "value", "noise_sd"):
-        if key in b and not _is(b[key], (int, float)):
-            raise ConfigError(f"problem.boundary[{i}].{key} must be a number, "
-                              f"got {b[key]!r}")
+        value = b.get(key, 0.0)
+        if not _is(value, (int, float)):
+            raise ConfigError(f"problem.boundary[{i}].{key} must be a number, got {value!r}")
+        num[key] = _float(f"problem.boundary[{i}].{key}", value)
     try:
-        return Observation(operator=parse_operator_spec(b.get("operator")),
-                           location=float(b["location"]), value=float(b["value"]),
-                           noise_sd=float(b.get("noise_sd", 0.0)))
+        return Observation(operator=parse_operator_spec(b.get("operator")), **num)
     except (ConfigError, ParameterError) as exc:
         raise ConfigError(f"problem.boundary[{i}]: {exc}") from exc
 

@@ -15,6 +15,10 @@ the moments free of cancellation when a column's mean is large against its
 spread.  Standard errors come from a jackknife over a fixed number of
 contiguous path blocks (``JACKKNIFE_FOLDS``).
 
+``empirical_cumulants`` serves many index tuples from one table of centred
+column products, one row per distinct index subset; ``empirical_cumulant`` is
+its one-tuple case.
+
 Estimates of orders one and two are delegated to the empirical mean and the
 unbiased empirical covariance, so they match those estimators to the last
 bit; the partition formula reduces to them up to the (N-1 vs N)
@@ -38,12 +42,14 @@ __all__ = [
     "enumerate_partitions",
     "CumulantEstimate",
     "empirical_cumulant",
+    "empirical_cumulants",
     "default_cumulant_tuples",
 ]
 
 MAX_PARTITION_SIZE = 8
 MAX_CUMULANT_ORDER = 6
 JACKKNIFE_FOLDS = 50
+FOLDS_PER_CHUNK = 5
 
 
 @dataclass(frozen=True)
@@ -118,18 +124,19 @@ class CumulantEstimate:
         return abs(self.value) / self.standard_error
 
 
-def _plugin_kappa(moments, partitions):
+def _plugin_kappa(moments, row, t, partitions):
+    # moments[row[key]]: the moment of the entries of tuple t at one block's positions
     total = 0.0
     for part in partitions:
         term = (-1.0) ** (len(part) - 1) * factorial(len(part) - 1)
         for block in part.blocks:
-            term *= moments[tuple(i - 1 for i in block)]
+            term *= moments[row[tuple(t[i - 1] for i in block)]]
         total += term
     return total
 
 
-def empirical_cumulant(e: SampleEnsemble, indices) -> CumulantEstimate:
-    """Plug-in cumulant of the ensemble columns picked by ``indices``.
+def empirical_cumulants(e: SampleEnsemble, tuples) -> list[CumulantEstimate]:
+    """Plug-in cumulants of the ensemble columns picked by each index tuple.
 
     Indices may repeat (diagonal cumulants).  The standard error comes from a
     grouped jackknife over ``JACKKNIFE_FOLDS`` contiguous path blocks: the
@@ -137,47 +144,74 @@ def empirical_cumulant(e: SampleEnsemble, indices) -> CumulantEstimate:
     leave-one-out values is scaled by ``(J-1)/J``.  All leave-one-out moments
     come at once from per-block sums of the centred column products.
 
+    The tuples share those products: one row per distinct subset of a
+    tuple's entries, multiplied in position order, so each estimate is
+    bit-identical to the one its tuple gets on its own.
+
     Orders 1 and 2 reproduce ``empirical_mean`` / ``empirical_cov`` entries
     exactly (identical floating-point values); their jackknife uses the mean
     and the unbiased covariance of the kept paths.
     """
-    indices = tuple(int(i) for i in indices)
-    n = len(indices)
-    if not (1 <= n <= MAX_CUMULANT_ORDER):
-        raise ParameterError(f"cumulant order must be in 1..{MAX_CUMULANT_ORDER}, got {n}")
+    tuples = [tuple(int(i) for i in t) for t in tuples]
+    for t in tuples:
+        if not (1 <= len(t) <= MAX_CUMULANT_ORDER):
+            raise ParameterError(
+                f"cumulant order must be in 1..{MAX_CUMULANT_ORDER}, got {len(t)}")
     if e.n_paths < 100:
         raise ParameterError(f"need at least 100 paths, got {e.n_paths}")
-    points = tuple(float(e.grid.points[i]) for i in indices)
     n_paths = e.n_paths
 
-    # One row per index subset, in combinations order: the first n rows are the
-    # centred columns, every later row is its prefix's row times one column.
-    subsets = [s for r in range(1, n + 1) for s in combinations(range(n), r)]
-    row = {s: k for k, s in enumerate(subsets)}
-    prods = np.empty((len(subsets), n_paths))
-    prods[:n] = e.paths[:, list(indices)].T
-    prods[:n] -= prods[:n].mean(axis=1, keepdims=True)
-    for k, s in enumerate(subsets[n:], n):
-        np.multiply(prods[row[s[:-1]]], prods[s[-1]], out=prods[k])
+    # Rows by key length: the first rows are the centred columns, every later
+    # row is its prefix's row times one column.  They are built and summed a
+    # few folds at a time, so the table never holds every path at once.
+    keys = sorted(dict.fromkeys(s for t in tuples for r in range(1, len(t) + 1)
+                                for s in combinations(t, r)), key=len)
+    row = {s: k for k, s in enumerate(keys)}
+    n_cols = sum(len(s) == 1 for s in keys)
+    centred = np.ascontiguousarray(e.paths[:, [s[0] for s in keys[:n_cols]]].T)
+    centred -= centred.mean(axis=1, keepdims=True)
 
     bounds = np.linspace(0, n_paths, JACKKNIFE_FOLDS + 1).astype(int)
     kept = n_paths - np.diff(bounds)
-    block_sums = np.add.reduceat(prods, bounds[:-1], axis=1)
+    block_sums = np.empty((len(keys), JACKKNIFE_FOLDS))
+    for f in range(0, JACKKNIFE_FOLDS, FOLDS_PER_CHUNK):
+        edges = bounds[f:f + FOLDS_PER_CHUNK + 1]  # the chunk's folds and its end
+        prods = np.empty((len(keys), edges[-1] - edges[0]))
+        prods[:n_cols] = centred[:, edges[0]:edges[-1]]
+        for k, s in enumerate(keys[n_cols:], n_cols):
+            np.multiply(prods[row[s[:-1]]], prods[row[s[-1:]]], out=prods[k])
+        block_sums[:, f:f + FOLDS_PER_CHUNK] = np.add.reduceat(prods, edges[:-1] - edges[0],
+                                                              axis=1)
     totals = block_sums.sum(axis=1)
-    partitions = enumerate_partitions(n)
-    value = _plugin_kappa(dict(zip(subsets, totals / n_paths)), partitions)
-    fold_vals = _plugin_kappa(dict(zip(subsets, (totals[:, None] - block_sums) / kept)),
-                              partitions)
-    if n == 1:
-        value = empirical_mean(e)[indices[0]]
-    elif n == 2:
-        value = empirical_cov(e)[indices[0], indices[1]]
-        fold_vals = fold_vals * kept / (kept - 1)
+    moments = totals / n_paths
+    fold_moments = (totals[:, None] - block_sums) / kept
+    orders = {len(t) for t in tuples}
+    partitions = {n: enumerate_partitions(n) for n in orders}
+    mean = empirical_mean(e) if 1 in orders else None
+    cov = empirical_cov(e) if 2 in orders else None
 
-    centered = fold_vals - fold_vals.mean()
-    se = float(np.sqrt((JACKKNIFE_FOLDS - 1) / JACKKNIFE_FOLDS * np.sum(centered**2)))
-    return CumulantEstimate(order=n, indices=indices, points=points,
-                            value=float(value), standard_error=se)
+    out = []
+    for t in tuples:
+        n = len(t)
+        value = _plugin_kappa(moments, row, t, partitions[n])
+        fold_vals = _plugin_kappa(fold_moments, row, t, partitions[n])
+        if n == 1:
+            value = mean[t[0]]
+        elif n == 2:
+            value = cov[t[0], t[1]]
+            fold_vals = fold_vals * kept / (kept - 1)
+        centered = fold_vals - fold_vals.mean()
+        se = float(np.sqrt((JACKKNIFE_FOLDS - 1) / JACKKNIFE_FOLDS * np.sum(centered**2)))
+        out.append(CumulantEstimate(order=n, indices=t,
+                                    points=tuple(float(e.grid.points[i]) for i in t),
+                                    value=float(value), standard_error=se))
+    return out
+
+
+def empirical_cumulant(e: SampleEnsemble, indices) -> CumulantEstimate:
+    """Plug-in cumulant of the columns picked by ``indices``: the one-tuple
+    case of :func:`empirical_cumulants`."""
+    return empirical_cumulants(e, [indices])[0]
 
 
 def default_cumulant_tuples(n_points: int, order: int, count: int = 10,

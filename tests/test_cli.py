@@ -7,6 +7,8 @@ import sys
 import pytest
 
 import gpops.cli
+import gpops.linalg
+import gpops.verify
 from gpops.cli import main
 from gpops.conditioning import solve_linear_ode
 
@@ -400,6 +402,7 @@ def test_mean_not_finite_on_the_grid_exit_one(tmp_path, capsys, command, mean, o
     assert not (tmp_path / "out").exists()
 
 
+BIG = "1" + "0" * 400
 CONFIG_ERROR_PROBLEM = """\
 problem:
   rhs: "cos(x)"
@@ -458,6 +461,18 @@ output: "%s"
     ("samples: 2", "samples: 1", "samples"),
     ("expected: verification", "expected: maybe", "expected"),
     ("threads: 1", "threads: 0", "threads"),
+    # YAML integers too large for a float
+    *[pytest.param(old, new % BIG, key, id=f"too-large-{key}{suffix}")
+      for old, new, key, suffix in [
+          ("lengthscale: 0.5", "lengthscale: %s", "kernel.lengthscale", ""),
+          ("lengthscale: 0.5", "lengthscale: 0.5, variance: %s", "kernel.variance", ""),
+          ('nu: "5/2"', "nu: %s", "kernel.nu", ""),
+          ('nu: "5/2"', 'nu: "%s/2"', "kernel.nu", "-fraction"),
+          ("[0.0, 1.0]", "[0.0, %s]", "grid.interval", ""),
+          ("count: 17", "count: %s", "grid.count", ""),
+          ("location: 0.0", "location: %s", "problem.boundary[0].location", ""),
+          ("value: 0.0", "value: %s", "problem.boundary[0].value", ""),
+          ("value: 0.0", "value: 0.0, noise_sd: %s", "problem.boundary[0].noise_sd", "")]],
 ])
 def test_config_error_names_the_key_exit_one(tmp_path, capsys, old, new, key):
     text = CONFIG_ERROR_BASE % (tmp_path / "out")
@@ -486,6 +501,39 @@ def test_solve_function_not_finite_names_its_key_exit_one(tmp_path, capsys, old,
     cfg = write(tmp_path, "pole.yaml", text)
     assert main(["solve", "--config", cfg]) == 1
     assert capsys.readouterr().err == f"error: {message} is not finite at x = 0.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_solve_checks_the_reference_before_solving(tmp_path, capsys, monkeypatch):
+    # a pole in the reference must not cost the whole collocation solve first
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        return solve_linear_ode(*args, **kwargs)
+
+    monkeypatch.setattr(gpops.cli, "solve_linear_ode", solve)
+    text = (CONFIG_ERROR_BASE % (tmp_path / "out")).replace('reference: "sin(x)"',
+                                                            'reference: "x^-1"')
+    cfg = write(tmp_path, "pole.yaml", text)
+    assert main(["solve", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: problem.reference 'x^-1' is not finite at x = 0.0\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_image_variance_exit_one(tmp_path, capsys, monkeypatch):
+    # an image Gram with one variance negative far beyond roundoff
+    def gram(kernel, grid):
+        k = gpops.linalg.gram(kernel, grid)
+        k[3, 3] = -k[3, 3]
+        return k
+
+    monkeypatch.setattr(gpops.verify, "gram", gram)
+    cfg = write(tmp_path, "v.yaml", BASE_VERIFY.format(out=tmp_path / "out"))
+    assert main(["verify", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: image variance -") and "at grid point 3 (x = 0.1875)" in err
     assert not (tmp_path / "out").exists()
 
 

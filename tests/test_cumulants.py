@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gpops.cumulants
 from gpops.cumulants import (CumulantEstimate, Partition, default_cumulant_tuples,
-                             empirical_cumulant, enumerate_partitions)
+                             empirical_cumulant, empirical_cumulants, enumerate_partitions)
 from gpops.errors import ParameterError
 from gpops.grids import Grid
 from gpops.kernels import se_kernel
@@ -236,6 +237,56 @@ def test_higher_cumulants_do_not_move_under_a_mean_shift(shift):
         moved = empirical_cumulant(shifted, t)
         assert abs(moved.value - ref.value) <= 1e-6 * ref.standard_error
         assert abs(moved.standard_error - ref.standard_error) <= 1e-6 * ref.standard_error
+
+
+# empirical_cumulants shares one product table across its tuples; every
+# estimate must still be the one its tuple gets on its own, to the last bit.
+SHARED_TUPLES = [(3,), (5, 5), (2, 6), (6, 2), (1, 1, 4), (4, 1, 1), (0, 4, 4, 8),
+                 (2, 2, 6, 6), (7, 7, 7, 7, 7), (0, 1, 2, 3, 4), (8, 3, 3, 0, 8, 1), (4,) * 6]
+
+
+def _skewed_ensemble():
+    # correlated, skewed columns with nonzero means; 1013 paths give blocks
+    # of unequal size
+    rng = np.random.default_rng(2718)
+    base = rng.exponential(size=(1013, 9))
+    paths = base @ (np.eye(9) + 0.3 * rng.random((9, 9))) + np.linspace(-1.0, 1.0, 9)
+    return SampleEnsemble(grid=Grid(np.linspace(0, 1, 9)), paths=paths, seed=0)
+
+
+def test_shared_table_is_bit_identical_to_one_tuple_at_a_time():
+    e = _skewed_ensemble()
+    ests = empirical_cumulants(e, SHARED_TUPLES)
+    assert ests == [empirical_cumulant(e, t) for t in SHARED_TUPLES]
+    assert [est.order for est in ests] == [len(t) for t in SHARED_TUPLES]
+    # orders 1 and 2 still delegate to the mean and the unbiased covariance
+    assert ests[0].value == empirical_mean(e)[3]
+    cov = empirical_cov(e)
+    assert [est.value for est in ests[1:4]] == [cov[5, 5], cov[2, 6], cov[6, 2]]
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e6])
+def test_shared_table_is_bit_identical_under_a_mean_shift(shift):
+    prior = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5, 1.0))
+    e = sample_paths(prior, Grid.uniform_on(0, 1, 9), 20000, 5)
+    shifted = SampleEnsemble(grid=e.grid, paths=e.paths + shift, seed=e.seed)
+    tuples = [(2, 2, 6, 6), (1, 4, 7)] + default_cumulant_tuples(9, 3, count=5) \
+        + default_cumulant_tuples(9, 4, count=5)
+    assert empirical_cumulants(shifted, tuples) == [empirical_cumulant(shifted, t)
+                                                    for t in tuples]
+
+
+@pytest.mark.parametrize("folds_per_chunk", [1, 2, 50])
+def test_chunking_the_paths_changes_no_bit(monkeypatch, folds_per_chunk):
+    # 50 folds per chunk builds every product row over all paths at once
+    e = _skewed_ensemble()
+    ref = empirical_cumulants(e, SHARED_TUPLES)
+    monkeypatch.setattr(gpops.cumulants, "FOLDS_PER_CHUNK", folds_per_chunk)
+    assert empirical_cumulants(e, SHARED_TUPLES) == ref
+
+
+def test_no_tuples_no_estimates():
+    assert empirical_cumulants(_gaussian_ensemble(n_paths=150), []) == []
 
 
 def test_cumulant_estimate_metadata():

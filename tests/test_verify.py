@@ -2,15 +2,16 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 import gpops.verify
-from gpops.cumulants import default_cumulant_tuples, empirical_cumulant
-from gpops.errors import DomainViolationError
+from gpops.cumulants import default_cumulant_tuples, empirical_cumulant, empirical_cumulants
+from gpops.errors import DomainViolationError, EvaluationError
 from gpops.grids import Grid
-from gpops.kernels import matern_kernel, se_kernel
+from gpops.kernels import Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
@@ -113,6 +114,31 @@ def test_cumulant_section_contents():
     for sec in rep.cumulant_check["per_order"]:
         assert len(sec["tuples"]) == 10
         assert sec["max_standardized"] >= 0.0
+
+
+def test_negative_image_variance_is_an_error_naming_the_grid_point():
+    # the negated SE "kernel": every closed-form image variance is -1
+    se = se_kernel(1.0).base
+    negated = Kernel(lambda s, m: [-v for v in se.profile(s, m)], math.inf, "-se")
+    p = GaussianProcessPrior(mean=zero_mean(), kernel=KernelBifunction(negated))
+    with pytest.raises(EvaluationError, match=r"image variance -1 at grid point 0 \(x = 0\)"):
+        verify_theorem(p, identity(), GRID, 1000, 1)
+
+
+@pytest.mark.parametrize("relative, raises", [(-1e-9, True), (-1e-14, False)])
+def test_negative_variance_is_clipped_only_within_roundoff(monkeypatch, relative, raises):
+    def gram_with_one_negative_variance(kernel, grid):
+        k = gram(kernel, grid)
+        k[5, 5] = relative * np.max(np.abs(k))
+        return k
+
+    monkeypatch.setattr(gpops.verify, "gram", gram_with_one_negative_variance)
+    if raises:
+        with pytest.raises(EvaluationError, match="at grid point 5"):
+            verify_theorem(PRIOR, identity(), GRID, 1000, 1)
+    else:
+        rep = verify_theorem(PRIOR, identity(), GRID, 1000, 1)
+        assert rep.per_point[5][8] == 0.0
 
 
 def test_verdict_does_not_depend_on_kernel_variance():
@@ -233,3 +259,22 @@ def test_moment_pushforward_matches_pathwise_reference(monkeypatch, p, op, grid)
             assert abs(t["value"] - est.value) <= EQUIVALENCE_RTOL * np.prod(sd[t["indices"]])
             assert abs(t["standard_error"] - est.standard_error) <= \
                 EQUIVALENCE_RTOL * np.prod(sd[t["indices"]])
+
+
+def test_verify_makes_one_cumulant_call_bit_identical_to_one_tuple_at_a_time(monkeypatch):
+    # the 20 tuples verify reads on the verify-small setup, estimated in one
+    # call and again one tuple at a time on the same image columns
+    calls = []
+
+    def spy(e, tuples):
+        calls.append((e, tuples))
+        return empirical_cumulants(e, tuples)
+
+    monkeypatch.setattr(gpops.verify, "empirical_cumulants", spy)
+    rep = verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, CONTROL_PATHS, 1)
+    (thin, tuples), = calls
+    reported = [(t["value"], t["standard_error"])
+                for sec in rep.cumulant_check["per_order"] for t in sec["tuples"]]
+    alone = [empirical_cumulant(thin, t) for t in tuples]
+    assert len(reported) == 20
+    assert reported == [(est.value, est.standard_error) for est in alone]
