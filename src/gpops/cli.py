@@ -25,7 +25,6 @@ import numpy as np
 from .config import RunConfig, load_config
 from .conditioning import solve_linear_ode
 from .errors import ConfigError, GpopsError
-from .grids import Grid
 from .reportio import csv_lines, dumps_json
 from .sampling import sample_paths
 from .transform import joint_blocks
@@ -66,19 +65,13 @@ def cmd_solve(cfg: RunConfig) -> int:
     """Solve the configured operator equation by GP collocation."""
     if cfg.problem is None:
         raise ConfigError("solve needs a 'problem' section in the config")
-    rhs = cfg.problem["rhs_fn"]
-    count = cfg.problem["collocation_count"]
-    collocation = None
-    if count:
-        pts = np.linspace(cfg.grid.points[0], cfg.grid.points[-1], count)
-        collocation = Grid(pts)
     # a reference that is not finite on the grid fails before the solve, not after
     ref_fn = cfg.problem.get("reference_fn")
     ref = ref_fn(cfg.grid.points) if ref_fn is not None else None
     posterior = solve_linear_ode(
-        cfg.operator, rhs, cfg.problem["boundary"], cfg.grid, cfg.prior,
-        collocation=collocation,
-        collocation_noise_sd=float(cfg.problem["collocation_noise_sd"]),
+        cfg.operator, cfg.problem["rhs_fn"], cfg.problem["boundary"], cfg.grid, cfg.prior,
+        collocation=cfg.problem["collocation"],
+        collocation_noise_sd=cfg.problem["collocation_noise_sd"],
     )
     doc = posterior.to_dict()
     exit_code = EXIT_PASS
@@ -86,9 +79,9 @@ def cmd_solve(cfg: RunConfig) -> int:
         max_err = float(np.max(np.abs(posterior.mean - ref)))
         doc["reference"] = cfg.problem["reference"]
         doc["max_abs_error"] = max_err
-        bound = cfg.problem.get("max_error")
+        bound = cfg.problem["max_error"]
         if bound is not None:
-            doc["max_error_bound"] = float(bound)
+            doc["max_error_bound"] = bound
             doc["passed"] = bool(max_err <= bound)
             if not doc["passed"]:
                 exit_code = EXIT_TOLERANCE
@@ -165,7 +158,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except GpopsError as exc:
+    except (GpopsError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

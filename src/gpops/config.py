@@ -59,53 +59,66 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def _get(tree, key, kind=None, default=_REQUIRED):
+def _get(tree, name, kind=None, default=_REQUIRED):
+    # the value at the last part of the dotted ``name``, which messages quote whole
+    key = name.rpartition(".")[2]
     if key not in tree:
         if default is not _REQUIRED:
             return default
-        raise ConfigError(f"missing required config key {key!r}")
+        raise ConfigError(f"missing required config key {name!r}")
     value = tree[key]
     if kind is not None and not _is(value, kind):
         names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
-        raise ConfigError(f"config key {key!r} must be {names}, got {type(value).__name__}")
+        raise ConfigError(f"config key {name!r} must be {names}, got {type(value).__name__}")
     return value
 
 
-def _threshold(key, value):
-    # a pass threshold that a finite statistic can meet: a finite number > 0
-    if not (_is(value, (int, float)) and 0 < value <= sys.float_info.max):
-        raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
-    return float(value)
+def _number(tree, name, kind=(int, float), default=_REQUIRED, ok=None, need=""):
+    """The number at ``name``: the one place that decides what a config number may be.
+
+    It is never a bool.  An integer key (``kind=int``) stays an integer and is
+    compared as one; any other number becomes a float, which it must fit.
+    ``ok`` is the range, reported as ``<name> must be <need>, got <value>``.
+    """
+    value = _get(tree, name, kind, default)
+    if kind is not int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
+    if ok is not None and not ok(value):
+        raise ConfigError(f"{name} must be {need}, got {value!r}")
+    return value
 
 
-def _float(key, value) -> float:
-    # a YAML integer, or the value of a fraction string, can be too large for a float
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{key} is too large for a float") from None
+def _integers(lo, hi):
+    # an inclusive integer range; a count that sizes an array ends at sys.maxsize
+    return {"ok": lambda v: lo <= v <= hi, "need": f"an integer from {lo} to {hi}"}
 
 
-def _parse_nu(raw):
+# a pass threshold that a finite statistic can meet
+_THRESHOLD = {"ok": lambda v: 0 < v <= sys.float_info.max, "need": "a finite number > 0"}
+
+
+def _parse_nu(tree):
+    raw = _get(tree, "kernel.nu")
     if isinstance(raw, str):
         try:
-            raw = Fraction(raw)
+            tree = {"nu": Fraction(raw)}
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"kernel.nu: cannot parse {raw!r} as a fraction") from None
-    elif not _is(raw, (int, float)):
-        raise ConfigError(f"kernel.nu must be a number or fraction string, got {raw!r}")
-    return _float("kernel.nu", raw)
+    return _number(tree, "kernel.nu", (int, float, Fraction))
 
 
 def _parse_kernel(tree) -> KernelBifunction:
-    name = _get(tree, "name", str)
-    lengthscale = _float("kernel.lengthscale", _get(tree, "lengthscale", (int, float)))
-    variance = _float("kernel.variance", _get(tree, "variance", (int, float), default=1.0))
+    name = _get(tree, "kernel.name", str)
+    lengthscale = _number(tree, "kernel.lengthscale")
+    variance = _number(tree, "kernel.variance", default=1.0)
     try:
         if name == "se":
             return se_kernel(lengthscale, variance)
         if name == "matern":
-            nu = _parse_nu(_get(tree, "nu"))
+            nu = _parse_nu(tree)
             return matern_kernel(nu, lengthscale, variance)
     except ParameterError as exc:
         raise ConfigError(f"kernel: {exc}") from exc
@@ -132,7 +145,7 @@ def parse_operator_spec(tree) -> LinearOperator:
     if not isinstance(tree, dict):
         raise ConfigError("operator spec must be a mapping with a 'terms' list")
     label = tree.get("label")
-    terms_raw = _get(tree, "terms", list)
+    terms_raw = _get(tree, "operator.terms", list)
     terms = []
     for i, item in enumerate(terms_raw):
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
@@ -154,14 +167,13 @@ def parse_operator_spec(tree) -> LinearOperator:
 
 
 def _parse_grid(tree) -> Grid:
-    interval = _get(tree, "interval", list)
-    if len(interval) != 2 or not all(_is(v, (int, float)) for v in interval):
+    interval = _get(tree, "grid.interval", list)
+    if len(interval) != 2:
         raise ConfigError("grid.interval must be [a, b] with numbers a < b")
-    count = _get(tree, "count", int)
-    _float("grid.count", count)  # a count too large for a float is too large for numpy
+    a, b = (_number({"interval": end}, "grid.interval") for end in interval)
+    count = _number(tree, "grid.count", int, **_integers(1, sys.maxsize))
     try:
-        return Grid.uniform_on(_float("grid.interval", interval[0]),
-                               _float("grid.interval", interval[1]), count)
+        return Grid.uniform_on(a, b, count)
     except ParameterError as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
@@ -171,34 +183,33 @@ def _parse_tolerances(tree) -> VerificationTolerances:
         return VerificationTolerances()
     if not isinstance(tree, dict):
         raise ConfigError("config key 'tolerances' must be a mapping")
-    kwargs = {}
-    for f in fields(VerificationTolerances):
-        kwargs[f.name] = _threshold(f"tolerances.{f.name}", tree.get(f.name, f.default))
+    kwargs = {f.name: _number(tree, f"tolerances.{f.name}", default=f.default, **_THRESHOLD)
+              for f in fields(VerificationTolerances)}
     unknown = set(tree) - set(kwargs)
     if unknown:
         raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
     return VerificationTolerances(**kwargs)
 
 
-def _parse_problem(tree):
+def _parse_problem(tree, grid: Grid):
     if tree is None:
         return None
     if not isinstance(tree, dict):
         raise ConfigError("config key 'problem' must be a mapping")
+    count = _number(tree, "problem.collocation_count", int, 0, **_integers(0, sys.maxsize))
     out = {
-        "rhs": _get(tree, "rhs"),
-        "collocation_noise_sd": _get(tree, "collocation_noise_sd", (int, float), default=0.0),
-        "collocation_count": _get(tree, "collocation_count", int, default=0),
-        "boundary": _get(tree, "boundary", list, default=[]),
+        "rhs": _get(tree, "problem.rhs"),
+        "collocation_noise_sd": _number(
+            tree, "problem.collocation_noise_sd", default=0.0,
+            ok=lambda sd: 0 <= sd and sd * sd <= sys.float_info.max,
+            need="a number >= 0 with a finite square"),
+        # the collocation points span the grid; None leaves the grid interior
+        "collocation": Grid.uniform_on(grid.points[0], grid.points[-1], count) if count else None,
+        "boundary": _get(tree, "problem.boundary", list, default=[]),
         "reference": tree.get("reference"),
-        "max_error": tree.get("max_error"),
+        "max_error": (None if tree.get("max_error") is None
+                      else _number(tree, "problem.max_error", **_THRESHOLD)),
     }
-    if out["collocation_count"] < 0:
-        raise ConfigError("problem.collocation_count must be >= 0 (0 uses the grid interior)")
-    sd = out["collocation_noise_sd"]
-    if not (0 <= sd and sd * sd <= sys.float_info.max):
-        raise ConfigError(f"problem.collocation_noise_sd must be a number >= 0 "
-                          f"with a finite square, got {sd!r}")
     for key in ("rhs", "reference") if out["reference"] is not None else ("rhs",):
         try:
             expr = parse_expression(out[key])
@@ -206,10 +217,8 @@ def _parse_problem(tree):
             raise ConfigError(f"problem.{key}: {exc}") from exc
         out[f"{key}_fn"] = partial(evaluate_finite, expr, kind=f"problem.{key}", label=out[key])
     out["boundary"] = [_parse_boundary(i, b) for i, b in enumerate(out["boundary"])]
-    if out["max_error"] is not None:
-        _threshold("problem.max_error", out["max_error"])
-        if out["reference"] is None:
-            raise ConfigError("problem.max_error needs problem.reference to bound the error of")
+    if out["max_error"] is not None and out["reference"] is None:
+        raise ConfigError("problem.max_error needs problem.reference to bound the error of")
     return out
 
 
@@ -219,12 +228,8 @@ def _parse_boundary(i, b) -> Observation:
             f"problem.boundary[{i}] needs 'location' and 'value' (and optional "
             f"'operator', 'noise_sd')"
         )
-    num = {}
-    for key in ("location", "value", "noise_sd"):
-        value = b.get(key, 0.0)
-        if not _is(value, (int, float)):
-            raise ConfigError(f"problem.boundary[{i}].{key} must be a number, got {value!r}")
-        num[key] = _float(f"problem.boundary[{i}].{key}", value)
+    num = {key: _number(b, f"problem.boundary[{i}].{key}", default=0.0)
+           for key in ("location", "value", "noise_sd")}
     try:
         return Observation(operator=parse_operator_spec(b.get("operator")), **num)
     except (ConfigError, ParameterError) as exc:
@@ -235,7 +240,7 @@ def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:
     """Load and validate a config file; keyword arguments override file keys.
 
     YAML syntax errors are reported with their line/column; semantic errors
-    name the offending key.
+    name the offending key.  An override is checked as the key it replaces.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -246,30 +251,26 @@ def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigError(f"invalid YAML in {path!r}{where}: {exc}") from exc
+    except ValueError as exc:  # e.g. an integer of more than 4300 digits
+        raise ConfigError(f"cannot load config {path!r}: {exc}") from exc
     if not isinstance(tree, dict):
         raise ConfigError("config file must contain a mapping at the top level")
+    overrides = {"seed": seed, "output": output, "threads": threads}
+    tree.update((key, value) for key, value in overrides.items() if value is not None)
 
     kernel = _parse_kernel(_get(tree, "kernel", dict))
     mean = _parse_mean(tree.get("mean"))
     operator = parse_operator_spec(tree.get("operator"))
     grid = _parse_grid(_get(tree, "grid", dict))
-    samples = _get(tree, "samples", int, default=2)
-    if samples < 2:
-        raise ConfigError("samples must be at least 2")
-    cfg_seed = _get(tree, "seed", int, default=0)
-    cfg_threads = _get(tree, "threads", int, default=1)
+    samples = _number(tree, "samples", int, 2, **_integers(2, sys.maxsize))
+    seed = _number(tree, "seed", int, 0, **_integers(0, 2**64 - 1))
+    threads = _number(tree, "threads", int, 1, lambda v: v >= 1, ">= 1")
     expected = _get(tree, "expected", str, default="verification")
     if expected not in ("verification", "rejection"):
         raise ConfigError("expected must be 'verification' or 'rejection'")
-    tolerances = _parse_tolerances(tree.get("tolerances"))
-    problem = _parse_problem(tree.get("problem"))
-    out_dir = output if output is not None else _get(tree, "output", str, default="out")
-    threads_eff = threads if threads is not None else cfg_threads
-    if threads_eff < 1:
-        raise ConfigError("threads must be >= 1")
     return RunConfig(
         kernel=kernel, mean=mean, operator=operator, grid=grid, samples=samples,
-        seed=seed if seed is not None else cfg_seed, threads=threads_eff,
-        output=out_dir, expected=expected, tolerances=tolerances, problem=problem,
-        echo={"config_file": str(path)},
+        seed=seed, threads=threads, output=_get(tree, "output", str, default="out"),
+        expected=expected, tolerances=_parse_tolerances(tree.get("tolerances")),
+        problem=_parse_problem(tree.get("problem"), grid), echo={"config_file": str(path)},
     )

@@ -2,7 +2,8 @@
 
 Reproducibility contract
 ------------------------
-Sampling uses the counter-based Philox bit generator keyed by the seed.  Path
+Sampling uses the counter-based Philox bit generator keyed by the seed, an
+integer in [0, 2^64); any other seed is a ``ParameterError``.  Path
 ``i`` consumes the 64-bit words at block-aligned offset ``i * wpp`` of the
 Philox counter stream, where ``wpp = 4 * ceil(n_points / 4)`` is the per-path
 word budget (Philox advances in blocks of four words).  Uniforms are
@@ -26,6 +27,8 @@ of forming the paths (``verify_theorem`` does).
 
 from __future__ import annotations
 
+import numbers
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -95,7 +98,7 @@ def _words_per_path(n_points: int) -> int:
 
 def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int) -> np.ndarray:
     wpp = _words_per_path(n_points)
-    bg = np.random.Philox(key=int(seed) & (2**64 - 1))
+    bg = np.random.Philox(key=int(seed))
     if first_path:
         bg.advance(int(first_path) * (wpp // 4))  # advance counts 4-word blocks
     raw = bg.random_raw(n_paths * wpp).reshape(n_paths, wpp)[:, :n_points]
@@ -147,9 +150,16 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
     the per-path normals (see the module docstring for the substream
     derivation).  Deterministic in the seed and independent of ``threads``.
+    A seed outside [0, 2^64), and a draw of more doubles than an array can
+    hold, raise ``ParameterError`` before anything is allocated.
     """
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if n_paths < 2:
         raise ParameterError("need at least two paths")
+    if n_paths * len(grid) > sys.maxsize // 8:
+        raise ParameterError(f"{n_paths} paths of {len(grid)} points are more doubles "
+                             f"than an array can hold")
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))

@@ -473,6 +473,19 @@ output: "%s"
           ("location: 0.0", "location: %s", "problem.boundary[0].location", ""),
           ("value: 0.0", "value: %s", "problem.boundary[0].value", ""),
           ("value: 0.0", "value: 0.0, noise_sd: %s", "problem.boundary[0].noise_sd", "")]],
+    # counts that fit a float but not an array length (sys.maxsize)
+    *[pytest.param(old, new, key, id=f"over-maxsize-{key}")
+      for old, new, key in [
+          ("count: 17", "count: 10000000000000000000", "grid.count"),
+          ("samples: 2", "samples: 10000000000000000000", "samples"),
+          ("collocation_count: 10", "collocation_count: 10000000000000000000",
+           "problem.collocation_count")]],
+    # PyYAML converts no integer of more than 4300 digits: the error names the file
+    pytest.param("lengthscale: 0.5", "lengthscale: 1" + "0" * 5000, "bad.yaml",
+                 id="5001-digit-lengthscale"),
+    # the seed keys Philox, whose key is an integer in [0, 2^64)
+    pytest.param("seed: 1", "seed: -1", "seed", id="negative-seed"),
+    pytest.param("seed: 1", "seed: 18446744073709551616", "seed", id="seed-2^64"),
 ])
 def test_config_error_names_the_key_exit_one(tmp_path, capsys, old, new, key):
     text = CONFIG_ERROR_BASE % (tmp_path / "out")
@@ -487,6 +500,40 @@ def test_config_error_names_the_key_exit_one(tmp_path, capsys, old, new, key):
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_seed_override_is_checked_as_the_seed_key(tmp_path, capsys):
+    cfg = write(tmp_path, "v.yaml", BASE_VERIFY.format(out=tmp_path / "out"))
+    assert main(["verify", "--config", cfg, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == ("config error: seed must be an integer from 0 to "
+                                       "18446744073709551615, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_largest_seed_runs_and_is_echoed(tmp_path):
+    text = BASE_VERIFY.format(out=tmp_path / "out").replace("seed: 42",
+                                                           "seed: 18446744073709551615")
+    cfg = write(tmp_path, "s.yaml", text)
+    assert main(["sample", "--config", cfg]) == 0
+    meta = json.loads((tmp_path / "out" / "ensemble.json").read_text())
+    assert meta["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize("command, old, new, message", [
+    ("solve", "count: 17", "count: 1000000000000000000", "error: Unable to allocate"),
+    ("verify", "samples: 2", "samples: 1000000000000000000",
+     "error: 1000000000000000000 paths of 17 points are more doubles than an array can hold"),
+    ("sample", "samples: 2", "samples: 1000000000000000000",
+     "error: 1000000000000000000 paths of 17 points are more doubles than an array can hold"),
+], ids=["grid.count-10^18", "verify-samples-10^18", "sample-samples-10^18"])
+def test_exabyte_size_exit_one(tmp_path, capsys, command, old, new, message):
+    # sizes far beyond any memory: numpy refuses them at once and allocates nothing
+    text = (CONFIG_ERROR_BASE % (tmp_path / "out")).replace(old, new)
+    cfg = write(tmp_path, "huge.yaml", text)
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

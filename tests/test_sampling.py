@@ -135,6 +135,19 @@ def test_sample_paths_validation():
         sample_paths(PRIOR, Grid([0.0]), 1, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+def test_seed_outside_the_philox_key_range_raises(seed):
+    # -1 once keyed Philox as 2^64 - 1: two seeds, one ensemble
+    with pytest.raises(ParameterError, match="seed must be an integer in"):
+        draw_factored(PRIOR, Grid.uniform_on(0, 1, 5), 10, seed)
+
+
+def test_draw_larger_than_any_array_raises():
+    # refused before any allocation: 10^18 x 17 doubles exceed sys.maxsize bytes
+    with pytest.raises(ParameterError, match="1000000000000000000 paths of 17 points"):
+        draw_factored(PRIOR, Grid.uniform_on(0, 1, 17), 10**18, 1)
+
+
 # ------------------------------------------------------- pathwise operators
 
 def test_pathwise_identity_unchanged():
