@@ -27,7 +27,7 @@ print("sample smoothness (se, m12, m52) =",
 
 h = 1e-5
 fd = (se(0.3, 0.7 + h) - se(0.3, 0.7 - h)) / (2 * h)
-closed = apply_arg(derivative_operator(1), ARG2, se)(0.3, 0.7)  # one-key bifunction
+closed = apply_arg(derivative_operator(1), ARG2, se)(0.3, 0.7)  # d/dx on argument 2
 print("\nd k/d x2 at (0.3, 0.7): closed =", closed, " fd =", fd)
 
 # --- operators --------------------------------------------------------------

@@ -25,7 +25,7 @@ from .grids import Grid
 from .linalg import chol_psd, gram
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_to_function
 from .processes import GaussianProcessPrior
-from .reportio import csv_lines, dumps_json
+from .reportio import csv_lines
 
 __all__ = ["Observation", "PosteriorSummary", "condition", "solve_linear_ode",
            "NOISE_FLOOR_VARIANCE"]
@@ -83,9 +83,6 @@ class PosteriorSummary:
             "variance": [float(v) for v in self.variance],
             "log_marginal": float(self.log_marginal),
         }
-
-    def to_json(self) -> str:
-        return dumps_json(self.to_dict())
 
     CSV_HEADER = ("index", "x", "mean", "variance")
 

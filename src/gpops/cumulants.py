@@ -70,10 +70,6 @@ class Partition:
         if seen != set(range(1, n + 1)):
             raise ParameterError("blocks must cover {1, ..., n} exactly")
 
-    @property
-    def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
     def __len__(self):
         return len(self.blocks)
 

@@ -301,7 +301,9 @@ def parse_expression(source) -> Expr:
     """Parse an expression string (or bare number) into an :class:`Expr`.
 
     Raises :class:`ExpressionError` with position information on malformed
-    input, and on a constant that is not a finite real number.
+    input, on a constant that is not a finite real number, and on input that
+    nests deeper than Python's recursion limit allows (about 480 terms of
+    one sum).
     """
     if isinstance(source, (int, float)) and not isinstance(source, bool):
         return _convert(ast.Constant(source), repr(source))
@@ -312,14 +314,17 @@ def parse_expression(source) -> Expr:
         raise ExpressionError(f"use '^' for powers, not '**', in {source!r}")
     translated = source.replace("^", "**")
     try:
-        tree = ast.parse(translated, mode="eval")
+        return _convert(ast.parse(translated, mode="eval"), source)
     except SyntaxError as exc:
         lineno = exc.lineno or 1
         column = _source_column(source.split("\n")[lineno - 1], exc.offset)
         raise ExpressionError(
             f"cannot parse {source!r}: {exc.msg} at line {lineno}, column {column}"
         ) from None
-    return _convert(tree, source)
+    except RecursionError:  # from ast.parse or from _convert's descent
+        raise ExpressionError(
+            f"expression of {len(source)} characters nests too deeply to parse"
+        ) from None
 
 
 def _source_column(line: str, offset) -> int:

@@ -58,9 +58,6 @@ class Grid:
     def __len__(self):
         return self.points.size
 
-    def __iter__(self):
-        return iter(self.points)
-
     def __repr__(self):
         p = self.points
         return f"Grid({p.size} points on [{p[0]:g}, {p[-1]:g}], uniform={self.uniform})"

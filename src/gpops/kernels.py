@@ -2,10 +2,12 @@
 
 Both catalog kernels are stationary, ``k(x1, x2) = f(x1 - x2)``, so every
 mixed partial is a signed derivative of one profile:
-``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  A catalog
-kernel is the one-key :class:`KernelBifunction` ``(0, 0, 1, 1)``, its own
-image under the identity, so prior and image kernels are one type with one
-evaluator.  Its ``base`` is a :class:`Kernel`, the non-callable record of:
+``d^d1/dx1^d1 d^d2/dx2^d2 k = (-1)^d2 f^(d1+d2)(x1 - x2)``.  A
+:class:`KernelBifunction` is the profile with one operator per argument,
+``T1 T2 k``, each stored as its ``(order, coefficient)`` terms.  A catalog
+kernel is the pair of identity operators, its own image under the
+identity, so prior and image kernels are one type with one evaluator.  Its
+``base`` is a :class:`Kernel`, the non-callable record of:
 
 * ``profile(s, m)``, which returns ``[f(s), f'(s), ..., f^(m)(s)]`` from one
   difference array (one ``exp`` for all orders), up to total order
@@ -111,59 +113,58 @@ def _weight_factors(pairs, x1, x2, values1, values2):
 
 
 class KernelBifunction:
-    """A catalog kernel with operators applied to its arguments, in closed form.
+    """A catalog kernel with one operator applied to each argument, in closed form.
 
-    ``terms`` maps each derivative pair ``(d1, d2)`` to its coefficient
-    pairs ``(c1, c2)``, so the bifunction is the sum over keys and pairs of
-    ``c1(x1) c2(x2) * partial(d1, d2) f`` for the profile record ``f =
-    base``, a :class:`Kernel`.  The constructor takes an iterable of ``(d1,
-    d2, c1, c2)`` tuples; the default, the identity key ``(0, 0, 1, 1)``,
-    is the catalog kernel itself.  The spent derivative orders per argument
-    (``applied1``, ``applied2``) determine the remaining budget available
-    to further operator applications, and ``sample_smoothness`` is what is
-    left in both arguments.  An image kernel (see
-    :func:`~gpops.transform.pushforward`) is such a bifunction, so it can
-    serve as a prior kernel and be transformed again; further operators
-    expand onto the same base.
+    ``terms1`` and ``terms2`` are the ``(order, coefficient)`` terms, as in
+    :attr:`~gpops.operators.LinearOperator.terms`, of the operators ``T1``
+    and ``T2`` on the two arguments, so the bifunction is ``T1 T2 f``, the
+    sum of ``c1(x1) c2(x2) * partial(d1, d2) f`` over both term lists, for
+    the :class:`Kernel` ``f = base``.  The default, the identity terms
+    ``((0, 1),)`` in both arguments, is the catalog kernel itself.  An
+    argument's operator order is the budget spent there.  An image kernel
+    (see :func:`~gpops.transform.pushforward`) can be transformed again: a
+    further operator composes with the argument's operator.
 
-    Evaluation is one pass per row block of the output.  Every key shares
-    the block's profile derivatives ``f^(0..M)(x1 - x2)``, computed once up
-    to the largest order needed; each order ``m`` is multiplied by one
-    weight ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its keys, built from
+    Evaluation is one pass per row block of the output.  Every pair of terms
+    shares the block's profile derivatives ``f^(0..M)(x1 - x2)``, computed
+    once up to the largest order needed; each order ``m`` is multiplied by
+    one weight ``W_m = sum (-1)^d2 c1(x1) c2(x2)`` over its pairs, built from
     rank-1 products of coefficients evaluated once per call.  No step uses
-    BLAS, so values do not depend on its threads.  A key beyond the base
-    profile has no closed form and raises :class:`EvaluationError` at
-    construction; :func:`~gpops.operators.apply_arg` never builds one,
+    BLAS, so values do not depend on its threads.  Orders whose sum is beyond
+    the base profile have no closed form and raise :class:`EvaluationError`
+    at construction; :func:`~gpops.operators.apply_arg` never builds them,
     because a catalog profile covers the kernel's whole smoothness budget.
     """
 
-    def __init__(self, base: Kernel, terms=((0, 0, _ONE, _ONE),), label=None):
+    def __init__(self, base: Kernel, terms1=((0, _ONE),), terms2=((0, _ONE),), label=None):
         if not isinstance(base, Kernel):
             raise ParameterError(f"a bifunction's base must be a Kernel, got {type(base).__name__}")
         self.base = base
         self.label = label or base.label
-        self.terms: dict[tuple[int, int], list[tuple[Expr, Expr]]] = {}
-        for d1, d2, c1, c2 in terms:
-            if d1 + d2 > 2 * base.sample_smoothness:
-                raise EvaluationError(
-                    f"kernel {base.label!r} has no closed-form partial ({d1}, {d2}); "
-                    f"its profile stops at total order {2 * base.sample_smoothness}"
-                )
-            self.terms.setdefault((d1, d2), []).append((c1, c2))
-        self.applied1 = max((d1 for d1, _ in self.terms), default=0)
-        self.applied2 = max((d2 for _, d2 in self.terms), default=0)
+        self.terms1, self.terms2 = tuple(terms1), tuple(terms2)
+        d1, d2 = self.order(ARG1), self.order(ARG2)
+        if d1 + d2 > 2 * base.sample_smoothness:
+            raise EvaluationError(
+                f"kernel {base.label!r} has no closed-form partial ({d1}, {d2}); "
+                f"its profile stops at total order {2 * base.sample_smoothness}"
+            )
         # profile order m -> [(sign, c1, c2)]; the values (-1)^d2 f^(m) serve
-        # every key with d1 + d2 = m
+        # every pair with d1 + d2 = m
         self._orders: dict[int, list] = {}
-        for (d1, d2), pairs in self.terms.items():
-            self._orders.setdefault(d1 + d2, []).extend(((-1.0) ** d2, c1, c2) for c1, c2 in pairs)
+        for d1, c1 in self.terms1:
+            for d2, c2 in self.terms2:
+                self._orders.setdefault(d1 + d2, []).append(((-1.0) ** d2, c1, c2))
+
+    def order(self, slot: int):
+        """The order of the operator on argument ``slot``: the budget spent there."""
+        return max(d for d, _ in (self.terms1 if slot == ARG1 else self.terms2))
 
     @property
     def sample_smoothness(self):
-        return self.base.sample_smoothness - max(self.applied1, self.applied2)
+        return self.base.sample_smoothness - max(self.order(ARG1), self.order(ARG2))
 
     def remaining_budget(self, slot: int):
-        return self.base.sample_smoothness - (self.applied1 if slot == ARG1 else self.applied2)
+        return self.base.sample_smoothness - self.order(slot)
 
     def __call__(self, x1, x2, out=None):
         """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given."""
@@ -211,8 +212,8 @@ class KernelBifunction:
         return out
 
     def __repr__(self):
-        return (f"KernelBifunction({self.label!r}, terms={sum(map(len, self.terms.values()))}, "
-                f"applied=({self.applied1}, {self.applied2}))")
+        return (f"KernelBifunction({self.label!r}, terms=({len(self.terms1)}, {len(self.terms2)}), "
+                f"orders=({self.order(ARG1)}, {self.order(ARG2)}))")
 
 
 def _check_hyperparameters(lengthscale, variance):

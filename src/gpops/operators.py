@@ -5,21 +5,23 @@ closed-form expressions.  It acts on
 
 * mean functions, giving the expression ``sum_i a_i * f^(i)``;
 * either argument of a kernel (``slot`` 1 or 2), giving a
-  :class:`~gpops.kernels.KernelBifunction` over the catalog kernel that
-  tracks, per argument, how much of the kernel's derivative budget is spent;
+  :class:`~gpops.kernels.KernelBifunction` over the catalog kernel: the
+  operator is composed with the one that argument already carries, and its
+  order is the part of the kernel's derivative budget spent there;
 * both arguments, which is the covariance transport of the operator.
 
 Both results stay in closed form over the catalog: a transformed mean is an
-expression, and a kernel, catalog or transformed, is a bifunction over the
-catalog base, so a further operator expands onto the base again.  This
-module is the operator algebra; :mod:`gpops.kernels` evaluates kernels.
+expression, and a kernel, catalog or transformed, is the pair ``(T1, T2)``
+of operators over the catalog base, so a further operator composes onto
+that pair.  This module is the operator algebra; :mod:`gpops.kernels`
+evaluates kernels.
 
 Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
 :class:`DomainViolationError`.  Within the budget every partial is
 closed-form: a catalog kernel's profile covers its whole smoothness budget.
-One partial alone is the one-key bifunction ``apply_arg(derivative_operator(
-d1), ARG1, apply_arg(derivative_operator(d2), ARG2, k))``.  No kernel partial
+One partial alone is the bifunction ``apply_arg(derivative_operator(d1),
+ARG1, apply_arg(derivative_operator(d2), ARG2, k))``.  No kernel partial
 comes from finite differences; the tests keep that reference to check the
 closed form against (``tests/fd_reference.py``).
 
@@ -80,9 +82,8 @@ def _leibniz(b, j, a, i):
     """Terms ``(order, coefficient)`` of ``(b d^j) o (a d^i)`` by the product rule.
 
     ``b d^j (a f^(i)) = sum_l C(j, l) b a^(j-l) f^(i+l)``; terms whose
-    coefficient is identically zero are dropped.  Every operation on
-    operators (composition, application to a kernel argument, including
-    to an already transformed kernel) is this expansion.
+    coefficient is identically zero are dropped.  Composition is this
+    expansion, and so is application to a kernel argument, which composes.
     """
     out = []
     for l in range(j + 1):
@@ -206,10 +207,10 @@ def apply_to_function(op: LinearOperator, f: MeanFunction) -> MeanFunction:
 def apply_arg(op: LinearOperator, slot: int, k: KernelBifunction) -> KernelBifunction:
     """Apply an operator to one argument of a kernel, catalog or transformed.
 
-    The sample-smoothness budget of the chosen argument must cover
-    ``op.order``; otherwise :class:`DomainViolationError` is raised before
-    any numerics happen.  The result records the remaining per-argument
-    budget, so repeated applications stay guarded.
+    The result carries ``compose(op, T)`` on that argument, ``T`` being its
+    operator so far (the identity on a catalog kernel).  The argument's
+    remaining sample-smoothness budget must cover ``op.order``; otherwise
+    :class:`DomainViolationError` is raised before any numerics happen.
     """
     if slot not in (ARG1, ARG2):
         raise ParameterError(f"slot must be {ARG1} (first argument) or {ARG2} (second), got {slot}")
@@ -222,16 +223,9 @@ def apply_arg(op: LinearOperator, slot: int, k: KernelBifunction) -> KernelBifun
             f"sample-path smoothness budget {budget} of kernel {k.label!r} "
             f"in argument {slot}; sample paths are (a.s.) not in the operator's domain"
         )
-    new_terms = []
-    for order, a in op.terms:
-        for (d1, d2), pairs in k.terms.items():
-            for c1, c2 in pairs:
-                if slot == ARG1:
-                    new_terms += [(d, d2, c, c2) for d, c in _leibniz(a, order, c1, d1)]
-                else:
-                    new_terms += [(d1, d, c1, c) for d, c in _leibniz(a, order, c2, d2)]
-    label = f"{op.label}_[arg{slot}] {k.label}"
-    return KernelBifunction(k.base, new_terms, label=label)
+    terms = compose(op, LinearOperator(k.terms1 if slot == ARG1 else k.terms2)).terms
+    terms1, terms2 = (terms, k.terms2) if slot == ARG1 else (k.terms1, terms)
+    return KernelBifunction(k.base, terms1, terms2, label=f"{op.label}_[arg{slot}] {k.label}")
 
 
 def apply_both(op: LinearOperator, k) -> KernelBifunction:
@@ -239,15 +233,14 @@ def apply_both(op: LinearOperator, k) -> KernelBifunction:
 
     This is the covariance transport of the operator.  The application
     order is immaterial by construction: an application to one argument
-    changes only that argument's partial orders and coefficients, so both
-    orders build the same terms.  :func:`commutator_residual` measures the
-    difference of their tables, which is summation-order roundoff.
+    changes only that argument's operator, so both orders build the same
+    pair ``(op, op)`` of term tuples, and the same table bit for bit.
     """
     return apply_arg(op, ARG1, apply_arg(op, ARG2, k))
 
 
 def commutator_residual(op: LinearOperator, k, grid: Grid) -> float:
-    """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|, in closed form."""
+    """Max over the grid square of |arg1-then-arg2 minus arg2-then-arg1|: 0.0 by construction."""
     a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k))
     a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k))
     x1, x2 = grid.points[:, None], grid.points[None, :]

@@ -14,8 +14,8 @@ __all__ = ["GaussianProcessPrior"]
 class GaussianProcessPrior:
     """A GP prior; every finite marginal is multivariate normal by definition.
 
-    The kernel is a :class:`~gpops.kernels.KernelBifunction`: the one-key
-    bifunction of a catalog kernel, or the transformed one of an image prior.
+    The kernel is a :class:`~gpops.kernels.KernelBifunction`: a catalog
+    kernel (identity on both arguments), or the transformed one of an image prior.
     """
 
     mean: MeanFunction

@@ -169,9 +169,11 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                               f"is negative beyond roundoff: the image kernel is not a covariance")
     var_v = np.clip(var_v, 0.0, None)
 
-    # the image ensemble A u = A m + z T^t, from the moments of z (module docstring)
-    draw = draw_factored(p, grid, n_paths, seed, threads=threads)
+    # the image ensemble A u = A m + z T^t, from the moments of z (module
+    # docstring); A comes first, so an operator without a stencil fails
+    # before the draw is allocated
     a_mat = operator_matrix(op, grid)
+    draw = draw_factored(p, grid, n_paths, seed, threads=threads)
     t_mat = a_mat @ draw.factor
     a_mean = a_mat @ draw.mean
     t_zbar, ecov = finite_dim_pushforward(empirical_mean(draw.white),

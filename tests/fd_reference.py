@@ -73,10 +73,9 @@ def fd_mixed_partial(k, d1, d2):
 def per_term_sum(bf, x1, x2, partial):
     """``bf`` on ``broadcast(x1, x2)``, term by term; ``partial(d1, d2)`` gives each evaluator."""
     total = 0.0
-    for (d1, d2), pairs in bf.terms.items():
-        value = np.asarray(partial(d1, d2)(x1, x2), dtype=float)
-        for c1, c2 in pairs:
-            total = total + c1(x1) * c2(x2) * value
+    for d1, c1 in bf.terms1:
+        for d2, c2 in bf.terms2:
+            total = total + c1(x1) * c2(x2) * np.asarray(partial(d1, d2)(x1, x2), dtype=float)
     return total
 
 

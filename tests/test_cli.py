@@ -584,6 +584,46 @@ def test_negative_image_variance_exit_one(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("terms, exit_code", [(480, 0), (600, 1)])
+def test_mean_nested_too_deeply_exit_one(tmp_path, terms, exit_code):
+    # 600 terms nest past the recursion limit: one config error line, no
+    # traceback and no output; 480 terms still run.  The limit counts the
+    # caller's frames too, so the command runs in a process of its own.
+    mean = " + ".join(["x"] * terms)
+    text = BASE_VERIFY.format(out=tmp_path / "out").replace('mean: "0"', f'mean: "{mean}"')
+    cfg = write(tmp_path, "deep.yaml", text)
+    run = subprocess.run([sys.executable, "-m", "gpops.cli", "verify", "--config", cfg],
+                         capture_output=True, text=True)
+    assert run.returncode == exit_code
+    if exit_code == 1:
+        assert run.stderr == (f"config error: mean: expression of {len(mean)} "
+                              "characters nests too deeply to parse\n")
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("replace, message", [
+    ({'terms: [[1, "1"]]': 'terms: [[5, "1"]]'}, "derivative order must be in 1..4, got 5"),
+    ({'terms: [[1, "1"]]': 'terms: [[2, "1"]]', "count: 17": "count: 5"},
+     "grid of 5 points is smaller than the stencil footprint 6 for derivative order 2"),
+], ids=["order-5", "5-points-under-d2"])
+def test_verify_refuses_the_stencil_before_drawing(tmp_path, capsys, monkeypatch, replace,
+                                                   message):
+    # the operator matrix comes before the draw, so an operator without a
+    # stencil on the grid costs no samples
+    calls = []
+    monkeypatch.setattr(gpops.verify, "draw_factored", lambda *args, **kw: calls.append(args))
+    text = BASE_VERIFY.format(out=tmp_path / "out")
+    for old, new in replace.items():
+        text = text.replace(old, new)
+    cfg = write(tmp_path, "nostencil.yaml", text)
+    assert main(["verify", "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 BOOLEAN_BASE = """\
 kernel: {name: se, lengthscale: 0.5, variance: 1.0}
 operator: {terms: [[1, "1"]]}

@@ -94,6 +94,16 @@ def test_rejects_constants_that_are_not_finite_reals(bad):
         parse_expression(bad)
 
 
+@pytest.mark.parametrize("deep", [" + ".join(["x"] * 5000), "-" * 5000 + "x",
+                                  " + ".join(["x"] * 600)],
+                         ids=["5000-term-sum", "5000-unary-minuses", "600-term-sum"])
+def test_rejects_expressions_nested_past_the_recursion_limit(deep):
+    # ast.parse raises RecursionError on the first two, the tree walk on the third
+    with pytest.raises(ExpressionError, match=f"^expression of {len(deep)} characters "
+                                              "nests too deeply to parse$"):
+        parse_expression(deep)
+
+
 def test_structural_equality_and_cached_derivatives():
     e = parse_expression("x*sin(x) + 2")
     assert e == parse_expression("x * sin(x) + 2.0")

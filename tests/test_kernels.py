@@ -17,6 +17,7 @@ import sympy as sp
 
 from gpops.errors import DomainViolationError, NotPositiveDefiniteError, ParameterError
 from gpops.grids import Grid
+from gpops.expressions import Const
 from gpops.kernels import MATERN_ORDERS, Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import chol_psd, gram
 from gpops.operators import ARG1, ARG2, apply_arg, derivative_operator
@@ -25,7 +26,7 @@ RNG_SEED = 20240811
 
 
 def partial(k, d1, d2):
-    """d^(d1+d2) k / dx1^d1 dx2^d2 as the package evaluates it: a one-key bifunction."""
+    """d^(d1+d2) k / dx1^d1 dx2^d2 as the package evaluates it: one derivative per argument."""
     return apply_arg(derivative_operator(d1), ARG1, apply_arg(derivative_operator(d2), ARG2, k))
 
 
@@ -93,10 +94,10 @@ def test_matern52_at_unit_lag_three_routes():
                                                         for nu in MATERN_ORDERS],
                          ids=["se"] + [f"matern{nu}" for nu in MATERN_ORDERS])
 def test_catalog_kernel_is_the_identity_key_over_its_profile(k):
-    # a catalog kernel is the one-key bifunction (0, 0, 1, 1); its table is
-    # the profile value, bit for bit, and its Gram is that table
+    # a catalog kernel is the identity operator in both arguments; its table
+    # is the profile value, bit for bit, and its Gram is that table
     assert isinstance(k, KernelBifunction) and isinstance(k.base, Kernel)
-    assert list(k.terms) == [(0, 0)] and not callable(k.base)
+    assert k.terms1 == k.terms2 == ((0, Const(1.0)),) and not callable(k.base)
     assert k.sample_smoothness == k.base.sample_smoothness
     value = k(0.3, -0.45)
     assert isinstance(value, float)

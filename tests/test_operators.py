@@ -224,9 +224,9 @@ def test_key_beyond_the_profile_raises_evaluation_error():
     # only a directly constructed bifunction can ask for one
     k = matern_kernel(2.5, 1.0, 1.0)  # profile order 2p = 4
     one = Const(1.0)
-    KernelBifunction(k.base, [(2, 2, one, one)])
+    KernelBifunction(k.base, [(2, one)], [(2, one)])
     with pytest.raises(EvaluationError):
-        KernelBifunction(k.base, [(0, 0, one, one), (3, 2, one, one)])
+        KernelBifunction(k.base, [(0, one), (3, one)], [(0, one), (2, one)])
 
 
 # ------------------------------------------------------------- commutation
@@ -239,7 +239,7 @@ def test_commutator_identity_exact_zero():
 
 def test_commutator_closed_path():
     g = Grid.uniform_on(0, 1, 33)
-    assert commutator_residual(D1, se_kernel(1, 1), g) <= 1e-12
+    assert commutator_residual(D1, se_kernel(1, 1), g) == 0.0
 
 
 def test_commutator_fd_path_with_variable_coefficient():
@@ -251,7 +251,7 @@ X_COEFFICIENTS = ["x", "1 + x^2", "cos(x)", "exp(-0.5*x)", "sin(2*x) + x", "-3*x
 
 
 def _term_multiset(bf):
-    return Counter((key, c1, c2) for key, pairs in bf.terms.items() for c1, c2 in pairs)
+    return Counter(((d1, d2), c1, c2) for d1, c1 in bf.terms1 for d2, c2 in bf.terms2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -261,16 +261,34 @@ def _term_multiset(bf):
 def test_argument_applications_commute_by_construction(terms, kernel):
     # An operator on argument 1 touches only c1 and the first partial order,
     # one on argument 2 only c2 and the second, so both application orders
-    # build the same (key, c1, c2) multiset; tables differ by summation order
-    # at most.
+    # build the same (key, c1, c2) multiset, in the same order: the tables
+    # are equal bit for bit.
     op = LinearOperator(terms)
     k = se_kernel(0.5, 1.0) if kernel == "se" else matern_kernel(2.5, 0.5, 1.0)
     a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k))
     a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k))
     assert _term_multiset(a12) == _term_multiset(a21)
     x = Grid.uniform_on(-1.0, 1.0, 33).points
-    t12, t21 = a12(x[:, None], x[None, :]), a21(x[:, None], x[None, :])
-    assert np.max(np.abs(t12 - t21)) <= 1e-13 * np.max(np.abs(t12))
+    assert np.array_equal(a12(x[:, None], x[None, :]), a21(x[:, None], x[None, :]))
+
+
+VERIFY_SMALL = LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])
+
+
+@pytest.mark.parametrize("op", [XDX_PLUS_1, VERIFY_SMALL], ids=["x*d/dx+1", "three-term"])
+@pytest.mark.parametrize("k", [se_kernel(0.5, 1.0), matern_kernel(2.5, 0.5, 1.0)],
+                         ids=["se", "matern52"])
+def test_both_application_orders_build_one_kernel(op, k):
+    # each argument carries one operator, and applying op to an argument
+    # composes op with it; both orders compose op onto the identity in each
+    # argument, so they build the same kernel and the residual is exactly 0
+    a12 = apply_arg(op, ARG1, apply_arg(op, ARG2, k))
+    a21 = apply_arg(op, ARG2, apply_arg(op, ARG1, k))
+    assert (a12.terms1, a12.terms2) == (a21.terms1, a21.terms2) == (op.terms, op.terms)
+    g = Grid.uniform_on(-1.0, 1.0, 33)
+    x1, x2 = g.points[:, None], g.points[None, :]
+    assert np.array_equal(a12(x1, x2), a21(x1, x2))
+    assert commutator_residual(op, k, g) == 0.0
 
 
 def test_mixed_partial_orders_interchange_pointwise():

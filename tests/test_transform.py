@@ -87,6 +87,23 @@ def test_pushforward_composes():
     )
 
 
+@pytest.mark.parametrize("k, t, s", [
+    (se_kernel(0.5, 1.0), LinearOperator([(1, "x"), (0, 1.0)]),
+     LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])),
+    (matern_kernel(3.5, 0.9, 1.0), LinearOperator([(1, "x"), (0, 1.0)]),
+     LinearOperator([(1, "cos(x)"), (0, "x")])),
+], ids=["se", "matern72"])
+def test_pushing_twice_is_the_composition_bit_for_bit(k, t, s):
+    # the second push composes s with the operator t already on each
+    # argument, so both kernels carry compose(s, t) in each argument
+    p = gp("sin(x)", k)
+    twice = pushforward(pushforward(p, t), s).kernel
+    direct = pushforward(p, compose(s, t)).kernel
+    assert (twice.terms1, twice.terms2) == (direct.terms1, direct.terms2)
+    x = np.linspace(-1.0, 1.0, 33)
+    assert np.array_equal(twice(x[:, None], x[None, :]), direct(x[:, None], x[None, :]))
+
+
 COEFFICIENTS = ["1", "-2", "x", "1 + x^2", "cos(x)", "exp(-0.5*x)"]
 
 
@@ -100,8 +117,8 @@ def operators(max_order):
 def test_pushing_twice_is_pushing_the_composition(t, s, mean):
     # Matern 7/2 paths have 3 derivatives: the budget spent by the first two
     # pushes carries through the bifunction kernels and stops the third.  A
-    # zero operator (terms 1 + 1 - 2) has order 0 and a kernel without terms,
-    # so the order bookkeeping below does not describe it.
+    # zero operator (terms 1 + 1 - 2) has order 0, and so has its composition
+    # with any operator, so the order bookkeeping below does not describe it.
     assume(LinearOperator([(0, 0.0)]) not in (t, s))
     k = matern_kernel(3.5, 0.9, 1.0)
     once = pushforward(gp(mean, k), t)
