@@ -214,16 +214,16 @@ def default_cumulant_tuples(n_points: int, order: int, count: int = 10,
                             lo: int = 0, hi: int | None = None) -> list[tuple[int, ...]]:
     """A deterministic set of index tuples for cumulant checks.
 
-    Takes ``basis`` evenly spaced indices inside [lo, hi] (5 for order 3,
-    order + 2 otherwise) and returns the first ``count`` combinations in
-    lexicographic order; when too few distinct-index combinations exist,
-    repeated indices are allowed (diagonal cumulants are equally valid).  No
-    randomness: the same geometry always yields the same tuples.
+    Takes ``order + 2`` evenly spaced indices inside [lo, hi] and returns
+    the first ``count`` combinations in lexicographic order; when too few
+    distinct-index combinations exist, repeated indices are allowed
+    (diagonal cumulants are equally valid).  No randomness: the same
+    geometry always yields the same tuples.
     """
     hi = n_points - 1 if hi is None else hi
     if not (0 <= lo <= hi < n_points):
         raise ParameterError(f"invalid index range [{lo}, {hi}] for {n_points} points")
-    basis_size = min(5 if order == 3 else order + 2, hi - lo + 1)
+    basis_size = min(order + 2, hi - lo + 1)
     basis = np.unique(np.round(np.linspace(lo, hi, basis_size)).astype(int)).tolist()
     tuples = list(combinations(basis, order))
     if len(tuples) < count:

@@ -303,7 +303,9 @@ def parse_expression(source) -> Expr:
     Raises :class:`ExpressionError` with position information on malformed
     input, on a constant that is not a finite real number, and on input that
     nests deeper than Python's recursion limit allows (about 480 terms of
-    one sum).
+    one sum).  That limit counts the caller's own frames too: from the CLI a
+    sum of about 494 terms parses, and fewer do inside a deeper caller such
+    as a pytest test.
     """
     if isinstance(source, (int, float)) and not isinstance(source, bool):
         return _convert(ast.Constant(source), repr(source))

@@ -8,19 +8,15 @@ from .errors import ParameterError
 
 __all__ = ["Grid"]
 
-# Relative slack under which a grid still counts as uniformly spaced.
-_UNIFORM_RTOL = 1e-12
-
 
 class Grid:
-    """A strictly increasing finite set of points on the real line.
+    """A strictly increasing finite set of finite points on the real line.
 
-    Points must be finite.  A grid is flagged ``uniform`` when all spacings
-    agree with the first one to within ``1e-12`` relative tolerance; only
-    uniform grids can be used with grid-stencil operations.
+    A grid is only its points.  Grid stencils need a uniform grid, which
+    :func:`~gpops.stencils.differentiation_matrix` checks where it is used.
     """
 
-    __slots__ = ("points", "uniform", "_spacing")
+    __slots__ = ("points",)
 
     def __init__(self, points):
         pts = np.asarray(points, dtype=float)
@@ -32,13 +28,6 @@ class Grid:
             raise ParameterError("grid points must be strictly increasing")
         pts.setflags(write=False)
         self.points = pts
-        if pts.size > 1:
-            deltas = np.diff(pts)
-            self.uniform = bool(np.max(np.abs(deltas - deltas[0])) <= _UNIFORM_RTOL * deltas[0])
-            self._spacing = float(deltas[0]) if self.uniform else None
-        else:
-            self.uniform = False
-            self._spacing = None
 
     @classmethod
     def uniform_on(cls, a: float, b: float, count: int) -> "Grid":
@@ -49,15 +38,9 @@ class Grid:
             raise ParameterError("need finite endpoints with a < b")
         return cls(np.linspace(a, b, count))
 
-    @property
-    def spacing(self) -> float:
-        if self._spacing is None:
-            raise ParameterError("spacing is defined only for uniform grids of >= 2 points")
-        return self._spacing
-
     def __len__(self):
         return self.points.size
 
     def __repr__(self):
         p = self.points
-        return f"Grid({p.size} points on [{p[0]:g}, {p[-1]:g}], uniform={self.uniform})"
+        return f"Grid({p.size} points on [{p[0]:g}, {p[-1]:g}])"

@@ -61,7 +61,7 @@ __all__ = [
     "ARG2",
 ]
 
-_ZERO, _ONE = Const(0.0), Const(1.0)
+_ZERO = Const(0.0)
 
 
 def _coerce_coefficient(c):
@@ -123,9 +123,6 @@ class LinearOperator:
         self.terms = tuple((o, c) for o, (c, _) in items)
         self.order = self.terms[-1][0]
         self.label = label if label is not None else _default_label(items)
-
-    def is_identity(self) -> bool:
-        return self.terms == ((0, _ONE),)
 
     def __eq__(self, other):
         if not isinstance(other, LinearOperator):

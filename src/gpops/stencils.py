@@ -2,8 +2,10 @@
 
 All stencils have accuracy order 4.  Weights for arbitrary nodes come from
 Fornberg's recurrence, which also supplies the shifted (one-sided) stencils
-used near grid boundaries at the same accuracy order.  Kernel partials never
-come from here: they are closed-form (:mod:`gpops.operators`).
+used near grid boundaries at the same accuracy order.  Grid stencils need a
+uniform grid, so each of a window's ``order + 4`` stencils is computed once
+per matrix.  Kernel partials never come from here: they are closed-form
+(:mod:`gpops.operators`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ __all__ = [
 ]
 
 MAX_DERIVATIVE_ORDER = 4
+
+# Relative slack under which a grid still counts as uniformly spaced.
+_UNIFORM_RTOL = 1e-12
 
 
 def fd_weights(x0: float, nodes, order: int) -> np.ndarray:
@@ -80,26 +85,32 @@ def interior_mask(n_points: int, order: int) -> np.ndarray:
 def differentiation_matrix(grid: Grid, order: int) -> np.ndarray:
     """Dense matrix applying d^order/dx^order on a uniform grid.
 
-    Interior rows hold near-central stencils of ``order + 4`` points; rows
-    within reach of an endpoint use shifted stencils of the same accuracy
-    order.
+    Interior rows hold near-central stencils of ``w = order + 4`` points;
+    rows within reach of an endpoint use shifted stencils of the same
+    accuracy order.  A grid is uniform when it has two or more points and
+    every spacing is within ``1e-12`` relative of the first, ``h``; then the
+    stencil at window position ``j`` is ``fd_weights(j, arange(w), order) /
+    h**order`` in every window, and each of the ``w`` stencils is computed
+    once.  A grid that is not uniform, or smaller than ``w``, raises
+    :class:`GridSizeError`.
     """
     if order == 0:
         return np.eye(len(grid))
     _check_order(order)
-    if not grid.uniform:
+    deltas = np.diff(grid.points)
+    if deltas.size == 0 or not np.max(np.abs(deltas - deltas[0])) <= _UNIFORM_RTOL * deltas[0]:
         raise GridSizeError("grid stencils require a uniform grid")
-    x = grid.points
-    n = x.size
+    n = len(grid)
     w = stencil_width(order)
     if n < w:
         raise GridSizeError(
             f"grid of {n} points is smaller than the stencil footprint {w} "
             f"for derivative order {order}"
         )
+    stencils = [fd_weights(j, np.arange(w), order) / deltas[0]**order for j in range(w)]
     D = np.zeros((n, n))
     lo, _ = boundary_widths(order)
     for i in range(n):
         start = min(max(i - lo, 0), n - w)
-        D[i, start:start + w] = fd_weights(x[i], x[start:start + w], order)
+        D[i, start:start + w] = stencils[i - start]
     return D

@@ -74,8 +74,6 @@ class JointBlocks:
     k_uv: np.ndarray
     k_vu: np.ndarray
     k_vv: np.ndarray
-    grid_x: Grid
-    grid_y: Grid
 
     def stacked(self) -> np.ndarray:
         """The full joint covariance [[K_uu, K_uv], [K_vu, K_vv]]."""
@@ -97,4 +95,4 @@ def joint_blocks(p: GaussianProcessPrior, op: LinearOperator, grid_x: Grid,
     k_uv = t2k(grid_x.points[:, None], grid_y.points[None, :])
     k_uu = gram(p.kernel, grid_x)
     k_vv = gram(apply_arg(op, ARG1, t2k), grid_y)
-    return JointBlocks(k_uu, k_uv, k_uv.T, k_vv, grid_x, grid_y)
+    return JointBlocks(k_uu, k_uv, k_uv.T, k_vv)

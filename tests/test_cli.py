@@ -77,6 +77,22 @@ def test_byte_identical_reports_across_threads(tmp_path):
         (tmp_path / "b" / "deviations.csv").read_bytes()
 
 
+def test_zero_image_variance_writes_zero_standard_errors(tmp_path):
+    # x d/dx vanishes at x = 0, so the image variance there is exactly 0 and
+    # both standard errors in row 0 of deviations.csv must read 0.0
+    text = BASE_VERIFY.format(out=tmp_path / "out").replace(
+        "lengthscale: 1.0", "lengthscale: 0.5").replace(
+        '[[1, "1"]]', '[[1, "x"]]').replace("samples: 1500", "samples: 2000").replace(
+        "seed: 42", "seed: 1")
+    assert main(["verify", "--config", write(tmp_path, "v.yaml", text)]) == 0
+    rows = (tmp_path / "out" / "deviations.csv").read_text().splitlines()
+    header, first = rows[0].split(","), dict(zip(rows[0].split(","), rows[1].split(",")))
+    assert header[-5:] == ["mean_se", "var_empirical", "var_predicted", "var_deviation",
+                           "var_se"]
+    assert (first["x"], first["var_predicted"]) == ("0.0", "0.0")
+    assert (first["mean_se"], first["var_se"]) == ("0.0", "0.0")
+
+
 def test_seed_override_changes_output(tmp_path):
     cfg = write(tmp_path, "v.yaml", BASE_VERIFY.format(out=tmp_path / "a"))
     main(["verify", "--config", cfg])

@@ -46,7 +46,7 @@ def nested_partial11(k, x1, x2, h=1e-4):
 def test_operator_construction_and_order():
     assert D1.order == 1
     assert identity().order == 0
-    assert identity().is_identity()
+    assert identity().terms == ((0, Const(1.0)),)
     op = LinearOperator([(2, 1.0), (0, "sin(x)"), (2, 2.0)])
     assert op.order == 2
     assert len(op.terms) == 2  # duplicate orders merged

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gpops.errors import GridSizeError, ParameterError
+from gpops import stencils
 from gpops.grids import Grid
 from gpops.stencils import (boundary_widths, differentiation_matrix, fd_weights,
                             interior_mask, stencil_width)
@@ -111,3 +112,70 @@ def test_differentiation_matrix_grid_requirements():
         differentiation_matrix(Grid.uniform_on(0, 1, 4), 1)  # needs 5 points
     with pytest.raises(GridSizeError):
         differentiation_matrix(Grid([0.0, 0.1, 0.5, 0.7, 1.0, 1.5]), 1)  # non-uniform
+
+
+def _padded(points, width):
+    # a uniform tail after the given points, so the footprint check is never
+    # what rejects: only the spacing of the given points decides
+    h = points[1] - points[0]
+    return Grid(np.concatenate([points, points[-1] + h * np.arange(1, width + 1)]))
+
+
+def test_differentiation_matrix_uniformity_rule():
+    # every spacing within 1e-12 relative of the first, or GridSizeError
+    h = 0.1
+    with pytest.raises(GridSizeError, match="require a uniform grid"):
+        differentiation_matrix(Grid([0.0, 1.0, 3.0]), 1)
+    with pytest.raises(GridSizeError, match="require a uniform grid"):
+        differentiation_matrix(_padded(np.array([0.0, h, 2 * h + h * 1e-10]), 4), 1)
+    accepted = differentiation_matrix(_padded(np.array([0.0, h, 2 * h + h * 1e-14]), 4), 1)
+    assert accepted.shape == (7, 7)
+
+
+def test_differentiation_matrix_rejects_a_single_point_grid():
+    # the spacing check comes before the footprint check
+    with pytest.raises(GridSizeError, match="^grid stencils require a uniform grid$"):
+        differentiation_matrix(Grid([0.0]), 1)
+
+
+def _per_row_reference(grid, order):
+    # Fornberg's recurrence on each row's own nodes
+    x = grid.points
+    n, w = x.size, order + 4
+    lo, _ = boundary_widths(order)
+    d = np.zeros((n, n))
+    for i in range(n):
+        start = min(max(i - lo, 0), n - w)
+        d[i, start:start + w] = fd_weights(x[i], x[start:start + w], order)
+    return d
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [17, 33, 257])
+def test_differentiation_matrix_bit_identical_on_dyadic_spacing(order, n):
+    grid = Grid.uniform_on(0.0, 1.0, n)
+    np.testing.assert_array_equal(differentiation_matrix(grid, order),
+                                  _per_row_reference(grid, order))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("a,b,n", [(0.0, 3.0, 101), (-5.0, 5.0, 201)])
+def test_differentiation_matrix_matches_per_row_stencils(order, a, b, n):
+    # spacing that is not a power of two: measured at most 4.3e-14 relative
+    grid = Grid.uniform_on(a, b, n)
+    ref = _per_row_reference(grid, order)
+    err = np.max(np.abs(differentiation_matrix(grid, order) - ref))
+    assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_differentiation_matrix_computes_each_window_stencil_once(order, monkeypatch):
+    calls = []
+
+    def spy(x0, nodes, d):
+        calls.append(x0)
+        return fd_weights(x0, nodes, d)
+
+    monkeypatch.setattr(stencils, "fd_weights", spy)
+    differentiation_matrix(Grid.uniform_on(0.0, 1.0, 65), order)
+    assert len(calls) == order + 4

@@ -95,6 +95,17 @@ def test_report_csv_layout():
     assert first[2] == "false"  # boundary column flagged non-interior
 
 
+def test_z_gate_divides_a_zero_standard_error_as_the_smallest_normal():
+    mask = np.array([True, True, False])
+    se = np.array([0.0, 0.5, 0.0])
+    ok = gpops.verify._z_gate(np.array([0.0, 0.25, 9.0]), se, mask, 3.0)
+    assert (ok["max_interior_standardized"], ok["passed"]) == (0.5, True)
+    bad = gpops.verify._z_gate(np.array([1e-300, 0.25, 9.0]), se, mask, 3.0)
+    assert bad["max_interior_standardized"] == 1e-300 / np.finfo(float).tiny
+    assert bad["passed"] is False
+    assert se.tolist() == [0.0, 0.5, 0.0]  # the caller's SEs are not rewritten
+
+
 def test_boundary_deviations_reported_separately():
     rep = verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 3)
     assert "max_boundary_abs_deviation" in rep.mean_check
