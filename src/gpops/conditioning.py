@@ -10,6 +10,12 @@ themselves are textbook practice, not something this package claims as new.
 The observation Gram diagonal always receives a variance floor of ``1e-8``
 on top of the declared noise, because noiseless derivative interpolation is
 notoriously ill-conditioned; reported noise levels do not include the floor.
+
+The forward solve against the Gram's Cholesky factor is numpy's own
+(:func:`gpops.linalg.solve_lower`), so conditioning loads no scipy module:
+scipy is needed only to draw normals.  Its blocked sums differ from LAPACK's
+``trsm`` in the last bits, so ``solution.json`` moved in its last digits once,
+when the scipy solve was replaced.
 """
 
 from __future__ import annotations
@@ -18,11 +24,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ParameterError
 from .grids import Grid
 from .linalg import chol_psd, gram
+from .linalg import solve_lower as solve_triangular  # the name perfbench traces
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_to_function
 from .processes import GaussianProcessPrior
 from .reportio import csv_lines
@@ -168,7 +174,7 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     k_obs[np.diag_indices(q)] += noise_var
 
     L, jitter = chol_psd(k_obs, max_jitter=max_jitter)
-    vw = solve_triangular(L, b, lower=True, overwrite_b=True)
+    vw = solve_triangular(L, b)
     v, w = vw[:, 0], vw[:, 1:]
     post_mean = p.mean(x) + w.T @ v
     post_cov = k_xx - w.T @ w

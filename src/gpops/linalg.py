@@ -1,4 +1,4 @@
-"""Gram assembly and jitter-laddered Cholesky factorization."""
+"""Gram assembly, jitter-laddered Cholesky factorization and forward substitution."""
 
 from __future__ import annotations
 
@@ -7,7 +7,10 @@ import numpy as np
 from .errors import NotPositiveDefiniteError
 from .grids import Grid
 
-__all__ = ["gram", "chol_psd", "jitter_ladder"]
+__all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower"]
+
+# Rows per diagonal block of the forward substitution.
+SOLVE_BLOCK = 128
 
 
 def gram(kernel, grid: Grid) -> np.ndarray:
@@ -67,3 +70,21 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
         f"on the ladder (tried {ladder})",
         tried=ladder,
     )
+
+
+def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` in place for a lower-triangular ``L`` by blocked forward substitution.
+
+    ``b``, a float64 vector or matrix of right-hand sides, is overwritten by
+    ``x`` and returned.  Each ``SOLVE_BLOCK`` row block of ``x`` is solved
+    against its diagonal block of ``L`` with ``np.linalg.solve``, then one
+    matrix product removes it from the rows below.  Only the lower triangle
+    of ``L`` is read.
+    """
+    n = L.shape[0]
+    for lo in range(0, n, SOLVE_BLOCK):
+        hi = min(lo + SOLVE_BLOCK, n)
+        b[lo:hi] = np.linalg.solve(np.tril(L[lo:hi, lo:hi]), b[lo:hi])
+        if hi < n:
+            b[hi:] -= L[hi:, lo:hi] @ b[lo:hi]
+    return b

@@ -34,7 +34,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParameterError
 from .grids import Grid
@@ -96,16 +95,32 @@ def _words_per_path(n_points: int) -> int:
     return 4 * ((n_points + 3) // 4)
 
 
-def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int) -> np.ndarray:
+def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """The uniforms of paths ``first_path ..`` as an ``(n_paths, n_points)`` array.
+
+    They are written into ``out`` when it is given.  ``k * 2**-53 + 2**-54``
+    equals ``(k + 0.5) * 2**-53`` bit for bit, since scaling by a power of two
+    commutes with rounding, so no temporary holds ``k + 0.5``.
+    """
     wpp = _words_per_path(n_points)
     bg = np.random.Philox(key=int(seed))
     if first_path:
         bg.advance(int(first_path) * (wpp // 4))  # advance counts 4-word blocks
-    raw = bg.random_raw(n_paths * wpp).reshape(n_paths, wpp)[:, :n_points]
-    return ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+    raw = bg.random_raw(n_paths * wpp)
+    raw >>= np.uint64(11)
+    if out is None:
+        out = np.empty((n_paths, n_points))
+    np.multiply(raw.reshape(n_paths, wpp)[:, :n_points], 2.0**-53, out=out)
+    out += 2.0**-54
+    return out
 
 
 def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> np.ndarray:
+    # Imported here, in the calling thread before any helper starts: scipy
+    # loads only when normals are drawn.
+    from scipy.special import ndtri
+
     z = np.empty((n_paths, n_points))
     step = max(1, BLOCK_WORDS // _words_per_path(n_points))
     starts = range(0, n_paths, step)
@@ -119,7 +134,8 @@ def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> n
             if lo is None:
                 return
             hi = min(lo + step, n_paths)
-            ndtri(_uniform_block(seed, lo, hi - lo, n_points), out=z[lo:hi])
+            block = _uniform_block(seed, lo, hi - lo, n_points, z[lo:hi])
+            ndtri(block, out=block)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         helpers = [pool.submit(fill) for _ in range(min(threads, len(starts)) - 1)]

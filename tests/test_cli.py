@@ -726,3 +726,55 @@ def test_console_entry_point_help():
     assert out.returncode == 0
     for sub in ("verify", "solve", "sample", "kernel-table"):
         assert sub in out.stdout
+
+
+# ------------------------------------------------ scipy only for the draws
+
+SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy"))'
+
+
+def _python(code, *args):
+    # a fresh interpreter, so sys.modules shows what importing gpops loads
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_no_scipy_module():
+    run = _python(f"import sys, gpops.cli; print({SCIPY_MODULES})")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+
+
+def test_solve_and_kernel_table_run_without_scipy(tmp_path):
+    solve = write(tmp_path, "solve.yaml", """\
+kernel: {name: se, lengthscale: 0.5, variance: 1.0}
+operator: {terms: [[2, "1"], [0, "1"]]}
+grid: {interval: [0.0, 1.0], count: 33}
+output: "%s"
+problem:
+  rhs: "0"
+  collocation_count: 30
+  boundary:
+    - {location: 0.0, value: 0.0}
+    - {location: 1.0, value: 0.8414709848078965}  # sin(1)
+  reference: "sin(x)"
+  max_error: 1.0e-3
+""" % (tmp_path / "sol"))
+    table = write(tmp_path, "kt.yaml", BASE_VERIFY.format(out=tmp_path / "kt"))
+    # None in sys.modules makes any scipy import raise ImportError
+    code = ("import sys; sys.modules['scipy'] = None; from gpops.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    for command, cfg in (("solve", solve), ("kernel-table", table)):
+        run = _python(code, command, "--config", cfg)
+        assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "sol" / "solution.json").read_text())["passed"] is True
+    assert (tmp_path / "kt" / "kernel_table.csv").exists()
+
+
+def test_verify_loads_scipy_for_its_draw(tmp_path):
+    cfg = write(tmp_path, "v.yaml", BASE_VERIFY.format(out=tmp_path / "out"))
+    code = ("import sys; from gpops.cli import main; code = main(sys.argv[1:]); "
+            f"print({SCIPY_MODULES}[:1]); sys.exit(code)")
+    run = _python(code, "verify", "--config", cfg)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "['scipy']"
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True

@@ -12,10 +12,12 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy as sp
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
+import gpops.conditioning
 from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
                                 PosteriorSummary, _group_by_operator, condition,
                                 solve_linear_ode)
@@ -267,10 +269,11 @@ def test_ode_identity_operator_is_regression():
 
 def test_condition_makes_one_triangular_solve():
     calls = []
+    solve = gpops.conditioning.solve_triangular
 
     def spy(*args, **kwargs):
         calls.append(args[1].shape)
-        return solve_triangular(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     # two operator groups; the right-hand sides are [residual | K_obs,x]
     obs, grid = derivative_problem(), Grid.uniform_on(0.0, 1.0, 17)
@@ -359,6 +362,30 @@ def test_reported_jitter_is_zero_when_well_conditioned_and_positive_when_not():
     post, captured = _condition_capturing_gram(make_prior(var=1e8), obs, grid, max_jitter=1e-2)
     assert post.jitter > 0.0
     assert post.jitter == chol_psd(captured[0][0], max_jitter=1e-2)[1]
+
+
+def _scipy_solve(L, b):
+    return scipy.linalg.solve_triangular(L, b, lower=True)
+
+
+def test_ill_conditioned_posterior_matches_the_scipy_solve():
+    # 200 noiseless slopes 0.005 apart under a kernel variance of 1e6 (and a
+    # value at 0): the Gram needs the ladder, and the blocked numpy forward
+    # solve must give the posterior of LAPACK's triangular solve
+    p = make_prior(var=1e6)
+    obs = [Observation(D1, float(x), math.cos(3 * x)) for x in np.linspace(0.0, 1.0, 200)]
+    obs.append(Observation(identity(), 0.0, 0.0))
+    grid = Grid.uniform_on(0.0, 1.0, 21)
+    post = condition(p, obs, grid, max_jitter=1e-2)
+    with mock.patch("gpops.conditioning.solve_triangular", _scipy_solve):
+        ref = condition(p, obs, grid, max_jitter=1e-2)
+    assert post.jitter > 0.0
+    assert post.jitter == ref.jitter
+    scale = p.kernel(0.0, 0.0)
+    assert np.max(np.abs(post.mean - ref.mean)) <= 1e-9 * math.sqrt(scale)
+    assert np.max(np.abs(post.cov - ref.cov)) <= 1e-12 * scale
+    assert post.log_marginal == pytest.approx(ref.log_marginal, rel=1e-9)
+    assert np.max(np.abs(post.mean - np.sin(3 * grid.points) / 3)) <= 1e-6
 
 
 # ---------------------------------------------------------- commuted operands

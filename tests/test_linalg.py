@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from gpops.errors import NotPositiveDefiniteError
 from gpops.grids import Grid
 from gpops.kernels import se_kernel
-from gpops.linalg import chol_psd, gram, jitter_ladder
+from gpops.linalg import SOLVE_BLOCK, chol_psd, gram, jitter_ladder, solve_lower
 
 
 def test_gram_single_point():
@@ -83,3 +84,45 @@ def test_chol_psd_reads_only_the_lower_triangle(case):
         L_lower, delta_lower = chol_psd(lower, max_jitter=1e-4)
         assert delta_lower == delta
         assert np.array_equal(L_lower, L)
+
+
+# ------------------------------------------------------ forward substitution
+
+def _gram_factor(q, seed):
+    # Cholesky factor of an SE Gram on random points with a 1e-6 noise floor,
+    # the kind of factor condition() solves against
+    rng = np.random.default_rng(seed)
+    m = gram(se_kernel(0.3, 1.0), Grid(np.sort(rng.uniform(0.0, 1.0, q))))
+    m[np.diag_indices_from(m)] += 1e-6
+    return np.linalg.cholesky(m), rng
+
+
+@pytest.mark.parametrize("q, rhs", [
+    (50, 7),                   # below one block
+    (2 * SOLVE_BLOCK, 7),      # a multiple of the block
+    (2 * SOLVE_BLOCK + 1, 7),  # one row past a multiple
+    (300, None),               # a single right-hand side, as a vector
+    (300, 1),                  # a single right-hand side, as a column
+    (2002, 202),               # the solve-colloc shape: 2000 + 2 rows, 201 + 1 columns
+])
+def test_solve_lower_matches_scipy(q, rhs):
+    L, rng = _gram_factor(q, q)
+    b = rng.standard_normal(q if rhs is None else (q, rhs))
+    x = solve_lower(L, b.copy())
+    ref = scipy.linalg.solve_triangular(L, b, lower=True)
+    assert x.shape == b.shape
+    # normwise relative residual (backward error), about 1e-17 here
+    assert np.linalg.norm(L @ x - b) <= 1e-12 * np.linalg.norm(L) * np.linalg.norm(x)
+    # both solves are backward stable, so they differ by at most about
+    # cond(L) (here below 1e5) times the rounding unit
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_solve_lower_reads_only_the_lower_triangle_and_solves_in_place():
+    L, rng = _gram_factor(2 * SOLVE_BLOCK + 1, 3)
+    b = np.asfortranarray(rng.standard_normal((L.shape[0], 5)))
+    x = solve_lower(L, b.copy(order="F"))
+    garbled = L + np.triu(np.full_like(L, np.nan), 1)
+    assert np.array_equal(solve_lower(garbled, b.copy(order="F")), x)
+    assert solve_lower(L, b) is b
+    assert np.array_equal(b, x)
