@@ -164,8 +164,10 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
 
     # Observation Gram, lower triangle only (chol_psd reads no more): one
     # operator applied per argument, each group pair i >= j evaluated once
-    # straight into its slice, diagonal pairs below their diagonal.
-    k_obs = np.zeros((q, q))
+    # straight into its slice, diagonal pairs below their diagonal.  Fortran
+    # order is the layout LAPACK reads, so the factorization copies it
+    # contiguously.
+    k_obs = np.zeros((q, q), order="F")
     for i, (op_i, rows) in enumerate(spans):
         for (_, cols), s2k_j in zip(spans[:i], s2k):
             apply_arg(op_i, ARG1, s2k_j)(locs[rows, None], locs[None, cols],

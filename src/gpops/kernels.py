@@ -96,6 +96,12 @@ def _value(c: Expr, x, cache):
     return cache[c]
 
 
+def _cut(v, index):
+    # a weight factor on a block of the points: arrays are sliced, constants
+    # hold everywhere
+    return v[index] if isinstance(v, np.ndarray) else v
+
+
 def _weight_factors(pairs, x1, x2, values1, values2):
     # The weight sum_k sign_k c1_k(x1) c2_k(x2) of one profile order, as a part
     # constant in x1 plus rank-1 rows [(c1(x1), v(x2))]: pairs that share c1
@@ -154,6 +160,7 @@ class KernelBifunction:
         for d1, c1 in self.terms1:
             for d2, c2 in self.terms2:
                 self._orders.setdefault(d1 + d2, []).append(((-1.0) ** d2, c1, c2))
+        self._top = max(self._orders, default=0)
 
     def order(self, slot: int):
         """The order of the operator on argument ``slot``: the budget spent there."""
@@ -178,15 +185,10 @@ class KernelBifunction:
         values1, values2 = {}, {}
         weights = [(m, *_weight_factors(triples, x1, x2, values1, values2))
                    for m, triples in self._orders.items()]
-        top = max(self._orders, default=0)
         for blk in _row_blocks(x1, x2, shape):
-            f = self.base.profile(x1[blk] - x2, top)
-            out[blk] = 0.0
-            for m, w, rows in weights:
-                for c1v, v in rows:
-                    term = c1v[blk] * v
-                    w = term if w is None else w + term
-                out[blk] += f[m] * w
+            self._sum_orders(out[blk], x1[blk] - x2,
+                             [(m, w, [(c1v[blk], v) for c1v, v in rows])
+                              for m, w, rows in weights])
         if x1.ndim == 0 and x2.ndim == 0:
             return float(out)
         return out
@@ -195,21 +197,41 @@ class KernelBifunction:
         """Write the lower triangle of ``self(x[:, None], x[None, :])`` into ``out``.
 
         Runs the row blocks of the full table, but each block's columns stop
-        at its last row, so about half the entries are evaluated.  Entries
-        above the diagonal are not written.  Every entry is the same
-        elementwise arithmetic as in the full table, so the two agree bit
-        for bit.  Returns ``out``.
+        at its last row, so about half the entries are evaluated.  Each
+        coefficient is evaluated once, on ``x``, and its values are sliced
+        per block.  Entries above the diagonal are not written.  Every entry
+        is the same elementwise arithmetic as in the full table, so the two
+        agree bit for bit.  Returns ``out``.
         """
         x = np.asarray(x, dtype=float)
         n = x.size
         if x.ndim != 1 or out.shape != (n, n):
             raise ParameterError(f"fill_lower needs 1-D points and an (n, n) target, "
                                  f"got {x.shape} and {out.shape}")
+        values = {}  # both arguments run over x, so they share each coefficient's values
+        weights = [(m, *_weight_factors(triples, x, x, values, values))
+                   for m, triples in self._orders.items()]
         for blk in _row_blocks(x[:, None], x[None, :], (n, n)):
             lo, hi = blk.start, min(blk.stop, n)
-            np.copyto(out[lo:hi, :hi], self(x[lo:hi, None], x[None, :hi]),
-                      where=np.arange(hi) <= np.arange(lo, hi)[:, None])
+            rows, cols = (slice(lo, hi), None), (None, slice(0, hi))
+            table = np.empty((hi - lo, hi))
+            self._sum_orders(table, x[rows] - x[cols],
+                             [(m, _cut(w, cols), [(_cut(c1v, rows), _cut(v, cols))
+                                                  for c1v, v in weight_rows])
+                              for m, w, weight_rows in weights])
+            np.copyto(out[lo:hi, :hi], table, where=np.arange(hi) <= np.arange(lo, hi)[:, None])
         return out
+
+    def _sum_orders(self, out, s, weights):
+        # out[...] = sum_m f^(m)(s) W_m, the arithmetic of every table entry;
+        # W_m is its part constant in x1 plus its rank-1 rows, cut to out
+        f = self.base.profile(s, self._top)
+        out[...] = 0.0
+        for m, w, rows in weights:
+            for c1v, v in rows:
+                term = c1v * v
+                w = term if w is None else w + term
+            out += f[m] * w
 
     def __repr__(self):
         return (f"KernelBifunction({self.label!r}, terms=({len(self.terms1)}, {len(self.terms2)}), "

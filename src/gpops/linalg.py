@@ -40,7 +40,8 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
 
     Tries the jitter ladder ``0, 1e-12, 1e-11, ..., max_jitter`` in order and
     returns ``(L, delta)`` for the first success.  ``matrix`` itself is
-    factored first; each retry adds ``delta`` to the diagonal of a copy.
+    factored first; each retry adds ``delta`` to the diagonal of a copy in
+    ``matrix``'s memory layout.
 
     Only the lower triangle of ``matrix`` is read: entries above the
     diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
@@ -59,7 +60,7 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
     for delta in ladder:
         shifted = m
         if delta:
-            shifted = m.copy()
+            shifted = m.copy(order="K")
             shifted[np.diag_indices_from(shifted)] += delta
         try:
             return np.linalg.cholesky(shifted), delta

@@ -10,19 +10,23 @@ word budget (Philox advances in blocks of four words).  Uniforms are
 ``((word >> 11) + 0.5) * 2**-53`` (strictly inside (0, 1)) and normals their
 inverse-CDF images.  Because each path's substream depends only on (seed,
 path index), ensembles are bit-identical however generation is split across
-threads, and regenerating with equal inputs reproduces paths exactly.
+threads or chunks, and regenerating with equal inputs reproduces paths
+exactly.
 
-The paths are split into contiguous blocks of about ``BLOCK_WORDS`` words.
-The calling thread and ``threads - 1`` helper threads take the blocks one at
-a time, draw their uniforms and write their inverse-CDF images into one
-shared array, so a single thread runs no helper and hands nothing over.
+:func:`_standard_normals` is the one drawing routine: it writes the normals
+of paths ``first .. first + len(out)`` into a given array.  It splits them
+into contiguous blocks of about ``BLOCK_WORDS`` words; the calling thread and
+``threads - 1`` helper threads take the blocks one at a time, so a single
+thread runs no helper and hands nothing over.
 
-:func:`draw_factored` stops there and returns the draw in factored form: the
-mean ``m``, the Cholesky factor ``L`` and the normals ``z`` as a white
-ensemble.  :func:`sample_paths` is ``m + z @ L.T`` of that draw, with the
-product left to BLAS.  A caller that needs only statistics of a linear image
-``A u`` of the paths can push the moments of ``z`` through ``T = A L`` instead
-of forming the paths (``verify_theorem`` does).
+:func:`draw_factored` returns a draw in factored form: the mean ``m``, the
+Cholesky factor ``L`` and the normals ``z`` as a :class:`WhiteStream`, which
+draws nothing until it is read.  Its :meth:`~WhiteStream.chunks` draws the
+paths in chunks of about ``CHUNK_ENTRIES`` entries into one reused buffer,
+so a caller that reduces each chunk before the next (``verify_theorem``
+does) holds 32 MB of normals, not N x n.  :func:`sample_paths` fills one
+N x n array of normals and returns ``m + z @ L.T``, with the product left to
+BLAS.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from .stencils import differentiation_matrix
 __all__ = [
     "SampleEnsemble",
     "FactoredDraw",
+    "WhiteStream",
     "draw_factored",
     "sample_paths",
     "apply_operator_pathwise",
@@ -56,6 +61,10 @@ __all__ = [
 # temporaries small; whole-slice temporaries left tens of MB held by the
 # allocator after helper threads ended.
 BLOCK_WORDS = 2**16
+# Path entries per chunk of a white stream (32 MB of doubles).  A chunk
+# boundary costs more than its share: a draw started just after a
+# multi-threaded BLAS call runs slower while OpenBLAS's threads still spin.
+CHUNK_ENTRIES = 2**22
 # Path entries per centred block of the empirical covariance (4 MB of doubles).
 COV_BLOCK_ENTRIES = 2**19
 
@@ -116,12 +125,13 @@ def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int,
     return out
 
 
-def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> np.ndarray:
+def _standard_normals(seed: int, first: int, out: np.ndarray, threads: int) -> np.ndarray:
+    """Write the normals of paths ``first .. first + len(out)`` into ``out`` and return it."""
     # Imported here, in the calling thread before any helper starts: scipy
     # loads only when normals are drawn.
     from scipy.special import ndtri
 
-    z = np.empty((n_paths, n_points))
+    n_paths, n_points = out.shape
     step = max(1, BLOCK_WORDS // _words_per_path(n_points))
     starts = range(0, n_paths, step)
     pending = iter(starts)
@@ -134,7 +144,7 @@ def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> n
             if lo is None:
                 return
             hi = min(lo + step, n_paths)
-            block = _uniform_block(seed, lo, hi - lo, n_points, z[lo:hi])
+            block = _uniform_block(seed, first + lo, hi - lo, n_points, out[lo:hi])
             ndtri(block, out=block)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -142,32 +152,60 @@ def _standard_normals(seed: int, n_paths: int, n_points: int, threads: int) -> n
         fill()
         for h in helpers:
             h.result()
-    return z
+    return out
+
+
+@dataclass(frozen=True)
+class WhiteStream:
+    """The per-path standard normals of a draw, drawn chunk by chunk when read.
+
+    ``seed`` keys the paths' substreams; ``jitter`` is the ``delta`` the
+    sampling Cholesky added to the Gram diagonal; ``threads`` is the number
+    of threads that draw each chunk, which does not change a bit of it.
+    """
+
+    n_paths: int
+    n_points: int
+    seed: int
+    jitter: float = 0.0
+    threads: int = 1
+
+    def chunks(self):
+        """Yield ``(lo, z)``: the normals ``z`` of paths ``lo .. lo + len(z)``, in order.
+
+        Each chunk holds about ``CHUNK_ENTRIES`` entries and is a view of one
+        buffer that the next chunk overwrites: copy what must outlive it.
+        """
+        rows = max(1, CHUNK_ENTRIES // self.n_points)
+        buf = np.empty((min(rows, self.n_paths), self.n_points))
+        for lo in range(0, self.n_paths, rows):
+            z = buf[:min(rows, self.n_paths - lo)]
+            yield lo, _standard_normals(self.seed, lo, z, self.threads)
 
 
 @dataclass(frozen=True)
 class FactoredDraw:
     """A seeded draw of the prior's grid marginal, kept as ``(m, L, z)``.
 
-    Path ``i`` is ``mean + factor @ white.paths[i]``.  ``white`` holds the
-    per-path standard normals on the same grid, with the seed and the
-    sampling Cholesky's jitter.
+    Path ``i`` is ``mean + factor @ z[i]`` for the normals ``z`` that
+    ``white`` streams.
     """
 
     mean: np.ndarray  # shape (n,)
     factor: np.ndarray  # lower triangular, shape (n, n)
-    white: SampleEnsemble  # paths of shape (N, n)
+    white: WhiteStream
 
 
 def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
                   *, threads: int = 1) -> FactoredDraw:
-    """The prior's mean and Gram factor on the grid, and N paths of standard normals.
+    """The prior's mean and Gram factor on the grid, and a stream of N paths of normals.
 
     ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
     the per-path normals (see the module docstring for the substream
-    derivation).  Deterministic in the seed and independent of ``threads``.
-    A seed outside [0, 2^64), and a draw of more doubles than an array can
-    hold, raise ``ParameterError`` before anything is allocated.
+    derivation), drawn only when the stream is read.  Deterministic in the
+    seed and independent of ``threads``.  A seed outside [0, 2^64), and a
+    draw of more doubles than an array can hold, raise ``ParameterError``
+    before anything is allocated.
     """
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
@@ -179,22 +217,24 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))
-    z = _standard_normals(seed, n_paths, len(grid), threads)
-    return FactoredDraw(mean=p.mean(grid.points), factor=L,
-                        white=SampleEnsemble(grid=grid, paths=z, seed=int(seed), jitter=jitter))
+    white = WhiteStream(n_paths=int(n_paths), n_points=len(grid), seed=int(seed),
+                        jitter=jitter, threads=int(threads))
+    return FactoredDraw(mean=p.mean(grid.points), factor=L, white=white)
 
 
 def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
                  *, threads: int = 1) -> SampleEnsemble:
     """Draw N paths of the prior's finite marginal on the grid.
 
-    Paths are ``mean + L z`` of :func:`draw_factored`'s draw; the ensemble
-    keeps its seed and jitter.
+    Paths are ``mean + L z`` of :func:`draw_factored`'s draw, with all N x n
+    normals drawn into one array; the ensemble keeps its seed and jitter.
     """
     d = draw_factored(p, grid, n_paths, seed, threads=threads)
-    paths = d.white.paths @ d.factor.T
+    w = d.white
+    z = _standard_normals(w.seed, 0, np.empty((w.n_paths, w.n_points)), w.threads)
+    paths = z @ d.factor.T
     paths += d.mean  # in place: no second N x n array
-    return SampleEnsemble(grid=grid, paths=paths, seed=d.white.seed, jitter=d.white.jitter)
+    return SampleEnsemble(grid=grid, paths=paths, seed=w.seed, jitter=w.jitter)
 
 
 def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnsemble:

@@ -12,9 +12,10 @@ the closed-form image process:
     ensemble, which must be statistically indistinguishable from zero if the
     image process is Gaussian.
 
-Neither the prior paths nor their images are formed.  With ``T = A L``, the
-image ensemble is ``A m + z T^t``, so its mean is ``A m + T zbar`` and its
-covariance ``T cov(z) T^t``: the moments of the white normals pushed through
+Neither the prior paths nor their images are formed, and the white normals
+``z`` are never held whole.  With ``T = A L``, the image ensemble is
+``A m + z T^t``, so its mean is ``A m + T zbar`` and its covariance
+``T cov(z) T^t``: the moments of the white normals pushed through
 :func:`~gpops.transform.finite_dim_pushforward`.  ``cov(z)`` is close to the
 identity, so this product loses nothing to cancellation, where
 ``A cov(u) A^t`` cancels under a high-order stencil over a smooth prior.
@@ -22,6 +23,16 @@ Against the covariance of 20k stencilled paths (relative to its largest
 entry), ``T cov(z) T^t`` agreed to 6e-12 and ``A cov(u) A^t`` only to 3.5e-4
 for SE with lengthscale 1 under d^4 on 65 points.  Only the few image columns
 that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
+
+The moments come from one pass over the draw's white stream (see
+:class:`~gpops.sampling.WhiteStream`).  Each chunk of normals is reduced in
+the calling thread before the next is drawn: it adds to ``sum z`` and, by one
+BLAS product, to ``z^t z``, and writes its rows of the thin image columns.
+Then ``cov(z) = (z^t z - N zbar zbar^t) / (N - 1)``, which cancels little
+because ``z`` is white (``|zbar|`` is of order ``N^-1/2``), and the normals
+are finite exactly when the diagonal of ``z^t z`` is.  Verify's memory is
+O(chunk + n^2 + 9 N), not O(N n).  The chunks are fixed in size, so the
+report does not depend on ``threads``.
 
 Comparisons exclude the boundary rows whose stencils are one-sided (their
 truncation constants are larger and say nothing about the process itself);
@@ -38,7 +49,7 @@ from .cumulants import default_cumulant_tuples, empirical_cumulants
 # empirical_cumulant is not called here; it stays importable because
 # perfbench/tracing.py rebinds it
 from .cumulants import empirical_cumulant  # noqa: F401
-from .errors import DomainViolationError, EvaluationError
+from .errors import DomainViolationError, EvaluationError, ParameterError
 from .grids import Grid
 from .linalg import gram
 # commutator_residual is not called here; it stays importable because
@@ -46,11 +57,12 @@ from .linalg import gram
 from .operators import LinearOperator, commutator_residual  # noqa: F401
 from .processes import GaussianProcessPrior
 from .reportio import csv_lines, dumps_json
-from .sampling import (SampleEnsemble, draw_factored, empirical_cov, empirical_mean,
-                       operator_matrix)
-# sample_paths and apply_operator_pathwise are not called here; they stay
-# importable because perfbench/tracing.py rebinds them
-from .sampling import apply_operator_pathwise, sample_paths  # noqa: F401
+from .sampling import SampleEnsemble, WhiteStream, draw_factored, operator_matrix
+# sample_paths, apply_operator_pathwise, empirical_mean and empirical_cov are
+# not called here; they stay importable because perfbench/tracing.py rebinds
+# them
+from .sampling import (apply_operator_pathwise, empirical_cov,  # noqa: F401
+                       empirical_mean, sample_paths)
 from .stencils import interior_mask
 from .transform import finite_dim_pushforward, pushforward
 
@@ -129,6 +141,27 @@ def _z_gate(dev, se, mask, threshold, **extra) -> dict:
             **extra, "threshold": threshold, "passed": bool(z <= threshold)}
 
 
+def _white_moments(white: WhiteStream, t_cols: np.ndarray):
+    """Mean and covariance of the stream's normals ``z``, and ``z t_cols``, in one pass.
+
+    Each chunk adds to ``sum z`` and ``z^t z`` and writes its rows of
+    ``z t_cols`` before the next chunk is drawn.  Normals that are not all
+    finite raise ``ParameterError``.
+    """
+    n = white.n_paths
+    zsum = np.zeros(white.n_points)
+    ztz = np.zeros((white.n_points, white.n_points))
+    thin = np.empty((n, t_cols.shape[1]))
+    for lo, z in white.chunks():
+        zsum += z.sum(axis=0)
+        ztz += z.T @ z
+        np.matmul(z, t_cols, out=thin[lo:lo + len(z)])
+    if not np.all(np.isfinite(np.diag(ztz))):
+        raise ParameterError("ensemble paths must be finite")
+    zbar = zsum / n
+    return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1), thin
+
+
 def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                    n_paths: int, seed: int,
                    tolerances: VerificationTolerances | None = None, *,
@@ -174,26 +207,26 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                               f"is negative beyond roundoff: the image kernel is not a covariance")
     var_v = np.clip(var_v, 0.0, None)
 
-    # the image ensemble A u = A m + z T^t, from the moments of z (module
-    # docstring); A comes first, so an operator without a stencil fails
-    # before the draw is allocated
+    # A comes first, so an operator without a stencil on the grid fails
+    # before anything else is built or drawn
     a_mat = operator_matrix(op, grid)
-    draw = draw_factored(p, grid, n_paths, seed, threads=threads)
-    t_mat = a_mat @ draw.factor
-    a_mean = a_mat @ draw.mean
-    t_zbar, ecov = finite_dim_pushforward(empirical_mean(draw.white),
-                                          empirical_cov(draw.white), t_mat)
-    emean = a_mean + t_zbar
-
     interior = interior_mask(len(grid), op.order)
     interior_idx = np.flatnonzero(interior)
     tuples = {order: default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
                                              lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
               for order in CUMULANT_ORDERS}
-    # the image columns the cumulants read, as an ensemble on their own points
+    # the image columns the cumulants read
     cols = sorted({i for ts in tuples.values() for t in ts for i in t})
     column = {c: k for k, c in enumerate(cols)}
-    thin_paths = draw.white.paths @ t_mat[cols].T
+
+    # the image ensemble A u = A m + z T^t, from the moments of z (module
+    # docstring)
+    draw = draw_factored(p, grid, n_paths, seed, threads=threads)
+    t_mat = a_mat @ draw.factor
+    a_mean = a_mat @ draw.mean
+    zbar, zcov, thin_paths = _white_moments(draw.white, t_mat[cols].T)
+    t_zbar, ecov = finite_dim_pushforward(zbar, zcov, t_mat)
+    emean = a_mean + t_zbar
     thin_paths += a_mean[cols]
     thin = SampleEnsemble(grid=Grid(x[cols]), paths=thin_paths, seed=draw.white.seed,
                           jitter=draw.white.jitter)

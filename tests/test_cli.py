@@ -8,6 +8,7 @@ import pytest
 
 import gpops.cli
 import gpops.linalg
+import gpops.sampling
 import gpops.verify
 from gpops.cli import main
 from gpops.conditioning import solve_linear_ode
@@ -629,7 +630,7 @@ def test_verify_refuses_the_stencil_before_drawing(tmp_path, capsys, monkeypatch
     # the operator matrix comes before the draw, so an operator without a
     # stencil on the grid costs no samples
     calls = []
-    monkeypatch.setattr(gpops.verify, "draw_factored", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(gpops.sampling.WhiteStream, "chunks", lambda self: calls.append(self))
     text = BASE_VERIFY.format(out=tmp_path / "out")
     for old, new in replace.items():
         text = text.replace(old, new)

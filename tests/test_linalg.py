@@ -86,6 +86,28 @@ def test_chol_psd_reads_only_the_lower_triangle(case):
         assert np.array_equal(L_lower, L)
 
 
+@pytest.mark.parametrize("case", ["rung0", "retry"])
+def test_chol_psd_factors_c_and_fortran_layouts_alike(monkeypatch, case):
+    # condition() builds its Gram in Fortran order, the layout LAPACK reads;
+    # a jitter retry copies it in that layout
+    rng = np.random.default_rng(11)
+    if case == "rung0":
+        m = gram(se_kernel(0.3, 1.0), Grid(np.sort(rng.uniform(0.0, 1.0, 40))))
+        m[np.diag_indices_from(m)] += 1e-6
+    else:
+        v = rng.standard_normal(12)
+        m = np.outer(v, v)
+    m += np.triu(np.full_like(m, np.nan), 1)  # only the lower triangle is read
+    L, delta = chol_psd(m, max_jitter=1e-4)
+    factored = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+    L_f, delta_f = chol_psd(np.asfortranarray(m), max_jitter=1e-4)
+    assert (delta_f, delta == 0.0) == (delta, case == "rung0")
+    assert np.array_equal(L_f, L)
+    assert all(a.flags.f_contiguous for a in factored)
+
+
 # ------------------------------------------------------ forward substitution
 
 def _gram_factor(q, seed):

@@ -13,13 +13,26 @@ from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 import gpops.sampling
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (BLOCK_WORDS, SampleEnsemble, _standard_normals,
+from gpops.sampling import (BLOCK_WORDS, SampleEnsemble, WhiteStream, _standard_normals,
                             _uniform_block, apply_operator_pathwise, draw_factored,
                             empirical_cov, empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import pushforward
 
 PRIOR = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(1.0, 1.0))
+
+
+def normals(seed, n_paths, n_points, threads=1):
+    # one unchunked draw of paths 0 .. n_paths
+    return _standard_normals(seed, 0, np.empty((n_paths, n_points)), threads)
+
+
+def materialize(white):
+    # the stream's chunks copied into one N x n array
+    z = np.empty((white.n_paths, white.n_points))
+    for lo, chunk in white.chunks():
+        z[lo:lo + len(chunk)] = chunk
+    return z
 
 
 def test_same_seed_is_bit_identical():
@@ -54,10 +67,11 @@ def test_sample_paths_is_mean_plus_factor_times_white_draw():
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=se_kernel(0.5))
     g = Grid.uniform_on(0, 1, 9)
     d = draw_factored(p, g, 200, 42, threads=2)
-    assert np.array_equal(d.white.paths, _standard_normals(42, 200, 9, 1))
+    z = materialize(d.white)
+    assert np.array_equal(z, normals(42, 200, 9))
     assert np.array_equal(d.mean, np.sin(g.points))
     e = sample_paths(p, g, 200, 42)
-    assert np.array_equal(e.paths, d.white.paths @ d.factor.T + d.mean)
+    assert np.array_equal(e.paths, z @ d.factor.T + d.mean)
     assert (e.seed, e.jitter) == (d.white.seed, d.white.jitter) == (42, 0.0)
 
 
@@ -67,7 +81,7 @@ def test_block_splits_do_not_change_normals(threads):
     n_points = 5
     n_paths = 2 * (BLOCK_WORDS // 8) + 3  # 8 Philox words per 5-point path
     whole = ndtri(_uniform_block(11, 0, n_paths, n_points))
-    assert np.array_equal(_standard_normals(11, n_paths, n_points, threads), whole)
+    assert np.array_equal(normals(11, n_paths, n_points, threads), whole)
 
 
 def test_one_thread_draws_every_block_in_the_caller(monkeypatch):
@@ -79,9 +93,34 @@ def test_one_thread_draws_every_block_in_the_caller(monkeypatch):
         return _uniform_block(*args)
 
     monkeypatch.setattr(gpops.sampling, "_uniform_block", spy)
-    z = _standard_normals(11, 3 * (BLOCK_WORDS // 8), 5, 1)
+    z = normals(11, 3 * (BLOCK_WORDS // 8), 5)
     assert drawn_by == {threading.get_ident()}
     assert np.array_equal(z, ndtri(_uniform_block(11, 0, z.shape[0], 5)))
+
+
+@pytest.mark.parametrize("n_points, n_paths", [(8, 300), (8, 1024), (8, 1025), (9, 911)],
+                         ids=["below-one-chunk", "two-chunks", "two-chunks+1", "9-points"])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_stream_chunks_are_the_unchunked_draw(monkeypatch, n_points, n_paths, threads):
+    # 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points; 2 Philox
+    # blocks per 8-point chunk, so helper threads take part
+    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", 2**12)
+    monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
+    white = WhiteStream(n_paths=n_paths, n_points=n_points, seed=3, threads=threads)
+    rows = 2**12 // n_points
+    spans = [(lo, len(z)) for lo, z in white.chunks()]
+    assert spans == [(lo, min(rows, n_paths - lo)) for lo in range(0, n_paths, rows)]
+    assert np.array_equal(materialize(white), normals(3, n_paths, n_points))
+
+
+def test_stream_draws_nothing_until_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gpops.sampling, "_standard_normals", lambda *a: calls.append(a))
+    d = draw_factored(PRIOR, Grid.uniform_on(0, 1, 9), 10**6, 1)
+    chunks = d.white.chunks()
+    assert calls == []
+    next(chunks)
+    assert len(calls) == 1
 
 
 def test_path_substreams_depend_only_on_seed_and_index():

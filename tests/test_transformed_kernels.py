@@ -13,6 +13,7 @@ import pytest
 
 from gpops import kernels
 from gpops.errors import DomainViolationError, ParameterError
+from gpops.expressions import evaluate_finite
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import zero_mean
 from gpops.operators import (ARG1, ARG2, LinearOperator, apply_arg, compose,
@@ -162,6 +163,24 @@ def test_fill_lower_is_the_lower_triangle_of_the_table(size, kernel):
     lower = np.tril_indices(n)
     assert np.array_equal(out[lower], full[lower])
     assert np.all(out[np.triu_indices(n, 1)] == sentinel)
+
+
+def test_fill_lower_evaluates_each_coefficient_once(monkeypatch):
+    # 2002 points are 126 row blocks; both coefficients of the second
+    # argument's operator are the first's too, so the arguments share values
+    evaluated = []
+
+    def spy(expr, x, kind, label):
+        evaluated.append(expr)
+        return evaluate_finite(expr, x, kind, label)
+
+    monkeypatch.setattr(kernels, "evaluate_finite", spy)
+    op1 = LinearOperator([(2, "cos(x)"), (1, "x"), (0, "1 + x^2")])
+    op2 = LinearOperator([(1, "x"), (0, "cos(x)")])
+    bf = apply_arg(op1, ARG1, apply_arg(op2, ARG2, se_kernel(0.4, 1.2)))
+    x = np.linspace(-1.0, 1.0, 2002)
+    bf.fill_lower(x, np.empty((x.size, x.size)))
+    assert sorted(map(repr, evaluated)) == ["(1.0 + (x ^ 2.0))", "cos(x)", "x"]
 
 
 def test_call_writes_into_a_given_out_array():

@@ -3,21 +3,24 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gpops.sampling
 import gpops.verify
 from gpops.cumulants import default_cumulant_tuples, empirical_cumulant, empirical_cumulants
-from gpops.errors import DomainViolationError, EvaluationError
+from gpops.errors import DomainViolationError, EvaluationError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (SampleEnsemble, apply_operator_pathwise, draw_factored,
-                            empirical_cov, empirical_mean, sample_paths)
+from gpops.sampling import (SampleEnsemble, WhiteStream, _standard_normals,
+                            apply_operator_pathwise, draw_factored, empirical_cov,
+                            empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import finite_dim_pushforward, pushforward
 from gpops.verify import VerificationTolerances, verify_theorem
@@ -192,14 +195,26 @@ def _longer_lengthscale(p, grid, n_paths, seed, *, threads=1):
     return draw_factored(wrong, grid, n_paths, seed, threads=threads)
 
 
+@dataclasses.dataclass(frozen=True)
+class EditedStream(WhiteStream):
+    # a white stream whose chunks pass through edit(lo, z) on their way out
+    edit: object = None
+
+    def chunks(self):
+        for lo, z in super().chunks():
+            yield lo, self.edit(lo, z)
+
+
+def _edit_white(d, edit):
+    return dataclasses.replace(d, white=EditedStream(**vars(d.white), edit=edit))
+
+
 def _scale_mixture(p, grid, n_paths, seed, *, threads=1):
     # rows of z scaled by sqrt(W) with E W = 1: the prior's mean and
     # covariance, not Gaussian
     d = draw_factored(p, grid, n_paths, seed, threads=threads)
-    z = d.white
     w = np.random.default_rng(seed).gamma(4.0, 0.25, size=(n_paths, 1))
-    white = SampleEnsemble(z.grid, np.sqrt(w) * z.paths, z.seed, z.jitter)
-    return dataclasses.replace(d, white=white)
+    return _edit_white(d, lambda lo, z: np.sqrt(w[lo:lo + len(z)]) * z)
 
 
 def _failed_gates(rep):
@@ -222,6 +237,69 @@ def test_negative_control_fails_exactly_its_gate(monkeypatch, seed, patch, faile
     rep = verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, CONTROL_PATHS, seed)
     assert _failed_gates(rep) == failed
     assert rep.passed == (not failed)
+
+
+def _nan_in_last_path(lo, z):
+    z[-1, 3] = np.nan
+    return z
+
+
+def test_normals_that_are_not_finite_are_refused(monkeypatch):
+    def poisoned(*args, **kwargs):
+        return _edit_white(draw_factored(*args, **kwargs), _nan_in_last_path)
+
+    monkeypatch.setattr(gpops.verify, "draw_factored", poisoned)
+    with pytest.raises(ParameterError, match="ensemble paths must be finite"):
+        verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
+    # the moments themselves refuse it, whatever the image columns read
+    white = EditedStream(n_paths=10, n_points=5, seed=1, edit=_nan_in_last_path)
+    with pytest.raises(ParameterError, match="ensemble paths must be finite"):
+        gpops.verify._white_moments(white, np.zeros((5, 1)))
+
+
+# 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points
+SMALL_CHUNK = 2**12
+
+
+@pytest.mark.parametrize("n_points, n_paths", [(8, 300), (8, 1024), (8, 1025), (9, 911)],
+                         ids=["below-one-chunk", "two-chunks", "two-chunks+1", "9-points"])
+def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_paths):
+    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", SMALL_CHUNK)
+    white = WhiteStream(n_paths=n_paths, n_points=n_points, seed=5)
+    t_cols = np.random.default_rng(n_paths).standard_normal((n_points, 3))
+    zbar, zcov, thin = gpops.verify._white_moments(white, t_cols)
+
+    z = _standard_normals(5, 0, np.empty((n_paths, n_points)), 1)
+    e = SampleEnsemble(Grid.uniform_on(0.0, 1.0, n_points), z, 5)
+    ref_thin = z @ t_cols
+    # relative to the unit scale of white normals, of cov(z) and of z t_cols
+    assert np.max(np.abs(zbar - empirical_mean(e))) <= 1e-12
+    assert np.max(np.abs(zcov - empirical_cov(e))) <= 1e-12 * np.max(np.abs(empirical_cov(e)))
+    assert np.max(np.abs(thin - ref_thin)) <= 1e-12 * np.max(np.abs(ref_thin))
+
+
+def test_reports_are_byte_identical_across_threads_over_many_chunks(monkeypatch):
+    # 240-path chunks of three 102-path Philox blocks: 7 chunks, each split
+    # between threads
+    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", SMALL_CHUNK)
+    monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
+    reports = [verify_theorem(PRIOR, derivative_operator(1), GRID, 1500, 9, threads=threads)
+               for threads in (1, 2, 3)]
+    assert len({r.to_json() for r in reports}) == 1
+    assert len({r.to_csv() for r in reports}) == 1
+
+
+def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
+    # the whole draw of 60k x 129 normals is 62 MB; one chunk is 34 MB
+    p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5))
+    grid = Grid.uniform_on(0.0, 1.0, 129)
+    tracemalloc.start()
+    try:
+        verify_theorem(p, derivative_operator(1), grid, 60_000, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 # verify pushes the moments of the white normals through T = A L and builds
