@@ -1,13 +1,20 @@
-"""Gram assembly, jitter-laddered Cholesky factorization and forward substitution."""
+"""Gram assembly, jitter-laddered Cholesky, forward substitution and the one-BLAS-thread seam."""
 
 from __future__ import annotations
+
+import ctypes
+import glob
+import os
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import NotPositiveDefiniteError
 from .grids import Grid
 
-__all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower"]
+__all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower", "one_blas_thread",
+           "blas_threads"]
 
 # Rows per diagonal block of the forward substitution.
 SOLVE_BLOCK = 128
@@ -89,3 +96,93 @@ def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
         if hi < n:
             b[hi:] -= L[hi:, lo:hi] @ b[lo:hi]
     return b
+
+
+class _OpenBLAS:
+    """The thread count of one OpenBLAS library, held at one while any caller is inside.
+
+    The count is process-wide, so entries nest and may come from several
+    threads: the first entry saves the count and sets one, the last exit
+    restores what was saved.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, prefix: str, suffix: str):
+        self.get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+        self.get.argtypes, self.get.restype = [], ctypes.c_int
+        self.set = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        self.set.argtypes, self.set.restype = [ctypes.c_int], None
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    def enter(self):
+        with self._lock:
+            if self._depth == 0:
+                self._saved = self.get()
+                self.set(1)
+            self._depth += 1
+
+    def exit(self):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                self.set(self._saved)
+
+
+def _find_openblas() -> _OpenBLAS | None:
+    """numpy's bundled OpenBLAS (``numpy.libs`` on Linux, ``numpy/.dylibs`` on macOS)."""
+    pkg = os.path.dirname(np.__file__)
+    for path in sorted(glob.glob(os.path.join(pkg + ".libs", "*openblas*"))
+                       + glob.glob(os.path.join(pkg, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                if all(hasattr(lib, f"{prefix}_{op}_num_threads{suffix}") for op in ("get", "set")):
+                    return _OpenBLAS(lib, prefix, suffix)
+    return None
+
+
+# numpy's OpenBLAS, looked up on first use and never at import: None until
+# then, and False when the lookup found none, in which case BLAS is
+# uncontrolled and one_blas_thread does nothing.
+_openblas: _OpenBLAS | bool | None = None
+_openblas_lock = threading.Lock()
+
+
+def _resolve_openblas() -> _OpenBLAS | bool:
+    global _openblas
+    with _openblas_lock:
+        if _openblas is None:
+            _openblas = _find_openblas() or False
+        return _openblas
+
+
+def blas_threads() -> int | None:
+    """numpy's current OpenBLAS thread count, or None when BLAS is uncontrolled."""
+    blas = _resolve_openblas()
+    return blas.get() if blas else None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread; restore the count on exit.
+
+    A multi-threaded BLAS call splits its sums by thread, so its bits depend
+    on the thread count, and after each call OpenBLAS's workers spin for a
+    while, taking cores from Python threads that draw normals.  The count is
+    restored also when the body raises.  Entries nest, also across threads:
+    the count is restored when the last one leaves.  Usable as a decorator.
+    When numpy bundles no OpenBLAS that can be found, this does nothing.
+    """
+    blas = _resolve_openblas()
+    if not blas:
+        yield
+        return
+    blas.enter()
+    try:
+        yield
+    finally:
+        blas.exit()

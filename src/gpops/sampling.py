@@ -24,9 +24,17 @@ Cholesky factor ``L`` and the normals ``z`` as a :class:`WhiteStream`, which
 draws nothing until it is read.  Its :meth:`~WhiteStream.chunks` draws the
 paths in chunks of about ``CHUNK_ENTRIES`` entries into one reused buffer,
 so a caller that reduces each chunk before the next (``verify_theorem``
-does) holds 32 MB of normals, not N x n.  :func:`sample_paths` fills one
-N x n array of normals and returns ``m + z @ L.T``, with the product left to
-BLAS.
+does) holds 8 MB of normals, not N x n.  :func:`sample_paths` fills one
+N x n array of normals and returns ``m + z @ L.T``.
+
+BLAS thread count
+-----------------
+:func:`sample_paths` runs inside :func:`~gpops.linalg.one_blas_thread`, as
+``verify_theorem`` does.  A multi-threaded BLAS splits a factorization's or
+a product's sums by thread, so their last bits would depend on the BLAS
+thread count; at one thread the Cholesky factor and the path product group
+their sums the same way on every run, and ``ensemble.csv`` does not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grids import Grid
-from .linalg import chol_psd, gram
+from .linalg import chol_psd, gram, one_blas_thread
 from .operators import LinearOperator
 from .processes import GaussianProcessPrior
 from .stencils import differentiation_matrix
@@ -61,10 +69,10 @@ __all__ = [
 # temporaries small; whole-slice temporaries left tens of MB held by the
 # allocator after helper threads ended.
 BLOCK_WORDS = 2**16
-# Path entries per chunk of a white stream (32 MB of doubles).  A chunk
-# boundary costs more than its share: a draw started just after a
-# multi-threaded BLAS call runs slower while OpenBLAS's threads still spin.
-CHUNK_ENTRIES = 2**22
+# Path entries per chunk of a white stream (8 MB of doubles).  Its reducer
+# runs BLAS at one thread, so no OpenBLAS worker spins at a chunk boundary
+# and a chunk costs only its share.
+CHUNK_ENTRIES = 2**20
 # Path entries per centred block of the empirical covariance (4 MB of doubles).
 COV_BLOCK_ENTRIES = 2**19
 
@@ -162,6 +170,12 @@ class WhiteStream:
     ``seed`` keys the paths' substreams; ``jitter`` is the ``delta`` the
     sampling Cholesky added to the Gram diagonal; ``threads`` is the number
     of threads that draw each chunk, which does not change a bit of it.
+
+    A reader that reduces each chunk with BLAS should do so inside
+    :func:`~gpops.linalg.one_blas_thread`, as ``verify_theorem`` does: then
+    the reductions' bits do not depend on the BLAS thread count, and no
+    OpenBLAS worker left spinning by one chunk's products takes a core from
+    the threads that draw the next.
     """
 
     n_paths: int
@@ -222,12 +236,14 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     return FactoredDraw(mean=p.mean(grid.points), factor=L, white=white)
 
 
+@one_blas_thread()
 def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
                  *, threads: int = 1) -> SampleEnsemble:
     """Draw N paths of the prior's finite marginal on the grid.
 
     Paths are ``mean + L z`` of :func:`draw_factored`'s draw, with all N x n
     normals drawn into one array; the ensemble keeps its seed and jitter.
+    BLAS runs at one thread throughout (module docstring).
     """
     d = draw_factored(p, grid, n_paths, seed, threads=threads)
     w = d.white

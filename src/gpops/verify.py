@@ -34,6 +34,13 @@ are finite exactly when the diagonal of ``z^t z`` is.  Verify's memory is
 O(chunk + n^2 + 9 N), not O(N n).  The chunks are fixed in size, so the
 report does not depend on ``threads``.
 
+``verify_theorem`` runs its whole body inside
+:func:`~gpops.linalg.one_blas_thread`: the sampling Cholesky, ``T = A L``,
+every chunk's products and the pushforward are computed at one BLAS thread,
+so the report does not depend on the BLAS thread count either.  It also
+leaves no OpenBLAS worker spinning after a chunk's products, where it would
+take a core from the threads that draw the next chunk.
+
 Comparisons exclude the boundary rows whose stencils are one-sided (their
 truncation constants are larger and say nothing about the process itself);
 boundary deviations are still reported separately.
@@ -51,7 +58,7 @@ from .cumulants import default_cumulant_tuples, empirical_cumulants
 from .cumulants import empirical_cumulant  # noqa: F401
 from .errors import DomainViolationError, EvaluationError, ParameterError
 from .grids import Grid
-from .linalg import gram
+from .linalg import gram, one_blas_thread
 # commutator_residual is not called here; it stays importable because
 # perfbench/tracing.py rebinds it
 from .operators import LinearOperator, commutator_residual  # noqa: F401
@@ -162,6 +169,7 @@ def _white_moments(white: WhiteStream, t_cols: np.ndarray):
     return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1), thin
 
 
+@one_blas_thread()
 def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                    n_paths: int, seed: int,
                    tolerances: VerificationTolerances | None = None, *,
@@ -170,9 +178,10 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     """Run the full empirical check of the operator-transport claims.
 
     Returns a report whose numbers are bit-identical across runs with equal
-    inputs.  When the operator is outside the prior's smoothness budget, the
-    rejection itself is the contract: pass ``expect_rejection=True`` and the
-    guard firing is reported as a pass (anything else as a failure).
+    inputs, whatever ``threads`` and the BLAS thread count.  When the
+    operator is outside the prior's smoothness budget, the rejection itself
+    is the contract: pass ``expect_rejection=True`` and the guard firing is
+    reported as a pass (anything else as a failure).
     """
     tol = tolerances or VerificationTolerances()
     config = dict(config_echo or {})

@@ -1,6 +1,8 @@
 """CLI subcommands: exit codes, determinism, config diagnostics."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -745,6 +747,13 @@ def test_importing_the_cli_loads_no_scipy_module():
     assert run.stdout == "[]\n"
 
 
+def test_importing_the_cli_resolves_no_blas_library():
+    # the seam looks numpy's OpenBLAS up on first use, never at import
+    run = _python("import gpops.cli, gpops.linalg; print(gpops.linalg._openblas)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "None\n"
+
+
 def test_solve_and_kernel_table_run_without_scipy(tmp_path):
     solve = write(tmp_path, "solve.yaml", """\
 kernel: {name: se, lengthscale: 0.5, variance: 1.0}
@@ -779,3 +788,38 @@ def test_verify_loads_scipy_for_its_draw(tmp_path):
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "['scipy']"
     assert json.loads((tmp_path / "out" / "report.json").read_text())["passed"] is True
+
+
+# ------------------------------------------------ the BLAS thread count
+
+MATERN_257 = """\
+kernel: {{name: matern, nu: "5/2", lengthscale: 0.5}}
+mean: "sin(x)"
+operator: {{terms: [[2, "1"]]}}
+grid: {{interval: [0.0, 1.0], count: 257}}
+samples: {samples}
+seed: 7
+"""
+
+
+def test_verify_and_sample_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 257 points a multi-threaded BLAS moved the Cholesky factor's last
+    # bits, and T = A L carried them into the report
+    if gpops.linalg.blas_threads() is None:
+        pytest.skip("no bundled OpenBLAS found: numpy's BLAS thread count is uncontrolled")
+    runs = (("verify", write(tmp_path, "v.yaml", MATERN_257.format(samples=2000))),
+            ("sample", write(tmp_path, "s.yaml", MATERN_257.format(samples=200))))
+    digests = {}
+    for blas in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas)
+        for command, cfg in runs:
+            out = tmp_path / f"{command}-{blas}"
+            run = subprocess.run([sys.executable, "-m", "gpops.cli", command, "--config", cfg,
+                                  "--out", str(out)], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            digests[command, blas] = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                                      for f in sorted(out.iterdir())}
+    assert sorted(digests["verify", "1"]) == ["deviations.csv", "report.json"]
+    assert sorted(digests["sample", "1"]) == ["ensemble.csv", "ensemble.json"]
+    for command, _ in runs:
+        assert digests[command, "1"] == digests[command, "2"], command

@@ -1,13 +1,21 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import gpops.linalg
+import gpops.sampling
+import gpops.verify
 from gpops.errors import NotPositiveDefiniteError
 from gpops.grids import Grid
-from gpops.kernels import se_kernel
-from gpops.linalg import SOLVE_BLOCK, chol_psd, gram, jitter_ladder, solve_lower
+from gpops.kernels import matern_kernel, se_kernel
+from gpops.linalg import (SOLVE_BLOCK, blas_threads, chol_psd, gram, jitter_ladder,
+                          one_blas_thread, solve_lower)
+from gpops.means import zero_mean
+from gpops.operators import derivative_operator
+from gpops.processes import GaussianProcessPrior
 
 
 def test_gram_single_point():
@@ -148,3 +156,77 @@ def test_solve_lower_reads_only_the_lower_triangle_and_solves_in_place():
     assert np.array_equal(solve_lower(garbled, b.copy(order="F")), x)
     assert solve_lower(L, b) is b
     assert np.array_equal(b, x)
+
+
+# ------------------------------------------------ the one-BLAS-thread seam
+
+@pytest.fixture
+def blas3():
+    """numpy's OpenBLAS at 3 threads for the test, then at its count before."""
+    if blas_threads() is None:
+        pytest.skip("no bundled OpenBLAS found: numpy's BLAS thread count is uncontrolled")
+    blas = gpops.linalg._openblas
+    before = blas.get()
+    blas.set(3)
+    yield
+    blas.set(before)
+
+
+def test_one_blas_thread_restores_the_count_on_exit_and_on_raise(blas3):
+    with one_blas_thread():
+        assert blas_threads() == 1
+    assert blas_threads() == 3
+    with pytest.raises(ZeroDivisionError):
+        with one_blas_thread():
+            assert blas_threads() == 1
+            1 / 0
+    assert blas_threads() == 3
+
+
+def test_one_blas_thread_holds_one_until_the_last_caller_leaves(blas3):
+    # the count is process-wide: a caller that leaves first must not restore
+    # it under one that is still inside, in this thread or another
+    with one_blas_thread():
+        with one_blas_thread():
+            pass
+        assert blas_threads() == 1
+    inside, leave, seen = threading.Event(), threading.Event(), []
+
+    def other():
+        with one_blas_thread():
+            inside.set()
+            leave.wait(10)
+        seen.append(blas_threads())
+
+    t = threading.Thread(target=other)
+    with one_blas_thread():
+        t.start()
+        assert inside.wait(10)
+    assert blas_threads() == 1
+    leave.set()
+    t.join(10)
+    assert not t.is_alive()
+    assert seen == [3]
+    assert blas_threads() == 3
+
+
+def test_verify_and_sample_run_at_one_blas_thread_and_restore_the_count(blas3, monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def read_count(*args, **kwargs):
+            seen.append(blas_threads())
+            return fn(*args, **kwargs)
+        return read_count
+
+    monkeypatch.setattr(gpops.verify, "finite_dim_pushforward",
+                        spy(gpops.verify.finite_dim_pushforward))
+    monkeypatch.setattr(gpops.sampling, "draw_factored", spy(gpops.sampling.draw_factored))
+    p = GaussianProcessPrior(mean=zero_mean(), kernel=matern_kernel(2.5, 0.5))
+    grid = Grid.uniform_on(0.0, 1.0, 33)
+    gpops.verify.verify_theorem(p, derivative_operator(2), grid, 200, 1)
+    assert seen == [1]
+    assert blas_threads() == 3
+    gpops.sampling.sample_paths(p, grid, 20, 1)
+    assert seen == [1, 1]
+    assert blas_threads() == 3

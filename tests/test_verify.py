@@ -290,7 +290,7 @@ def test_reports_are_byte_identical_across_threads_over_many_chunks(monkeypatch)
 
 
 def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
-    # the whole draw of 60k x 129 normals is 62 MB; one chunk is 34 MB
+    # the whole draw of 60k x 129 normals is 62 MB; one chunk is 8 MB
     p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5))
     grid = Grid.uniform_on(0.0, 1.0, 129)
     tracemalloc.start()
