@@ -97,7 +97,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     ensemble = sample_paths(cfg.prior, cfg.grid, cfg.samples, cfg.seed,
                             threads=cfg.threads)
     header = ["path"] + [f"x{i}" for i in range(len(cfg.grid))]
-    rows = [[i] + [float(v) for v in row] for i, row in enumerate(ensemble.paths)]
+    rows = ([i, *row.tolist()] for i, row in enumerate(ensemble.paths))
     meta = {
         "schema_version": 1,
         "kind": "ensemble",

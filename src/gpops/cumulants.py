@@ -49,6 +49,8 @@ __all__ = [
 MAX_PARTITION_SIZE = 8
 MAX_CUMULANT_ORDER = 6
 JACKKNIFE_FOLDS = 50
+# fewest paths the cumulant estimates accept
+MIN_PATHS = 100
 FOLDS_PER_CHUNK = 5
 
 
@@ -153,8 +155,8 @@ def empirical_cumulants(e: SampleEnsemble, tuples) -> list[CumulantEstimate]:
         if not (1 <= len(t) <= MAX_CUMULANT_ORDER):
             raise ParameterError(
                 f"cumulant order must be in 1..{MAX_CUMULANT_ORDER}, got {len(t)}")
-    if e.n_paths < 100:
-        raise ParameterError(f"need at least 100 paths, got {e.n_paths}")
+    if e.n_paths < MIN_PATHS:
+        raise ParameterError(f"need at least {MIN_PATHS} paths, got {e.n_paths}")
     n_paths = e.n_paths
 
     # Rows by key length: the first rows are the centred columns, every later

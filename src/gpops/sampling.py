@@ -13,19 +13,21 @@ path index), ensembles are bit-identical however generation is split across
 threads or chunks, and regenerating with equal inputs reproduces paths
 exactly.
 
-:func:`_standard_normals` is the one drawing routine: it writes the normals
-of paths ``first .. first + len(out)`` into a given array.  It splits them
-into contiguous blocks of about ``BLOCK_WORDS`` words; the calling thread and
-``threads - 1`` helper threads take the blocks one at a time, so a single
-thread runs no helper and hands nothing over.
+:func:`_standard_normals` writes the normals of paths ``first .. first +
+len(out)`` into a given array, in contiguous blocks of about ``BLOCK_WORDS``
+words: the calling thread and at most ``threads - 1`` helper threads, one
+fewer than the blocks, take them one at a time, so a single thread runs no
+helper and hands nothing over.
 
 :func:`draw_factored` returns a draw in factored form: the mean ``m``, the
 Cholesky factor ``L`` and the normals ``z`` as a :class:`WhiteStream`, which
-draws nothing until it is read.  Its :meth:`~WhiteStream.chunks` draws the
-paths in chunks of about ``CHUNK_ENTRIES`` entries into one reused buffer,
-so a caller that reduces each chunk before the next (``verify_theorem``
-does) holds 8 MB of normals, not N x n.  :func:`sample_paths` fills one
-N x n array of normals and returns ``m + z @ L.T``.
+draws nothing until it is read.  Its :meth:`~WhiteStream.chunks` is the only
+caller of :func:`_standard_normals`: it draws the paths in chunks of about
+``CHUNK_ENTRIES`` entries into one reused buffer.  A chunk has at most 64
+blocks on any grid, so a draw runs at most 63 helpers at a time, and a
+caller that reduces each chunk before the next (``verify_theorem`` does)
+holds 8 MB of normals, not N x n.  :func:`sample_paths` reads the same
+chunks and multiplies each into its rows of the one N x n array it returns.
 
 BLAS thread count
 -----------------
@@ -73,8 +75,6 @@ BLOCK_WORDS = 2**16
 # runs BLAS at one thread, so no OpenBLAS worker spins at a chunk boundary
 # and a chunk costs only its share.
 CHUNK_ENTRIES = 2**20
-# Path entries per centred block of the empirical covariance (4 MB of doubles).
-COV_BLOCK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -241,15 +241,17 @@ def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
                  *, threads: int = 1) -> SampleEnsemble:
     """Draw N paths of the prior's finite marginal on the grid.
 
-    Paths are ``mean + L z`` of :func:`draw_factored`'s draw, with all N x n
-    normals drawn into one array; the ensemble keeps its seed and jitter.
-    BLAS runs at one thread throughout (module docstring).
+    Paths are ``mean + L z`` of :func:`draw_factored`'s draw: each chunk of
+    the white stream is multiplied into its rows of the one N x n array, so
+    no N x n array of normals is held; the ensemble keeps its seed and
+    jitter.  BLAS runs at one thread throughout (module docstring).
     """
     d = draw_factored(p, grid, n_paths, seed, threads=threads)
     w = d.white
-    z = _standard_normals(w.seed, 0, np.empty((w.n_paths, w.n_points)), w.threads)
-    paths = z @ d.factor.T
-    paths += d.mean  # in place: no second N x n array
+    paths = np.empty((w.n_paths, w.n_points))
+    for lo, z in w.chunks():
+        np.matmul(z, d.factor.T, out=paths[lo:lo + len(z)])
+    paths += d.mean
     return SampleEnsemble(grid=grid, paths=paths, seed=w.seed, jitter=w.jitter)
 
 
@@ -287,15 +289,8 @@ def empirical_mean(e: SampleEnsemble) -> np.ndarray:
 def empirical_cov(e: SampleEnsemble) -> np.ndarray:
     """Unbiased (N-1) sample covariance of the ensemble columns.
 
-    The paths are centred in row blocks of about ``COV_BLOCK_ENTRIES``
-    entries, so no centred copy of the whole ensemble is held.  Each block's
-    product is exactly symmetric, and so is their sum.
+    numpy forms ``cᵀc`` of the centred paths ``c`` by one symmetric rank-k
+    update, so the result is exactly symmetric.
     """
-    mean = e.paths.mean(axis=0)
-    rows = max(1, COV_BLOCK_ENTRIES // e.paths.shape[1])
-    out = np.zeros((mean.size, mean.size))
-    for lo in range(0, e.n_paths, rows):
-        centered = e.paths[lo:lo + rows] - mean
-        out += centered.T @ centered
-    out /= e.n_paths - 1
-    return out
+    c = e.paths - e.paths.mean(axis=0)
+    return c.T @ c / (e.n_paths - 1)

@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cumulants import default_cumulant_tuples, empirical_cumulants
+from .cumulants import MIN_PATHS, default_cumulant_tuples, empirical_cumulants
 # empirical_cumulant is not called here; it stays importable because
 # perfbench/tracing.py rebinds it
 from .cumulants import empirical_cumulant  # noqa: F401
@@ -228,6 +228,9 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     cols = sorted({i for ts in tuples.values() for t in ts for i in t})
     column = {c: k for k, c in enumerate(cols)}
 
+    # the cumulants' bound, checked before the Gram is factored and drawn
+    if n_paths < MIN_PATHS:
+        raise ParameterError(f"need at least {MIN_PATHS} paths, got {n_paths}")
     # the image ensemble A u = A m + z T^t, from the moments of z (module
     # docstring)
     draw = draw_factored(p, grid, n_paths, seed, threads=threads)

@@ -626,11 +626,13 @@ def test_mean_nested_too_deeply_exit_one(tmp_path, terms, exit_code):
     ({'terms: [[1, "1"]]': 'terms: [[5, "1"]]'}, "derivative order must be in 1..4, got 5"),
     ({'terms: [[1, "1"]]': 'terms: [[2, "1"]]', "count: 17": "count: 5"},
      "grid of 5 points is smaller than the stencil footprint 6 for derivative order 2"),
-], ids=["order-5", "5-points-under-d2"])
+    ({"samples: 1500": "samples: 99"}, "need at least 100 paths, got 99"),
+], ids=["order-5", "5-points-under-d2", "99-samples"])
 def test_verify_refuses_the_stencil_before_drawing(tmp_path, capsys, monkeypatch, replace,
                                                    message):
-    # the operator matrix comes before the draw, so an operator without a
-    # stencil on the grid costs no samples
+    # the operator matrix and the path count are checked before the draw, so
+    # an operator without a stencil on the grid, or too few paths for the
+    # cumulants, costs no samples
     calls = []
     monkeypatch.setattr(gpops.sampling.WhiteStream, "chunks", lambda self: calls.append(self))
     text = BASE_VERIFY.format(out=tmp_path / "out")

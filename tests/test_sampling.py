@@ -1,6 +1,8 @@
 """Seeded ensembles: reproducibility, statistics, pathwise operator action."""
 
 import threading
+import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -121,6 +123,68 @@ def test_stream_draws_nothing_until_read(monkeypatch):
     assert calls == []
     next(chunks)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sample_paths_multiplies_each_chunk_of_the_stream(monkeypatch, threads):
+    # 4096-entry chunks: 1000 paths of 9 points take chunks of 455, 455 and
+    # 90 rows, each drawn in Philox blocks that helper threads share
+    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", 2**12)
+    monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
+    p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5))
+    g = Grid.uniform_on(0, 1, 9)
+    d = draw_factored(p, g, 1000, 42, threads=threads)
+    z = materialize(d.white)
+    assert np.array_equal(z, normals(42, 1000, 9))
+    e = sample_paths(p, g, 1000, 42, threads=threads)
+    by_chunk = np.concatenate([z[lo:lo + 455] @ d.factor.T for lo in (0, 455, 910)])
+    assert np.array_equal(e.paths, by_chunk + d.mean)
+    # one product over every row may round a row near a chunk boundary
+    # differently in its last bit, where the BLAS kernel tiles rows otherwise
+    whole = z @ d.factor.T + d.mean
+    assert np.max(np.abs(e.paths - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sample_paths_holds_one_path_array(threads):
+    # 20k x 257 paths are 41 MB and one chunk of normals 8 MB (55 MB traced
+    # at peak); an N x n array of normals beside the paths would add 41 MB
+    p = GaussianProcessPrior(mean=zero_mean(), kernel=matern_kernel(2.5, 0.5))
+    g = Grid.uniform_on(0, 1, 257)
+    tracemalloc.start()
+    try:
+        sample_paths(p, g, 20_000, 1, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
+def test_helper_threads_are_bounded_by_one_chunk(monkeypatch):
+    # 200k paths of 33 points: six chunks of 31775 rows and one of 9350, in
+    # Philox blocks of 1820 rows, so 18 blocks (17 helpers) per full chunk;
+    # the pool runs each helper inline, so no OS thread starts
+    submits = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            submits.append(0)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            submits[-1] += 1
+            done = Future()
+            done.set_result(fn())
+            return done
+
+    monkeypatch.setattr(gpops.sampling, "ThreadPoolExecutor", InlinePool)
+    sample_paths(PRIOR, Grid.uniform_on(0, 1, 33), 200_000, 1, threads=64)
+    assert submits == [17] * 6 + [5]
 
 
 def test_path_substreams_depend_only_on_seed_and_index():
