@@ -96,8 +96,6 @@ def cmd_sample(cfg: RunConfig) -> int:
     """Dump a seeded prior ensemble."""
     ensemble = sample_paths(cfg.prior, cfg.grid, cfg.samples, cfg.seed,
                             threads=cfg.threads)
-    header = ["path"] + [f"x{i}" for i in range(len(cfg.grid))]
-    rows = ([i, *row.tolist()] for i, row in enumerate(ensemble.paths))
     meta = {
         "schema_version": 1,
         "kind": "ensemble",
@@ -106,7 +104,12 @@ def cmd_sample(cfg: RunConfig) -> int:
         "seed": ensemble.seed,
     }
     out = _out_dir(cfg)
-    _write(out / "ensemble.csv", csv_lines(header, rows))
+    # the ensemble's paths are finite, so each row is written as it is
+    # formatted, in the round-trip form of csv_lines
+    with open(out / "ensemble.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["path"] + [f"x{i}" for i in range(len(cfg.grid))]) + "\n")
+        for i, row in enumerate(ensemble.paths):
+            fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
     _write(out / "ensemble.json", dumps_json(meta))
     print(f"sample: {ensemble.n_paths} paths on {len(cfg.grid)} points -> {out/'ensemble.csv'}")
     return EXIT_PASS

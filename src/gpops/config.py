@@ -7,6 +7,7 @@ file-driven so campaigns are reproducible.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -27,6 +28,12 @@ from .verify import VerificationTolerances
 __all__ = ["RunConfig", "load_config", "parse_operator_spec"]
 
 KERNEL_NAMES = ("se", "matern")
+# The highest operator order a config may give, where the kernel's smoothness
+# admits the order at all (beyond it the smoothness guard refuses the operator
+# before anything is evaluated).  Inside pytest, where a RuntimeWarning is an
+# error, an SE closed form (mean sin(x), 17 points on [0, 1]) first overflowed
+# at order 39 for lengthscale 0.01, 79 for 0.1, 121 for 0.5 and 151 for 1.
+MAX_ORDER = 32
 
 
 @dataclass
@@ -134,11 +141,13 @@ def _parse_mean(raw) -> MeanFunction:
         raise ConfigError(f"mean: {exc}") from exc
 
 
-def parse_operator_spec(tree) -> LinearOperator:
+def parse_operator_spec(tree, smoothness=math.inf) -> LinearOperator:
     """Build an operator from ``{label?, terms: [[order, coeff-expr], ...]}``.
 
     Coefficient expressions follow the grammar documented in
-    :mod:`gpops.expressions`.
+    :mod:`gpops.expressions`.  An order above ``MAX_ORDER`` is refused unless
+    it is also above ``smoothness``, the kernel's sample smoothness, which
+    leaves it to the smoothness guard.
     """
     if tree is None:
         return identity()
@@ -155,6 +164,9 @@ def parse_operator_spec(tree) -> LinearOperator:
         order, coeff = item
         if not _is(order, int) or order < 0:
             raise ConfigError(f"operator.terms[{i}]: order must be a non-negative integer")
+        if MAX_ORDER < order <= smoothness:
+            raise ConfigError(f"operator.terms[{i}]: order {order} is above {MAX_ORDER}, "
+                              f"the highest order a config may give")
         if not _is(coeff, (str, int, float)):
             raise ConfigError(f"operator.terms[{i}]: coefficient must be an expression or number")
         terms.append((order, coeff))
@@ -191,7 +203,7 @@ def _parse_tolerances(tree) -> VerificationTolerances:
     return VerificationTolerances(**kwargs)
 
 
-def _parse_problem(tree, grid: Grid):
+def _parse_problem(tree, grid: Grid, smoothness):
     if tree is None:
         return None
     if not isinstance(tree, dict):
@@ -216,13 +228,13 @@ def _parse_problem(tree, grid: Grid):
         except ExpressionError as exc:
             raise ConfigError(f"problem.{key}: {exc}") from exc
         out[f"{key}_fn"] = partial(evaluate_finite, expr, kind=f"problem.{key}", label=out[key])
-    out["boundary"] = [_parse_boundary(i, b) for i, b in enumerate(out["boundary"])]
+    out["boundary"] = [_parse_boundary(i, b, smoothness) for i, b in enumerate(out["boundary"])]
     if out["max_error"] is not None and out["reference"] is None:
         raise ConfigError("problem.max_error needs problem.reference to bound the error of")
     return out
 
 
-def _parse_boundary(i, b) -> Observation:
+def _parse_boundary(i, b, smoothness) -> Observation:
     if not isinstance(b, dict) or "location" not in b or "value" not in b:
         raise ConfigError(
             f"problem.boundary[{i}] needs 'location' and 'value' (and optional "
@@ -231,7 +243,7 @@ def _parse_boundary(i, b) -> Observation:
     num = {key: _number(b, f"problem.boundary[{i}].{key}", default=0.0)
            for key in ("location", "value", "noise_sd")}
     try:
-        return Observation(operator=parse_operator_spec(b.get("operator")), **num)
+        return Observation(operator=parse_operator_spec(b.get("operator"), smoothness), **num)
     except (ConfigError, ParameterError) as exc:
         raise ConfigError(f"problem.boundary[{i}]: {exc}") from exc
 
@@ -260,7 +272,7 @@ def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:
 
     kernel = _parse_kernel(_get(tree, "kernel", dict))
     mean = _parse_mean(tree.get("mean"))
-    operator = parse_operator_spec(tree.get("operator"))
+    operator = parse_operator_spec(tree.get("operator"), kernel.sample_smoothness)
     grid = _parse_grid(_get(tree, "grid", dict))
     samples = _number(tree, "samples", int, 2, **_integers(2, sys.maxsize))
     seed = _number(tree, "seed", int, 0, **_integers(0, 2**64 - 1))
@@ -272,5 +284,6 @@ def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:
         kernel=kernel, mean=mean, operator=operator, grid=grid, samples=samples,
         seed=seed, threads=threads, output=_get(tree, "output", str, default="out"),
         expected=expected, tolerances=_parse_tolerances(tree.get("tolerances")),
-        problem=_parse_problem(tree.get("problem"), grid), echo={"config_file": str(path)},
+        problem=_parse_problem(tree.get("problem"), grid, kernel.sample_smoothness),
+        echo={"config_file": str(path)},
     )

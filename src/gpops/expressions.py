@@ -28,6 +28,13 @@ from .errors import EvaluationError, ExpressionError
 
 __all__ = ["Expr", "parse_expression", "evaluate_finite"]
 
+# The deepest syntax tree parse_expression converts: a sum of 480 terms
+# (n terms are n + 2 levels deep).  Conversion takes one frame per level, so
+# it stays within Python's default recursion limit of 1000 from a caller 200
+# frames deep.  Evaluating a tree takes two frames per level: from the CLI,
+# verify ran a mean of 493 terms and no more.
+MAX_NESTING = 482
+
 
 class Expr:
     """A node of the expression tree: evaluate with ``__call__``, derive with ``diff``.
@@ -234,38 +241,39 @@ def _mul(a, b):
     return Mul(a, b)
 
 
+def _nesting(tree) -> int:
+    # the depth of a syntax tree, walked level by level without recursion
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        level = [child for node in level for child in ast.iter_child_nodes(node)]
+    return depth
+
+
 def _convert(node, source):
-    # Every constant built here, written or folded, must be a finite real.
+    # One Python frame per nesting level, so a tree within MAX_NESTING
+    # converts from any caller.  Every constant built here, written or
+    # folded, must be a finite real.
     try:
-        expr = _convert_node(node, source)
-    except ArithmeticError:  # a pole, or an overflow on the way to a float
-        expr = Const(math.nan)
-    if expr.is_const() and not math.isfinite(expr.value):
-        raise ExpressionError(f"constant in {source!r} is not a finite real number")
-    return expr
-
-
-def _convert_node(node, source):
-    if isinstance(node, ast.Expression):
-        return _convert(node.body, source)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            return Const(node.value)
-        raise ExpressionError(f"non-numeric constant {node.value!r} in {source!r}")
-    if isinstance(node, ast.Name):
-        if node.id == "x":
-            return Var()
-        raise ExpressionError(
-            f"unknown name {node.id!r} in {source!r} (only 'x' is allowed)"
-        )
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _mul(Const(-1.0), _convert(node.operand, source))
-    if isinstance(node, ast.BinOp):
-        if isinstance(node.op, ast.Add):
-            return _add(_convert(node.left, source), _convert(node.right, source))
-        if isinstance(node.op, ast.Mult):
-            return _mul(_convert(node.left, source), _convert(node.right, source))
-        if isinstance(node.op, ast.Pow):
+        if isinstance(node, ast.Expression):
+            expr = _convert(node.body, source)
+        elif isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
+                raise ExpressionError(f"non-numeric constant {node.value!r} in {source!r}")
+            expr = Const(node.value)
+        elif isinstance(node, ast.Name):
+            if node.id != "x":
+                raise ExpressionError(
+                    f"unknown name {node.id!r} in {source!r} (only 'x' is allowed)"
+                )
+            expr = Var()
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            expr = _mul(Const(-1.0), _convert(node.operand, source))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            expr = _add(_convert(node.left, source), _convert(node.right, source))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            expr = _mul(_convert(node.left, source), _convert(node.right, source))
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             exponent = _convert(node.right, source)
             if not exponent.is_const():
                 raise ExpressionError(
@@ -275,37 +283,40 @@ def _convert_node(node, source):
             base = _convert(node.left, source)
             if base.is_const():
                 value = base.value**exponent.value  # complex for (-1)^0.5
-                return Const(value if isinstance(value, float) else math.nan)
-            return Pow(base, exponent.value)
-        raise ExpressionError(
-            f"operator {type(node.op).__name__} not in the grammar "
-            f"(allowed: +, *, ^) in {source!r}"
-        )
-    if isinstance(node, ast.Call):
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in _VALUES
-            and len(node.args) == 1
-            and not node.keywords
-        ):
-            return Func(node.func.id, _convert(node.args[0], source))
-        raise ExpressionError(
-            f"only sin(...), cos(...), exp(...) calls are allowed in {source!r}"
-        )
-    raise ExpressionError(
-        f"syntax element {type(node).__name__} not in the grammar in {source!r}"
-    )
+                expr = Const(value if isinstance(value, float) else math.nan)
+            else:
+                expr = Pow(base, exponent.value)
+        elif isinstance(node, ast.BinOp):
+            raise ExpressionError(
+                f"operator {type(node.op).__name__} not in the grammar "
+                f"(allowed: +, *, ^) in {source!r}"
+            )
+        elif isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in _VALUES
+                    and len(node.args) == 1 and not node.keywords):
+                raise ExpressionError(
+                    f"only sin(...), cos(...), exp(...) calls are allowed in {source!r}"
+                )
+            expr = Func(node.func.id, _convert(node.args[0], source))
+        else:
+            raise ExpressionError(
+                f"syntax element {type(node).__name__} not in the grammar in {source!r}"
+            )
+    except ArithmeticError:  # a pole, or an overflow on the way to a float
+        expr = Const(math.nan)
+    if expr.is_const() and not math.isfinite(expr.value):
+        raise ExpressionError(f"constant in {source!r} is not a finite real number")
+    return expr
 
 
 def parse_expression(source) -> Expr:
     """Parse an expression string (or bare number) into an :class:`Expr`.
 
     Raises :class:`ExpressionError` with position information on malformed
-    input, on a constant that is not a finite real number, and on input that
-    nests deeper than Python's recursion limit allows (about 480 terms of
-    one sum).  That limit counts the caller's own frames too: from the CLI a
-    sum of about 494 terms parses, and fewer do inside a deeper caller such
-    as a pytest test.
+    input, on a constant that is not a finite real number, and on input whose
+    syntax tree is more than ``MAX_NESTING`` levels deep (a sum of 480
+    terms).  The bound is checked before the tree is converted, so the same
+    strings parse or fail from any caller.
     """
     if isinstance(source, (int, float)) and not isinstance(source, bool):
         return _convert(ast.Constant(source), repr(source))
@@ -316,17 +327,18 @@ def parse_expression(source) -> Expr:
         raise ExpressionError(f"use '^' for powers, not '**', in {source!r}")
     translated = source.replace("^", "**")
     try:
-        return _convert(ast.parse(translated, mode="eval"), source)
+        tree = ast.parse(translated, mode="eval")
     except SyntaxError as exc:
         lineno = exc.lineno or 1
         column = _source_column(source.split("\n")[lineno - 1], exc.offset)
         raise ExpressionError(
             f"cannot parse {source!r}: {exc.msg} at line {lineno}, column {column}"
         ) from None
-    except RecursionError:  # from ast.parse or from _convert's descent
-        raise ExpressionError(
-            f"expression of {len(source)} characters nests too deeply to parse"
-        ) from None
+    except RecursionError:  # ast.parse's own depth limit, far deeper than MAX_NESTING
+        tree = None
+    if tree is None or _nesting(tree) > MAX_NESTING:
+        raise ExpressionError(f"expression of {len(source)} characters nests too deeply to parse")
+    return _convert(tree, source)
 
 
 def _source_column(line: str, offset) -> int:

@@ -260,6 +260,13 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> KernelBifunction:
     _check_hyperparameters(lengthscale, variance)
     ell, var = float(lengthscale), float(variance)
 
+    def scale(power):
+        # ell^power as numpy's power, which overflows to inf where Python's
+        # float power raises; both call C pow, so finite values agree bit
+        # for bit
+        with np.errstate(over="ignore"):
+            return np.float64(ell) ** power
+
     def profile(s, m):
         t = s / ell
         e = np.exp(-0.5 * t * t)
@@ -268,7 +275,7 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> KernelBifunction:
         for k in range(1, m + 1):
             if k > 1:
                 he_prev, he = he, t * he - (k - 1) * he_prev
-            out.append((-1.0) ** k * var * ell ** (-k) * he * e)
+            out.append((-1.0) ** k * var * scale(-k) * he * e)
         return out
 
     return KernelBifunction(Kernel(profile, sample_smoothness=math.inf,

@@ -24,19 +24,21 @@ Cholesky factor ``L`` and the normals ``z`` as a :class:`WhiteStream`, which
 draws nothing until it is read.  Its :meth:`~WhiteStream.chunks` is the only
 caller of :func:`_standard_normals`: it draws the paths in chunks of about
 ``CHUNK_ENTRIES`` entries into one reused buffer.  A chunk has at most 64
-blocks on any grid, so a draw runs at most 63 helpers at a time, and a
-caller that reduces each chunk before the next (``verify_theorem`` does)
-holds 8 MB of normals, not N x n.  :func:`sample_paths` reads the same
-chunks and multiplies each into its rows of the one N x n array it returns.
+blocks on any grid, so a draw runs at most 63 helpers at a time.  The two
+readers of the chunks live here and reduce each chunk before the next is
+drawn: :meth:`~WhiteStream.moments` (verify's one pass: ``sum z``, ``z^t z``
+and ``z c``, holding 8 MB of normals, not N x n) and :func:`sample_paths`
+(each chunk's ``z L^t`` into its rows of the one N x n array it returns).
 
 BLAS thread count
 -----------------
-:func:`sample_paths` runs inside :func:`~gpops.linalg.one_blas_thread`, as
-``verify_theorem`` does.  A multi-threaded BLAS splits a factorization's or
-a product's sums by thread, so their last bits would depend on the BLAS
-thread count; at one thread the Cholesky factor and the path product group
-their sums the same way on every run, and ``ensemble.csv`` does not depend
-on the BLAS thread count.
+Both readers run inside :func:`~gpops.linalg.one_blas_thread`.  A
+multi-threaded BLAS splits a factorization's or a product's sums by thread,
+so their last bits would depend on the BLAS thread count, and its workers,
+left spinning after one chunk's products, take cores from the threads that
+draw the next.  At one thread every sum is grouped the same way on every
+run: neither ``ensemble.csv`` nor verify's moments depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -170,12 +172,6 @@ class WhiteStream:
     ``seed`` keys the paths' substreams; ``jitter`` is the ``delta`` the
     sampling Cholesky added to the Gram diagonal; ``threads`` is the number
     of threads that draw each chunk, which does not change a bit of it.
-
-    A reader that reduces each chunk with BLAS should do so inside
-    :func:`~gpops.linalg.one_blas_thread`, as ``verify_theorem`` does: then
-    the reductions' bits do not depend on the BLAS thread count, and no
-    OpenBLAS worker left spinning by one chunk's products takes a core from
-    the threads that draw the next.
     """
 
     n_paths: int
@@ -195,6 +191,29 @@ class WhiteStream:
         for lo in range(0, self.n_paths, rows):
             z = buf[:min(rows, self.n_paths - lo)]
             yield lo, _standard_normals(self.seed, lo, z, self.threads)
+
+    @one_blas_thread()
+    def moments(self, c: np.ndarray):
+        """``(zbar, cov(z), z c)`` of the normals ``z``, in one pass at one BLAS thread.
+
+        Each chunk adds to ``sum z`` and ``z^t z`` and writes its rows of
+        ``z c`` before the next chunk is drawn.  Then ``cov(z) = (z^t z - N
+        zbar zbar^t) / (N - 1)``, which cancels little because ``z`` is white
+        (``|zbar|`` is of order ``N^-1/2``).  The normals are finite exactly
+        when the diagonal of ``z^t z`` is; otherwise ``ParameterError``.
+        """
+        n = self.n_paths
+        zsum = np.zeros(self.n_points)
+        ztz = np.zeros((self.n_points, self.n_points))
+        zc = np.empty((n, c.shape[1]))
+        for lo, z in self.chunks():
+            zsum += z.sum(axis=0)
+            ztz += z.T @ z
+            np.matmul(z, c, out=zc[lo:lo + len(z)])
+        if not np.all(np.isfinite(np.diag(ztz))):
+            raise ParameterError("ensemble paths must be finite")
+        zbar = zsum / n
+        return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1), zc
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,10 @@ def pushforward(p: GaussianProcessPrior, op: LinearOperator) -> GaussianProcessP
     smoothness is ``op.order`` below the kernel's.  Every partial it needs
     is closed-form.
     """
-    mean_v = apply_to_function(op, p.mean)
+    # the kernel first: its smoothness guard refuses an operator before the
+    # mean is differentiated
     kernel_v = apply_both(op, p.kernel)
+    mean_v = apply_to_function(op, p.mean)
     kernel_v.label = f"[{op.label}]x2 {p.kernel.label}"
     return GaussianProcessPrior(mean=mean_v, kernel=kernel_v)
 

@@ -24,22 +24,14 @@ entry), ``T cov(z) T^t`` agreed to 6e-12 and ``A cov(u) A^t`` only to 3.5e-4
 for SE with lengthscale 1 under d^4 on 65 points.  Only the few image columns
 that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
 
-The moments come from one pass over the draw's white stream (see
-:class:`~gpops.sampling.WhiteStream`).  Each chunk of normals is reduced in
-the calling thread before the next is drawn: it adds to ``sum z`` and, by one
-BLAS product, to ``z^t z``, and writes its rows of the thin image columns.
-Then ``cov(z) = (z^t z - N zbar zbar^t) / (N - 1)``, which cancels little
-because ``z`` is white (``|zbar|`` is of order ``N^-1/2``), and the normals
-are finite exactly when the diagonal of ``z^t z`` is.  Verify's memory is
-O(chunk + n^2 + 9 N), not O(N n).  The chunks are fixed in size, so the
-report does not depend on ``threads``.
-
-``verify_theorem`` runs its whole body inside
-:func:`~gpops.linalg.one_blas_thread`: the sampling Cholesky, ``T = A L``,
-every chunk's products and the pushforward are computed at one BLAS thread,
-so the report does not depend on the BLAS thread count either.  It also
-leaves no OpenBLAS worker spinning after a chunk's products, where it would
-take a core from the threads that draw the next chunk.
+The moments come from one pass over the draw's white stream,
+:meth:`~gpops.sampling.WhiteStream.moments`, which reduces each chunk of
+normals before the next is drawn.  Verify's memory is O(chunk + n^2 + 9 N),
+not O(N n), and the chunks are fixed in size, so the report does not depend
+on ``threads``.  ``verify_theorem`` runs its whole body inside
+:func:`~gpops.linalg.one_blas_thread`, so the sampling Cholesky, ``T = A L``
+and the pushforward, like the moments, do not depend on the BLAS thread
+count either.
 
 Comparisons exclude the boundary rows whose stencils are one-sided (their
 truncation constants are larger and say nothing about the process itself);
@@ -64,7 +56,7 @@ from .linalg import gram, one_blas_thread
 from .operators import LinearOperator, commutator_residual  # noqa: F401
 from .processes import GaussianProcessPrior
 from .reportio import csv_lines, dumps_json
-from .sampling import SampleEnsemble, WhiteStream, draw_factored, operator_matrix
+from .sampling import SampleEnsemble, draw_factored, operator_matrix
 # sample_paths, apply_operator_pathwise, empirical_mean and empirical_cov are
 # not called here; they stay importable because perfbench/tracing.py rebinds
 # them
@@ -148,27 +140,6 @@ def _z_gate(dev, se, mask, threshold, **extra) -> dict:
             **extra, "threshold": threshold, "passed": bool(z <= threshold)}
 
 
-def _white_moments(white: WhiteStream, t_cols: np.ndarray):
-    """Mean and covariance of the stream's normals ``z``, and ``z t_cols``, in one pass.
-
-    Each chunk adds to ``sum z`` and ``z^t z`` and writes its rows of
-    ``z t_cols`` before the next chunk is drawn.  Normals that are not all
-    finite raise ``ParameterError``.
-    """
-    n = white.n_paths
-    zsum = np.zeros(white.n_points)
-    ztz = np.zeros((white.n_points, white.n_points))
-    thin = np.empty((n, t_cols.shape[1]))
-    for lo, z in white.chunks():
-        zsum += z.sum(axis=0)
-        ztz += z.T @ z
-        np.matmul(z, t_cols, out=thin[lo:lo + len(z)])
-    if not np.all(np.isfinite(np.diag(ztz))):
-        raise ParameterError("ensemble paths must be finite")
-    zbar = zsum / n
-    return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1), thin
-
-
 @one_blas_thread()
 def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                    n_paths: int, seed: int,
@@ -236,7 +207,7 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     draw = draw_factored(p, grid, n_paths, seed, threads=threads)
     t_mat = a_mat @ draw.factor
     a_mean = a_mat @ draw.mean
-    zbar, zcov, thin_paths = _white_moments(draw.white, t_mat[cols].T)
+    zbar, zcov, thin_paths = draw.white.moments(t_mat[cols].T)
     t_zbar, ecov = finite_dim_pushforward(zbar, zcov, t_mat)
     emean = a_mean + t_zbar
     thin_paths += a_mean[cols]

@@ -5,15 +5,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 import gpops.cli
+import gpops.config
 import gpops.linalg
 import gpops.sampling
 import gpops.verify
 from gpops.cli import main
 from gpops.conditioning import solve_linear_ode
+from gpops.reportio import csv_lines
 
 BASE_VERIFY = """\
 kernel: {{name: se, lengthscale: 1.0, variance: 1.0}}
@@ -66,6 +69,36 @@ output: "%s"
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["mode"] == "rejection"
     assert report["rejection"]["occurred"] is True
+
+
+MATERN_ORDER_2000 = """\
+kernel: {name: matern, nu: "5/2", lengthscale: 0.5}
+mean: "sin(x)"
+operator: {terms: [[2000, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 200
+seed: 1
+output: "%s"
+"""
+
+
+@pytest.mark.parametrize("expected", ["verification", "rejection"])
+def test_smoothness_guard_refuses_before_the_mean_is_differentiated(tmp_path, capsys,
+                                                                     expected):
+    # the 2000th derivative of sin(x) is a 2000-deep tree; the guard must
+    # refuse the operator before it is built
+    text = MATERN_ORDER_2000 % (tmp_path / "out") + f"expected: {expected}\n"
+    cfg = write(tmp_path, "m.yaml", text)
+    if expected == "rejection":
+        assert main(["verify", "--config", cfg]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["mode"] == "rejection" and report["passed"] is True
+    else:
+        assert main(["verify", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: operator 'd^2000/dx^2000' of order 2000 exceeds")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
 
 def test_byte_identical_reports_across_threads(tmp_path):
@@ -181,6 +214,32 @@ output: "%s"
         (tmp_path / "s2" / "ensemble.csv").read_bytes()
     meta = json.loads((tmp_path / "s1" / "ensemble.json").read_text())
     assert meta["n_paths"] == 40 and meta["seed"] == 7
+
+
+def test_sample_writes_the_csv_row_by_row(tmp_path, monkeypatch):
+    # 1000 paths of 257 points are 5 MB of text; formatting holds one row
+    # at a time, in the round-trip form of csv_lines
+    text = """\
+kernel: {name: se, lengthscale: 0.5}
+grid: {interval: [0.0, 1.0], count: 257}
+samples: 1000
+seed: 3
+output: "%s"
+""" % (tmp_path / "s")
+    cfg = write(tmp_path, "s.yaml", text)
+    run = gpops.cli.load_config(cfg)
+    ensemble = gpops.cli.sample_paths(run.prior, run.grid, run.samples, run.seed)
+    monkeypatch.setattr(gpops.cli, "sample_paths", lambda *args, **kwargs: ensemble)
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", cfg]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csv = (tmp_path / "s" / "ensemble.csv").read_text()
+    assert peak < 1_000_000 < len(csv)
+    header = ["path"] + [f"x{i}" for i in range(257)]
+    assert csv == csv_lines(header, ([i, *row.tolist()] for i, row in enumerate(ensemble.paths)))
 
 
 @pytest.mark.parametrize("lengthscale, terms, count", [
@@ -620,6 +679,49 @@ def test_mean_nested_too_deeply_exit_one(tmp_path, terms, exit_code):
         assert not (tmp_path / "out").exists()
     else:
         assert (tmp_path / "out" / "report.json").exists()
+
+
+ORDER_BASE = """\
+kernel: {name: se, lengthscale: %s}
+mean: "sin(x)"
+operator: {terms: [[%d, "1"]]}
+grid: {interval: [0.0, 1.0], count: 17}
+samples: 200
+seed: 1
+output: "%s"
+problem:
+  rhs: "0"
+  boundary:
+    - {location: 0.0, value: 0.0}
+    - {location: 1.0, value: 0.0, operator: {terms: [[%d, "1"]]}}
+"""
+
+
+@pytest.mark.parametrize("command, lengthscale, order, boundary_order, key", [
+    ("kernel-table", 0.01, 80, 0, "operator.terms[0]"),
+    ("kernel-table", 0.5, 2000, 0, "operator.terms[0]"),
+    ("verify", 0.5, 2000, 0, "operator.terms[0]"),
+    ("solve", 0.5, 2, 1000, "problem.boundary[1]: operator.terms[0]"),
+], ids=["se-0.01-order-80", "kernel-table-order-2000", "verify-order-2000",
+        "boundary-order-1000"])
+def test_operator_order_above_the_bound_exit_one(tmp_path, capsys, command, lengthscale,
+                                                 order, boundary_order, key):
+    # these ended in OverflowError or RecursionError tracebacks
+    text = ORDER_BASE % (lengthscale, order, tmp_path / "out", boundary_order)
+    cfg = write(tmp_path, "order.yaml", text)
+    assert main([command, "--config", cfg]) == 1
+    bound = gpops.config.MAX_ORDER
+    assert capsys.readouterr().err == (
+        f"config error: {key}: order {max(order, boundary_order)} is above {bound}, "
+        "the highest order a config may give\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_operator_at_the_order_bound_runs(tmp_path):
+    # RuntimeWarning is an error here: at lengthscale 0.01 the closed form of
+    # T1 T2 k stays finite up to order 38, above the bound
+    text = ORDER_BASE % (0.01, gpops.config.MAX_ORDER, tmp_path / "out", 0)
+    assert main(["kernel-table", "--config", write(tmp_path, "order.yaml", text)]) == 0
 
 
 @pytest.mark.parametrize("replace, message", [

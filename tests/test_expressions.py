@@ -104,6 +104,28 @@ def test_rejects_expressions_nested_past_the_recursion_limit(deep):
         parse_expression(deep)
 
 
+def _from_deep_caller(frames, fn):
+    # fn() called under ``frames`` further Python frames
+    return fn() if frames == 0 else _from_deep_caller(frames - 1, fn)
+
+
+@pytest.mark.parametrize("terms", [480, 481, 600])
+def test_nesting_bound_does_not_depend_on_the_caller(terms):
+    # a sum of 480 terms is MAX_NESTING levels deep; the same strings parse,
+    # or fail with the same message, 200 frames further down
+    source = " + ".join(["x"] * terms)
+    outcomes = []
+    for frames in (0, 200):
+        try:
+            expr = _from_deep_caller(frames, lambda: parse_expression(source))
+            outcomes.append(type(expr).__name__)
+        except ExpressionError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("Add" if terms <= 480 else
+                           f"expression of {len(source)} characters nests too deeply to parse")
+
+
 def test_structural_equality_and_cached_derivatives():
     e = parse_expression("x*sin(x) + 2")
     assert e == parse_expression("x * sin(x) + 2.0")

@@ -217,6 +217,21 @@ def test_se_partials_to_order_16_match_mpmath():
             assert np.max(np.abs(got - want)) <= 1e-15 * scale, (d1, m - d1)
 
 
+@pytest.mark.parametrize("ell", [0.01, 0.123456789, 0.3, 0.5, 1.0, 2.7])
+def test_se_profile_overflows_to_inf_and_keeps_its_finite_values(ell):
+    # the profile's ell^-m is numpy's power, which overflows to inf where
+    # Python's float power raised OverflowError (from order 155 at ell = 0.01);
+    # both call C pow, so every finite value is Python's bit for bit
+    for m in range(1, 150):
+        if m * math.log10(1 / ell) < 300:  # Python's power is finite
+            assert np.float64(ell) ** (-m) == ell ** (-m), m
+    s = np.linspace(-1.0, 1.0, 17)
+    with np.errstate(all="ignore"):
+        out = se_kernel(ell).base.profile(s, 400)
+    assert len(out) == 401 and np.all(np.isfinite(out[2]))
+    assert not np.all(np.isfinite(out[400]))
+
+
 def _matern_reference_mp(nu, ell, var):
     # Independent implementation of the half-integer Matern closed form,
     # evaluated in arbitrary precision for mpmath.diff.

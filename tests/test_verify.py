@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import gpops.linalg
 import gpops.sampling
 import gpops.verify
 from gpops.cumulants import default_cumulant_tuples, empirical_cumulant, empirical_cumulants
@@ -254,7 +256,7 @@ def test_normals_that_are_not_finite_are_refused(monkeypatch):
     # the moments themselves refuse it, whatever the image columns read
     white = EditedStream(n_paths=10, n_points=5, seed=1, edit=_nan_in_last_path)
     with pytest.raises(ParameterError, match="ensemble paths must be finite"):
-        gpops.verify._white_moments(white, np.zeros((5, 1)))
+        WhiteStream.moments(white, np.zeros((5, 1)))
 
 
 # 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points
@@ -267,7 +269,7 @@ def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_p
     monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", SMALL_CHUNK)
     white = WhiteStream(n_paths=n_paths, n_points=n_points, seed=5)
     t_cols = np.random.default_rng(n_paths).standard_normal((n_points, 3))
-    zbar, zcov, thin = gpops.verify._white_moments(white, t_cols)
+    zbar, zcov, thin = WhiteStream.moments(white, t_cols)
 
     z = _standard_normals(5, 0, np.empty((n_paths, n_points)), 1)
     e = SampleEnsemble(Grid.uniform_on(0.0, 1.0, n_points), z, 5)
@@ -276,6 +278,43 @@ def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_p
     assert np.max(np.abs(zbar - empirical_mean(e))) <= 1e-12
     assert np.max(np.abs(zcov - empirical_cov(e))) <= 1e-12 * np.max(np.abs(empirical_cov(e)))
     assert np.max(np.abs(thin - ref_thin)) <= 1e-12 * np.max(np.abs(ref_thin))
+
+
+def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(monkeypatch):
+    # WhiteStream.moments owns the chunk pass: verify calls it once and reads
+    # no chunk itself
+    calls, readers = [], []
+    moments, chunks = WhiteStream.moments, WhiteStream.chunks
+
+    def spy_moments(self, c):
+        calls.append(c.shape)
+        return moments(self, c)
+
+    def spy_chunks(self):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return chunks(self)
+
+    monkeypatch.setattr(WhiteStream, "moments", spy_moments)
+    monkeypatch.setattr(WhiteStream, "chunks", spy_chunks)
+    verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
+    assert len(calls) == 1 and readers == ["moments"]
+    monkeypatch.undo()
+
+    # moments runs its chunks at one BLAS thread whoever calls it, and
+    # restores the count after
+    if gpops.linalg.blas_threads() is None:
+        pytest.skip("no bundled OpenBLAS found: numpy's BLAS thread count is uncontrolled")
+    seen = []
+    white = EditedStream(n_paths=300, n_points=8, seed=1,
+                         edit=lambda lo, z: seen.append(gpops.linalg.blas_threads()) or z)
+    blas = gpops.linalg._openblas
+    before = blas.get()
+    blas.set(3)
+    try:
+        white.moments(np.zeros((8, 1)))
+        assert seen == [1] and blas.get() == 3
+    finally:
+        blas.set(before)
 
 
 def test_reports_are_byte_identical_across_threads_over_many_chunks(monkeypatch):
