@@ -23,9 +23,8 @@ from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
                         apply_to_function, commutator_residual, compose,
                         derivative_operator, identity, scale)
 from .processes import GaussianProcessPrior
-from .sampling import (FactoredDraw, SampleEnsemble, WhiteStream, apply_operator_pathwise,
-                       draw_factored, empirical_cov, empirical_mean, operator_matrix,
-                       sample_paths)
+from .sampling import (FactoredDraw, SampleEnsemble, apply_operator_pathwise, draw_factored,
+                       empirical_cov, empirical_mean, operator_matrix, sample_paths)
 from .stencils import differentiation_matrix, fd_weights, interior_mask
 from .transform import JointBlocks, finite_dim_pushforward, joint_blocks, pushforward
 from .verify import VerificationReport, VerificationTolerances, verify_theorem
@@ -39,7 +38,7 @@ __all__ = [
     "GpopsError", "Grid", "GridSizeError", "JointBlocks", "Kernel", "KernelBifunction",
     "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
     "Observation", "ParameterError", "Partition", "PosteriorSummary",
-    "SampleEnsemble", "VerificationReport", "VerificationTolerances", "WhiteStream",
+    "SampleEnsemble", "VerificationReport", "VerificationTolerances",
     "add", "apply_arg", "apply_both", "apply_operator_pathwise",
     "apply_to_function", "chol_psd", "commutator_residual", "compose",
     "condition", "constant_mean", "default_cumulant_tuples",

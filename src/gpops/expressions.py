@@ -31,8 +31,8 @@ __all__ = ["Expr", "parse_expression", "evaluate_finite"]
 # The deepest syntax tree parse_expression converts: a sum of 480 terms
 # (n terms are n + 2 levels deep).  Conversion takes one frame per level, so
 # it stays within Python's default recursion limit of 1000 from a caller 200
-# frames deep.  Evaluating a tree takes two frames per level: from the CLI,
-# verify ran a mean of 493 terms and no more.
+# frames deep.  Evaluation, differentiation, equality, hashing and repr keep a
+# stack of their own (Expr), so they take a few frames at any depth.
 MAX_NESTING = 482
 
 
@@ -45,6 +45,10 @@ class Expr:
     commuted sums and products such as ``x + 1`` and ``1 + x``, or
     ``x*sin(x)`` and ``sin(x)*x``, are equal trees.  Like terms are not
     collected: ``x + x`` and ``2*x`` stay different trees.
+
+    Evaluation, ``diff``, equality, hashing and ``repr`` walk the tree on a
+    stack of their own, not by recursion, so a tree of any depth takes a few
+    frames from any caller.
     """
 
     _fields: tuple = ()  # attribute names that make up the node's structure
@@ -53,12 +57,29 @@ class Expr:
     _derivative = None
 
     def __call__(self, x):
+        """The values at ``x``; a subtree shared by identity is evaluated once."""
+        return _fold(self, lambda node, *operands: node._apply(x, *operands))
+
+    def _apply(self, x, *operands):
+        # this node's values from its operands' values
+        raise NotImplementedError
+
+    def __repr__(self):
+        return _fold(self, lambda node, *operands: node._text(*operands))
+
+    def _text(self, *operands) -> str:
+        # this node's text from its operands' texts
         raise NotImplementedError
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def _children(self) -> tuple:
+        # the operand subtrees, in field order
+        return ()
+
     def _diff(self) -> "Expr":
+        # the first derivative, once every child's is cached
         raise NotImplementedError
 
     def diff(self, order: int = 1) -> "Expr":
@@ -66,7 +87,8 @@ class Expr:
         node = self
         for _ in range(order):
             if node._derivative is None:
-                node._derivative = node._diff()
+                for sub in _children_first(node, lambda sub: sub._derivative is not None):
+                    sub._derivative = sub._diff()
             node = node._derivative
         return node
 
@@ -74,14 +96,26 @@ class Expr:
         return False
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (type(self) is type(other) and hash(self) == hash(other)
-                and self._key() == other._key())
+        # pairs of subtrees still to compare, on a stack of their own; fields
+        # compare as in a tuple, by identity first
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or hash(a) != hash(b):
+                return False
+            for u, v in zip(a._key(), b._key()):
+                if isinstance(u, Expr):
+                    pairs.append((u, v))
+                elif u is not v and u != v:
+                    return False
+        return True
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((type(self).__name__, self._key()))
+            for node in _children_first(self, lambda node: node._hash is not None):
+                node._hash = hash((type(node).__name__, node._key()))
         return self._hash
 
     def _order_key(self) -> tuple:
@@ -105,7 +139,7 @@ class Const(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def __call__(self, x):
+    def _apply(self, x):
         return np.full(np.shape(x), self.value)
 
     def _diff(self):
@@ -114,18 +148,18 @@ class Const(Expr):
     def is_const(self, value=None):
         return value is None or self.value == value
 
-    def __repr__(self):
+    def _text(self):
         return repr(self.value)
 
 
 class Var(Expr):
-    def __call__(self, x):
+    def _apply(self, x):
         return np.asarray(x, dtype=float)
 
     def _diff(self):
         return Const(1.0)
 
-    def __repr__(self):
+    def _text(self):
         return "x"
 
 
@@ -135,14 +169,17 @@ class Add(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def __call__(self, x):
-        return self.a(x) + self.b(x)
+    def _children(self):
+        return (self.a, self.b)
+
+    def _apply(self, x, a, b):
+        return a + b
 
     def _diff(self):
         return _add(self.a.diff(), self.b.diff())
 
-    def __repr__(self):
-        return f"({self.a!r} + {self.b!r})"
+    def _text(self, a, b):
+        return f"({a} + {b})"
 
 
 class Mul(Expr):
@@ -151,14 +188,17 @@ class Mul(Expr):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def __call__(self, x):
-        return self.a(x) * self.b(x)
+    def _children(self):
+        return (self.a, self.b)
+
+    def _apply(self, x, a, b):
+        return a * b
 
     def _diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
 
-    def __repr__(self):
-        return f"({self.a!r} * {self.b!r})"
+    def _text(self, a, b):
+        return f"({a} * {b})"
 
 
 class Pow(Expr):
@@ -170,8 +210,11 @@ class Pow(Expr):
         self.base = base
         self.exponent = float(exponent)
 
-    def __call__(self, x):
-        return self.base(x) ** self.exponent
+    def _children(self):
+        return (self.base,)
+
+    def _apply(self, x, base):
+        return base ** self.exponent
 
     def _diff(self):
         c = self.exponent
@@ -181,8 +224,8 @@ class Pow(Expr):
             return self.base.diff()
         return _mul(_mul(Const(c), Pow(self.base, c - 1)), self.base.diff())
 
-    def __repr__(self):
-        return f"({self.base!r} ^ {self.exponent!r})"
+    def _text(self, base):
+        return f"({base} ^ {self.exponent!r})"
 
 
 class Func(Expr):
@@ -193,15 +236,18 @@ class Func(Expr):
     def __init__(self, name: str, a):
         self.name, self.a = name, a
 
-    def __call__(self, x):
-        return _VALUES[self.name](self.a(x))
+    def _children(self):
+        return (self.a,)
+
+    def _apply(self, x, a):
+        return _VALUES[self.name](a)
 
     def _diff(self):
         # chain rule: name'(a) * a'
         return _mul(_DERIVATIVES[self.name](self.a), self.a.diff())
 
-    def __repr__(self):
-        return f"{self.name}({self.a!r})"
+    def _text(self, a):
+        return f"{self.name}({a})"
 
 
 _VALUES = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
@@ -210,6 +256,31 @@ _DERIVATIVES = {
     "cos": lambda a: _mul(Const(-1.0), Func("sin", a)),
     "exp": lambda a: Func("exp", a),
 }
+
+
+def _children_first(root, done):
+    """Yield the nodes under ``root``, each once and after its children.
+
+    A node for which ``done(node)`` holds is skipped with its subtree.  The
+    walk keeps its own stack, so it takes one frame at any depth.
+    """
+    stack, seen = [(root, False)], set()
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            yield node
+        elif id(node) not in seen and not done(node):
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(node._children()))
+
+
+def _fold(root, combine):
+    """The root's ``combine(node, *results of its children)``, each node's computed once."""
+    results = {}
+    for node in _children_first(root, lambda node: False):
+        results[id(node)] = combine(node, *(results[id(c)] for c in node._children()))
+    return results[id(root)]
 
 
 def _add(a, b):

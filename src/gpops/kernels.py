@@ -260,22 +260,19 @@ def se_kernel(lengthscale: float, variance: float = 1.0) -> KernelBifunction:
     _check_hyperparameters(lengthscale, variance)
     ell, var = float(lengthscale), float(variance)
 
-    def scale(power):
-        # ell^power as numpy's power, which overflows to inf where Python's
-        # float power raises; both call C pow, so finite values agree bit
-        # for bit
-        with np.errstate(over="ignore"):
-            return np.float64(ell) ** power
-
     def profile(s, m):
-        t = s / ell
-        e = np.exp(-0.5 * t * t)
-        out = [var * e]
-        he_prev, he = 1.0, t
-        for k in range(1, m + 1):
-            if k > 1:
-                he_prev, he = he, t * he - (k - 1) * he_prev
-            out.append((-1.0) ** k * var * scale(-k) * he * e)
+        # ell^-k as numpy's power, which overflows to inf where Python's float
+        # power raises (both call C pow, so finite values agree bit for bit);
+        # a tiny ell gives inf or nan here without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = s / ell
+            e = np.exp(-0.5 * t * t)
+            out = [var * e]
+            he_prev, he = 1.0, t
+            for k in range(1, m + 1):
+                if k > 1:
+                    he_prev, he = he, t * he - (k - 1) * he_prev
+                out.append((-1.0) ** k * var * np.float64(ell) ** -k * he * e)
         return out
 
     return KernelBifunction(Kernel(profile, sample_smoothness=math.inf,

@@ -19,26 +19,24 @@ words: the calling thread and at most ``threads - 1`` helper threads, one
 fewer than the blocks, take them one at a time, so a single thread runs no
 helper and hands nothing over.
 
-:func:`draw_factored` returns a draw in factored form: the mean ``m``, the
-Cholesky factor ``L`` and the normals ``z`` as a :class:`WhiteStream`, which
-draws nothing until it is read.  Its :meth:`~WhiteStream.chunks` is the only
-caller of :func:`_standard_normals`: it draws the paths in chunks of about
-``CHUNK_ENTRIES`` entries into one reused buffer.  A chunk has at most 64
-blocks on any grid, so a draw runs at most 63 helpers at a time.  The two
-readers of the chunks live here and reduce each chunk before the next is
-drawn: :meth:`~WhiteStream.moments` (verify's one pass: ``sum z``, ``z^t z``
-and ``z c``, holding 8 MB of normals, not N x n) and :func:`sample_paths`
-(each chunk's ``z L^t`` into its rows of the one N x n array it returns).
+:func:`draw_factored` returns a draw in factored form, a :class:`FactoredDraw`:
+the mean ``m``, the Cholesky factor ``L`` and its jitter, and the seed of
+the normals ``z``, which are drawn only when the draw is read.  Its
+:meth:`~FactoredDraw.chunks` is the only caller of :func:`_standard_normals`:
+it draws the paths in chunks of about ``CHUNK_ENTRIES`` entries into one
+reused buffer.  A chunk has at most 64 blocks on any grid, so a draw runs at
+most 63 helpers at a time.  The draw's two readers reduce each chunk before
+the next is drawn: :meth:`~FactoredDraw.moments` (verify's one pass: ``sum
+z``, ``z^t z`` and ``z c``, holding 8 MB of normals, not N x n) and
+:meth:`~FactoredDraw.paths` (each chunk's ``z L^t`` into its rows of the one
+N x n array that :func:`sample_paths` returns).
 
 BLAS thread count
 -----------------
-Both readers run inside :func:`~gpops.linalg.one_blas_thread`.  A
-multi-threaded BLAS splits a factorization's or a product's sums by thread,
-so their last bits would depend on the BLAS thread count, and its workers,
-left spinning after one chunk's products, take cores from the threads that
-draw the next.  At one thread every sum is grouped the same way on every
-run: neither ``ensemble.csv`` nor verify's moments depend on the BLAS thread
-count.
+Both readers run inside :func:`~gpops.linalg.one_blas_thread`, which says
+why: every sum is grouped the same way on every run, so neither
+``ensemble.csv`` nor verify's moments depend on the BLAS thread count, and
+no OpenBLAS worker spins at a chunk boundary.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .expressions import evaluate_finite
 from .grids import Grid
 from .linalg import chol_psd, gram, one_blas_thread
 from .operators import LinearOperator
@@ -61,7 +60,6 @@ from .stencils import differentiation_matrix
 __all__ = [
     "SampleEnsemble",
     "FactoredDraw",
-    "WhiteStream",
     "draw_factored",
     "sample_paths",
     "apply_operator_pathwise",
@@ -73,7 +71,7 @@ __all__ = [
 # temporaries small; whole-slice temporaries left tens of MB held by the
 # allocator after helper threads ended.
 BLOCK_WORDS = 2**16
-# Path entries per chunk of a white stream (8 MB of doubles).  Its reducer
+# Path entries per chunk of a draw's normals (8 MB of doubles).  Its reducer
 # runs BLAS at one thread, so no OpenBLAS worker spins at a chunk boundary
 # and a chunk costs only its share.
 CHUNK_ENTRIES = 2**20
@@ -166,19 +164,24 @@ def _standard_normals(seed: int, first: int, out: np.ndarray, threads: int) -> n
 
 
 @dataclass(frozen=True)
-class WhiteStream:
-    """The per-path standard normals of a draw, drawn chunk by chunk when read.
+class FactoredDraw:
+    """A seeded draw of the prior's grid marginal: path ``i`` is ``mean + factor @ z[i]``.
 
-    ``seed`` keys the paths' substreams; ``jitter`` is the ``delta`` the
-    sampling Cholesky added to the Gram diagonal; ``threads`` is the number
-    of threads that draw each chunk, which does not change a bit of it.
+    ``jitter`` is the ``delta`` the Cholesky ``factor`` added to the Gram
+    diagonal.  ``seed`` keys the paths' substreams of normals ``z``, drawn
+    chunk by chunk when read, by ``threads`` threads that change no bit.
     """
 
+    mean: np.ndarray  # shape (n,)
+    factor: np.ndarray  # lower triangular, shape (n, n)
     n_paths: int
-    n_points: int
     seed: int
     jitter: float = 0.0
     threads: int = 1
+
+    @property
+    def n_points(self) -> int:
+        return len(self.mean)
 
     def chunks(self):
         """Yield ``(lo, z)``: the normals ``z`` of paths ``lo .. lo + len(z)``, in order.
@@ -215,30 +218,25 @@ class WhiteStream:
         zbar = zsum / n
         return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1), zc
 
-
-@dataclass(frozen=True)
-class FactoredDraw:
-    """A seeded draw of the prior's grid marginal, kept as ``(m, L, z)``.
-
-    Path ``i`` is ``mean + factor @ z[i]`` for the normals ``z`` that
-    ``white`` streams.
-    """
-
-    mean: np.ndarray  # shape (n,)
-    factor: np.ndarray  # lower triangular, shape (n, n)
-    white: WhiteStream
+    @one_blas_thread()
+    def paths(self) -> np.ndarray:
+        """The N x n paths ``mean + z L^t``, chunk by chunk into their rows, at one BLAS thread."""
+        out = np.empty((self.n_paths, self.n_points))
+        for lo, z in self.chunks():
+            np.matmul(z, self.factor.T, out=out[lo:lo + len(z)])
+        out += self.mean
+        return out
 
 
 def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
                   *, threads: int = 1) -> FactoredDraw:
-    """The prior's mean and Gram factor on the grid, and a stream of N paths of normals.
+    """The prior's mean and Gram factor on the grid, and N paths of normals drawn when read.
 
     ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
     the per-path normals (see the module docstring for the substream
-    derivation), drawn only when the stream is read.  Deterministic in the
-    seed and independent of ``threads``.  A seed outside [0, 2^64), and a
-    draw of more doubles than an array can hold, raise ``ParameterError``
-    before anything is allocated.
+    derivation).  Deterministic in the seed and independent of ``threads``.
+    A seed outside [0, 2^64), and a draw of more doubles than an array can
+    hold, raise ``ParameterError`` before anything is allocated.
     """
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
@@ -250,28 +248,19 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))
-    white = WhiteStream(n_paths=int(n_paths), n_points=len(grid), seed=int(seed),
-                        jitter=jitter, threads=int(threads))
-    return FactoredDraw(mean=p.mean(grid.points), factor=L, white=white)
+    return FactoredDraw(mean=p.mean(grid.points), factor=L, n_paths=int(n_paths),
+                        seed=int(seed), jitter=jitter, threads=int(threads))
 
 
 @one_blas_thread()
 def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
                  *, threads: int = 1) -> SampleEnsemble:
-    """Draw N paths of the prior's finite marginal on the grid.
+    """N paths of the prior's finite marginal on the grid, with the draw's seed and jitter.
 
-    Paths are ``mean + L z`` of :func:`draw_factored`'s draw: each chunk of
-    the white stream is multiplied into its rows of the one N x n array, so
-    no N x n array of normals is held; the ensemble keeps its seed and
-    jitter.  BLAS runs at one thread throughout (module docstring).
+    BLAS runs at one thread throughout, the Cholesky too (module docstring).
     """
     d = draw_factored(p, grid, n_paths, seed, threads=threads)
-    w = d.white
-    paths = np.empty((w.n_paths, w.n_points))
-    for lo, z in w.chunks():
-        np.matmul(z, d.factor.T, out=paths[lo:lo + len(z)])
-    paths += d.mean
-    return SampleEnsemble(grid=grid, paths=paths, seed=w.seed, jitter=w.jitter)
+    return SampleEnsemble(grid=grid, paths=d.paths(), seed=d.seed, jitter=d.jitter)
 
 
 def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnsemble:
@@ -292,11 +281,15 @@ def apply_operator_pathwise(op: LinearOperator, e: SampleEnsemble) -> SampleEnse
 
 
 def operator_matrix(op: LinearOperator, grid: Grid) -> np.ndarray:
-    """Grid stencil matrix of the operator: sum_i diag(a_i(x)) D^(i)."""
+    """Grid stencil matrix of the operator: sum_i diag(a_i(x)) D^(i).
+
+    A coefficient that is not finite on the grid raises ``EvaluationError``.
+    """
     x = grid.points
     out = np.zeros((x.size, x.size))
     for order, coeff in op.terms:
-        out += coeff(x)[:, None] * differentiation_matrix(grid, order)
+        a = evaluate_finite(coeff, x, "coefficient", coeff)
+        out += a[:, None] * differentiation_matrix(grid, order)
     return out
 
 

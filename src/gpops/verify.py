@@ -24,8 +24,8 @@ entry), ``T cov(z) T^t`` agreed to 6e-12 and ``A cov(u) A^t`` only to 3.5e-4
 for SE with lengthscale 1 under d^4 on 65 points.  Only the few image columns
 that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
 
-The moments come from one pass over the draw's white stream,
-:meth:`~gpops.sampling.WhiteStream.moments`, which reduces each chunk of
+The moments come from one pass over the draw's normals,
+:meth:`~gpops.sampling.FactoredDraw.moments`, which reduces each chunk of
 normals before the next is drawn.  Verify's memory is O(chunk + n^2 + 9 N),
 not O(N n), and the chunks are fixed in size, so the report does not depend
 on ``threads``.  ``verify_theorem`` runs its whole body inside
@@ -178,6 +178,9 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
 
     x = grid.points
     mean_v = image.mean(x)
+    # A comes before the image Gram, so an operator without a stencil on the
+    # grid fails before any kernel table is built or anything is drawn
+    a_mat = operator_matrix(op, grid)
     k_v = gram(image.kernel, grid)
     var_v = np.diag(k_v)
     below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(k_v)))
@@ -187,9 +190,6 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                               f"is negative beyond roundoff: the image kernel is not a covariance")
     var_v = np.clip(var_v, 0.0, None)
 
-    # A comes first, so an operator without a stencil on the grid fails
-    # before anything else is built or drawn
-    a_mat = operator_matrix(op, grid)
     interior = interior_mask(len(grid), op.order)
     interior_idx = np.flatnonzero(interior)
     tuples = {order: default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
@@ -207,12 +207,11 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     draw = draw_factored(p, grid, n_paths, seed, threads=threads)
     t_mat = a_mat @ draw.factor
     a_mean = a_mat @ draw.mean
-    zbar, zcov, thin_paths = draw.white.moments(t_mat[cols].T)
+    zbar, zcov, thin_paths = draw.moments(t_mat[cols].T)
     t_zbar, ecov = finite_dim_pushforward(zbar, zcov, t_mat)
     emean = a_mean + t_zbar
     thin_paths += a_mean[cols]
-    thin = SampleEnsemble(grid=Grid(x[cols]), paths=thin_paths, seed=draw.white.seed,
-                          jitter=draw.white.jitter)
+    thin = SampleEnsemble(grid=Grid(x[cols]), paths=thin_paths, seed=draw.seed, jitter=draw.jitter)
 
     # (a) mean: per-point MC standard error sqrt(k_v(x,x)/N)
     mean_se = np.sqrt(var_v / n_paths)

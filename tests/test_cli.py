@@ -664,9 +664,9 @@ def test_negative_image_variance_exit_one(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("terms, exit_code", [(480, 0), (600, 1)])
 def test_mean_nested_too_deeply_exit_one(tmp_path, terms, exit_code):
-    # 600 terms nest past the recursion limit: one config error line, no
-    # traceback and no output; 480 terms still run.  The limit counts the
-    # caller's frames too, so the command runs in a process of its own.
+    # 600 terms nest past MAX_NESTING: one config error line, no traceback
+    # and no output; 480 terms still run.  The command runs in a process of
+    # its own, as from the console.
     mean = " + ".join(["x"] * terms)
     text = BASE_VERIFY.format(out=tmp_path / "out").replace('mean: "0"', f'mean: "{mean}"')
     cfg = write(tmp_path, "deep.yaml", text)
@@ -724,6 +724,55 @@ def test_operator_at_the_order_bound_runs(tmp_path):
     assert main(["kernel-table", "--config", write(tmp_path, "order.yaml", text)]) == 0
 
 
+@pytest.mark.parametrize("command, message", [
+    ("kernel-table", "cannot serialize non-finite number inf"),
+    ("verify", "derivative order must be in 1..4, got 16"),
+    ("solve", "cannot serialize report: Out of range float values are not JSON compliant: nan"),
+])
+def test_tiny_se_lengthscale_exit_one_without_numpy_warnings(tmp_path, capsys, command,
+                                                             message):
+    # at lengthscale 1e-10 the SE partials of order 16, within the bound,
+    # overflow; RuntimeWarning is an error here, so a numpy warning would end
+    # the command in a traceback instead of its one error line
+    text = ORDER_BASE % ("1.0e-10", 16, tmp_path / "out", 0)
+    assert main([command, "--config", write(tmp_path, "tiny.yaml", text)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _from_deep_caller(frames, fn):
+    # fn() called under ``frames`` further Python frames
+    return fn() if frames == 0 else _from_deep_caller(frames - 1, fn)
+
+
+DEEP_PROBLEM = """\
+problem:
+  rhs: "cos(x)"
+  collocation_count: 10
+  boundary:
+    - {location: 0.0, value: 0.0}
+    - {location: 1.0, value: 0.0, operator: {terms: [[1, "%s"]]}}
+"""
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("verify", 'mean: "0"', 'mean: "{sum}"'),
+    ("verify", 'terms: [[1, "1"]]', 'terms: [[1, "{sum}"]]'),
+    ("kernel-table", 'terms: [[1, "1"]]', 'terms: [[1, "{sum}"]]'),
+    ("solve", 'terms: [[1, "1"]]', 'terms: [[1, "{sum}"]]'),
+], ids=["verify-mean", "verify-coefficient", "kernel-table-coefficient",
+        "solve-equal-operators"])
+def test_deepest_expression_runs_from_a_deep_caller(tmp_path, command, old, new):
+    # a 480-term sum is as deep as parse_expression accepts; evaluating,
+    # differentiating, hashing, comparing and printing it take a few frames,
+    # so the command runs 200 frames further down than the console's (solve
+    # compares its equal operator and boundary operator to group them)
+    expr = " + ".join(["x"] * 480)
+    text = (BASE_VERIFY.format(out=tmp_path / "out").replace(old, new.format(sum=expr))
+            + DEEP_PROBLEM % expr)
+    cfg = write(tmp_path, "deep.yaml", text)
+    assert _from_deep_caller(200, lambda: main([command, "--config", cfg])) == 0
+
+
 @pytest.mark.parametrize("replace, message", [
     ({'terms: [[1, "1"]]': 'terms: [[5, "1"]]'}, "derivative order must be in 1..4, got 5"),
     ({'terms: [[1, "1"]]': 'terms: [[2, "1"]]', "count: 17": "count: 5"},
@@ -736,7 +785,7 @@ def test_verify_refuses_the_stencil_before_drawing(tmp_path, capsys, monkeypatch
     # an operator without a stencil on the grid, or too few paths for the
     # cumulants, costs no samples
     calls = []
-    monkeypatch.setattr(gpops.sampling.WhiteStream, "chunks", lambda self: calls.append(self))
+    monkeypatch.setattr(gpops.sampling.FactoredDraw, "chunks", lambda self: calls.append(self))
     text = BASE_VERIFY.format(out=tmp_path / "out")
     for old, new in replace.items():
         text = text.replace(old, new)

@@ -15,7 +15,7 @@ from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 import gpops.sampling
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (BLOCK_WORDS, SampleEnsemble, WhiteStream, _standard_normals,
+from gpops.sampling import (BLOCK_WORDS, FactoredDraw, SampleEnsemble, _standard_normals,
                             _uniform_block, apply_operator_pathwise, draw_factored,
                             empirical_cov, empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
@@ -29,10 +29,10 @@ def normals(seed, n_paths, n_points, threads=1):
     return _standard_normals(seed, 0, np.empty((n_paths, n_points)), threads)
 
 
-def materialize(white):
-    # the stream's chunks copied into one N x n array
-    z = np.empty((white.n_paths, white.n_points))
-    for lo, chunk in white.chunks():
+def materialize(d):
+    # the draw's chunks copied into one N x n array
+    z = np.empty((d.n_paths, d.n_points))
+    for lo, chunk in d.chunks():
         z[lo:lo + len(chunk)] = chunk
     return z
 
@@ -69,12 +69,12 @@ def test_sample_paths_is_mean_plus_factor_times_white_draw():
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=se_kernel(0.5))
     g = Grid.uniform_on(0, 1, 9)
     d = draw_factored(p, g, 200, 42, threads=2)
-    z = materialize(d.white)
+    z = materialize(d)
     assert np.array_equal(z, normals(42, 200, 9))
     assert np.array_equal(d.mean, np.sin(g.points))
     e = sample_paths(p, g, 200, 42)
     assert np.array_equal(e.paths, z @ d.factor.T + d.mean)
-    assert (e.seed, e.jitter) == (d.white.seed, d.white.jitter) == (42, 0.0)
+    assert (e.seed, e.jitter) == (d.seed, d.jitter) == (42, 0.0)
 
 
 @pytest.mark.parametrize("threads", [1, 3])
@@ -108,7 +108,8 @@ def test_stream_chunks_are_the_unchunked_draw(monkeypatch, n_points, n_paths, th
     # blocks per 8-point chunk, so helper threads take part
     monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", 2**12)
     monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
-    white = WhiteStream(n_paths=n_paths, n_points=n_points, seed=3, threads=threads)
+    white = FactoredDraw(mean=np.zeros(n_points), factor=np.eye(n_points), n_paths=n_paths,
+                         seed=3, threads=threads)
     rows = 2**12 // n_points
     spans = [(lo, len(z)) for lo, z in white.chunks()]
     assert spans == [(lo, min(rows, n_paths - lo)) for lo in range(0, n_paths, rows)]
@@ -119,7 +120,7 @@ def test_stream_draws_nothing_until_read(monkeypatch):
     calls = []
     monkeypatch.setattr(gpops.sampling, "_standard_normals", lambda *a: calls.append(a))
     d = draw_factored(PRIOR, Grid.uniform_on(0, 1, 9), 10**6, 1)
-    chunks = d.white.chunks()
+    chunks = d.chunks()
     assert calls == []
     next(chunks)
     assert len(calls) == 1
@@ -134,7 +135,7 @@ def test_sample_paths_multiplies_each_chunk_of_the_stream(monkeypatch, threads):
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5))
     g = Grid.uniform_on(0, 1, 9)
     d = draw_factored(p, g, 1000, 42, threads=threads)
-    z = materialize(d.white)
+    z = materialize(d)
     assert np.array_equal(z, normals(42, 1000, 9))
     e = sample_paths(p, g, 1000, 42, threads=threads)
     by_chunk = np.concatenate([z[lo:lo + 455] @ d.factor.T for lo in (0, 455, 910)])

@@ -13,14 +13,14 @@ import gpops.linalg
 import gpops.sampling
 import gpops.verify
 from gpops.cumulants import default_cumulant_tuples, empirical_cumulant, empirical_cumulants
-from gpops.errors import DomainViolationError, EvaluationError, ParameterError
+from gpops.errors import DomainViolationError, EvaluationError, GridSizeError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (SampleEnsemble, WhiteStream, _standard_normals,
+from gpops.sampling import (FactoredDraw, SampleEnsemble, _standard_normals,
                             apply_operator_pathwise, draw_factored, empirical_cov,
                             empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
@@ -132,6 +132,20 @@ def test_cumulant_section_contents():
         assert sec["max_standardized"] >= 0.0
 
 
+@pytest.mark.parametrize("op, grid, error", [
+    (derivative_operator(5), GRID, ParameterError),
+    (derivative_operator(2), Grid.uniform_on(0.0, 1.0, 5), GridSizeError),
+], ids=["order-5", "5-points-under-d2"])
+def test_refused_stencil_builds_no_image_gram(monkeypatch, op, grid, error):
+    # A comes before the image Gram, so an operator without a stencil on the
+    # grid costs no kernel table
+    calls = []
+    monkeypatch.setattr(gpops.verify, "gram", lambda *args: calls.append(args))
+    with pytest.raises(error):
+        verify_theorem(PRIOR, op, grid, 1000, 1)
+    assert calls == []
+
+
 def test_negative_image_variance_is_an_error_naming_the_grid_point():
     # the negated SE "kernel": every closed-form image variance is -1
     se = se_kernel(1.0).base
@@ -198,8 +212,8 @@ def _longer_lengthscale(p, grid, n_paths, seed, *, threads=1):
 
 
 @dataclasses.dataclass(frozen=True)
-class EditedStream(WhiteStream):
-    # a white stream whose chunks pass through edit(lo, z) on their way out
+class EditedStream(FactoredDraw):
+    # a draw whose chunks of normals pass through edit(lo, z) on their way out
     edit: object = None
 
     def chunks(self):
@@ -208,7 +222,7 @@ class EditedStream(WhiteStream):
 
 
 def _edit_white(d, edit):
-    return dataclasses.replace(d, white=EditedStream(**vars(d.white), edit=edit))
+    return EditedStream(**vars(d), edit=edit)
 
 
 def _scale_mixture(p, grid, n_paths, seed, *, threads=1):
@@ -254,9 +268,10 @@ def test_normals_that_are_not_finite_are_refused(monkeypatch):
     with pytest.raises(ParameterError, match="ensemble paths must be finite"):
         verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
     # the moments themselves refuse it, whatever the image columns read
-    white = EditedStream(n_paths=10, n_points=5, seed=1, edit=_nan_in_last_path)
+    white = EditedStream(mean=np.zeros(5), factor=np.eye(5), n_paths=10, seed=1,
+                         edit=_nan_in_last_path)
     with pytest.raises(ParameterError, match="ensemble paths must be finite"):
-        WhiteStream.moments(white, np.zeros((5, 1)))
+        FactoredDraw.moments(white, np.zeros((5, 1)))
 
 
 # 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points
@@ -267,9 +282,10 @@ SMALL_CHUNK = 2**12
                          ids=["below-one-chunk", "two-chunks", "two-chunks+1", "9-points"])
 def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_paths):
     monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", SMALL_CHUNK)
-    white = WhiteStream(n_paths=n_paths, n_points=n_points, seed=5)
+    white = FactoredDraw(mean=np.zeros(n_points), factor=np.eye(n_points), n_paths=n_paths,
+                         seed=5)
     t_cols = np.random.default_rng(n_paths).standard_normal((n_points, 3))
-    zbar, zcov, thin = WhiteStream.moments(white, t_cols)
+    zbar, zcov, thin = FactoredDraw.moments(white, t_cols)
 
     z = _standard_normals(5, 0, np.empty((n_paths, n_points)), 1)
     e = SampleEnsemble(Grid.uniform_on(0.0, 1.0, n_points), z, 5)
@@ -281,10 +297,10 @@ def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_p
 
 
 def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(monkeypatch):
-    # WhiteStream.moments owns the chunk pass: verify calls it once and reads
+    # FactoredDraw.moments owns the chunk pass: verify calls it once and reads
     # no chunk itself
     calls, readers = [], []
-    moments, chunks = WhiteStream.moments, WhiteStream.chunks
+    moments, chunks = FactoredDraw.moments, FactoredDraw.chunks
 
     def spy_moments(self, c):
         calls.append(c.shape)
@@ -294,8 +310,8 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
         readers.append(sys._getframe(1).f_code.co_name)
         return chunks(self)
 
-    monkeypatch.setattr(WhiteStream, "moments", spy_moments)
-    monkeypatch.setattr(WhiteStream, "chunks", spy_chunks)
+    monkeypatch.setattr(FactoredDraw, "moments", spy_moments)
+    monkeypatch.setattr(FactoredDraw, "chunks", spy_chunks)
     verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
     assert len(calls) == 1 and readers == ["moments"]
     monkeypatch.undo()
@@ -305,7 +321,7 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
     if gpops.linalg.blas_threads() is None:
         pytest.skip("no bundled OpenBLAS found: numpy's BLAS thread count is uncontrolled")
     seen = []
-    white = EditedStream(n_paths=300, n_points=8, seed=1,
+    white = EditedStream(mean=np.zeros(8), factor=np.eye(8), n_paths=300, seed=1,
                          edit=lambda lo, z: seen.append(gpops.linalg.blas_threads()) or z)
     blas = gpops.linalg._openblas
     before = blas.get()
