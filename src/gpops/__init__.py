@@ -23,8 +23,9 @@ from .operators import (ARG1, ARG2, LinearOperator, add, apply_arg, apply_both,
                         apply_to_function, commutator_residual, compose,
                         derivative_operator, identity, scale)
 from .processes import GaussianProcessPrior
-from .sampling import (FactoredDraw, SampleEnsemble, apply_operator_pathwise, draw_factored,
-                       empirical_cov, empirical_mean, operator_matrix, sample_paths)
+from .sampling import (FactoredDraw, GaussianDraw, SampleEnsemble, apply_operator_pathwise,
+                       draw_factored, empirical_cov, empirical_mean, operator_matrix,
+                       sample_paths)
 from .stencils import differentiation_matrix, fd_weights, interior_mask
 from .transform import JointBlocks, finite_dim_pushforward, joint_blocks, pushforward
 from .verify import VerificationReport, VerificationTolerances, verify_theorem
@@ -34,7 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "ARG1", "ARG2",
     "ConfigError", "CumulantEstimate", "DimensionError", "DomainViolationError",
-    "EvaluationError", "ExpressionError", "FactoredDraw", "GaussianProcessPrior",
+    "EvaluationError", "ExpressionError", "FactoredDraw", "GaussianDraw",
+    "GaussianProcessPrior",
     "GpopsError", "Grid", "GridSizeError", "JointBlocks", "Kernel", "KernelBifunction",
     "LinearOperator", "MeanFunction", "NotPositiveDefiniteError",
     "Observation", "ParameterError", "Partition", "PosteriorSummary",

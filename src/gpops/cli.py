@@ -37,14 +37,17 @@ EXIT_ERROR = 1
 EXIT_TOLERANCE = 2
 
 
-def _out_dir(cfg: RunConfig) -> Path:
+def _write(cfg: RunConfig, files: dict) -> Path:
+    """Create the output directory and write each ``name: text`` file into it.
+
+    Callers serialize every file first, so a result that cannot be
+    serialized exits 1 without leaving an output directory behind.
+    """
     path = Path(cfg.output)
     path.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (path / name).write_bytes(text.encode("utf-8"))
     return path
-
-
-def _write(path: Path, text: str):
-    path.write_bytes(text.encode("utf-8"))
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -54,9 +57,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         expect_rejection=(cfg.expected == "rejection"), threads=cfg.threads,
         config_echo=dict(cfg.echo),
     )
-    out = _out_dir(cfg)
-    _write(out / "report.json", report.to_json())
-    _write(out / "deviations.csv", report.to_csv())
+    out = _write(cfg, {"report.json": report.to_json(), "deviations.csv": report.to_csv()})
     print(f"verify: mode={report.mode} passed={report.passed} -> {out/'report.json'}")
     return EXIT_PASS if report.passed else EXIT_TOLERANCE
 
@@ -85,9 +86,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             doc["passed"] = bool(max_err <= bound)
             if not doc["passed"]:
                 exit_code = EXIT_TOLERANCE
-    out = _out_dir(cfg)
-    _write(out / "solution.json", dumps_json(doc))
-    _write(out / "solution.csv", posterior.to_csv())
+    out = _write(cfg, {"solution.json": dumps_json(doc), "solution.csv": posterior.to_csv()})
     print(f"solve: log_marginal={posterior.log_marginal:.6g} -> {out/'solution.json'}")
     return exit_code
 
@@ -103,14 +102,13 @@ def cmd_sample(cfg: RunConfig) -> int:
         "n_paths": ensemble.n_paths,
         "seed": ensemble.seed,
     }
-    out = _out_dir(cfg)
+    out = _write(cfg, {"ensemble.json": dumps_json(meta)})
     # the ensemble's paths are finite, so each row is written as it is
     # formatted, in the round-trip form of csv_lines
     with open(out / "ensemble.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["path"] + [f"x{i}" for i in range(len(cfg.grid))]) + "\n")
         for i, row in enumerate(ensemble.paths):
             fh.write(f"{i}," + ",".join(map(repr, row.tolist())) + "\n")
-    _write(out / "ensemble.json", dumps_json(meta))
     print(f"sample: {ensemble.n_paths} paths on {len(cfg.grid)} points -> {out/'ensemble.csv'}")
     return EXIT_PASS
 
@@ -122,9 +120,8 @@ def cmd_kernel_table(cfg: RunConfig) -> int:
     x1, x2 = np.meshgrid(g.points, g.points, indexing="ij")
     rows = np.column_stack([a.ravel() for a in
                             (x1, x2, jb.k_uu, jb.k_vu, jb.k_uv, jb.k_vv)]).tolist()
-    out = _out_dir(cfg)
-    _write(out / "kernel_table.csv",
-           csv_lines(("x1", "x2", "k", "T1k", "T2k", "T1T2k"), rows))
+    out = _write(cfg, {"kernel_table.csv":
+                       csv_lines(("x1", "x2", "k", "T1k", "T2k", "T1T2k"), rows)})
     print(f"kernel-table: {len(rows)} rows -> {out/'kernel_table.csv'}")
     return EXIT_PASS
 

@@ -19,21 +19,29 @@ words: the calling thread and at most ``threads - 1`` helper threads, one
 fewer than the blocks, take them one at a time, so a single thread runs no
 helper and hands nothing over.
 
-:func:`draw_factored` returns a draw in factored form, a :class:`FactoredDraw`:
-the mean ``m``, the Cholesky factor ``L`` and its jitter, and the seed of
-the normals ``z``, which are drawn only when the draw is read.  Its
+A draw in factored form is a :class:`FactoredDraw`: the mean ``m``, the
+Cholesky factor ``L`` and its jitter, and the seed of the normals ``z``,
+which are drawn only when the draw is read.  Its
 :meth:`~FactoredDraw.chunks` is the only caller of :func:`_standard_normals`:
 it draws the paths in chunks of about ``CHUNK_ENTRIES`` entries into one
 reused buffer.  A chunk has at most 64 blocks on any grid, so a draw runs at
-most 63 helpers at a time.  The draw's two readers reduce each chunk before
-the next is drawn: :meth:`~FactoredDraw.moments` (verify's one pass: ``sum
-z``, ``z^t z`` and ``z c``, holding 8 MB of normals, not N x n) and
-:meth:`~FactoredDraw.paths` (each chunk's ``z L^t`` into its rows of the one
-N x n array that :func:`sample_paths` returns).
+most 63 helpers at a time.  Its readers reduce each chunk before the next is
+drawn: :meth:`~FactoredDraw.moments` (``sum z``, ``z^t z`` and ``z c``,
+holding 8 MB of normals, not N x n) and :meth:`~FactoredDraw.paths` (each
+chunk's ``z L^t`` into its rows of the one N x n array that
+:func:`sample_paths` returns).
+
+:func:`draw_factored` returns the Gaussian subclass :class:`GaussianDraw`,
+whose :meth:`~GaussianDraw.moments` draws ``(zbar, cov(z), z c)`` from their
+exact joint law instead: N r + O(n^2) normals, where ``r = rank c``, in place
+of N n.  They come from ``Generator(Philox(key=seed))``, keyed by the seed
+alone and drawn in one thread, so the N paths whose moments verify reads are
+seeded but never formed, and no thread count reaches them.  Its ``paths()``
+is the chunked draw above.
 
 BLAS thread count
 -----------------
-Both readers run inside :func:`~gpops.linalg.one_blas_thread`, which says
+Every reader runs inside :func:`~gpops.linalg.one_blas_thread`, which says
 why: every sum is grouped the same way on every run, so neither
 ``ensemble.csv`` nor verify's moments depend on the BLAS thread count, and
 no OpenBLAS worker spins at a chunk boundary.
@@ -60,6 +68,7 @@ from .stencils import differentiation_matrix
 __all__ = [
     "SampleEnsemble",
     "FactoredDraw",
+    "GaussianDraw",
     "draw_factored",
     "sample_paths",
     "apply_operator_pathwise",
@@ -228,8 +237,56 @@ class FactoredDraw:
         return out
 
 
+@dataclass(frozen=True)
+class GaussianDraw(FactoredDraw):
+    """A :class:`FactoredDraw` whose moments are drawn from their exact law, not from paths.
+
+    ``z`` is N x n white, so its moments need no path.  With ``c = Q [R1; 0]``
+    (``Q`` orthogonal, ``R1`` of rank r rows), ``w = z Q`` is white too and
+    ``z c = w1 R1``.  Given ``U = [1 | w1]``, the cross products ``w2^t U``
+    are ``G chol(U^t U)^t`` for a white ``G``, and ``w2^t w2 = G G^t + W``
+    with ``W ~ Wishart(N - r - 1, I)`` independent of the rest, drawn by the
+    Bartlett decomposition (Anderson, *An Introduction to Multivariate
+    Statistical Analysis*, ch. 7).  Rotating back gives ``sum z = Q w^t 1``
+    and ``z^t z = Q w^t w Q^t``.  With no more paths than points, the N x n
+    normals are fewer than a Wishart factor's, and they are drawn whole.
+    """
+
+    @one_blas_thread()
+    def moments(self, c: np.ndarray):
+        """``(zbar, cov(z), z c)`` of N seeded white paths, none of them formed."""
+        n_paths, n = self.n_paths, self.n_points
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        if n_paths <= n:
+            z = rng.standard_normal((n_paths, n))
+            zsum, ztz, zc = z.sum(axis=0), z.T @ z, z @ c
+        else:
+            # c = Q [R1; 0] from the SVD, which also gives its numerical rank
+            q, sv, vt = np.linalg.svd(c)
+            r = int(np.count_nonzero(sv > sv[:1] * max(c.shape) * np.finfo(float).eps))
+            w1 = rng.standard_normal((n_paths, r))
+            w1sum = w1.sum(axis=0)
+            utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
+                            [w1sum[:, None], w1.T @ w1]])
+            g = rng.standard_normal((n - r, r + 1))
+            w2u = g @ np.linalg.cholesky(utu).T
+            bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
+            bartlett[np.diag_indices(n - r)] = np.sqrt(
+                rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
+            wtw = np.empty((n, n))
+            wtw[:r, :r] = utu[1:, 1:]
+            wtw[r:, :r] = w2u[:, 1:]
+            wtw[:r, r:] = w2u[:, 1:].T
+            wtw[r:, r:] = g @ g.T + bartlett @ bartlett.T
+            zsum = q @ np.concatenate([w1sum, w2u[:, 0]])
+            ztz = q @ wtw @ q.T
+            zc = w1 @ (sv[:r, None] * vt[:r])
+        zbar = zsum / n_paths
+        return zbar, (ztz - n_paths * np.outer(zbar, zbar)) / (n_paths - 1), zc
+
+
 def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
-                  *, threads: int = 1) -> FactoredDraw:
+                  *, threads: int = 1) -> GaussianDraw:
     """The prior's mean and Gram factor on the grid, and N paths of normals drawn when read.
 
     ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
@@ -248,7 +305,7 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))
-    return FactoredDraw(mean=p.mean(grid.points), factor=L, n_paths=int(n_paths),
+    return GaussianDraw(mean=p.mean(grid.points), factor=L, n_paths=int(n_paths),
                         seed=int(seed), jitter=jitter, threads=int(threads))
 
 

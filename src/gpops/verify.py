@@ -1,21 +1,37 @@
-"""Monte-Carlo verification that operator transport matches pathwise reality.
+"""Verification of operator transport: a discretization gate and a Monte-Carlo check.
 
-``verify_theorem`` draws a seeded ensemble of prior paths ``u = m + L z`` on
-the grid and compares the statistics of its stencilled image ``A u`` against
-the closed-form image process:
+``verify_theorem`` checks the closed-form image process ``(T m, T1 T2 k)``
+of a prior ``GP(m, k)`` on a grid with stencil matrix ``A`` in two steps.
 
-(a) the empirical mean of the transformed ensemble against the transformed
-    mean function, standardized by the per-point Monte-Carlo standard error;
-(b) the empirical covariance against the transformed kernel's Gram matrix,
-    standardized entrywise;
+The transport claim rests on a deterministic gate.  The discrete law of the
+stencilled prior, ``A m`` and ``A K A^t`` with ``K`` the prior's Gram, must
+approach ``T m`` and ``T1 T2 k`` as the grid refines: on the grid and on its
+refinement to 2n - 1 points, the interior error relative to ``max |T1 T2 k|``
+(the mean's relative to its square root) must fall at an observed rate of at
+least 0.8 per halving of the spacing, or lie within a roundoff floor of 1e-5
+on one of the two grids.  Under a defect in the transport the error does not
+fall.
+
+A seeded ensemble of prior paths ``u = m + L z`` then tests the sampler,
+compared with the law it samples, ``A m`` and ``A (K + delta I) A^t`` with
+``delta`` the jitter of the sampling Cholesky.  Both references come from
+the prior, never from the factor or mean that was sampled:
+
+(a) the empirical mean of the transformed ensemble, standardized by the
+    per-point Monte-Carlo standard error;
+(b) the empirical covariance, standardized entrywise;
 (c) standardized third- and fourth-order cumulants of the transformed
     ensemble, which must be statistically indistinguishable from zero if the
     image process is Gaussian.
 
-Neither the prior paths nor their images are formed, and the white normals
-``z`` are never held whole.  With ``T = A L``, the image ensemble is
-``A m + z T^t``, so its mean is ``A m + T zbar`` and its covariance
-``T cov(z) T^t``: the moments of the white normals pushed through
+The law is the reference because the stencil's O(h) bias at the top of the
+smoothness budget (Matern 5/2 under d^2: 1.3% of the variance on 257 points)
+is about two standard errors at 50k paths, and ``delta`` amplified by a
+high-order stencil can exceed ``T1 T2 k`` itself.
+
+Neither the prior paths nor their images are formed.  With ``T = A L``, the
+image ensemble is ``A m + z T^t``, so its mean is ``A m + T zbar`` and its
+covariance ``T cov(z) T^t``: the moments of the white normals pushed through
 :func:`~gpops.transform.finite_dim_pushforward`.  ``cov(z)`` is close to the
 identity, so this product loses nothing to cancellation, where
 ``A cov(u) A^t`` cancels under a high-order stencil over a smooth prior.
@@ -24,14 +40,14 @@ entry), ``T cov(z) T^t`` agreed to 6e-12 and ``A cov(u) A^t`` only to 3.5e-4
 for SE with lengthscale 1 under d^4 on 65 points.  Only the few image columns
 that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
 
-The moments come from one pass over the draw's normals,
-:meth:`~gpops.sampling.FactoredDraw.moments`, which reduces each chunk of
-normals before the next is drawn.  Verify's memory is O(chunk + n^2 + 9 N),
-not O(N n), and the chunks are fixed in size, so the report does not depend
-on ``threads``.  ``verify_theorem`` runs its whole body inside
-:func:`~gpops.linalg.one_blas_thread`, so the sampling Cholesky, ``T = A L``
-and the pushforward, like the moments, do not depend on the BLAS thread
-count either.
+The moments come from one call of the draw's
+:meth:`~gpops.sampling.GaussianDraw.moments`, which draws ``(zbar, cov(z),
+z T[cols]^t)`` from their exact joint law, keyed by the seed alone: the N
+paths are seeded but never formed, verify's memory is O(n^2 + 9 N), and the
+report does not depend on ``threads``.  ``verify_theorem`` runs its whole
+body inside :func:`~gpops.linalg.one_blas_thread`, so the Choleskys, the
+discrete laws, ``T = A L`` and the pushforward do not depend on the BLAS
+thread count either.
 
 Comparisons exclude the boundary rows whose stencils are one-sided (their
 truncation constants are larger and say nothing about the process itself);
@@ -67,13 +83,19 @@ from .transform import finite_dim_pushforward, pushforward
 
 __all__ = ["VerificationTolerances", "VerificationReport", "verify_theorem"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 CUMULANT_ORDERS = (3, 4)
 TUPLES_PER_ORDER = 10
 # A closed-form image variance within VARIANCE_RTOL * max|k_v| below 0 (about
-# 4500 ulps of that entry) is roundoff and is clipped to 0; one below that
-# means the image kernel is not a covariance.
+# 4500 ulps of that entry) is roundoff; one below that means the image
+# kernel is not a covariance.
 VARIANCE_RTOL = 1e-12
+# The discretization gate: the stencilled prior law must approach the closed
+# form at an observed rate of at least DISCRETIZATION_MIN_RATE per halving of
+# the spacing, or agree with it within DISCRETIZATION_FLOOR (relative), where
+# roundoff in the stencils stops the error from falling further.
+DISCRETIZATION_MIN_RATE = 0.8
+DISCRETIZATION_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
@@ -96,6 +118,7 @@ class VerificationReport:
     tolerances: VerificationTolerances
     mode: str  # "verification" or "rejection"
     passed: bool
+    discretization_check: dict | None = None
     mean_check: dict | None = None
     cov_check: dict | None = None
     cumulant_check: dict | None = None
@@ -109,6 +132,7 @@ class VerificationReport:
             "mode": self.mode,
             "config": self.config,
             "tolerances": self.tolerances.to_dict(),
+            "discretization_check": self.discretization_check,
             "mean_check": self.mean_check,
             "cov_check": self.cov_check,
             "cumulant_check": self.cumulant_check,
@@ -138,6 +162,48 @@ def _z_gate(dev, se, mask, threshold, **extra) -> dict:
     return {"max_interior_standardized": z,
             "max_interior_abs_deviation": float(np.max(dev)),
             **extra, "threshold": threshold, "passed": bool(z <= threshold)}
+
+
+def _discrete_law(p: GaussianProcessPrior, a_mat: np.ndarray, grid: Grid):
+    """``(A m, A K A^t)``: the prior's grid marginal under the stencil matrix ``A``."""
+    return a_mat @ p.mean(grid.points), a_mat @ gram(p.kernel, grid) @ a_mat.T
+
+
+def _refined(grid: Grid) -> Grid:
+    """The grid with the midpoint of every spacing added: 2n - 1 points."""
+    x = grid.points
+    fine = np.empty(2 * len(x) - 1)
+    fine[0::2] = x
+    fine[1::2] = 0.5 * (x[:-1] + x[1:])
+    return Grid(fine)
+
+
+def _discretization_errors(law_mean, law_cov, mean_v, k_v, interior):
+    """Interior max ``|A m - T m|`` and ``|A K A^t - T1 T2 k|`` relative to ``max |T1 T2 k|``.
+
+    The mean's error is relative to the square root of that maximum.
+    """
+    scale = max(float(np.max(np.abs(k_v))), np.finfo(float).tiny)
+    return (float(np.max(np.abs(law_mean - mean_v)[interior]) / np.sqrt(scale)),
+            float(np.max(np.abs(law_cov - k_v)[np.ix_(interior, interior)]) / scale))
+
+
+def _discretization_gate(points, errors) -> dict:
+    """The mean and covariance errors on a grid and on its refinement, judged by their rate.
+
+    The rate is ``log2`` of the coarse error over the fine one.  Each part
+    passes if its smaller error is within ``DISCRETIZATION_FLOOR`` or its rate
+    is at least ``DISCRETIZATION_MIN_RATE``.
+    """
+    out = {"grid_points": points}
+    for name, (coarse, fine) in zip(("mean", "cov"), zip(*errors)):
+        rate = float(np.log2(coarse / fine)) if coarse > 0.0 and fine > 0.0 else None
+        out[name] = {"relative_error": [coarse, fine], "rate": rate,
+                     "passed": bool(min(coarse, fine) <= DISCRETIZATION_FLOOR
+                                    or (rate is not None and rate >= DISCRETIZATION_MIN_RATE))}
+    out.update(min_rate=DISCRETIZATION_MIN_RATE, floor=DISCRETIZATION_FLOOR,
+               passed=out["mean"]["passed"] and out["cov"]["passed"])
+    return out
 
 
 @one_blas_thread()
@@ -188,7 +254,6 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         i = int(below[0])
         raise EvaluationError(f"image variance {var_v[i]:.6g} at grid point {i} (x = {x[i]:g}) "
                               f"is negative beyond roundoff: the image kernel is not a covariance")
-    var_v = np.clip(var_v, 0.0, None)
 
     interior = interior_mask(len(grid), op.order)
     interior_idx = np.flatnonzero(interior)
@@ -202,6 +267,17 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     # the cumulants' bound, checked before the Gram is factored and drawn
     if n_paths < MIN_PATHS:
         raise ParameterError(f"need at least {MIN_PATHS} paths, got {n_paths}")
+
+    # the discrete law (A m, A K A^t) of the prior, against the closed form on
+    # the grid and on its refinement
+    law_mean, law_cov = _discrete_law(p, a_mat, grid)
+    fine = _refined(grid)
+    errors = [_discretization_errors(law_mean, law_cov, mean_v, k_v, interior),
+              _discretization_errors(*_discrete_law(p, operator_matrix(op, fine), fine),
+                                     image.mean(fine.points), gram(image.kernel, fine),
+                                     interior_mask(len(fine), op.order))]
+    discretization_check = _discretization_gate([len(grid), len(fine)], errors)
+
     # the image ensemble A u = A m + z T^t, from the moments of z (module
     # docstring)
     draw = draw_factored(p, grid, n_paths, seed, threads=threads)
@@ -213,18 +289,22 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     thin_paths += a_mean[cols]
     thin = SampleEnsemble(grid=Grid(x[cols]), paths=thin_paths, seed=draw.seed, jitter=draw.jitter)
 
-    # (a) mean: per-point MC standard error sqrt(k_v(x,x)/N)
-    mean_se = np.sqrt(var_v / n_paths)
-    mean_dev = emean - mean_v
+    # the sampled vector's law is A (K + delta I) A^t, delta the draw's jitter
+    law_cov = law_cov + draw.jitter * (a_mat @ a_mat.T)
+    law_var = np.clip(np.diag(law_cov), 0.0, None)
+
+    # (a) mean: per-point MC standard error sqrt(var/N)
+    mean_se = np.sqrt(law_var / n_paths)
+    mean_dev = emean - law_mean
     mean_check = _z_gate(
         mean_dev, mean_se, interior, tol.mean_z,
         max_boundary_abs_deviation=float(np.max(np.abs(mean_dev[~interior]))) if np.any(~interior) else 0.0,
         mc_se_interior_max=float(np.max(mean_se[interior])))
 
-    # (b) covariance: entrywise SE sqrt((k_ii k_jj + k_ij^2)/N), interior block
-    cov_se = np.sqrt((np.outer(var_v, var_v) + k_v**2) / n_paths)
+    # (b) covariance: entrywise SE sqrt((c_ii c_jj + c_ij^2)/N), interior block
+    cov_se = np.sqrt((np.outer(law_var, law_var) + law_cov**2) / n_paths)
     var_se = cov_se.diagonal()
-    cov_check = _z_gate(ecov - k_v, cov_se, np.outer(interior, interior), tol.cov_z)
+    cov_check = _z_gate(ecov - law_cov, cov_se, np.outer(interior, interior), tol.cov_z)
 
     # (c) higher cumulants over a deterministic tuple set, interior grid indices,
     # all estimated in one pass
@@ -245,14 +325,15 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
 
     evar = np.diag(ecov)
     per_point = [
-        (int(i), float(x[i]), bool(interior[i]), float(emean[i]), float(mean_v[i]),
-         float(mean_dev[i]), float(mean_se[i]), float(evar[i]), float(var_v[i]),
-         float(evar[i] - var_v[i]), float(var_se[i]))
+        (int(i), float(x[i]), bool(interior[i]), float(emean[i]), float(law_mean[i]),
+         float(mean_dev[i]), float(mean_se[i]), float(evar[i]), float(law_var[i]),
+         float(evar[i] - law_var[i]), float(var_se[i]))
         for i in range(len(grid))
     ]
 
-    passed = mean_check["passed"] and cov_check["passed"] and cumulant_check["passed"]
+    passed = (discretization_check["passed"] and mean_check["passed"]
+              and cov_check["passed"] and cumulant_check["passed"])
     return VerificationReport(config=config, tolerances=tol, mode="verification",
-                              passed=bool(passed), mean_check=mean_check,
-                              cov_check=cov_check, cumulant_check=cumulant_check,
-                              per_point=per_point)
+                              passed=bool(passed), discretization_check=discretization_check,
+                              mean_check=mean_check, cov_check=cov_check,
+                              cumulant_check=cumulant_check, per_point=per_point)

@@ -98,7 +98,9 @@ def test_rejects_constants_that_are_not_finite_reals(bad):
                                   " + ".join(["x"] * 600)],
                          ids=["5000-term-sum", "5000-unary-minuses", "600-term-sum"])
 def test_rejects_expressions_nested_past_the_recursion_limit(deep):
-    # ast.parse raises RecursionError on the first two; the third is past MAX_NESTING
+    # the first two are thousands of levels deep, where ast.parse may stop at
+    # its own recursion limit; the third, 600 levels, parses and is past
+    # MAX_NESTING.  Each is refused with the same one-line message
     with pytest.raises(ExpressionError, match=f"^expression of {len(deep)} characters "
                                               "nests too deeply to parse$"):
         parse_expression(deep)

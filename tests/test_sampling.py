@@ -15,9 +15,9 @@ from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 import gpops.sampling
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (BLOCK_WORDS, FactoredDraw, SampleEnsemble, _standard_normals,
-                            _uniform_block, apply_operator_pathwise, draw_factored,
-                            empirical_cov, empirical_mean, sample_paths)
+from gpops.sampling import (BLOCK_WORDS, FactoredDraw, GaussianDraw, SampleEnsemble,
+                            _standard_normals, _uniform_block, apply_operator_pathwise,
+                            draw_factored, empirical_cov, empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import pushforward
 
@@ -360,3 +360,103 @@ def test_ensemble_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ParameterError):
         SampleEnsemble(grid=g, paths=bad, seed=0)
+
+
+# ------------------------------------------------ the moments' exact law
+
+# Draws per side of each two-sample KS test, and the smallest p-value a
+# statistic may show.  The seeds are fixed, so each test is deterministic on
+# one platform; on another numpy or LAPACK the draws change, and about 45
+# statistics at 1e-6 fail by chance with probability 5e-5.  Bartlett degrees
+# of freedom off by one, or a dropped w2^t U block or G G^t term, gave p-values
+# below 1e-12.
+LAW_DRAWS = 6000
+LAW_MIN_P = 1e-6
+
+
+def _white(n_points, n_paths, seed):
+    return GaussianDraw(mean=np.zeros(n_points), factor=np.eye(n_points), n_paths=n_paths,
+                        seed=seed)
+
+
+def _mixed_statistics(zbar, cov, zc):
+    # per draw, statistics of sum z, z^t z and z c, alone and mixed across
+    # them; the batch axis leads
+    n_paths = zc.shape[-2]
+    ztz00 = (n_paths - 1) * cov[..., 0, 0] + n_paths * zbar[..., 0] ** 2
+    return np.stack([
+        zbar[..., 0],
+        n_paths * np.sum(zbar ** 2, axis=-1),
+        np.trace(cov, axis1=-2, axis2=-1),
+        cov[..., 0, 1],
+        cov[..., -1, -1],
+        np.sum(cov ** 2, axis=(-2, -1)),
+        np.sum(zc[..., 0] ** 4, axis=-1) * ztz00,
+        np.sum(zc[..., 0] * zc[..., -1], axis=-1) * zbar[..., -1],
+        np.einsum("...i,...ij,...j", zbar, cov, zbar),
+    ], axis=-1)
+
+
+def _law_pvalues(n_points, n_paths, c, draws=LAW_DRAWS):
+    # each statistic of the drawn moments against the same of explicit draws
+    from scipy.stats import ks_2samp
+
+    drawn = np.array([_mixed_statistics(*_white(n_points, n_paths, seed).moments(c))
+                      for seed in range(draws)])
+    z = np.random.default_rng(2023).standard_normal((draws, n_paths, n_points))
+    zbar = z.mean(axis=1)
+    centred = z - zbar[:, None, :]
+    cov = np.einsum("sni,snj->sij", centred, centred) / (n_paths - 1)
+    explicit = _mixed_statistics(zbar, cov, z @ c)
+    return [ks_2samp(a, b).pvalue for a, b in zip(drawn.T, explicit.T)]
+
+
+def _assert_moment_identities(n_points, n_paths, c, seed):
+    # c^t sum z = sum of the rows of z c, and c^t z^t z c = (z c)^t (z c)
+    zbar, cov, zc = _white(n_points, n_paths, seed).moments(c)
+    ztz = (n_paths - 1) * cov + n_paths * np.outer(zbar, zbar)
+    scale = n_paths * max(1.0, float(np.max(np.abs(c))) ** 2)
+    assert zc.shape == (n_paths, c.shape[1])
+    assert np.max(np.abs(c.T @ zbar * n_paths - zc.sum(axis=0))) <= 1e-12 * scale
+    assert np.max(np.abs(c.T @ ztz @ c - zc.T @ zc)) <= 1e-12 * scale
+
+
+def test_drawn_moments_follow_the_law_of_explicit_draws():
+    # 30 paths of 6 points read through two columns: the rotation, the cross
+    # block w2^t U and the Bartlett factor are all drawn
+    c = np.random.default_rng(1).standard_normal((6, 2))
+    _assert_moment_identities(6, 30, c, 7)
+    assert min(_law_pvalues(6, 30, c)) > LAW_MIN_P
+
+
+@pytest.mark.parametrize("c", [
+    np.column_stack([np.arange(6.0), np.arange(6.0), np.zeros(6), 2.0 * np.arange(6.0) + 1.0]),
+    np.zeros((6, 2)),
+    np.random.default_rng(2).standard_normal((6, 9)),
+], ids=["rank-2-of-4", "rank-0", "more-columns-than-points"])
+def test_drawn_moments_follow_the_law_for_rank_deficient_columns(c):
+    _assert_moment_identities(6, 30, c, 7)
+    assert min(_law_pvalues(6, 30, c, draws=2000)) > LAW_MIN_P
+
+
+def test_drawn_moments_follow_the_law_with_no_more_paths_than_points():
+    # 8 paths of 8 points: no Wishart remainder, the paths' normals are drawn
+    c = np.random.default_rng(3).standard_normal((8, 2))
+    _assert_moment_identities(8, 8, c, 7)
+    assert min(_law_pvalues(8, 8, c, draws=2000)) > LAW_MIN_P
+
+
+def test_drawn_moments_depend_on_the_seed_alone():
+    c = np.random.default_rng(4).standard_normal((9, 3))
+    one = _white(9, 500, 11).moments(c)
+    again = GaussianDraw(mean=np.ones(9), factor=2.0 * np.eye(9), n_paths=500, seed=11,
+                         threads=3).moments(c)
+    other = _white(9, 500, 12).moments(c)
+    assert all(np.array_equal(a, b) for a, b in zip(one, again))
+    assert not np.array_equal(one[0], other[0])
+
+
+def test_draw_factored_returns_the_gaussian_draw_whose_paths_are_chunked():
+    d = draw_factored(PRIOR, Grid.uniform_on(0.0, 1.0, 9), 300, 5)
+    assert type(d) is GaussianDraw
+    assert np.array_equal(d.paths(), FactoredDraw(**vars(d)).paths())

@@ -20,12 +20,12 @@ from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (FactoredDraw, SampleEnsemble, _standard_normals,
+from gpops.sampling import (FactoredDraw, GaussianDraw, SampleEnsemble, _standard_normals,
                             apply_operator_pathwise, draw_factored, empirical_cov,
                             empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import finite_dim_pushforward, pushforward
-from gpops.verify import VerificationTolerances, verify_theorem
+from gpops.verify import DISCRETIZATION_MIN_RATE, VerificationTolerances, verify_theorem
 
 GRID = Grid.uniform_on(0.0, 1.0, 17)
 PRIOR = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(1.0, 1.0))
@@ -80,10 +80,10 @@ def test_report_numbers_are_bit_identical_across_runs():
 def test_report_json_schema_and_roundtrip():
     rep = verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 3)
     doc = json.loads(rep.to_json())
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert doc["kind"] == "verification"
-    assert set(doc) >= {"mode", "config", "tolerances", "mean_check", "cov_check",
-                        "cumulant_check", "passed"}
+    assert set(doc) >= {"mode", "config", "tolerances", "discretization_check", "mean_check",
+                        "cov_check", "cumulant_check", "passed"}
     # 17-significant-digit serialization round-trips the exact double
     assert doc["mean_check"]["max_interior_standardized"] == \
         rep.mean_check["max_interior_standardized"]
@@ -167,8 +167,10 @@ def test_negative_variance_is_clipped_only_within_roundoff(monkeypatch, relative
         with pytest.raises(EvaluationError, match="at grid point 5"):
             verify_theorem(PRIOR, identity(), GRID, 1000, 1)
     else:
+        # accepted, and compared with the discrete law, whose Gram carries the
+        # same entry
         rep = verify_theorem(PRIOR, identity(), GRID, 1000, 1)
-        assert rep.per_point[5][8] == 0.0
+        assert rep.discretization_check["passed"]
 
 
 def test_verdict_does_not_depend_on_kernel_variance():
@@ -221,6 +223,11 @@ class EditedStream(FactoredDraw):
             yield lo, self.edit(lo, z)
 
 
+def _chunked_draw(*args, **kwargs):
+    # the draw with the base class's moments, reduced from chunks of paths
+    return FactoredDraw(**vars(draw_factored(*args, **kwargs)))
+
+
 def _edit_white(d, edit):
     return EditedStream(**vars(d), edit=edit)
 
@@ -234,7 +241,8 @@ def _scale_mixture(p, grid, n_paths, seed, *, threads=1):
 
 
 def _failed_gates(rep):
-    gates = {"mean": rep.mean_check["passed"], "cov": rep.cov_check["passed"]}
+    gates = {"discretization": rep.discretization_check["passed"],
+             "mean": rep.mean_check["passed"], "cov": rep.cov_check["passed"]}
     gates.update((f"cumulant{sec['order']}", sec["passed"])
                  for sec in rep.cumulant_check["per_order"])
     return {name for name, passed in gates.items() if not passed}
@@ -253,6 +261,60 @@ def test_negative_control_fails_exactly_its_gate(monkeypatch, seed, patch, faile
     rep = verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, CONTROL_PATHS, seed)
     assert _failed_gates(rep) == failed
     assert rep.passed == (not failed)
+
+
+# Transport defects: each builds the closed-form image wrongly, as a defect in
+# the transport code would, while the prior, its discrete law and the draw stay
+# right.  Only the discretization gate may fail: the Monte-Carlo gates compare
+# the draw with the discrete law, which no transport code builds.
+PUSHED_PRIOR = pushforward(CONTROL_PRIOR, LinearOperator([(1, "x")]))
+WRONG_COEFFICIENT_OP = LinearOperator([(0, "1 + x^2"), (1, "1.01*cos(x)"), (2, "exp(-0.5*x)")])
+
+
+def _odd_orders_negated(kernel):
+    # the profile with the sign of every odd derivative flipped
+    base = kernel.base
+    return KernelBifunction(Kernel(lambda s, m: [-v if k % 2 else v
+                                                 for k, v in enumerate(base.profile(s, m))],
+                                   base.sample_smoothness, "odd-negated " + base.label))
+
+
+def _wrong_coefficient(monkeypatch):
+    monkeypatch.setattr(gpops.verify, "pushforward",
+                        lambda p, op: pushforward(p, WRONG_COEFFICIENT_OP))
+
+
+def _profile_sign(monkeypatch):
+    monkeypatch.setattr(gpops.verify, "pushforward", lambda p, op: pushforward(
+        GaussianProcessPrior(mean=p.mean, kernel=_odd_orders_negated(p.kernel)), op))
+
+
+def _leibniz_without_coefficient_derivatives(monkeypatch):
+    # (b d^j) o (a d^i) without the terms in which a is differentiated: the
+    # image of PUSHED_PRIOR, whose kernel carries x d/dx, loses a term
+    leibniz = gpops.operators._leibniz
+    monkeypatch.setattr(gpops.operators, "_leibniz", lambda b, j, a, i: [
+        term for term in leibniz(b, j, a, i) if term[0] == i + j])
+
+
+@pytest.mark.parametrize("defect, p, op", [
+    (_wrong_coefficient, CONTROL_PRIOR, CONTROL_OP),
+    (_profile_sign, CONTROL_PRIOR, CONTROL_OP),
+    (_leibniz_without_coefficient_derivatives, PUSHED_PRIOR, derivative_operator(1)),
+    (None, CONTROL_PRIOR, CONTROL_OP),
+    (None, PUSHED_PRIOR, derivative_operator(1)),
+], ids=["wrong-coefficient", "profile-sign", "leibniz-term", "null", "null-pushed-prior"])
+def test_transport_defect_fails_the_discretization_gate_alone(monkeypatch, defect, p, op):
+    if defect is not None:
+        defect(monkeypatch)
+    rep = verify_theorem(p, op, CONTROL_GRID, 2000, 1)
+    disc = rep.discretization_check
+    assert _failed_gates(rep) == ({"discretization"} if defect else set())
+    assert disc["grid_points"] == [33, 65]
+    if defect:
+        # the error does not fall under refinement
+        assert disc["cov"]["relative_error"][1] > 1e-3
+        assert disc["cov"]["rate"] < DISCRETIZATION_MIN_RATE
 
 
 def _nan_in_last_path(lo, z):
@@ -297,10 +359,10 @@ def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_p
 
 
 def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(monkeypatch):
-    # FactoredDraw.moments owns the chunk pass: verify calls it once and reads
-    # no chunk itself
+    # verify draws its moments once, from their law: no chunk of normals is
+    # drawn at all
     calls, readers = [], []
-    moments, chunks = FactoredDraw.moments, FactoredDraw.chunks
+    moments, chunks = GaussianDraw.moments, FactoredDraw.chunks
 
     def spy_moments(self, c):
         calls.append(c.shape)
@@ -310,10 +372,10 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
         readers.append(sys._getframe(1).f_code.co_name)
         return chunks(self)
 
-    monkeypatch.setattr(FactoredDraw, "moments", spy_moments)
+    monkeypatch.setattr(GaussianDraw, "moments", spy_moments)
     monkeypatch.setattr(FactoredDraw, "chunks", spy_chunks)
     verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
-    assert len(calls) == 1 and readers == ["moments"]
+    assert len(calls) == 1 and readers == []
     monkeypatch.undo()
 
     # moments runs its chunks at one BLAS thread whoever calls it, and
@@ -334,10 +396,12 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
 
 
 def test_reports_are_byte_identical_across_threads_over_many_chunks(monkeypatch):
-    # 240-path chunks of three 102-path Philox blocks: 7 chunks, each split
-    # between threads
+    # verify's own draw reads no chunk, so the chunked base draw is injected,
+    # as the negative controls inject theirs: 240-path chunks of three
+    # 102-path Philox blocks, 7 chunks, each split between threads
     monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", SMALL_CHUNK)
     monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
+    monkeypatch.setattr(gpops.verify, "draw_factored", _chunked_draw)
     reports = [verify_theorem(PRIOR, derivative_operator(1), GRID, 1500, 9, threads=threads)
                for threads in (1, 2, 3)]
     assert len({r.to_json() for r in reports}) == 1
@@ -345,7 +409,8 @@ def test_reports_are_byte_identical_across_threads_over_many_chunks(monkeypatch)
 
 
 def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
-    # the whole draw of 60k x 129 normals is 62 MB; one chunk is 8 MB
+    # the whole draw of 60k x 129 normals is 62 MB; verify draws the moments'
+    # 60k x 9 normals (4.3 MB), and a chunk of the base draw is 8 MB
     p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5))
     grid = Grid.uniform_on(0.0, 1.0, 129)
     tracemalloc.start()
@@ -359,7 +424,9 @@ def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
 
 # verify pushes the moments of the white normals through T = A L and builds
 # only the image columns that the cumulants read; the reference stencils every
-# path and takes its statistics from the whole transformed ensemble.
+# path and takes its statistics from the whole transformed ensemble.  Both
+# read the paths' normals: verify's draw is the chunked base FactoredDraw here,
+# injected as the negative controls inject theirs.
 EQUIVALENCE_RTOL = 1e-9
 
 
@@ -378,6 +445,7 @@ def test_moment_pushforward_matches_pathwise_reference(monkeypatch, p, op, grid)
         return pushed[-1]
 
     monkeypatch.setattr(gpops.verify, "finite_dim_pushforward", spy)
+    monkeypatch.setattr(gpops.verify, "draw_factored", _chunked_draw)
     rep = verify_theorem(p, op, grid, n_paths, seed)
     ref = apply_operator_pathwise(op, sample_paths(p, grid, n_paths, seed))
     ref_mean, ref_cov = empirical_mean(ref), empirical_cov(ref)
