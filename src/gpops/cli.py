@@ -54,8 +54,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     """Run the Monte-Carlo verification campaign and write its report."""
     report = verify_theorem(
         cfg.prior, cfg.operator, cfg.grid, cfg.samples, cfg.seed, cfg.tolerances,
-        expect_rejection=(cfg.expected == "rejection"), threads=cfg.threads,
-        config_echo=dict(cfg.echo),
+        expect_rejection=(cfg.expected == "rejection"), config_echo=dict(cfg.echo),
     )
     out = _write(cfg, {"report.json": report.to_json(), "deviations.csv": report.to_csv()})
     print(f"verify: mode={report.mode} passed={report.passed} -> {out/'report.json'}")
@@ -93,8 +92,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_sample(cfg: RunConfig) -> int:
     """Dump a seeded prior ensemble."""
-    ensemble = sample_paths(cfg.prior, cfg.grid, cfg.samples, cfg.seed,
-                            threads=cfg.threads)
+    ensemble = sample_paths(cfg.prior, cfg.grid, cfg.samples, cfg.seed)
     meta = {
         "schema_version": 1,
         "kind": "ensemble",
@@ -145,7 +143,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the YAML run config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
-        p.add_argument("--threads", type=int, default=None, help="override thread count")
+        p.add_argument("--threads", type=int, default=None,
+                       help="accepted and checked (>= 1) for old scripts; changes nothing")
     return parser
 
 

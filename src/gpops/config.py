@@ -2,7 +2,9 @@
 
 See the README for the documented schema and annotated examples.  Flags only
 override config keys (seed, output directory, threads); everything else is
-file-driven so campaigns are reproducible.
+file-driven so campaigns are reproducible.  ``threads`` is still accepted and
+checked to be >= 1, so old configs load, but nothing reads it: every draw
+depends on the seed alone.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ class RunConfig:
     grid: Grid
     samples: int
     seed: int
-    threads: int
     output: str
     expected: str  # "verification" or "rejection"
     tolerances: VerificationTolerances
@@ -276,13 +277,13 @@ def load_config(path, *, seed=None, output=None, threads=None) -> RunConfig:
     grid = _parse_grid(_get(tree, "grid", dict))
     samples = _number(tree, "samples", int, 2, **_integers(2, sys.maxsize))
     seed = _number(tree, "seed", int, 0, **_integers(0, 2**64 - 1))
-    threads = _number(tree, "threads", int, 1, lambda v: v >= 1, ">= 1")
+    _number(tree, "threads", int, 1, lambda v: v >= 1, ">= 1")  # checked, then ignored
     expected = _get(tree, "expected", str, default="verification")
     if expected not in ("verification", "rejection"):
         raise ConfigError("expected must be 'verification' or 'rejection'")
     return RunConfig(
         kernel=kernel, mean=mean, operator=operator, grid=grid, samples=samples,
-        seed=seed, threads=threads, output=_get(tree, "output", str, default="out"),
+        seed=seed, output=_get(tree, "output", str, default="out"),
         expected=expected, tolerances=_parse_tolerances(tree.get("tolerances")),
         problem=_parse_problem(tree.get("problem"), grid, kernel.sample_smoothness),
         echo={"config_file": str(path)},

@@ -172,7 +172,7 @@ def one_blas_thread():
 
     A multi-threaded BLAS call splits its sums by thread, so its bits depend
     on the thread count, and after each call OpenBLAS's workers spin for a
-    while, taking cores from Python threads that draw normals.  The count is
+    while, taking cores from the Python code that runs next.  The count is
     restored also when the body raises.  Entries nest, also across threads:
     the count is restored when the last one leaves.  Usable as a decorator.
     When numpy bundles no OpenBLAS that can be found, this does nothing.

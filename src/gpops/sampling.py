@@ -2,42 +2,30 @@
 
 Reproducibility contract
 ------------------------
-Sampling uses the counter-based Philox bit generator keyed by the seed, an
-integer in [0, 2^64); any other seed is a ``ParameterError``.  Path
-``i`` consumes the 64-bit words at block-aligned offset ``i * wpp`` of the
-Philox counter stream, where ``wpp = 4 * ceil(n_points / 4)`` is the per-path
-word budget (Philox advances in blocks of four words).  Uniforms are
-``((word >> 11) + 0.5) * 2**-53`` (strictly inside (0, 1)) and normals their
-inverse-CDF images.  Because each path's substream depends only on (seed,
-path index), ensembles are bit-identical however generation is split across
-threads or chunks, and regenerating with equal inputs reproduces paths
-exactly.
-
-:func:`_standard_normals` writes the normals of paths ``first .. first +
-len(out)`` into a given array, in contiguous blocks of about ``BLOCK_WORDS``
-words: the calling thread and at most ``threads - 1`` helper threads, one
-fewer than the blocks, take them one at a time, so a single thread runs no
-helper and hands nothing over.
+Every draw reads one ``numpy.random.Generator(Philox(key=seed))``, keyed by
+the seed, an integer in [0, 2^64); any other seed is a ``ParameterError``.
+Filling successive chunks of rows from one generator gives the numbers of
+one whole draw, bit for bit, so an ensemble depends on the seed alone: not
+on how it is chunked, and not on a thread count.  Growing the ensemble keeps
+its earlier paths.
 
 A draw in factored form is a :class:`FactoredDraw`: the mean ``m``, the
 Cholesky factor ``L`` and its jitter, and the seed of the normals ``z``,
 which are drawn only when the draw is read.  Its
-:meth:`~FactoredDraw.chunks` is the only caller of :func:`_standard_normals`:
-it draws the paths in chunks of about ``CHUNK_ENTRIES`` entries into one
-reused buffer.  A chunk has at most 64 blocks on any grid, so a draw runs at
-most 63 helpers at a time.  Its readers reduce each chunk before the next is
-drawn: :meth:`~FactoredDraw.moments` (``sum z``, ``z^t z`` and ``z c``,
-holding 8 MB of normals, not N x n) and :meth:`~FactoredDraw.paths` (each
-chunk's ``z L^t`` into its rows of the one N x n array that
-:func:`sample_paths` returns).
+:meth:`~FactoredDraw.chunks` draws the paths in chunks of about
+``CHUNK_ENTRIES`` entries into one reused buffer.  Its readers reduce each
+chunk before the next is drawn: :meth:`~FactoredDraw.moments` (``sum z``,
+``z^t z`` and ``z c``, holding 8 MB of normals, not N x n) and
+:meth:`~FactoredDraw.paths` (each chunk's ``z L^t`` into its rows of the one
+N x n array that :func:`sample_paths` returns).
 
 :func:`draw_factored` returns the Gaussian subclass :class:`GaussianDraw`,
 whose :meth:`~GaussianDraw.moments` draws ``(zbar, cov(z), z c)`` from their
 exact joint law instead: N r + O(n^2) normals, where ``r = rank c``, in place
-of N n.  They come from ``Generator(Philox(key=seed))``, keyed by the seed
-alone and drawn in one thread, so the N paths whose moments verify reads are
-seeded but never formed, and no thread count reaches them.  Its ``paths()``
-is the chunked draw above.
+of N n, from the same generator.  So the N paths whose moments verify reads
+are seeded but never formed; with no more paths than points they are the
+very paths that :meth:`~FactoredDraw.paths` forms.  Its ``paths()`` is the
+chunked draw above.
 
 BLAS thread count
 -----------------
@@ -51,8 +39,6 @@ from __future__ import annotations
 
 import numbers
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,10 +62,6 @@ __all__ = [
     "empirical_cov",
 ]
 
-# Philox words per block of paths.  Small blocks keep each thread's
-# temporaries small; whole-slice temporaries left tens of MB held by the
-# allocator after helper threads ended.
-BLOCK_WORDS = 2**16
 # Path entries per chunk of a draw's normals (8 MB of doubles).  Its reducer
 # runs BLAS at one thread, so no OpenBLAS worker spins at a chunk boundary
 # and a chunk costs only its share.
@@ -117,68 +99,13 @@ class SampleEnsemble:
         return self.paths.shape[0]
 
 
-def _words_per_path(n_points: int) -> int:
-    return 4 * ((n_points + 3) // 4)
-
-
-def _uniform_block(seed: int, first_path: int, n_paths: int, n_points: int,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """The uniforms of paths ``first_path ..`` as an ``(n_paths, n_points)`` array.
-
-    They are written into ``out`` when it is given.  ``k * 2**-53 + 2**-54``
-    equals ``(k + 0.5) * 2**-53`` bit for bit, since scaling by a power of two
-    commutes with rounding, so no temporary holds ``k + 0.5``.
-    """
-    wpp = _words_per_path(n_points)
-    bg = np.random.Philox(key=int(seed))
-    if first_path:
-        bg.advance(int(first_path) * (wpp // 4))  # advance counts 4-word blocks
-    raw = bg.random_raw(n_paths * wpp)
-    raw >>= np.uint64(11)
-    if out is None:
-        out = np.empty((n_paths, n_points))
-    np.multiply(raw.reshape(n_paths, wpp)[:, :n_points], 2.0**-53, out=out)
-    out += 2.0**-54
-    return out
-
-
-def _standard_normals(seed: int, first: int, out: np.ndarray, threads: int) -> np.ndarray:
-    """Write the normals of paths ``first .. first + len(out)`` into ``out`` and return it."""
-    # Imported here, in the calling thread before any helper starts: scipy
-    # loads only when normals are drawn.
-    from scipy.special import ndtri
-
-    n_paths, n_points = out.shape
-    step = max(1, BLOCK_WORDS // _words_per_path(n_points))
-    starts = range(0, n_paths, step)
-    pending = iter(starts)
-    lock = threading.Lock()
-
-    def fill():
-        while True:
-            with lock:
-                lo = next(pending, None)
-            if lo is None:
-                return
-            hi = min(lo + step, n_paths)
-            block = _uniform_block(seed, first + lo, hi - lo, n_points, out[lo:hi])
-            ndtri(block, out=block)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        helpers = [pool.submit(fill) for _ in range(min(threads, len(starts)) - 1)]
-        fill()
-        for h in helpers:
-            h.result()
-    return out
-
-
 @dataclass(frozen=True)
 class FactoredDraw:
     """A seeded draw of the prior's grid marginal: path ``i`` is ``mean + factor @ z[i]``.
 
     ``jitter`` is the ``delta`` the Cholesky ``factor`` added to the Gram
-    diagonal.  ``seed`` keys the paths' substreams of normals ``z``, drawn
-    chunk by chunk when read, by ``threads`` threads that change no bit.
+    diagonal.  ``seed`` keys the one generator of the normals ``z``, drawn
+    chunk by chunk when read.
     """
 
     mean: np.ndarray  # shape (n,)
@@ -186,7 +113,6 @@ class FactoredDraw:
     n_paths: int
     seed: int
     jitter: float = 0.0
-    threads: int = 1
 
     @property
     def n_points(self) -> int:
@@ -198,11 +124,13 @@ class FactoredDraw:
         Each chunk holds about ``CHUNK_ENTRIES`` entries and is a view of one
         buffer that the next chunk overwrites: copy what must outlive it.
         """
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
         rows = max(1, CHUNK_ENTRIES // self.n_points)
         buf = np.empty((min(rows, self.n_paths), self.n_points))
         for lo in range(0, self.n_paths, rows):
             z = buf[:min(rows, self.n_paths - lo)]
-            yield lo, _standard_normals(self.seed, lo, z, self.threads)
+            rng.standard_normal(out=z)
+            yield lo, z
 
     @one_blas_thread()
     def moments(self, c: np.ndarray):
@@ -249,51 +177,49 @@ class GaussianDraw(FactoredDraw):
     Bartlett decomposition (Anderson, *An Introduction to Multivariate
     Statistical Analysis*, ch. 7).  Rotating back gives ``sum z = Q w^t 1``
     and ``z^t z = Q w^t w Q^t``.  With no more paths than points, the N x n
-    normals are fewer than a Wishart factor's, and they are drawn whole.
+    normals are fewer than a Wishart factor's, and the chunked reduction of
+    the base class reads them.
     """
 
     @one_blas_thread()
     def moments(self, c: np.ndarray):
         """``(zbar, cov(z), z c)`` of N seeded white paths, none of them formed."""
         n_paths, n = self.n_paths, self.n_points
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
         if n_paths <= n:
-            z = rng.standard_normal((n_paths, n))
-            zsum, ztz, zc = z.sum(axis=0), z.T @ z, z @ c
-        else:
-            # c = Q [R1; 0] from the SVD, which also gives its numerical rank
-            q, sv, vt = np.linalg.svd(c)
-            r = int(np.count_nonzero(sv > sv[:1] * max(c.shape) * np.finfo(float).eps))
-            w1 = rng.standard_normal((n_paths, r))
-            w1sum = w1.sum(axis=0)
-            utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
-                            [w1sum[:, None], w1.T @ w1]])
-            g = rng.standard_normal((n - r, r + 1))
-            w2u = g @ np.linalg.cholesky(utu).T
-            bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
-            bartlett[np.diag_indices(n - r)] = np.sqrt(
-                rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
-            wtw = np.empty((n, n))
-            wtw[:r, :r] = utu[1:, 1:]
-            wtw[r:, :r] = w2u[:, 1:]
-            wtw[:r, r:] = w2u[:, 1:].T
-            wtw[r:, r:] = g @ g.T + bartlett @ bartlett.T
-            zsum = q @ np.concatenate([w1sum, w2u[:, 0]])
-            ztz = q @ wtw @ q.T
-            zc = w1 @ (sv[:r, None] * vt[:r])
+            return super().moments(c)
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        # c = Q [R1; 0] from the SVD, which also gives its numerical rank
+        q, sv, vt = np.linalg.svd(c)
+        r = int(np.count_nonzero(sv > sv[:1] * max(c.shape) * np.finfo(float).eps))
+        w1 = rng.standard_normal((n_paths, r))
+        w1sum = w1.sum(axis=0)
+        utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
+                        [w1sum[:, None], w1.T @ w1]])
+        g = rng.standard_normal((n - r, r + 1))
+        w2u = g @ np.linalg.cholesky(utu).T
+        bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
+        bartlett[np.diag_indices(n - r)] = np.sqrt(
+            rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
+        wtw = np.empty((n, n))
+        wtw[:r, :r] = utu[1:, 1:]
+        wtw[r:, :r] = w2u[:, 1:]
+        wtw[:r, r:] = w2u[:, 1:].T
+        wtw[r:, r:] = g @ g.T + bartlett @ bartlett.T
+        zsum = q @ np.concatenate([w1sum, w2u[:, 0]])
+        ztz = q @ wtw @ q.T
+        zc = w1 @ (sv[:r, None] * vt[:r])
         zbar = zsum / n_paths
         return zbar, (ztz - n_paths * np.outer(zbar, zbar)) / (n_paths - 1), zc
 
 
-def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
-                  *, threads: int = 1) -> GaussianDraw:
+def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int,
+                  seed: int) -> GaussianDraw:
     """The prior's mean and Gram factor on the grid, and N paths of normals drawn when read.
 
     ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
-    the per-path normals (see the module docstring for the substream
-    derivation).  Deterministic in the seed and independent of ``threads``.
-    A seed outside [0, 2^64), and a draw of more doubles than an array can
-    hold, raise ``ParameterError`` before anything is allocated.
+    the normals, a function of the seed alone (module docstring).  A seed
+    outside [0, 2^64), and a draw of more doubles than an array can hold,
+    raise ``ParameterError`` before anything is allocated.
     """
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
@@ -302,21 +228,19 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
     if n_paths * len(grid) > sys.maxsize // 8:
         raise ParameterError(f"{n_paths} paths of {len(grid)} points are more doubles "
                              f"than an array can hold")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
     L, jitter = chol_psd(gram(p.kernel, grid))
     return GaussianDraw(mean=p.mean(grid.points), factor=L, n_paths=int(n_paths),
-                        seed=int(seed), jitter=jitter, threads=int(threads))
+                        seed=int(seed), jitter=jitter)
 
 
 @one_blas_thread()
-def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int, seed: int,
-                 *, threads: int = 1) -> SampleEnsemble:
+def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int,
+                 seed: int) -> SampleEnsemble:
     """N paths of the prior's finite marginal on the grid, with the draw's seed and jitter.
 
     BLAS runs at one thread throughout, the Cholesky too (module docstring).
     """
-    d = draw_factored(p, grid, n_paths, seed, threads=threads)
+    d = draw_factored(p, grid, n_paths, seed)
     return SampleEnsemble(grid=grid, paths=d.paths(), seed=d.seed, jitter=d.jitter)
 
 

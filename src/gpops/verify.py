@@ -43,11 +43,11 @@ that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
 The moments come from one call of the draw's
 :meth:`~gpops.sampling.GaussianDraw.moments`, which draws ``(zbar, cov(z),
 z T[cols]^t)`` from their exact joint law, keyed by the seed alone: the N
-paths are seeded but never formed, verify's memory is O(n^2 + 9 N), and the
-report does not depend on ``threads``.  ``verify_theorem`` runs its whole
-body inside :func:`~gpops.linalg.one_blas_thread`, so the Choleskys, the
-discrete laws, ``T = A L`` and the pushforward do not depend on the BLAS
-thread count either.
+paths are seeded but never formed, and verify's memory is O(n^2 + 9 N).
+``verify_theorem`` runs its whole body inside
+:func:`~gpops.linalg.one_blas_thread`, so the Choleskys, the discrete laws,
+``T = A L`` and the pushforward do not depend on the BLAS thread count
+either.
 
 Comparisons exclude the boundary rows whose stencils are one-sided (their
 truncation constants are larger and say nothing about the process itself);
@@ -210,12 +210,12 @@ def _discretization_gate(points, errors) -> dict:
 def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
                    n_paths: int, seed: int,
                    tolerances: VerificationTolerances | None = None, *,
-                   expect_rejection: bool = False, threads: int = 1,
+                   expect_rejection: bool = False,
                    config_echo: dict | None = None) -> VerificationReport:
     """Run the full empirical check of the operator-transport claims.
 
     Returns a report whose numbers are bit-identical across runs with equal
-    inputs, whatever ``threads`` and the BLAS thread count.  When the
+    inputs, whatever the BLAS thread count.  When the
     operator is outside the prior's smoothness budget, the rejection itself
     is the contract: pass ``expect_rejection=True`` and the guard firing is
     reported as a pass (anything else as a failure).
@@ -280,7 +280,7 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
 
     # the image ensemble A u = A m + z T^t, from the moments of z (module
     # docstring)
-    draw = draw_factored(p, grid, n_paths, seed, threads=threads)
+    draw = draw_factored(p, grid, n_paths, seed)
     t_mat = a_mat @ draw.factor
     a_mean = a_mat @ draw.mean
     zbar, zcov, thin_paths = draw.moments(t_mat[cols].T)

@@ -210,8 +210,12 @@ output: "%s"
     cfg = write(tmp_path, "s.yaml", text % (tmp_path / "s1"))
     assert main(["sample", "--config", cfg]) == 0
     assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s2")]) == 0
+    # the accepted --threads changes no byte
+    assert main(["sample", "--config", cfg, "--out", str(tmp_path / "s3"),
+                 "--threads", "3"]) == 0
     assert (tmp_path / "s1" / "ensemble.csv").read_bytes() == \
-        (tmp_path / "s2" / "ensemble.csv").read_bytes()
+        (tmp_path / "s2" / "ensemble.csv").read_bytes() == \
+        (tmp_path / "s3" / "ensemble.csv").read_bytes()
     meta = json.loads((tmp_path / "s1" / "ensemble.json").read_text())
     assert meta["n_paths"] == 40 and meta["seed"] == 7
 
@@ -888,7 +892,7 @@ def test_console_entry_point_help():
         assert sub in out.stdout
 
 
-# ------------------------------------------------ scipy only for gpops sample
+# ------------------------------------------------ no scipy at run time
 
 SCIPY_MODULES = 'sorted(m for m in sys.modules if m.split(".")[0].startswith("scipy"))'
 
@@ -912,6 +916,7 @@ def test_importing_the_cli_resolves_no_blas_library():
 
 
 def test_solve_and_kernel_table_run_without_scipy(tmp_path):
+    # gpops sample runs here too: its normals come from numpy's Generator
     solve = write(tmp_path, "solve.yaml", """\
 kernel: {name: se, lengthscale: 0.5, variance: 1.0}
 operator: {terms: [[2, "1"], [0, "1"]]}
@@ -927,19 +932,21 @@ problem:
   max_error: 1.0e-3
 """ % (tmp_path / "sol"))
     table = write(tmp_path, "kt.yaml", BASE_VERIFY.format(out=tmp_path / "kt"))
+    sample = write(tmp_path, "s.yaml", BASE_VERIFY.format(out=tmp_path / "s"))
     # None in sys.modules makes any scipy import raise ImportError
     code = ("import sys; sys.modules['scipy'] = None; from gpops.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
-    for command, cfg in (("solve", solve), ("kernel-table", table)):
+    for command, cfg in (("solve", solve), ("kernel-table", table), ("sample", sample)):
         run = _python(code, command, "--config", cfg)
         assert run.returncode == 0, run.stderr
     assert json.loads((tmp_path / "sol" / "solution.json").read_text())["passed"] is True
     assert (tmp_path / "kt" / "kernel_table.csv").exists()
+    assert len((tmp_path / "s" / "ensemble.csv").read_text().splitlines()) == 1501
 
 
 def test_verify_runs_without_scipy(tmp_path):
-    # verify draws its moments from their law through numpy's Generator, so
-    # only gpops sample needs scipy's ndtri
+    # verify draws its moments from their law through numpy's Generator, the
+    # one generator of every draw
     cfg = write(tmp_path, "v.yaml", BASE_VERIFY.format(out=tmp_path / "out"))
     code = ("import sys; sys.modules['scipy'] = None; from gpops.cli import main; "
             "sys.exit(main(sys.argv[1:]))")

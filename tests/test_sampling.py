@@ -1,22 +1,20 @@
 """Seeded ensembles: reproducibility, statistics, pathwise operator action."""
 
-import threading
 import tracemalloc
-from concurrent.futures import Future
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from gpops.errors import GridSizeError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.means import mean_from_expression, zero_mean
+import gpops.linalg
 from gpops.operators import LinearOperator, derivative_operator, identity
 import gpops.sampling
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (BLOCK_WORDS, FactoredDraw, GaussianDraw, SampleEnsemble,
-                            _standard_normals, _uniform_block, apply_operator_pathwise,
+from gpops.sampling import (FactoredDraw, GaussianDraw, SampleEnsemble, apply_operator_pathwise,
                             draw_factored, empirical_cov, empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import pushforward
@@ -24,9 +22,26 @@ from gpops.transform import pushforward
 PRIOR = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(1.0, 1.0))
 
 
-def normals(seed, n_paths, n_points, threads=1):
+def normals(seed, n_paths, n_points):
     # one unchunked draw of paths 0 .. n_paths
-    return _standard_normals(seed, 0, np.empty((n_paths, n_points)), threads)
+    return np.random.Generator(np.random.Philox(key=seed)).standard_normal((n_paths, n_points))
+
+
+@contextmanager
+def ambient_blas_threads(count):
+    # the process-wide OpenBLAS thread count a caller leaves set; every reader
+    # of a draw holds it at one, so no path may depend on it.  When numpy's
+    # BLAS is uncontrolled the count cannot be set and the body runs as is.
+    blas = gpops.linalg._resolve_openblas()
+    if not blas:
+        yield
+        return
+    before = blas.get()
+    blas.set(count)
+    try:
+        yield
+    finally:
+        blas.set(before)
 
 
 def materialize(d):
@@ -46,29 +61,10 @@ def test_same_seed_is_bit_identical():
     assert not np.array_equal(a.paths, c.paths)
 
 
-def test_thread_count_does_not_change_draws():
-    g = Grid.uniform_on(0, 1, 13)
-    a = sample_paths(PRIOR, g, 501, 7, threads=1)
-    b = sample_paths(PRIOR, g, 501, 7, threads=3)
-    c = sample_paths(PRIOR, g, 501, 7, threads=8)
-    assert np.array_equal(a.paths, b.paths)
-    assert np.array_equal(a.paths, c.paths)
-
-
-def test_thread_count_does_not_change_tiny_ensembles():
-    # more threads than paths: some workers get no block
-    g = Grid.uniform_on(0, 1, 5)
-    a = sample_paths(PRIOR, g, 3, 11, threads=1)
-    for threads in (2, 5):
-        assert np.array_equal(a.paths, sample_paths(PRIOR, g, 3, 11, threads=threads).paths)
-    with pytest.raises(ParameterError):
-        sample_paths(PRIOR, g, 3, 11, threads=0)
-
-
 def test_sample_paths_is_mean_plus_factor_times_white_draw():
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=se_kernel(0.5))
     g = Grid.uniform_on(0, 1, 9)
-    d = draw_factored(p, g, 200, 42, threads=2)
+    d = draw_factored(p, g, 200, 42)
     z = materialize(d)
     assert np.array_equal(z, normals(42, 200, 9))
     assert np.array_equal(d.mean, np.sin(g.points))
@@ -77,67 +73,50 @@ def test_sample_paths_is_mean_plus_factor_times_white_draw():
     assert (e.seed, e.jitter) == (d.seed, d.jitter) == (42, 0.0)
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_block_splits_do_not_change_normals(threads):
-    # three paths past two full blocks, against one unsplit draw
-    n_points = 5
-    n_paths = 2 * (BLOCK_WORDS // 8) + 3  # 8 Philox words per 5-point path
-    whole = ndtri(_uniform_block(11, 0, n_paths, n_points))
-    assert np.array_equal(normals(11, n_paths, n_points, threads), whole)
-
-
-def test_one_thread_draws_every_block_in_the_caller(monkeypatch):
-    # a single thread starts no helper, so no block is handed to another thread
-    drawn_by = set()
-
-    def spy(*args):
-        drawn_by.add(threading.get_ident())
-        return _uniform_block(*args)
-
-    monkeypatch.setattr(gpops.sampling, "_uniform_block", spy)
-    z = normals(11, 3 * (BLOCK_WORDS // 8), 5)
-    assert drawn_by == {threading.get_ident()}
-    assert np.array_equal(z, ndtri(_uniform_block(11, 0, z.shape[0], 5)))
-
-
 @pytest.mark.parametrize("n_points, n_paths", [(8, 300), (8, 1024), (8, 1025), (9, 911)],
                          ids=["below-one-chunk", "two-chunks", "two-chunks+1", "9-points"])
-@pytest.mark.parametrize("threads", [1, 3])
-def test_stream_chunks_are_the_unchunked_draw(monkeypatch, n_points, n_paths, threads):
-    # 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points; 2 Philox
-    # blocks per 8-point chunk, so helper threads take part
-    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", 2**12)
-    monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
+@pytest.mark.parametrize("chunk_entries", [2**12, 3 * 2**10])
+def test_stream_chunks_are_the_unchunked_draw(monkeypatch, n_points, n_paths, chunk_entries):
+    # 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points; 3072-entry
+    # chunks: 384 and 341 rows.  Either way the chunks are the one whole draw.
+    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", chunk_entries)
     white = FactoredDraw(mean=np.zeros(n_points), factor=np.eye(n_points), n_paths=n_paths,
-                         seed=3, threads=threads)
-    rows = 2**12 // n_points
+                         seed=3)
+    rows = chunk_entries // n_points
     spans = [(lo, len(z)) for lo, z in white.chunks()]
     assert spans == [(lo, min(rows, n_paths - lo)) for lo in range(0, n_paths, rows)]
     assert np.array_equal(materialize(white), normals(3, n_paths, n_points))
 
 
-def test_stream_draws_nothing_until_read(monkeypatch):
-    calls = []
-    monkeypatch.setattr(gpops.sampling, "_standard_normals", lambda *a: calls.append(a))
-    d = draw_factored(PRIOR, Grid.uniform_on(0, 1, 9), 10**6, 1)
-    chunks = d.chunks()
-    assert calls == []
-    next(chunks)
-    assert len(calls) == 1
+def test_stream_draws_nothing_until_read():
+    # 10^9 paths of 9 points are 72 GB of normals if drawn; the draw holds its
+    # 9 x 9 factor until a chunk is read, and then one 8 MB chunk
+    g = Grid.uniform_on(0, 1, 9)
+    tracemalloc.start()
+    try:
+        chunks = draw_factored(PRIOR, g, 10**9, 1).chunks()
+        _, unread = tracemalloc.get_traced_memory()
+        lo, z = next(chunks)
+        _, read = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unread < 1e6
+    assert lo == 0 and z.shape == (gpops.sampling.CHUNK_ENTRIES // 9, 9)
+    assert read < 1e7
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_sample_paths_multiplies_each_chunk_of_the_stream(monkeypatch, threads):
+@pytest.mark.parametrize("ambient", [1, 3])
+def test_sample_paths_multiplies_each_chunk_of_the_stream(monkeypatch, ambient):
     # 4096-entry chunks: 1000 paths of 9 points take chunks of 455, 455 and
-    # 90 rows, each drawn in Philox blocks that helper threads share
+    # 90 rows, drawn and multiplied whatever BLAS thread count the caller set
     monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", 2**12)
-    monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5))
     g = Grid.uniform_on(0, 1, 9)
-    d = draw_factored(p, g, 1000, 42, threads=threads)
-    z = materialize(d)
+    with ambient_blas_threads(ambient):
+        d = draw_factored(p, g, 1000, 42)
+        z = materialize(d)
+        e = sample_paths(p, g, 1000, 42)
     assert np.array_equal(z, normals(42, 1000, 9))
-    e = sample_paths(p, g, 1000, 42, threads=threads)
     by_chunk = np.concatenate([z[lo:lo + 455] @ d.factor.T for lo in (0, 455, 910)])
     assert np.array_equal(e.paths, by_chunk + d.mean)
     # one product over every row may round a row near a chunk boundary
@@ -146,46 +125,21 @@ def test_sample_paths_multiplies_each_chunk_of_the_stream(monkeypatch, threads):
     assert np.max(np.abs(e.paths - whole)) <= 1e-14 * np.max(np.abs(whole))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sample_paths_holds_one_path_array(threads):
+@pytest.mark.parametrize("ambient", [1, 2])
+def test_sample_paths_holds_one_path_array(ambient):
     # 20k x 257 paths are 41 MB and one chunk of normals 8 MB (55 MB traced
-    # at peak); an N x n array of normals beside the paths would add 41 MB
+    # at peak); an N x n array of normals beside the paths would add 41 MB,
+    # whatever BLAS thread count the caller set
     p = GaussianProcessPrior(mean=zero_mean(), kernel=matern_kernel(2.5, 0.5))
     g = Grid.uniform_on(0, 1, 257)
     tracemalloc.start()
     try:
-        sample_paths(p, g, 20_000, 1, threads=threads)
+        with ambient_blas_threads(ambient):
+            sample_paths(p, g, 20_000, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 60e6
-
-
-def test_helper_threads_are_bounded_by_one_chunk(monkeypatch):
-    # 200k paths of 33 points: six chunks of 31775 rows and one of 9350, in
-    # Philox blocks of 1820 rows, so 18 blocks (17 helpers) per full chunk;
-    # the pool runs each helper inline, so no OS thread starts
-    submits = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            submits.append(0)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn):
-            submits[-1] += 1
-            done = Future()
-            done.set_result(fn())
-            return done
-
-    monkeypatch.setattr(gpops.sampling, "ThreadPoolExecutor", InlinePool)
-    sample_paths(PRIOR, Grid.uniform_on(0, 1, 33), 200_000, 1, threads=64)
-    assert submits == [17] * 6 + [5]
 
 
 def test_path_substreams_depend_only_on_seed_and_index():
@@ -444,13 +398,18 @@ def test_drawn_moments_follow_the_law_with_no_more_paths_than_points():
     c = np.random.default_rng(3).standard_normal((8, 2))
     _assert_moment_identities(8, 8, c, 7)
     assert min(_law_pvalues(8, 8, c, draws=2000)) > LAW_MIN_P
+    # they are the normals of the paths that sample draws, reduced in one chunk
+    z = normals(7, 8, 8)
+    zbar = z.sum(axis=0) / 8
+    reduced = (zbar, (z.T @ z - 8 * np.outer(zbar, zbar)) / 7, z @ c)
+    assert all(np.array_equal(a, b) for a, b in zip(_white(8, 8, 7).moments(c), reduced))
 
 
 def test_drawn_moments_depend_on_the_seed_alone():
     c = np.random.default_rng(4).standard_normal((9, 3))
     one = _white(9, 500, 11).moments(c)
-    again = GaussianDraw(mean=np.ones(9), factor=2.0 * np.eye(9), n_paths=500, seed=11,
-                         threads=3).moments(c)
+    again = GaussianDraw(mean=np.ones(9), factor=2.0 * np.eye(9), n_paths=500,
+                         seed=11).moments(c)
     other = _white(9, 500, 12).moments(c)
     assert all(np.array_equal(a, b) for a, b in zip(one, again))
     assert not np.array_equal(one[0], other[0])

@@ -20,9 +20,8 @@ from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import LinearOperator, derivative_operator, identity
 from gpops.processes import GaussianProcessPrior
-from gpops.sampling import (FactoredDraw, GaussianDraw, SampleEnsemble, _standard_normals,
-                            apply_operator_pathwise, draw_factored, empirical_cov,
-                            empirical_mean, sample_paths)
+from gpops.sampling import (FactoredDraw, GaussianDraw, SampleEnsemble, apply_operator_pathwise,
+                            draw_factored, empirical_cov, empirical_mean, sample_paths)
 from gpops.stencils import interior_mask
 from gpops.transform import finite_dim_pushforward, pushforward
 from gpops.verify import DISCRETIZATION_MIN_RATE, VerificationTolerances, verify_theorem
@@ -73,8 +72,6 @@ def test_report_numbers_are_bit_identical_across_runs():
     b = verify_theorem(PRIOR, derivative_operator(1), GRID, 1500, 9)
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
-    c = verify_theorem(PRIOR, derivative_operator(1), GRID, 1500, 9, threads=4)
-    assert a.to_json() == c.to_json()
 
 
 def test_report_json_schema_and_roundtrip():
@@ -196,10 +193,10 @@ CONTROL_GRID = Grid.uniform_on(0.0, 1.0, 33)
 CONTROL_PATHS = 100_000
 
 
-def _shift_mean(p, grid, n_paths, seed, *, threads=1):
+def _shift_mean(p, grid, n_paths, seed):
     # a constant c added to m: its image c (1 + x^2) is at least 8 Monte-Carlo
     # standard errors of the image mean at every interior point
-    d = draw_factored(p, grid, n_paths, seed, threads=threads)
+    d = draw_factored(p, grid, n_paths, seed)
     image = pushforward(CONTROL_PRIOR, CONTROL_OP)
     se = np.sqrt(np.diag(gram(image.kernel, grid)) / n_paths)
     interior = interior_mask(len(grid), CONTROL_OP.order)
@@ -207,10 +204,10 @@ def _shift_mean(p, grid, n_paths, seed, *, threads=1):
     return dataclasses.replace(d, mean=d.mean + c)
 
 
-def _longer_lengthscale(p, grid, n_paths, seed, *, threads=1):
+def _longer_lengthscale(p, grid, n_paths, seed):
     # the factor of a kernel 5% off the one whose image the gates predict
     wrong = GaussianProcessPrior(mean=p.mean, kernel=se_kernel(0.525))
-    return draw_factored(wrong, grid, n_paths, seed, threads=threads)
+    return draw_factored(wrong, grid, n_paths, seed)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -232,10 +229,10 @@ def _edit_white(d, edit):
     return EditedStream(**vars(d), edit=edit)
 
 
-def _scale_mixture(p, grid, n_paths, seed, *, threads=1):
+def _scale_mixture(p, grid, n_paths, seed):
     # rows of z scaled by sqrt(W) with E W = 1: the prior's mean and
     # covariance, not Gaussian
-    d = draw_factored(p, grid, n_paths, seed, threads=threads)
+    d = draw_factored(p, grid, n_paths, seed)
     w = np.random.default_rng(seed).gamma(4.0, 0.25, size=(n_paths, 1))
     return _edit_white(d, lambda lo, z: np.sqrt(w[lo:lo + len(z)]) * z)
 
@@ -349,7 +346,7 @@ def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_p
     t_cols = np.random.default_rng(n_paths).standard_normal((n_points, 3))
     zbar, zcov, thin = FactoredDraw.moments(white, t_cols)
 
-    z = _standard_normals(5, 0, np.empty((n_paths, n_points)), 1)
+    z = np.random.Generator(np.random.Philox(key=5)).standard_normal((n_paths, n_points))
     e = SampleEnsemble(Grid.uniform_on(0.0, 1.0, n_points), z, 5)
     ref_thin = z @ t_cols
     # relative to the unit scale of white normals, of cov(z) and of z t_cols
@@ -393,19 +390,6 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
         assert seen == [1] and blas.get() == 3
     finally:
         blas.set(before)
-
-
-def test_reports_are_byte_identical_across_threads_over_many_chunks(monkeypatch):
-    # verify's own draw reads no chunk, so the chunked base draw is injected,
-    # as the negative controls inject theirs: 240-path chunks of three
-    # 102-path Philox blocks, 7 chunks, each split between threads
-    monkeypatch.setattr(gpops.sampling, "CHUNK_ENTRIES", SMALL_CHUNK)
-    monkeypatch.setattr(gpops.sampling, "BLOCK_WORDS", 2**11)
-    monkeypatch.setattr(gpops.verify, "draw_factored", _chunked_draw)
-    reports = [verify_theorem(PRIOR, derivative_operator(1), GRID, 1500, 9, threads=threads)
-               for threads in (1, 2, 3)]
-    assert len({r.to_json() for r in reports}) == 1
-    assert len({r.to_csv() for r in reports}) == 1
 
 
 def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
