@@ -13,9 +13,7 @@ notoriously ill-conditioned; reported noise levels do not include the floor.
 
 The forward solve against the Gram's Cholesky factor is numpy's own
 (:func:`gpops.linalg.solve_lower`), so conditioning loads no scipy module,
-and neither does any other part of the runtime.  Its blocked
-sums differ from LAPACK's ``trsm`` in the last bits, so ``solution.json``
-moved in its last digits once, when the scipy solve was replaced.
+and neither does any other part of the runtime.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ refinement to 2n - 1 points, the interior error relative to ``max |T1 T2 k|``
 (the mean's relative to its square root) must fall at an observed rate of at
 least 0.8 per halving of the spacing, or lie within a roundoff floor of 1e-5
 on one of the two grids.  Under a defect in the transport the error does not
-fall.
+fall.  Each mean and kernel table is tabulated once, on the refinement; the
+grid's are its even entries, since ``_refined`` adds exact midpoints to the
+grid's own points, kept bit for bit, and tables are evaluated entry by entry.
 
 A seeded ensemble of prior paths ``u = m + L z`` then tests the sampler,
 compared with the law it samples, ``A m`` and ``A (K + delta I) A^t`` with
@@ -164,13 +166,8 @@ def _z_gate(dev, se, mask, threshold, **extra) -> dict:
             **extra, "threshold": threshold, "passed": bool(z <= threshold)}
 
 
-def _discrete_law(p: GaussianProcessPrior, a_mat: np.ndarray, grid: Grid):
-    """``(A m, A K A^t)``: the prior's grid marginal under the stencil matrix ``A``."""
-    return a_mat @ p.mean(grid.points), a_mat @ gram(p.kernel, grid) @ a_mat.T
-
-
 def _refined(grid: Grid) -> Grid:
-    """The grid with the midpoint of every spacing added: 2n - 1 points."""
+    """The grid with the exact midpoint of every spacing added: 2n - 1 points."""
     x = grid.points
     fine = np.empty(2 * len(x) - 1)
     fine[0::2] = x
@@ -242,14 +239,15 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         return VerificationReport(config=config, tolerances=tol, mode="rejection",
                                   passed=occurred, rejection=rejection)
 
-    x = grid.points
-    mean_v = image.mean(x)
+    # each table is tabulated once, on the refinement: the grid's are its even entries
+    x, fine = grid.points, _refined(grid)
+    image_mean = image.mean(fine.points)
     # A comes before the image Gram, so an operator without a stencil on the
     # grid fails before any kernel table is built or anything is drawn
     a_mat = operator_matrix(op, grid)
-    k_v = gram(image.kernel, grid)
-    var_v = np.diag(k_v)
-    below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(k_v)))
+    image_gram = gram(image.kernel, fine)
+    var_v = image_gram.diagonal()[::2]
+    below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(image_gram[::2, ::2])))
     if below.size:
         i = int(below[0])
         raise EvaluationError(f"image variance {var_v[i]:.6g} at grid point {i} (x = {x[i]:g}) "
@@ -268,15 +266,17 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     if n_paths < MIN_PATHS:
         raise ParameterError(f"need at least {MIN_PATHS} paths, got {n_paths}")
 
-    # the discrete law (A m, A K A^t) of the prior, against the closed form on
-    # the grid and on its refinement
-    law_mean, law_cov = _discrete_law(p, a_mat, grid)
-    fine = _refined(grid)
-    errors = [_discretization_errors(law_mean, law_cov, mean_v, k_v, interior),
-              _discretization_errors(*_discrete_law(p, operator_matrix(op, fine), fine),
-                                     image.mean(fine.points), gram(image.kernel, fine),
-                                     interior_mask(len(fine), op.order))]
+    # the prior's discrete law (A m, A K A^t) against the closed form, on both levels
+    prior_mean, prior_gram = p.mean(fine.points), gram(p.kernel, fine)
+    law_mean, law_cov = a_mat @ prior_mean[::2], a_mat @ prior_gram[::2, ::2] @ a_mat.T
+    a_fine = operator_matrix(op, fine)
+    errors = [_discretization_errors(law_mean, law_cov, image_mean[::2], image_gram[::2, ::2],
+                                     interior),
+              _discretization_errors(a_fine @ prior_mean, a_fine @ prior_gram @ a_fine.T,
+                                     image_mean, image_gram, interior_mask(len(fine), op.order))]
     discretization_check = _discretization_gate([len(grid), len(fine)], errors)
+    # the refinement's tables (var_v is a view of one) are freed before the draw
+    del image_mean, image_gram, var_v, prior_mean, prior_gram, a_fine
 
     # the image ensemble A u = A m + z T^t, from the moments of z (module
     # docstring)

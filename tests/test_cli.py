@@ -655,7 +655,7 @@ def test_negative_image_variance_exit_one(tmp_path, capsys, monkeypatch):
     # an image Gram with one variance negative far beyond roundoff
     def gram(kernel, grid):
         k = gpops.linalg.gram(kernel, grid)
-        k[3, 3] = -k[3, 3]
+        k[6, 6] = -k[6, 6]
         return k
 
     monkeypatch.setattr(gpops.verify, "gram", gram)
@@ -988,3 +988,35 @@ def test_verify_and_sample_outputs_do_not_depend_on_the_blas_thread_count(tmp_pa
     assert sorted(digests["sample", "1"]) == ["ensemble.csv", "ensemble.json"]
     for command, _ in runs:
         assert digests[command, "1"] == digests[command, "2"], command
+
+
+SOLVE_1000 = """\
+kernel: {name: se, lengthscale: 0.5}
+operator: {terms: [[2, "1"], [0, "1"]]}
+grid: {interval: [0.0, 1.0], count: 33}
+problem:
+  rhs: "0"
+  collocation_count: 1000
+  collocation_noise_sd: 1.0e-4
+  boundary:
+    - {location: 0.0, value: 0.0}
+    - {location: 1.0, value: 0.8414709848078965}
+"""
+
+
+def test_solve_output_is_byte_identical_across_runs_at_a_fixed_blas_thread_count(tmp_path):
+    # solve's Cholesky runs at the ambient BLAS thread count, so its last
+    # digits may differ across counts; at one count its bytes repeat
+    if gpops.linalg.blas_threads() is None:
+        pytest.skip("no bundled OpenBLAS found: numpy's BLAS thread count is uncontrolled")
+    cfg = write(tmp_path, "solve.yaml", SOLVE_1000)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    outputs = []
+    for run_index in range(2):
+        out = tmp_path / f"solve-{run_index}"
+        run = subprocess.run([sys.executable, "-m", "gpops.cli", "solve", "--config", cfg,
+                              "--out", str(out)], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["solution.csv", "solution.json"]
+    assert outputs[0] == outputs[1]

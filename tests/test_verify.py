@@ -156,7 +156,7 @@ def test_negative_image_variance_is_an_error_naming_the_grid_point():
 def test_negative_variance_is_clipped_only_within_roundoff(monkeypatch, relative, raises):
     def gram_with_one_negative_variance(kernel, grid):
         k = gram(kernel, grid)
-        k[5, 5] = relative * np.max(np.abs(k))
+        k[10, 10] = relative * np.max(np.abs(k))
         return k
 
     monkeypatch.setattr(gpops.verify, "gram", gram_with_one_negative_variance)
@@ -168,6 +168,22 @@ def test_negative_variance_is_clipped_only_within_roundoff(monkeypatch, relative
         # same entry
         rep = verify_theorem(PRIOR, identity(), GRID, 1000, 1)
         assert rep.discretization_check["passed"]
+
+
+def test_verify_tabulates_each_gram_once_on_the_refinement(monkeypatch):
+    # the grid's points are the refinement's even points, so the grid's
+    # tables are the refinement's even entries: one verification builds the
+    # image Gram and the prior Gram once each, on 2n - 1 points
+    points = []
+
+    def counting_gram(kernel, grid):
+        points.append(len(grid))
+        return gram(kernel, grid)
+
+    monkeypatch.setattr(gpops.verify, "gram", counting_gram)
+    p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5))
+    verify_theorem(p, derivative_operator(2), Grid.uniform_on(0.0, 1.0, 257), 2000, 1)
+    assert points == [513, 513]
 
 
 def test_verdict_does_not_depend_on_kernel_variance():
