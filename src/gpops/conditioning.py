@@ -11,8 +11,10 @@ The observation Gram diagonal always receives a variance floor of ``1e-8``
 on top of the declared noise, because noiseless derivative interpolation is
 notoriously ill-conditioned; reported noise levels do not include the floor.
 
-The forward solve against the Gram's Cholesky factor is numpy's own
-(:func:`gpops.linalg.solve_lower`), so conditioning loads no scipy module,
+The Gram is factored by LAPACK's ``dpotrf`` on one Fortran-ordered copy, and
+the forward solve against that factor is one BLAS ``dtrsm`` call, both read
+from the OpenBLAS that numpy bundles (:func:`gpops.linalg.chol_psd` and
+:func:`gpops.linalg.solve_lower`).  So conditioning loads no scipy module,
 and neither does any other part of the runtime.
 """
 
@@ -163,8 +165,8 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     # Observation Gram, lower triangle only (chol_psd reads no more): one
     # operator applied per argument, each group pair i >= j evaluated once
     # straight into its slice, diagonal pairs below their diagonal.  Fortran
-    # order is the layout LAPACK reads, so the factorization copies it
-    # contiguously.
+    # order is the layout LAPACK reads: chol_psd factors one Fortran copy and
+    # returns that copy as L, which the solve reads as it is.
     k_obs = np.zeros((q, q), order="F")
     for i, (op_i, rows) in enumerate(spans):
         for (_, cols), s2k_j in zip(spans[:i], s2k):

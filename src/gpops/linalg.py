@@ -1,4 +1,11 @@
-"""Gram assembly, jitter-laddered Cholesky, forward substitution and the one-BLAS-thread seam."""
+"""Gram assembly, jitter-laddered Cholesky, forward substitution and the one-BLAS-thread seam.
+
+The Cholesky factor (LAPACK's ``dpotrf``) and the triangular solve (BLAS's
+``dtrsm``) are called through ``ctypes`` from the OpenBLAS that numpy bundles,
+the library whose thread count ``one_blas_thread`` holds, so the runtime
+needs no scipy.  Without such a library they fall back to
+``np.linalg.cholesky`` and ``np.linalg.solve``.
+"""
 
 from __future__ import annotations
 
@@ -10,14 +17,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import DimensionError, NotPositiveDefiniteError
 from .grids import Grid
 
 __all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower", "one_blas_thread",
            "blas_threads"]
-
-# Rows per diagonal block of the forward substitution.
-SOLVE_BLOCK = 128
 
 
 def gram(kernel, grid: Grid) -> np.ndarray:
@@ -46,9 +50,15 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
     """Lower Cholesky factor of ``matrix + delta * I`` for the smallest workable delta.
 
     Tries the jitter ladder ``0, 1e-12, 1e-11, ..., max_jitter`` in order and
-    returns ``(L, delta)`` for the first success.  ``matrix`` itself is
-    factored first; each retry adds ``delta`` to the diagonal of a copy in
-    ``matrix``'s memory layout.
+    returns ``(L, delta)`` for the first success.  ``matrix`` is never
+    modified: it is copied once, into Fortran order, and that copy is factored
+    in place by LAPACK's ``dpotrf``; a retry refills the same copy from
+    ``matrix`` and adds ``delta`` to its diagonal.  ``L`` has the input's
+    memory layout: a Fortran-ordered input gets that copy itself, so the
+    memory is the input plus one copy; any other input gets a C-ordered copy
+    of it, as ``np.linalg.cholesky`` returns.  The factor equals
+    ``np.linalg.cholesky``'s bit for bit, which is also the fallback when
+    numpy bundles no OpenBLAS that can be found.
 
     Only the lower triangle of ``matrix`` is read: entries above the
     diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
@@ -57,53 +67,98 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
     Raises
     ------
     NotPositiveDefiniteError
-        If no ladder entry makes the factorization succeed; the exception
-        records the attempted deltas.
+        If no ladder entry makes the factorization succeed, or if the lower
+        triangle holds a NaN or an infinity (LAPACK does not flag a NaN, but
+        it always reaches the factor's diagonal); the exception records the
+        attempted deltas.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotPositiveDefiniteError(f"expected a square matrix, got shape {m.shape}")
     ladder = jitter_ladder(max_jitter)
-    for delta in ladder:
-        shifted = m
+    work = np.array(m, order="F")
+    diagonal = np.diag_indices_from(work)
+    for i, delta in enumerate(ladder):
         if delta:
-            shifted = m.copy(order="K")
-            shifted[np.diag_indices_from(shifted)] += delta
-        try:
-            return np.linalg.cholesky(shifted), delta
-        except np.linalg.LinAlgError:
-            continue
-    raise NotPositiveDefiniteError(
-        f"matrix of size {m.shape[0]} is not positive definite for any jitter "
-        f"on the ladder (tried {ladder})",
-        tried=ladder,
-    )
+            np.copyto(work, m)
+            work[diagonal] += delta
+        if _factor_lower(work):
+            break
+    else:
+        if not np.isfinite(np.tril(m)).all():
+            raise _not_finite(m, ladder)
+        raise NotPositiveDefiniteError(
+            f"matrix of size {m.shape[0]} is not positive definite for any jitter "
+            f"on the ladder (tried {ladder})",
+            tried=ladder,
+        )
+    if not np.isfinite(work[diagonal]).all():
+        raise _not_finite(m, ladder[:i + 1])
+    for j in range(1, work.shape[1]):
+        work[:j, j] = 0.0
+    return (work if m.flags.f_contiguous else np.ascontiguousarray(work)), delta
+
+
+def _not_finite(m, tried) -> NotPositiveDefiniteError:
+    return NotPositiveDefiniteError(
+        f"matrix of size {m.shape[0]} has an entry that is not finite (a NaN or an "
+        f"infinity) in its lower triangle", tried=tried)
+
+
+def _factor_lower(work: np.ndarray) -> bool:
+    """Cholesky-factor the Fortran-ordered ``work`` in place; False if it is not positive definite.
+
+    The lower triangle receives the factor.  ``dpotrf`` leaves the upper
+    triangle as it was; the fallback overwrites it with zeros.
+    """
+    blas = _resolve_openblas()
+    if blas:
+        return blas.potrf(work) == 0
+    try:
+        work[...] = np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` in place for a lower-triangular ``L`` by blocked forward substitution.
+    """Solve ``L x = b`` in place for a lower-triangular ``L``; return ``b``, now holding ``x``.
 
-    ``b``, a float64 vector or matrix of right-hand sides, is overwritten by
-    ``x`` and returned.  Each ``SOLVE_BLOCK`` row block of ``x`` is solved
-    against its diagonal block of ``L`` with ``np.linalg.solve``, then one
-    matrix product removes it from the rows below.  Only the lower triangle
-    of ``L`` is read.
+    ``b`` is a float64 vector or matrix of right-hand sides.  One LAPACK
+    ``dtrsm`` call solves for all of them, reading ``L`` and ``b`` in their
+    own layouts: a C- or Fortran-ordered ``L`` and a vector, C- or
+    Fortran-ordered ``b`` are not copied.  Any other ``b`` is solved in a
+    Fortran-ordered copy that is written back.  Only the lower triangle of
+    ``L`` is read.  When numpy bundles no OpenBLAS that can be found, this
+    falls back to ``np.linalg.solve`` on ``np.tril(L)``.
     """
-    n = L.shape[0]
-    for lo in range(0, n, SOLVE_BLOCK):
-        hi = min(lo + SOLVE_BLOCK, n)
-        b[lo:hi] = np.linalg.solve(np.tril(L[lo:hi, lo:hi]), b[lo:hi])
-        if hi < n:
-            b[hi:] -= L[hi:, lo:hi] @ b[lo:hi]
+    L = np.asarray(L, dtype=float)
+    if L.ndim != 2 or L.shape[0] != L.shape[1] or b.ndim not in (1, 2) \
+            or b.shape[0] != L.shape[0]:
+        raise DimensionError(f"cannot solve {L.shape} against {b.shape}")
+    blas = _resolve_openblas()
+    if not blas:
+        b[...] = np.linalg.solve(np.tril(L), b)
+        return b
+    if b.dtype != np.float64 or not b.flags.writeable \
+            or not (b.flags.f_contiguous or b.flags.c_contiguous):
+        b[...] = solve_lower(L, np.array(b, dtype=float, order="F"))
+        return b
+    if not (L.flags.f_contiguous or L.flags.c_contiguous):
+        L = np.asfortranarray(L)
+    blas.trsm(L, b)
     return b
 
 
 class _OpenBLAS:
-    """The thread count of one OpenBLAS library, held at one while any caller is inside.
+    """One OpenBLAS library: its thread count, and the LAPACK factor and BLAS solve read from it.
 
-    The count is process-wide, so entries nest and may come from several
-    threads: the first entry saves the count and sets one, the last exit
-    restores what was saved.
+    The thread count is process-wide and held at one while any caller is
+    inside, so entries nest and may come from several threads: the first
+    entry saves the count and sets one, the last exit restores what was
+    saved.  Binding raises AttributeError when the library lacks a symbol.
+    The ``64_`` symbols take 64-bit integers, the others 32-bit ones, and each
+    character argument has a trailing hidden length.
     """
 
     def __init__(self, lib: ctypes.CDLL, prefix: str, suffix: str):
@@ -111,6 +166,17 @@ class _OpenBLAS:
         self.get.argtypes, self.get.restype = [], ctypes.c_int
         self.set = getattr(lib, f"{prefix}_set_num_threads{suffix}")
         self.set.argtypes, self.set.restype = [ctypes.c_int], None
+        lapack = "scipy_" if prefix == "scipy_openblas" else ""
+        self._int = ctypes.c_int64 if suffix == "64_" else ctypes.c_int32
+        char, ptr, length = ctypes.c_char_p, ctypes.POINTER(self._int), ctypes.c_size_t
+        self._potrf = getattr(lib, f"{lapack}dpotrf_{suffix}")
+        self._potrf.argtypes = [char, ptr, ctypes.c_void_p, ptr, ptr, length]
+        self._potrf.restype = None
+        self._trsm = getattr(lib, f"{lapack}dtrsm_{suffix}")
+        self._trsm.argtypes = [char, char, char, char, ptr, ptr,
+                               ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ptr,
+                               ctypes.c_void_p, ptr, length, length, length, length]
+        self._trsm.restype = None
         self._lock = threading.Lock()
         self._depth = 0
         self._saved = None
@@ -128,6 +194,34 @@ class _OpenBLAS:
             if self._depth == 0:
                 self.set(self._saved)
 
+    def potrf(self, a: np.ndarray) -> int:
+        """``dpotrf('L')`` in place on the Fortran-ordered float64 square ``a``; LAPACK's info."""
+        n, info = a.shape[0], self._int(0)
+        self._potrf(b"L", ctypes.byref(self._int(n)), a.ctypes.data,
+                    ctypes.byref(self._int(max(1, n))), ctypes.byref(info), 1)
+        return info.value
+
+    def trsm(self, L: np.ndarray, b: np.ndarray):
+        """Overwrite ``b`` by ``L^-1 b``: one ``dtrsm`` on the lower triangle of ``L``.
+
+        ``L`` is a contiguous float64 square, ``b`` a contiguous float64
+        vector or matrix.  Fortran reads a C-ordered array as its transpose,
+        so a C-ordered ``L`` is an upper triangle to be transposed, and a
+        C-ordered ``b`` is solved from the right, as ``x^T L^T = b^T``.
+        """
+        q = L.shape[0]
+        uplo, trans = (b"L", b"N") if L.flags.f_contiguous else (b"U", b"T")
+        k = b.shape[1] if b.ndim == 2 else 1
+        if b.flags.f_contiguous:
+            side, m, n = b"L", q, k
+        else:
+            side, m, n = b"R", k, q
+            trans = b"T" if trans == b"N" else b"N"
+        self._trsm(side, uplo, trans, b"N", ctypes.byref(self._int(m)),
+                   ctypes.byref(self._int(n)), ctypes.byref(ctypes.c_double(1.0)),
+                   L.ctypes.data, ctypes.byref(self._int(max(1, q))),
+                   b.ctypes.data, ctypes.byref(self._int(max(1, m))), 1, 1, 1, 1)
+
 
 def _find_openblas() -> _OpenBLAS | None:
     """numpy's bundled OpenBLAS (``numpy.libs`` on Linux, ``numpy/.dylibs`` on macOS)."""
@@ -140,14 +234,17 @@ def _find_openblas() -> _OpenBLAS | None:
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                if all(hasattr(lib, f"{prefix}_{op}_num_threads{suffix}") for op in ("get", "set")):
+                try:
                     return _OpenBLAS(lib, prefix, suffix)
+                except AttributeError:
+                    continue
     return None
 
 
 # numpy's OpenBLAS, looked up on first use and never at import: None until
 # then, and False when the lookup found none, in which case BLAS is
-# uncontrolled and one_blas_thread does nothing.
+# uncontrolled, one_blas_thread does nothing and chol_psd and solve_lower
+# fall back to numpy.
 _openblas: _OpenBLAS | bool | None = None
 _openblas_lock = threading.Lock()
 

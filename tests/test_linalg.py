@@ -1,4 +1,7 @@
+import contextlib
+import glob
 import math
+import os
 import threading
 
 import numpy as np
@@ -11,8 +14,8 @@ import gpops.verify
 from gpops.errors import NotPositiveDefiniteError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
-from gpops.linalg import (SOLVE_BLOCK, blas_threads, chol_psd, gram, jitter_ladder,
-                          one_blas_thread, solve_lower)
+from gpops.linalg import (blas_threads, chol_psd, gram, jitter_ladder, one_blas_thread,
+                          solve_lower)
 from gpops.means import zero_mean
 from gpops.operators import derivative_operator
 from gpops.processes import GaussianProcessPrior
@@ -97,7 +100,7 @@ def test_chol_psd_reads_only_the_lower_triangle(case):
 @pytest.mark.parametrize("case", ["rung0", "retry"])
 def test_chol_psd_factors_c_and_fortran_layouts_alike(monkeypatch, case):
     # condition() builds its Gram in Fortran order, the layout LAPACK reads;
-    # a jitter retry copies it in that layout
+    # chol_psd factors a Fortran copy of any layout, a retry included
     rng = np.random.default_rng(11)
     if case == "rung0":
         m = gram(se_kernel(0.3, 1.0), Grid(np.sort(rng.uniform(0.0, 1.0, 40))))
@@ -106,14 +109,77 @@ def test_chol_psd_factors_c_and_fortran_layouts_alike(monkeypatch, case):
         v = rng.standard_normal(12)
         m = np.outer(v, v)
     m += np.triu(np.full_like(m, np.nan), 1)  # only the lower triangle is read
-    L, delta = chol_psd(m, max_jitter=1e-4)
     factored = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(a) or cholesky(a))
+    factor = gpops.linalg._factor_lower
+    monkeypatch.setattr(gpops.linalg, "_factor_lower", lambda a: factored.append(a) or factor(a))
+    L, delta = chol_psd(m, max_jitter=1e-4)
     L_f, delta_f = chol_psd(np.asfortranarray(m), max_jitter=1e-4)
     assert (delta_f, delta == 0.0) == (delta, case == "rung0")
     assert np.array_equal(L_f, L)
+    # one factorization per rung tried, on each of the two calls
+    assert len(factored) == 2 * (jitter_ladder(1e-4).index(delta) + 1)
     assert all(a.flags.f_contiguous for a in factored)
+
+
+@pytest.fixture(params=["openblas", "numpy"])
+def lapack(request, monkeypatch):
+    """The factor and solve through numpy's bundled OpenBLAS, or through numpy's fallback."""
+    if request.param == "openblas" and blas_threads() is None:
+        pytest.skip("no bundled OpenBLAS found")
+    if request.param == "numpy":
+        monkeypatch.setattr(gpops.linalg, "_openblas", False)
+    return request.param
+
+
+def test_the_bundled_openblas_is_found():
+    # a failed lookup would fall back to numpy silently, so every test would
+    # still pass on the fallback alone
+    pkg = os.path.dirname(np.__file__)
+    if not (glob.glob(os.path.join(pkg + ".libs", "*openblas*"))
+            + glob.glob(os.path.join(pkg, ".dylibs", "*openblas*"))):
+        pytest.skip("numpy bundles no OpenBLAS here")
+    assert blas_threads() is not None
+
+
+def _gram_case(kernel, q, case):
+    # rung0: a 1e-6 noise floor, factored as it is; retry: none, so the ladder
+    # must step past 0
+    rng = np.random.default_rng(q)
+    k = se_kernel(0.3, 1.0) if kernel == "se" else matern_kernel(2.5, 0.5)
+    m = gram(k, Grid(np.sort(rng.uniform(0.0, 1.0, q))))
+    if case == "rung0":
+        m[np.diag_indices_from(m)] += 1e-6
+    return m
+
+
+@pytest.mark.parametrize("case", ["rung0", "retry"])
+@pytest.mark.parametrize("kernel, q", [("se", 2002), ("matern52", 257)])
+def test_chol_psd_equals_numpy_cholesky_bit_for_bit(lapack, kernel, q, case):
+    m = _gram_case(kernel, q, case)
+    for threads in (one_blas_thread, contextlib.nullcontext):
+        with threads():
+            L_ref = None
+            for layout in (m, np.asfortranarray(m)):
+                before = layout.copy(order="K")
+                L, delta = chol_psd(layout)
+                assert (delta == 0.0) == (case == "rung0")
+                if L_ref is None:
+                    L_ref = np.linalg.cholesky(m + delta * np.eye(q))
+                assert np.array_equal(L, L_ref)
+                assert np.array_equal(layout, before)
+                assert L.flags.f_contiguous == layout.flags.f_contiguous
+                assert L.flags.c_contiguous == layout.flags.c_contiguous
+
+
+@pytest.mark.parametrize("where", ["nan-diagonal", "nan-below", "inf-below"])
+def test_chol_psd_refuses_a_non_finite_lower_triangle(lapack, where):
+    # neither LAPACK nor numpy flags a NaN: it would reach the factor silently
+    m = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    i, j, value = {"nan-diagonal": (1, 1, np.nan), "nan-below": (2, 0, np.nan),
+                   "inf-below": (2, 1, np.inf)}[where]
+    m[i, j] = value
+    with pytest.raises(NotPositiveDefiniteError, match="not finite"):
+        chol_psd(m)
 
 
 # ------------------------------------------------------ forward substitution
@@ -128,32 +194,51 @@ def _gram_factor(q, seed):
 
 
 @pytest.mark.parametrize("q, rhs", [
-    (50, 7),                   # below one block
-    (2 * SOLVE_BLOCK, 7),      # a multiple of the block
-    (2 * SOLVE_BLOCK + 1, 7),  # one row past a multiple
-    (300, None),               # a single right-hand side, as a vector
-    (300, 1),                  # a single right-hand side, as a column
-    (2002, 202),               # the solve-colloc shape: 2000 + 2 rows, 201 + 1 columns
+    (50, 7),
+    (256, 7),
+    (257, 7),
+    (300, None),  # a single right-hand side, as a vector
+    (300, 1),     # a single right-hand side, as a column
+    (2002, 202),  # the solve-colloc shape: 2000 + 2 rows, 201 + 1 columns
 ])
 def test_solve_lower_matches_scipy(q, rhs):
     L, rng = _gram_factor(q, q)
     b = rng.standard_normal(q if rhs is None else (q, rhs))
-    x = solve_lower(L, b.copy())
     ref = scipy.linalg.solve_triangular(L, b, lower=True)
-    assert x.shape == b.shape
-    # normwise relative residual (backward error), about 1e-17 here
-    assert np.linalg.norm(L @ x - b) <= 1e-12 * np.linalg.norm(L) * np.linalg.norm(x)
-    # both solves are backward stable, so they differ by at most about
-    # cond(L) (here below 1e5) times the rounding unit
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    # dtrsm reads each layout of L and b as it is, a C-ordered b from the right
+    for L_layout, b_layout in [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")]:
+        x = solve_lower(L.copy(order=L_layout), b.copy(order=b_layout))
+        assert x.shape == b.shape
+        # normwise relative residual (backward error), about 1e-17 here
+        assert np.linalg.norm(L @ x - b) <= 1e-12 * np.linalg.norm(L) * np.linalg.norm(x)
+        # both solves are backward stable, so they differ by at most about
+        # cond(L) (here below 1e5) times the rounding unit
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("rhs", [None, 5])
+def test_solve_lower_matches_scipy_on_either_path(lapack, rhs):
+    L, rng = _gram_factor(257, 5)
+    b = rng.standard_normal(257 if rhs is None else (257, rhs))
+    ref = scipy.linalg.solve_triangular(L, b, lower=True)
+    for b_layout in "CF":
+        x = solve_lower(L, b.copy(order=b_layout))
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_solve_lower_reads_only_the_lower_triangle_and_solves_in_place():
-    L, rng = _gram_factor(2 * SOLVE_BLOCK + 1, 3)
+    L, rng = _gram_factor(257, 3)
     b = np.asfortranarray(rng.standard_normal((L.shape[0], 5)))
     x = solve_lower(L, b.copy(order="F"))
     garbled = L + np.triu(np.full_like(L, np.nan), 1)
     assert np.array_equal(solve_lower(garbled, b.copy(order="F")), x)
+    assert np.array_equal(solve_lower(np.asfortranarray(garbled), b.copy(order="F")), x)
+    # a strided view is solved in a copy and written back
+    wide = np.zeros((L.shape[0], 10))
+    wide[:, ::2] = b
+    assert solve_lower(L, wide[:, ::2]).base is wide
+    assert np.array_equal(wide[:, ::2], x)
+    assert not wide[:, 1::2].any()
     assert solve_lower(L, b) is b
     assert np.array_equal(b, x)
 
