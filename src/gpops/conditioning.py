@@ -11,9 +11,11 @@ The observation Gram diagonal always receives a variance floor of ``1e-8``
 on top of the declared noise, because noiseless derivative interpolation is
 notoriously ill-conditioned; reported noise levels do not include the floor.
 
-The Gram is factored by LAPACK's ``dpotrf`` on one Fortran-ordered copy, and
-the forward solve against that factor is one BLAS ``dtrsm`` call, both read
-from the OpenBLAS that numpy bundles (:func:`gpops.linalg.chol_psd` and
+The Gram is assembled in one Fortran-ordered q×q array, and LAPACK's
+``dpotrf`` factors it in place (``chol_psd(..., overwrite=True)``), so one
+q×q array is live while it is factored.  The forward solve against that
+factor is one BLAS ``dtrsm`` call.  Both are read from the OpenBLAS that
+numpy bundles (:func:`gpops.linalg.chol_psd` and
 :func:`gpops.linalg.solve_lower`).  So conditioning loads no scipy module,
 and neither does any other part of the runtime.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grids import Grid
-from .linalg import chol_psd, gram
+from .linalg import chol_psd, gram, jitter_ladder
 from .linalg import solve_lower as solve_triangular  # the name perfbench traces
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_to_function
 from .processes import GaussianProcessPrior
@@ -123,11 +125,13 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     unchanged.  The Gram is then assembled in one array, lower triangle
     only: each group pair below or on the diagonal is evaluated once,
     straight into its slice, and ``chol_psd`` reads nothing above the
-    diagonal.  With its factor ``L``, one forward solve
-    ``L [v | W] = [y - m_obs | K_obs,x]`` gives the mean ``m(x) + W'v``, the
-    covariance ``K_xx - W'W`` (exactly symmetric: BLAS forms ``W'W`` once)
-    and, from ``v'v``, the log marginal.
+    diagonal and factors the Gram in place.  With its factor ``L``, one
+    forward solve ``L [v | W] = [y - m_obs | K_obs,x]`` gives the mean
+    ``m(x) + W'v``, the covariance ``K_xx - W'W`` (exactly symmetric: BLAS
+    forms ``W'W`` once) and, from ``v'v``, the log marginal.  A
+    ``max_jitter`` that is not finite and >= 0 raises ``ParameterError``.
     """
+    jitter_ladder(max_jitter)  # rejects a bad max_jitter before any work
     observations = list(observations)
     x = grid.points
     k_xx = gram(p.kernel, grid)
@@ -165,8 +169,9 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     # Observation Gram, lower triangle only (chol_psd reads no more): one
     # operator applied per argument, each group pair i >= j evaluated once
     # straight into its slice, diagonal pairs below their diagonal.  Fortran
-    # order is the layout LAPACK reads: chol_psd factors one Fortran copy and
-    # returns that copy as L, which the solve reads as it is.
+    # order is the layout LAPACK reads: the Gram is not read again, so
+    # chol_psd factors it in place and returns it as L, which the solve reads
+    # as it is.
     k_obs = np.zeros((q, q), order="F")
     for i, (op_i, rows) in enumerate(spans):
         for (_, cols), s2k_j in zip(spans[:i], s2k):
@@ -175,7 +180,7 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
         apply_arg(op_i, ARG1, s2k[i]).fill_lower(locs[rows], k_obs[rows, rows])
     k_obs[np.diag_indices(q)] += noise_var
 
-    L, jitter = chol_psd(k_obs, max_jitter=max_jitter)
+    L, jitter = chol_psd(k_obs, max_jitter=max_jitter, overwrite=True)
     vw = solve_triangular(L, b)
     v, w = vw[:, 0], vw[:, 1:]
     post_mean = p.mean(x) + w.T @ v

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import ctypes
 import glob
+import math
 import os
+import sys
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefiniteError
+from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from .grids import Grid
 
 __all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower", "one_blas_thread",
@@ -35,10 +37,15 @@ def gram(kernel, grid: Grid) -> np.ndarray:
 
 
 def jitter_ladder(max_jitter: float):
-    """Candidate jitters: 0, then decade steps from 1e-12 up to max_jitter."""
+    """Candidate jitters: 0, then decade steps from 1e-12 up to max_jitter.
+
+    Raises ParameterError unless ``max_jitter`` is finite and >= 0.
+    """
+    if not (math.isfinite(max_jitter) and max_jitter >= 0):
+        raise ParameterError(f"max_jitter must be finite and >= 0, got {max_jitter}")
     ladder = [0.0]
     k = -12
-    while 10.0**k <= max_jitter:
+    while k <= sys.float_info.max_10_exp and 10.0**k <= max_jitter:
         ladder.append(10.0**k)
         k += 1
     if max_jitter > 0 and ladder[-1] < max_jitter:
@@ -46,19 +53,29 @@ def jitter_ladder(max_jitter: float):
     return ladder
 
 
-def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
+def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = False):
     """Lower Cholesky factor of ``matrix + delta * I`` for the smallest workable delta.
 
     Tries the jitter ladder ``0, 1e-12, 1e-11, ..., max_jitter`` in order and
-    returns ``(L, delta)`` for the first success.  ``matrix`` is never
-    modified: it is copied once, into Fortran order, and that copy is factored
-    in place by LAPACK's ``dpotrf``; a retry refills the same copy from
-    ``matrix`` and adds ``delta`` to its diagonal.  ``L`` has the input's
+    returns ``(L, delta)`` for the first success.  By default ``matrix`` is
+    never modified: it is copied once, into Fortran order, and that copy is
+    factored in place by LAPACK's ``dpotrf``; a retry refills the same copy
+    from ``matrix`` and adds ``delta`` to its diagonal.  ``L`` has the input's
     memory layout: a Fortran-ordered input gets that copy itself, so the
     memory is the input plus one copy; any other input gets a C-ordered copy
     of it, as ``np.linalg.cholesky`` returns.  The factor equals
     ``np.linalg.cholesky``'s bit for bit, which is also the fallback when
     numpy bundles no OpenBLAS that can be found.
+
+    With ``overwrite=True`` a writeable, contiguous float64 ``matrix`` is
+    handed over and returned as ``L``.  A Fortran-ordered one is factored in
+    place, so no q×q copy is made: its strict upper triangle first receives a
+    mirror of the lower one, and a retry restores the lower triangle from
+    that mirror and the diagonal from an O(q) copy.  A C-ordered one is
+    factored in one Fortran copy, which is then written back into it.  Any
+    other input is treated as with ``overwrite=False`` and left untouched.
+    After an error with ``overwrite=True``, ``matrix`` holds unspecified
+    values.
 
     Only the lower triangle of ``matrix`` is read: entries above the
     diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
@@ -71,20 +88,38 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
         triangle holds a NaN or an infinity (LAPACK does not flag a NaN, but
         it always reaches the factor's diagonal); the exception records the
         attempted deltas.
+    ParameterError
+        If ``max_jitter`` is not finite and >= 0.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotPositiveDefiniteError(f"expected a square matrix, got shape {m.shape}")
     ladder = jitter_ladder(max_jitter)
-    work = np.array(m, order="F")
-    diagonal = np.diag_indices_from(work)
-    for i, delta in enumerate(ladder):
-        if delta:
+    owned = overwrite and m is matrix and m.flags.writeable
+    diagonal = np.diag_indices_from(m)
+    if owned and m.flags.f_contiguous:
+        # dpotrf('L') leaves the strict upper triangle alone, so it keeps the
+        # lower one for a retry; the diagonal is kept aside
+        work, saved = m, m.diagonal().copy()
+        _mirror_lower(m)
+
+        def refill(delta):
+            _mirror_lower(m.T)
+            m[diagonal] = saved + delta
+    else:
+        work = np.array(m, order="F")
+
+        def refill(delta):
             np.copyto(work, m)
             work[diagonal] += delta
+    for i, delta in enumerate(ladder):
+        if delta:
+            refill(delta)
         if _factor_lower(work):
             break
     else:
+        if work is m:
+            refill(0.0)
         if not np.isfinite(np.tril(m)).all():
             raise _not_finite(m, ladder)
         raise NotPositiveDefiniteError(
@@ -96,7 +131,29 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8):
         raise _not_finite(m, ladder[:i + 1])
     for j in range(1, work.shape[1]):
         work[:j, j] = 0.0
-    return (work if m.flags.f_contiguous else np.ascontiguousarray(work)), delta
+    if m.flags.f_contiguous:
+        return work, delta
+    if owned and m.flags.c_contiguous:
+        m[...] = work
+        return m, delta
+    return np.ascontiguousarray(work), delta
+
+
+# Columns per panel of _mirror_lower: its temporaries are q x _PANEL.
+_PANEL = 128
+
+
+def _mirror_lower(a: np.ndarray):
+    """Copy the strict lower triangle of the square ``a`` onto its strict upper one.
+
+    One column panel at a time, so each temporary is one panel and never a
+    q×q array.  ``_mirror_lower(a.T)`` copies the upper triangle back.
+    """
+    q = a.shape[0]
+    for j0 in range(0, q, _PANEL):
+        j1 = min(q, j0 + _PANEL)
+        above = np.arange(j1)[:, None] < np.arange(j0, j1)
+        np.copyto(a[:j1, j0:j1], a[j0:j1, :j1].T, where=above)
 
 
 def _not_finite(m, tried) -> NotPositiveDefiniteError:
@@ -108,16 +165,17 @@ def _not_finite(m, tried) -> NotPositiveDefiniteError:
 def _factor_lower(work: np.ndarray) -> bool:
     """Cholesky-factor the Fortran-ordered ``work`` in place; False if it is not positive definite.
 
-    The lower triangle receives the factor.  ``dpotrf`` leaves the upper
-    triangle as it was; the fallback overwrites it with zeros.
+    The lower triangle receives the factor; the upper triangle is left as
+    it was, since ``chol_psd`` may keep a mirror of the lower one there.
     """
     blas = _resolve_openblas()
     if blas:
         return blas.potrf(work) == 0
     try:
-        work[...] = np.linalg.cholesky(work)
+        factor = np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         return False
+    np.copyto(work, factor, where=np.tri(work.shape[0], dtype=bool))
     return True
 
 

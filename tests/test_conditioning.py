@@ -7,6 +7,7 @@ before the frozen error bound is asserted.
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -24,7 +25,7 @@ from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
 from gpops.errors import ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
-from gpops.linalg import chol_psd, gram
+from gpops.linalg import chol_psd, gram, jitter_ladder
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import (ARG1, ARG2, LinearOperator, apply_arg,
                              apply_to_function, derivative_operator, identity)
@@ -280,6 +281,45 @@ def test_condition_makes_one_triangular_solve():
     with mock.patch("gpops.conditioning.solve_triangular", spy):
         condition(make_prior(), obs, grid)
     assert calls == [(len(obs), 1 + len(grid))]
+
+
+def test_collocation_solve_holds_one_observation_gram():
+    # the solve-colloc problem: u'' + x u' + u = rhs at 2000 collocation
+    # points plus two boundary values, so a 2002 x 2002 observation Gram.
+    # chol_psd factors the Gram that condition() assembled in place, so the
+    # traced peak of a solve stays below 1.5 Grams; a factored copy would
+    # hold two of them.  numpy reports its buffers to tracemalloc.
+    a = 1.1135580497358988
+    op = LinearOperator([(2, 1.0), (1, "x"), (0, 1.0)])
+    bcs = [Observation(identity(), 0.0, 0.0), Observation(identity(), 1.0, math.sin(a))]
+    grid, collocation = Grid.uniform_on(0.0, 1.0, 201), Grid.uniform_on(0.0, 1.0, 2000)
+
+    def solve():
+        return solve_linear_ode(op, lambda x: (1 - a * a) * np.sin(a * x) + a * x * np.cos(a * x),
+                                bcs, grid, make_prior(), collocation=collocation,
+                                collocation_noise_sd=1e-4)
+
+    solve()  # warm-up: first-call caches and the BLAS lookup are not counted
+    tracemalloc.start()
+    try:
+        post = solve()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    q = 2002
+    assert peak < 1.5 * 8 * q * q
+    assert np.max(np.abs(post.mean - np.sin(a * grid.points))) <= 1e-5
+
+
+@pytest.mark.parametrize("max_jitter", [math.inf, math.nan, -1.0])
+def test_max_jitter_must_be_finite_and_non_negative(max_jitter):
+    with pytest.raises(ParameterError, match="max_jitter must be finite and >= 0"):
+        jitter_ladder(max_jitter)
+    with pytest.raises(ParameterError, match="max_jitter must be finite and >= 0"):
+        chol_psd(np.eye(2), max_jitter=max_jitter)
+    with pytest.raises(ParameterError, match="max_jitter must be finite and >= 0"):
+        condition(make_prior(), derivative_problem(), Grid.uniform_on(0.0, 1.0, 11),
+                  max_jitter=max_jitter)
 
 
 def test_posterior_serialization():

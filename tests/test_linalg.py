@@ -1,5 +1,6 @@
 import contextlib
 import glob
+import itertools
 import math
 import os
 import threading
@@ -51,12 +52,17 @@ def test_chol_psd_rank_deficient_succeeds_on_ladder():
 
 
 def test_chol_psd_indefinite_error_reports_ladder():
-    m = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
-    with pytest.raises(NotPositiveDefiniteError) as err:
-        chol_psd(m, max_jitter=1e-6)
-    assert err.value.tried[0] == 0.0
-    assert err.value.tried[1] == 1e-12
-    assert err.value.tried[-1] == pytest.approx(1e-6)
+    # eigenvalues 3 and -1; and a finite matrix whose partial factor
+    # overflows, which in place is restored before it is checked for an
+    # entry that is not finite
+    indefinite = ([[1.0, 2.0], [2.0, 1.0]], [[1e-300, 1e300], [1e300, 1.0]])
+    for rows, order, overwrite in itertools.product(indefinite, "CF", (False, True)):
+        m = np.array(rows, order=order)
+        with pytest.raises(NotPositiveDefiniteError, match="not positive definite") as err:
+            chol_psd(m, max_jitter=1e-6, overwrite=overwrite)
+        assert err.value.tried[0] == 0.0
+        assert err.value.tried[1] == 1e-12
+        assert err.value.tried[-1] == pytest.approx(1e-6)
 
 
 def test_jitter_ladder_decade_steps():
@@ -65,6 +71,8 @@ def test_jitter_ladder_decade_steps():
     assert jitter_ladder(0.0) == [0.0]
     # a non-power endpoint is appended
     assert jitter_ladder(5e-9)[-1] == 5e-9
+    # the decades stop at the largest finite power of ten
+    assert jitter_ladder(1.5e308)[-2:] == [1e308, 1.5e308]
 
 
 def test_jitter_is_added_to_the_diagonal_of_a_copy_only():
@@ -92,9 +100,11 @@ def test_chol_psd_reads_only_the_lower_triangle(case):
     L, delta = chol_psd(m, max_jitter=1e-4)
     assert (delta == 0.0) == (case == "rung0")
     for lower in (np.tril(m), np.tril(m) + np.triu(np.full_like(m, np.nan), 1)):
-        L_lower, delta_lower = chol_psd(lower, max_jitter=1e-4)
-        assert delta_lower == delta
-        assert np.array_equal(L_lower, L)
+        for order, overwrite in itertools.product("CF", (False, True)):
+            L_lower, delta_lower = chol_psd(np.array(lower, order=order), max_jitter=1e-4,
+                                            overwrite=overwrite)
+            assert delta_lower == delta
+            assert np.array_equal(L_lower, L)
 
 
 @pytest.mark.parametrize("case", ["rung0", "retry"])
@@ -155,31 +165,62 @@ def _gram_case(kernel, q, case):
 @pytest.mark.parametrize("case", ["rung0", "retry"])
 @pytest.mark.parametrize("kernel, q", [("se", 2002), ("matern52", 257)])
 def test_chol_psd_equals_numpy_cholesky_bit_for_bit(lapack, kernel, q, case):
+    # overwrite=True factors a Fortran-ordered input in place, a retry
+    # included, and writes a C-ordered input's factor back into it
     m = _gram_case(kernel, q, case)
     for threads in (one_blas_thread, contextlib.nullcontext):
         with threads():
             L_ref = None
-            for layout in (m, np.asfortranarray(m)):
+            for order, overwrite in itertools.product("CF", (False, True)):
+                layout = np.array(m, order=order)
                 before = layout.copy(order="K")
-                L, delta = chol_psd(layout)
+                L, delta = chol_psd(layout, overwrite=overwrite)
                 assert (delta == 0.0) == (case == "rung0")
                 if L_ref is None:
                     L_ref = np.linalg.cholesky(m + delta * np.eye(q))
                 assert np.array_equal(L, L_ref)
-                assert np.array_equal(layout, before)
-                assert L.flags.f_contiguous == layout.flags.f_contiguous
-                assert L.flags.c_contiguous == layout.flags.c_contiguous
+                if overwrite:
+                    assert L is layout
+                else:
+                    assert np.array_equal(layout, before)
+                assert L.flags.f_contiguous == before.flags.f_contiguous
+                assert L.flags.c_contiguous == before.flags.c_contiguous
 
 
 @pytest.mark.parametrize("where", ["nan-diagonal", "nan-below", "inf-below"])
 def test_chol_psd_refuses_a_non_finite_lower_triangle(lapack, where):
-    # neither LAPACK nor numpy flags a NaN: it would reach the factor silently
-    m = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    # neither LAPACK nor numpy flags a NaN: it would reach the factor silently.
+    # An infinity below the diagonal makes every rung fail, so it is found
+    # only after the ladder is exhausted, in the restored lower triangle.
     i, j, value = {"nan-diagonal": (1, 1, np.nan), "nan-below": (2, 0, np.nan),
                    "inf-below": (2, 1, np.inf)}[where]
-    m[i, j] = value
-    with pytest.raises(NotPositiveDefiniteError, match="not finite"):
-        chol_psd(m)
+    for order, overwrite in itertools.product("CF", (False, True)):
+        m = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], order=order)
+        m[i, j] = value
+        with pytest.raises(NotPositiveDefiniteError, match="not finite") as err:
+            chol_psd(m, overwrite=overwrite)
+        exhausted = err.value.tried == tuple(jitter_ladder(1e-8))
+        assert exhausted == (where == "inf-below")
+
+
+@pytest.mark.parametrize("kind", ["read-only", "integer", "strided"])
+def test_chol_psd_overwrite_leaves_an_input_it_cannot_own_untouched(kind):
+    m = _gram_case("se", 40, "rung0")
+    if kind == "read-only":
+        given = np.asfortranarray(m)
+        given.flags.writeable = False
+    elif kind == "integer":
+        # rounding moves the spectrum by at most 40 * 0.5
+        given = np.asfortranarray(np.rint(1e3 * m).astype(np.int64) + 40 * np.eye(40, dtype=int))
+        m = given.astype(float)
+    else:
+        given = np.zeros((40, 80))[:, ::2]
+        given[...] = m
+    before = given.copy()
+    L, delta = chol_psd(given, overwrite=True)
+    assert L is not given
+    assert np.array_equal(given, before)
+    assert np.array_equal(L, chol_psd(m)[0])
 
 
 # ------------------------------------------------------ forward substitution
