@@ -13,7 +13,8 @@ notoriously ill-conditioned; reported noise levels do not include the floor.
 
 The Gram is assembled in one Fortran-ordered q×q array, and LAPACK's
 ``dpotrf`` factors it in place (``chol_psd(..., overwrite=True)``), so one
-q×q array is live while it is factored.  The forward solve against that
+q×q array is live while it is factored (on the OpenBLAS path; numpy's
+fallback allocates the factor anew).  The forward solve against that
 factor is one BLAS ``dtrsm`` call.  Both are read from the OpenBLAS that
 numpy bundles (:func:`gpops.linalg.chol_psd` and
 :func:`gpops.linalg.solve_lower`).  So conditioning loads no scipy module,

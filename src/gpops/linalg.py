@@ -57,25 +57,27 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
     """Lower Cholesky factor of ``matrix + delta * I`` for the smallest workable delta.
 
     Tries the jitter ladder ``0, 1e-12, 1e-11, ..., max_jitter`` in order and
-    returns ``(L, delta)`` for the first success.  By default ``matrix`` is
-    never modified: it is copied once, into Fortran order, and that copy is
-    factored in place by LAPACK's ``dpotrf``; a retry refills the same copy
-    from ``matrix`` and adds ``delta`` to its diagonal.  ``L`` has the input's
-    memory layout: a Fortran-ordered input gets that copy itself, so the
-    memory is the input plus one copy; any other input gets a C-ordered copy
-    of it, as ``np.linalg.cholesky`` returns.  The factor equals
-    ``np.linalg.cholesky``'s bit for bit, which is also the fallback when
-    numpy bundles no OpenBLAS that can be found.
+    returns ``(L, delta)`` for the first success.  The factorization is
+    LAPACK's ``dpotrf``, in place on a Fortran-ordered work array.  Before the
+    first attempt the strict upper triangle of that array receives a mirror
+    of the lower one and the diagonal is kept in an O(q) copy, so a retry
+    restores the array from them and adds ``delta`` to its diagonal.  The
+    factor equals ``np.linalg.cholesky``'s bit for bit, which is also the
+    fallback when numpy bundles no OpenBLAS that can be found.
+
+    By default ``matrix`` is never modified: the work array is a Fortran
+    copy of it, so the memory is the input plus one copy.  ``L`` has the
+    input's memory layout: a Fortran-ordered input gets that copy itself;
+    any other input gets a C-ordered copy of it, as ``np.linalg.cholesky``
+    returns.
 
     With ``overwrite=True`` a writeable, contiguous float64 ``matrix`` is
-    handed over and returned as ``L``.  A Fortran-ordered one is factored in
-    place, so no q×q copy is made: its strict upper triangle first receives a
-    mirror of the lower one, and a retry restores the lower triangle from
-    that mirror and the diagonal from an O(q) copy.  A C-ordered one is
-    factored in one Fortran copy, which is then written back into it.  Any
-    other input is treated as with ``overwrite=False`` and left untouched.
-    After an error with ``overwrite=True``, ``matrix`` holds unspecified
-    values.
+    handed over and returned as ``L``.  A Fortran-ordered one is itself the
+    work array, so on the OpenBLAS path no q×q copy is made (the numpy
+    fallback allocates one for its factor).  A C-ordered one is factored in
+    one Fortran copy, which is then written back into it.  Any other input
+    is treated as with ``overwrite=False`` and left untouched.  After an
+    error with ``overwrite=True``, ``matrix`` holds unspecified values.
 
     Only the lower triangle of ``matrix`` is read: entries above the
     diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
@@ -96,38 +98,26 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
         raise NotPositiveDefiniteError(f"expected a square matrix, got shape {m.shape}")
     ladder = jitter_ladder(max_jitter)
     owned = overwrite and m is matrix and m.flags.writeable
-    diagonal = np.diag_indices_from(m)
-    if owned and m.flags.f_contiguous:
-        # dpotrf('L') leaves the strict upper triangle alone, so it keeps the
-        # lower one for a retry; the diagonal is kept aside
-        work, saved = m, m.diagonal().copy()
-        _mirror_lower(m)
-
-        def refill(delta):
-            _mirror_lower(m.T)
-            m[diagonal] = saved + delta
-    else:
-        work = np.array(m, order="F")
-
-        def refill(delta):
-            np.copyto(work, m)
-            work[diagonal] += delta
+    work = m if owned and m.flags.f_contiguous else np.array(m, order="F")
+    # dpotrf('L') leaves the strict upper triangle alone, so a mirror of the
+    # lower one there, and the diagonal kept aside, restore it for a retry
+    saved = work.diagonal().copy()
+    _mirror_lower(work)
     for i, delta in enumerate(ladder):
         if delta:
-            refill(delta)
+            _restore_lower(work, saved + delta)
         if _factor_lower(work):
             break
     else:
-        if work is m:
-            refill(0.0)
-        if not np.isfinite(np.tril(m)).all():
+        _restore_lower(work, saved)
+        if not np.isfinite(np.tril(work)).all():
             raise _not_finite(m, ladder)
         raise NotPositiveDefiniteError(
             f"matrix of size {m.shape[0]} is not positive definite for any jitter "
             f"on the ladder (tried {ladder})",
             tried=ladder,
         )
-    if not np.isfinite(work[diagonal]).all():
+    if not np.isfinite(work.diagonal()).all():
         raise _not_finite(m, ladder[:i + 1])
     for j in range(1, work.shape[1]):
         work[:j, j] = 0.0
@@ -152,8 +142,15 @@ def _mirror_lower(a: np.ndarray):
     q = a.shape[0]
     for j0 in range(0, q, _PANEL):
         j1 = min(q, j0 + _PANEL)
-        above = np.arange(j1)[:, None] < np.arange(j0, j1)
-        np.copyto(a[:j1, j0:j1], a[j0:j1, :j1].T, where=above)
+        a[:j0, j0:j1] = a[j0:j1, :j0].T
+        block = a[j0:j1, j0:j1]
+        np.copyto(block, block.T, where=~np.tri(j1 - j0, dtype=bool))
+
+
+def _restore_lower(a: np.ndarray, diagonal: np.ndarray):
+    """Refill the lower triangle of ``a`` from the mirror in its upper one and set its diagonal."""
+    _mirror_lower(a.T)
+    np.fill_diagonal(a, diagonal)
 
 
 def _not_finite(m, tried) -> NotPositiveDefiniteError:
@@ -165,8 +162,9 @@ def _not_finite(m, tried) -> NotPositiveDefiniteError:
 def _factor_lower(work: np.ndarray) -> bool:
     """Cholesky-factor the Fortran-ordered ``work`` in place; False if it is not positive definite.
 
-    The lower triangle receives the factor; the upper triangle is left as
-    it was, since ``chol_psd`` may keep a mirror of the lower one there.
+    Only the lower triangle is read.  A failed attempt leaves the strict
+    upper triangle as it was, since ``chol_psd`` keeps a mirror of the lower
+    one there; after a success it holds no defined values.
     """
     blas = _resolve_openblas()
     if blas:
@@ -175,7 +173,7 @@ def _factor_lower(work: np.ndarray) -> bool:
         factor = np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         return False
-    np.copyto(work, factor, where=np.tri(work.shape[0], dtype=bool))
+    work[...] = factor
     return True
 
 

@@ -53,8 +53,8 @@ def test_chol_psd_rank_deficient_succeeds_on_ladder():
 
 def test_chol_psd_indefinite_error_reports_ladder():
     # eigenvalues 3 and -1; and a finite matrix whose partial factor
-    # overflows, which in place is restored before it is checked for an
-    # entry that is not finite
+    # overflows, which is restored before it is checked for an entry that
+    # is not finite
     indefinite = ([[1.0, 2.0], [2.0, 1.0]], [[1e-300, 1e300], [1e300, 1.0]])
     for rows, order, overwrite in itertools.product(indefinite, "CF", (False, True)):
         m = np.array(rows, order=order)
