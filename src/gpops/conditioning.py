@@ -11,11 +11,13 @@ The observation Gram diagonal always receives a variance floor of ``1e-8``
 on top of the declared noise, because noiseless derivative interpolation is
 notoriously ill-conditioned; reported noise levels do not include the floor.
 
-The Gram is assembled in one Fortran-ordered q×q array, and LAPACK's
-``dpotrf`` factors it in place (``chol_psd(..., overwrite=True)``), so one
-q×q array is live while it is factored (on the OpenBLAS path; numpy's
-fallback allocates the factor anew).  The forward solve against that
-factor is one BLAS ``dtrsm`` call.  Both are read from the OpenBLAS that
+Fortran order is the one layout of the factor and the solve.  The Gram is
+assembled in one Fortran-ordered q×q array, and LAPACK's ``dpotrf`` factors
+it in place (``chol_psd(..., overwrite=True)``), so one q×q array is live
+while it is factored (on the OpenBLAS path; numpy's fallback allocates the
+factor anew).  The right-hand sides are Fortran-ordered too, so the forward
+solve against that factor is one BLAS ``dtrsm`` call on both arrays as they
+are, with no copy.  Both are read from the OpenBLAS that
 numpy bundles (:func:`gpops.linalg.chol_psd` and
 :func:`gpops.linalg.solve_lower`).  So conditioning loads no scipy module,
 and neither does any other part of the runtime.

@@ -3,8 +3,10 @@
 The Cholesky factor (LAPACK's ``dpotrf``) and the triangular solve (BLAS's
 ``dtrsm``) are called through ``ctypes`` from the OpenBLAS that numpy bundles,
 the library whose thread count ``one_blas_thread`` holds, so the runtime
-needs no scipy.  Without such a library they fall back to
-``np.linalg.cholesky`` and ``np.linalg.solve``.
+needs no scipy.  Both work in one layout, Fortran order, the one LAPACK
+reads: the factor is returned in it and the solve reads both operands in it.
+Without such a library they fall back to ``np.linalg.cholesky`` and
+``np.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -65,19 +67,17 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
     factor equals ``np.linalg.cholesky``'s bit for bit, which is also the
     fallback when numpy bundles no OpenBLAS that can be found.
 
-    By default ``matrix`` is never modified: the work array is a Fortran
-    copy of it, so the memory is the input plus one copy.  ``L`` has the
-    input's memory layout: a Fortran-ordered input gets that copy itself;
-    any other input gets a C-ordered copy of it, as ``np.linalg.cholesky``
-    returns.
+    ``L`` is always the Fortran-ordered work array.  By default that is a
+    Fortran copy of ``matrix``, which is never modified, so the memory is the
+    input plus one copy.
 
-    With ``overwrite=True`` a writeable, contiguous float64 ``matrix`` is
-    handed over and returned as ``L``.  A Fortran-ordered one is itself the
-    work array, so on the OpenBLAS path no q×q copy is made (the numpy
-    fallback allocates one for its factor).  A C-ordered one is factored in
-    one Fortran copy, which is then written back into it.  Any other input
-    is treated as with ``overwrite=False`` and left untouched.  After an
-    error with ``overwrite=True``, ``matrix`` holds unspecified values.
+    With ``overwrite=True`` a writeable, Fortran-ordered float64 ``matrix``
+    is itself the work array and is returned as ``L``, so on the OpenBLAS
+    path no q×q copy is made (the numpy fallback allocates one for its
+    factor).  Any other input, a C-ordered one included, cannot be factored
+    in place: it is copied and left untouched, as by default.  After an
+    error with ``overwrite=True``, an input taken over holds unspecified
+    values.
 
     Only the lower triangle of ``matrix`` is read: entries above the
     diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
@@ -85,6 +85,8 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
 
     Raises
     ------
+    DimensionError
+        If ``matrix`` is not a square matrix.
     NotPositiveDefiniteError
         If no ladder entry makes the factorization succeed, or if the lower
         triangle holds a NaN or an infinity (LAPACK does not flag a NaN, but
@@ -95,10 +97,10 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotPositiveDefiniteError(f"expected a square matrix, got shape {m.shape}")
+        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     ladder = jitter_ladder(max_jitter)
-    owned = overwrite and m is matrix and m.flags.writeable
-    work = m if owned and m.flags.f_contiguous else np.array(m, order="F")
+    owned = overwrite and m is matrix and m.flags.writeable and m.flags.f_contiguous
+    work = m if owned else np.array(m, order="F")
     # dpotrf('L') leaves the strict upper triangle alone, so a mirror of the
     # lower one there, and the diagonal kept aside, restore it for a retry
     saved = work.diagonal().copy()
@@ -121,12 +123,7 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
         raise _not_finite(m, ladder[:i + 1])
     for j in range(1, work.shape[1]):
         work[:j, j] = 0.0
-    if m.flags.f_contiguous:
-        return work, delta
-    if owned and m.flags.c_contiguous:
-        m[...] = work
-        return m, delta
-    return np.ascontiguousarray(work), delta
+    return work, delta
 
 
 # Columns per panel of _mirror_lower: its temporaries are q x _PANEL.
@@ -180,14 +177,25 @@ def _factor_lower(work: np.ndarray) -> bool:
 def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``L x = b`` in place for a lower-triangular ``L``; return ``b``, now holding ``x``.
 
-    ``b`` is a float64 vector or matrix of right-hand sides.  One LAPACK
-    ``dtrsm`` call solves for all of them, reading ``L`` and ``b`` in their
-    own layouts: a C- or Fortran-ordered ``L`` and a vector, C- or
-    Fortran-ordered ``b`` are not copied.  Any other ``b`` is solved in a
-    Fortran-ordered copy that is written back.  Only the lower triangle of
-    ``L`` is read.  When numpy bundles no OpenBLAS that can be found, this
-    falls back to ``np.linalg.solve`` on ``np.tril(L)``.
+    ``b`` is a writeable float64 vector or matrix of right-hand sides.  One
+    BLAS ``dtrsm`` call of one fixed shape solves for all of them, in
+    Fortran order: a Fortran-ordered ``L``, such as ``chol_psd`` returns,
+    and a vector or Fortran-ordered ``b`` are not copied, any other ``L`` is
+    read from a Fortran copy, and any other ``b`` is solved in a Fortran
+    copy that is written back.  So every layout of ``L`` and ``b`` gives the
+    same bits.  Only the lower triangle of ``L`` is read.  When numpy bundles
+    no OpenBLAS that can be found, this falls back to ``np.linalg.solve`` on
+    ``np.tril(L)``.
+
+    Raises ParameterError, before any work, for a ``b`` that cannot hold the
+    solution (anything but a writeable float64 ndarray), and DimensionError
+    unless ``L`` is square and ``b`` has as many rows.
     """
+    if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.flags.writeable):
+        got = (f"a {'writeable' if b.flags.writeable else 'read-only'} {b.dtype} array"
+               if isinstance(b, np.ndarray) else type(b).__name__)
+        raise ParameterError(f"the right-hand side receives the solution, so it must be a "
+                             f"writeable float64 array; got {got}")
     L = np.asarray(L, dtype=float)
     if L.ndim != 2 or L.shape[0] != L.shape[1] or b.ndim not in (1, 2) \
             or b.shape[0] != L.shape[0]:
@@ -196,13 +204,10 @@ def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not blas:
         b[...] = np.linalg.solve(np.tril(L), b)
         return b
-    if b.dtype != np.float64 or not b.flags.writeable \
-            or not (b.flags.f_contiguous or b.flags.c_contiguous):
-        b[...] = solve_lower(L, np.array(b, dtype=float, order="F"))
-        return b
-    if not (L.flags.f_contiguous or L.flags.c_contiguous):
-        L = np.asfortranarray(L)
-    blas.trsm(L, b)
+    x = b if b.flags.f_contiguous else np.array(b, order="F")
+    blas.trsm(np.asfortranarray(L), x)
+    if x is not b:
+        b[...] = x
     return b
 
 
@@ -258,25 +263,16 @@ class _OpenBLAS:
         return info.value
 
     def trsm(self, L: np.ndarray, b: np.ndarray):
-        """Overwrite ``b`` by ``L^-1 b``: one ``dtrsm`` on the lower triangle of ``L``.
+        """Overwrite ``b`` by ``L^-1 b``: ``dtrsm("L", "L", "N", "N")``, lower triangle of ``L``.
 
-        ``L`` is a contiguous float64 square, ``b`` a contiguous float64
-        vector or matrix.  Fortran reads a C-ordered array as its transpose,
-        so a C-ordered ``L`` is an upper triangle to be transposed, and a
-        C-ordered ``b`` is solved from the right, as ``x^T L^T = b^T``.
+        ``L`` is a Fortran-ordered float64 square, ``b`` a Fortran-ordered
+        float64 vector or matrix with as many rows.
         """
-        q = L.shape[0]
-        uplo, trans = (b"L", b"N") if L.flags.f_contiguous else (b"U", b"T")
-        k = b.shape[1] if b.ndim == 2 else 1
-        if b.flags.f_contiguous:
-            side, m, n = b"L", q, k
-        else:
-            side, m, n = b"R", k, q
-            trans = b"T" if trans == b"N" else b"N"
-        self._trsm(side, uplo, trans, b"N", ctypes.byref(self._int(m)),
-                   ctypes.byref(self._int(n)), ctypes.byref(ctypes.c_double(1.0)),
-                   L.ctypes.data, ctypes.byref(self._int(max(1, q))),
-                   b.ctypes.data, ctypes.byref(self._int(max(1, m))), 1, 1, 1, 1)
+        q, k = L.shape[0], b.shape[1] if b.ndim == 2 else 1
+        ld = ctypes.byref(self._int(max(1, q)))
+        self._trsm(b"L", b"L", b"N", b"N", ctypes.byref(self._int(q)),
+                   ctypes.byref(self._int(k)), ctypes.byref(ctypes.c_double(1.0)),
+                   L.ctypes.data, ld, b.ctypes.data, ld, 1, 1, 1, 1)
 
 
 def _find_openblas() -> _OpenBLAS | None:

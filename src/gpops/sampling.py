@@ -228,7 +228,7 @@ def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int,
     if n_paths * len(grid) > sys.maxsize // 8:
         raise ParameterError(f"{n_paths} paths of {len(grid)} points are more doubles "
                              f"than an array can hold")
-    L, jitter = chol_psd(gram(p.kernel, grid), overwrite=True)
+    L, jitter = chol_psd(gram(p.kernel, grid))
     return GaussianDraw(mean=p.mean(grid.points), factor=L, n_paths=int(n_paths),
                         seed=int(seed), jitter=jitter)
 

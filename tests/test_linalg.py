@@ -12,7 +12,7 @@ import scipy.linalg
 import gpops.linalg
 import gpops.sampling
 import gpops.verify
-from gpops.errors import NotPositiveDefiniteError
+from gpops.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
 from gpops.linalg import (blas_threads, chol_psd, gram, jitter_ladder, one_blas_thread,
@@ -165,13 +165,13 @@ def _gram_case(kernel, q, case):
 @pytest.mark.parametrize("case", ["rung0", "retry"])
 @pytest.mark.parametrize("kernel, q", [("se", 2002), ("matern52", 257)])
 def test_chol_psd_equals_numpy_cholesky_bit_for_bit(lapack, kernel, q, case):
-    # overwrite=True factors a Fortran-ordered input in place, a retry
-    # included, and writes a C-ordered input's factor back into it
+    # the factor is Fortran-ordered for every input; overwrite=True factors a
+    # Fortran-ordered input in place, a retry included
     m = _gram_case(kernel, q, case)
     for threads in (one_blas_thread, contextlib.nullcontext):
         with threads():
             L_ref = None
-            for order, overwrite in itertools.product("CF", (False, True)):
+            for order, overwrite in [("C", False), ("F", False), ("F", True)]:
                 layout = np.array(m, order=order)
                 before = layout.copy(order="K")
                 L, delta = chol_psd(layout, overwrite=overwrite)
@@ -179,12 +179,11 @@ def test_chol_psd_equals_numpy_cholesky_bit_for_bit(lapack, kernel, q, case):
                 if L_ref is None:
                     L_ref = np.linalg.cholesky(m + delta * np.eye(q))
                 assert np.array_equal(L, L_ref)
+                assert L.flags.f_contiguous
                 if overwrite:
                     assert L is layout
                 else:
                     assert np.array_equal(layout, before)
-                assert L.flags.f_contiguous == before.flags.f_contiguous
-                assert L.flags.c_contiguous == before.flags.c_contiguous
 
 
 @pytest.mark.parametrize("where", ["nan-diagonal", "nan-below", "inf-below"])
@@ -203,10 +202,13 @@ def test_chol_psd_refuses_a_non_finite_lower_triangle(lapack, where):
         assert exhausted == (where == "inf-below")
 
 
-@pytest.mark.parametrize("kind", ["read-only", "integer", "strided"])
+@pytest.mark.parametrize("kind", ["c-ordered", "read-only", "integer", "strided"])
 def test_chol_psd_overwrite_leaves_an_input_it_cannot_own_untouched(kind):
     m = _gram_case("se", 40, "rung0")
-    if kind == "read-only":
+    if kind == "c-ordered":
+        # LAPACK factors only a Fortran-ordered array in place
+        given = np.ascontiguousarray(m)
+    elif kind == "read-only":
         given = np.asfortranarray(m)
         given.flags.writeable = False
     elif kind == "integer":
@@ -221,6 +223,15 @@ def test_chol_psd_overwrite_leaves_an_input_it_cannot_own_untouched(kind):
     assert L is not given
     assert np.array_equal(given, before)
     assert np.array_equal(L, chol_psd(m)[0])
+    assert L.flags.f_contiguous
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_chol_psd_refuses_a_matrix_that_is_not_square(shape):
+    # a shape fault, as in solve_lower, before any jitter is tried
+    for overwrite in (False, True):
+        with pytest.raises(DimensionError, match="square"):
+            chol_psd(np.ones(shape), overwrite=overwrite)
 
 
 # ------------------------------------------------------ forward substitution
@@ -246,7 +257,7 @@ def test_solve_lower_matches_scipy(q, rhs):
     L, rng = _gram_factor(q, q)
     b = rng.standard_normal(q if rhs is None else (q, rhs))
     ref = scipy.linalg.solve_triangular(L, b, lower=True)
-    # dtrsm reads each layout of L and b as it is, a C-ordered b from the right
+    # dtrsm reads L and b in Fortran order; other layouts are solved in copies
     for L_layout, b_layout in [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")]:
         x = solve_lower(L.copy(order=L_layout), b.copy(order=b_layout))
         assert x.shape == b.shape
@@ -262,9 +273,28 @@ def test_solve_lower_matches_scipy_on_either_path(lapack, rhs):
     L, rng = _gram_factor(257, 5)
     b = rng.standard_normal(257 if rhs is None else (257, rhs))
     ref = scipy.linalg.solve_triangular(L, b, lower=True)
-    for b_layout in "CF":
-        x = solve_lower(L, b.copy(order=b_layout))
+    solved = []
+    for L_layout, b_layout in itertools.product("CF", "CF"):
+        x = solve_lower(L.copy(order=L_layout), b.copy(order=b_layout))
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        solved.append(x)
+    # one dtrsm shape: the layout of L and b does not reach the bits
+    if lapack == "openblas":
+        assert all(np.array_equal(x, solved[0]) for x in solved)
+
+
+@pytest.mark.parametrize("kind", ["integer", "list", "read-only"])
+def test_solve_lower_refuses_a_right_hand_side_that_cannot_hold_the_solution(lapack, kind):
+    # an integer b would get the solution truncated in place, [0, 0] here
+    L = np.array([[2.0, 0.0], [1.0, 3.0]])
+    b = {"integer": np.array([1, 2]), "list": [1.0, 2.0],
+         "read-only": np.array([1.0, 2.0])}[kind]
+    if kind == "read-only":
+        b.flags.writeable = False
+    with pytest.raises(ParameterError, match="writeable float64"):
+        solve_lower(L, b)
+    assert list(b) == [1, 2]
+    assert np.array_equal(solve_lower(L, np.array([1.0, 2.0])), [0.5, 0.5])
 
 
 def test_solve_lower_reads_only_the_lower_triangle_and_solves_in_place():
