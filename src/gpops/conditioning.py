@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EvaluationError, ParameterError
 from .grids import Grid
 from .linalg import chol_psd, gram, jitter_ladder
 from .linalg import solve_lower as solve_triangular  # the name perfbench traces
@@ -186,9 +186,16 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     L, jitter = chol_psd(k_obs, max_jitter=max_jitter, overwrite=True)
     vw = solve_triangular(L, b)
     v, w = vw[:, 0], vw[:, 1:]
+    # v @ v is not finite when v is not, or when it overflows: a huge mean or
+    # value is named here, not left to the log marginal and the serializer
+    with np.errstate(over="ignore", invalid="ignore"):
+        vv = v @ v
+    if not math.isfinite(vv):
+        raise EvaluationError(f"the whitened misfit v = L^-1 (y - m) of the {q} observations "
+                              f"or its square v @ v is not finite")
     post_mean = p.mean(x) + w.T @ v
     post_cov = k_xx - w.T @ w
-    log_marginal = float(-0.5 * v @ v - np.sum(np.log(np.diag(L)))
+    log_marginal = float(-0.5 * vv - np.sum(np.log(np.diag(L)))
                          - 0.5 * q * math.log(2.0 * math.pi))
     return PosteriorSummary(grid=grid, mean=post_mean, cov=post_cov,
                             log_marginal=log_marginal, jitter=jitter)

@@ -14,7 +14,9 @@ Every expression is infinitely differentiable in closed form, which is what
 makes these usable as operator coefficients.
 
 Expressions evaluate vectorized over numpy arrays and differentiate
-symbolically via :meth:`Expr.diff`.
+symbolically via :meth:`Expr.diff`.  A node class declares its structure once,
+in ``_fields``: construction, children, equality, hashing and the canonical
+order all read it, and each of those walks keeps a stack of its own.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ __all__ = ["Expr", "parse_expression", "evaluate_finite"]
 # The deepest syntax tree parse_expression converts: a sum of 480 terms
 # (n terms are n + 2 levels deep).  Conversion takes one frame per level, so
 # it stays within Python's default recursion limit of 1000 from a caller 200
-# frames deep.  Evaluation, differentiation, equality, hashing and repr keep a
-# stack of their own (Expr), so they take a few frames at any depth.
+# frames deep.  Evaluation, differentiation, equality, hashing, ordering and
+# repr keep a stack of their own (Expr), so they take a few frames at any depth.
 MAX_NESTING = 482
 
 
@@ -46,15 +48,19 @@ class Expr:
     ``x*sin(x)`` and ``sin(x)*x``, are equal trees.  Like terms are not
     collected: ``x + x`` and ``2*x`` stay different trees.
 
-    Evaluation, ``diff``, equality, hashing and ``repr`` walk the tree on a
-    stack of their own, not by recursion, so a tree of any depth takes a few
-    frames from any caller.
+    Evaluation, ``diff``, equality, hashing, ordering and ``repr`` walk the
+    tree on a stack of their own, not by recursion, so a tree of any depth
+    takes a few frames from any caller.
     """
 
     _fields: tuple = ()  # attribute names that make up the node's structure
     _hash = None
     _order = None
     _derivative = None
+
+    def __init__(self, *fields):
+        for name, value in zip(self._fields, fields, strict=True):
+            setattr(self, name, value)
 
     def __call__(self, x):
         """The values at ``x``; a subtree shared by identity is evaluated once."""
@@ -76,7 +82,7 @@ class Expr:
 
     def _children(self) -> tuple:
         # the operand subtrees, in field order
-        return ()
+        return tuple(f for f in self._key() if isinstance(f, Expr))
 
     def _diff(self) -> "Expr":
         # the first derivative, once every child's is cached
@@ -122,8 +128,9 @@ class Expr:
         # A total order over trees that is the same in every process (unlike
         # hash(), which is salted for strings): node type, then fields.
         if self._order is None:
-            self._order = (type(self).__name__,) + tuple(
-                f._order_key() if isinstance(f, Expr) else f for f in self._key())
+            for node in _children_first(self, lambda node: node._order is not None):
+                node._order = (type(node).__name__,) + tuple(
+                    f._order if isinstance(f, Expr) else f for f in node._key())
         return self._order
 
     def __add__(self, other):
@@ -166,12 +173,6 @@ class Var(Expr):
 class Add(Expr):
     _fields = ("a", "b")
 
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _children(self):
-        return (self.a, self.b)
-
     def _apply(self, x, a, b):
         return a + b
 
@@ -184,12 +185,6 @@ class Add(Expr):
 
 class Mul(Expr):
     _fields = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-
-    def _children(self):
-        return (self.a, self.b)
 
     def _apply(self, x, a, b):
         return a * b
@@ -207,19 +202,13 @@ class Pow(Expr):
     _fields = ("base", "exponent")
 
     def __init__(self, base, exponent: float):
-        self.base = base
-        self.exponent = float(exponent)
-
-    def _children(self):
-        return (self.base,)
+        super().__init__(base, float(exponent))
 
     def _apply(self, x, base):
         return base ** self.exponent
 
     def _diff(self):
         c = self.exponent
-        if c == 0:
-            return Const(0.0)
         if c == 1:
             return self.base.diff()
         return _mul(_mul(Const(c), Pow(self.base, c - 1)), self.base.diff())
@@ -232,12 +221,6 @@ class Func(Expr):
     """``name(a)`` for a function of the grammar: ``sin``, ``cos`` or ``exp``."""
 
     _fields = ("name", "a")
-
-    def __init__(self, name: str, a):
-        self.name, self.a = name, a
-
-    def _children(self):
-        return (self.a,)
 
     def _apply(self, x, a):
         return _VALUES[self.name](a)

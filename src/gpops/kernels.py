@@ -286,7 +286,7 @@ def _matern_radial_coeffs(p: int, a: float) -> np.ndarray:
     for i in range(p + 1):
         c = (factorial(p) / factorial(2 * p)
              * factorial(p + i) / (factorial(i) * factorial(p - i))
-             * (2.0 * a) ** (p - i))
+             * np.float64(2.0 * a) ** (p - i))
         coeffs[p - i] += c
     return coeffs
 
@@ -320,12 +320,19 @@ def matern_kernel(nu: float, lengthscale: float, variance: float = 1.0) -> Kerne
     _check_hyperparameters(lengthscale, variance)
     ell, var = float(lengthscale), float(variance)
     p = int(round(nu - 0.5))
-    a = math.sqrt(2.0 * nu) / ell
-    # m-th r-derivative of P(r) exp(-a r), as polynomial coefficients in
-    # np.polyval order (highest power first).
-    coeffs = [_matern_radial_coeffs(p, a)]
-    for _ in range(2 * p):
-        coeffs.append(_poly_exp_derivative(coeffs[-1], a))
+    # the rate and the m-th r-derivative of P(r) exp(-a r), as polynomial
+    # coefficients in np.polyval order (highest power first); a tiny ell
+    # overflows them, which is refused here, where they are made
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = math.sqrt(2.0 * nu) / ell
+        coeffs = [_matern_radial_coeffs(p, a)]
+        for _ in range(2 * p):
+            coeffs.append(_poly_exp_derivative(coeffs[-1], a))
+    if not (math.isfinite(a) and all(np.isfinite(c).all() for c in coeffs)):
+        raise ParameterError(
+            f"lengthscale {lengthscale} is too small for nu = {nu}: "
+            f"the profile's coefficients are not finite"
+        )
     coeffs = [c[::-1] for c in coeffs]
 
     def profile(s, m):

@@ -175,6 +175,14 @@ def _refined(grid: Grid) -> Grid:
     return Grid(fine)
 
 
+def _check_finite(tables):
+    """Raise :class:`EvaluationError` naming the first ``(name, source, table)`` not finite."""
+    for name, source, value in tables:
+        if not np.isfinite(value).all():
+            raise EvaluationError(f"{name} has an entry that is not finite: the {source} or an "
+                                  f"operator coefficient is too large")
+
+
 def _discretization_errors(law_mean, law_cov, mean_v, k_v, interior):
     """Interior max ``|A m - T m|`` and ``|A K A^t - T1 T2 k|`` relative to ``max |T1 T2 k|``.
 
@@ -246,6 +254,8 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     # grid fails before any kernel table is built or anything is drawn
     a_mat = operator_matrix(op, grid)
     image_gram = gram(image.kernel, fine)
+    # image.mean names a value that is not finite itself
+    _check_finite([("image Gram T1 T2 k", "kernel", image_gram)])
     var_v = image_gram.diagonal()[::2]
     below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(image_gram[::2, ::2])))
     if below.size:
@@ -266,17 +276,24 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     if n_paths < MIN_PATHS:
         raise ParameterError(f"need at least {MIN_PATHS} paths, got {n_paths}")
 
-    # the prior's discrete law (A m, A K A^t) against the closed form, on both levels
+    # the prior's discrete law (A m, A K A^t) against the closed form, on both
+    # levels; a law that overflows is named before any gate or draw
     prior_mean, prior_gram = p.mean(fine.points), gram(p.kernel, fine)
-    law_mean, law_cov = a_mat @ prior_mean[::2], a_mat @ prior_gram[::2, ::2] @ a_mat.T
     a_fine = operator_matrix(op, fine)
+    with np.errstate(over="ignore", invalid="ignore"):
+        law_mean, law_cov = a_mat @ prior_mean[::2], a_mat @ prior_gram[::2, ::2] @ a_mat.T
+        fine_mean, fine_cov = a_fine @ prior_mean, a_fine @ prior_gram @ a_fine.T
+    _check_finite([("discrete law A m", "mean", law_mean),
+                   ("discrete law A K A^t", "kernel", law_cov),
+                   ("discrete law A m on the refinement", "mean", fine_mean),
+                   ("discrete law A K A^t on the refinement", "kernel", fine_cov)])
     errors = [_discretization_errors(law_mean, law_cov, image_mean[::2], image_gram[::2, ::2],
                                      interior),
-              _discretization_errors(a_fine @ prior_mean, a_fine @ prior_gram @ a_fine.T,
-                                     image_mean, image_gram, interior_mask(len(fine), op.order))]
+              _discretization_errors(fine_mean, fine_cov, image_mean, image_gram,
+                                     interior_mask(len(fine), op.order))]
     discretization_check = _discretization_gate([len(grid), len(fine)], errors)
     # the refinement's tables (var_v is a view of one) are freed before the draw
-    del image_mean, image_gram, var_v, prior_mean, prior_gram, a_fine
+    del image_mean, image_gram, var_v, prior_mean, prior_gram, a_fine, fine_mean, fine_cov
 
     # the image ensemble A u = A m + z T^t, from the moments of z (module
     # docstring)

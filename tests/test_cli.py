@@ -748,6 +748,47 @@ def test_tiny_se_lengthscale_exit_one_without_numpy_warnings(tmp_path, capsys, c
     assert not (tmp_path / "out").exists()
 
 
+OVERFLOW_BASE = """\
+kernel: {%s}
+mean: "%s"
+operator: {terms: %s}
+grid: {interval: [0.0, 1.0], count: 33}
+samples: 2000
+seed: 1
+output: "%s"
+problem:
+  rhs: "0"
+  collocation_count: 20
+  boundary:
+    - {location: 0.0, value: 0.0}
+"""
+
+
+@pytest.mark.parametrize("command, kernel, mean, terms, message", [
+    ("verify", 'name: matern, nu: "5/2", lengthscale: 1.0e-320', "sin(x)", '[[1, "1"]]',
+     "config error: kernel: lengthscale 1e-320 is too small for nu = 2.5: "
+     "the profile's coefficients are not finite"),
+    ("solve", "name: se, lengthscale: 0.5", "-1.0e+308", '[[2, "1"], [0, "1"]]',
+     "error: the whitened misfit v = L^-1 (y - m) of the 21 observations or its square "
+     "v @ v is not finite"),
+    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, -1.0e+308]]',
+     "error: image Gram T1 T2 k has an entry that is not finite: the kernel or an "
+     "operator coefficient is too large"),
+    ("verify", "name: se, lengthscale: 0.5", "1.0e+308", '[[1, "1"]]',
+     "error: discrete law A m has an entry that is not finite: the mean or an "
+     "operator coefficient is too large"),
+], ids=["matern-tiny-lengthscale", "solve-huge-mean", "verify-huge-coefficient",
+        "verify-huge-mean"])
+def test_overflow_is_named_where_it_is_made_exit_one(tmp_path, capsys, command, kernel, mean,
+                                                      terms, message):
+    # each ended after numpy overflow warnings, in the serializer or in a gate
+    # that blamed the draw; RuntimeWarning is an error here
+    text = OVERFLOW_BASE % (kernel, mean, terms, tmp_path / "out")
+    assert main([command, "--config", write(tmp_path, "overflow.yaml", text)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _from_deep_caller(frames, fn):
     # fn() called under ``frames`` further Python frames
     return fn() if frames == 0 else _from_deep_caller(frames - 1, fn)

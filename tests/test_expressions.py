@@ -128,6 +128,16 @@ def test_nesting_bound_does_not_depend_on_the_caller(terms):
                            f"expression of {len(source)} characters nests too deeply to parse")
 
 
+def test_canonical_order_of_a_deep_tree_does_not_depend_on_the_caller():
+    # the 199-deep chain is ordered against `1` when the sum is built; that
+    # walk keeps its own stack, so it parses 600 frames down as at the top
+    source = "sin(" * 199 + "x" + ")" * 199 + " + 1"
+    deep = _from_deep_caller(600, lambda: parse_expression(source))
+    top = parse_expression(source)
+    assert deep == top
+    assert hash(deep) == hash(top)
+
+
 def test_structural_equality_and_cached_derivatives():
     e = parse_expression("x*sin(x) + 2")
     assert e == parse_expression("x * sin(x) + 2.0")

@@ -137,6 +137,14 @@ def test_matern_parameter_domain():
             matern_kernel(1.5, *bad_args)
 
 
+def test_matern_lengthscale_whose_coefficients_overflow():
+    # nu = 7/2 at 1e-40: the sixth derivative's coefficients reach a^9 = 1e364;
+    # RuntimeWarning is an error here, so an overflow warning fails the test
+    with pytest.raises(ParameterError, match="lengthscale 1e-40"):
+        matern_kernel(3.5, 1e-40)
+    matern_kernel(3.5, 1e-30)
+
+
 # ------------------------------------------------------------- invariants
 
 def test_symmetry_thousand_random_pairs():
