@@ -11,16 +11,15 @@ The observation Gram diagonal always receives a variance floor of ``1e-8``
 on top of the declared noise, because noiseless derivative interpolation is
 notoriously ill-conditioned; reported noise levels do not include the floor.
 
-Fortran order is the one layout of the factor and the solve.  The Gram is
-assembled in one Fortran-ordered q×q array, and LAPACK's ``dpotrf`` factors
-it in place (``chol_psd(..., overwrite=True)``), so one q×q array is live
-while it is factored (on the OpenBLAS path; numpy's fallback allocates the
-factor anew).  The right-hand sides are Fortran-ordered too, so the forward
-solve against that factor is one BLAS ``dtrsm`` call on both arrays as they
-are, with no copy.  Both are read from the OpenBLAS that
-numpy bundles (:func:`gpops.linalg.chol_psd` and
-:func:`gpops.linalg.solve_lower`).  So conditioning loads no scipy module,
-and neither does any other part of the runtime.
+The observation Gram is held in half its q² memory: only its lower
+triangle, in LAPACK's rectangular full packed format
+(:class:`gpops.linalg.PackedLower`, q(q+1)/2 numbers).  Each group pair is
+evaluated straight into the pieces of that array, ``dpftrf`` factors it in
+place and one ``dtfsm`` call solves against the factor, all read from the
+OpenBLAS that numpy bundles (:func:`gpops.linalg.chol_psd` and
+:func:`gpops.linalg.solve_lower`).  A jitter retry refills the array from
+the bifunctions, so no copy of the Gram is kept.  So conditioning loads no
+scipy module, and neither does any other part of the runtime.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import EvaluationError, ParameterError
 from .grids import Grid
-from .linalg import chol_psd, gram, jitter_ladder
+from .linalg import PackedLower, chol_psd, gram, jitter_ladder
 from .linalg import solve_lower as solve_triangular  # the name perfbench traces
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_to_function
 from .processes import GaussianProcessPrior
@@ -54,16 +53,26 @@ class Observation:
     noise_sd: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.location) and np.isfinite(self.value)):
+        location, value, noise_sd = map(_real, (self.location, self.value, self.noise_sd))
+        if not (math.isfinite(location) and math.isfinite(value)):
             raise ParameterError("observation location and value must be finite")
-        if not (self.noise_sd >= 0.0):
+        if not (noise_sd >= 0.0):
             raise ParameterError(f"noise_sd must be >= 0, got {self.noise_sd}")
-        try:
-            variance = float(self.noise_sd) ** 2
-        except OverflowError:
-            variance = math.inf
-        if not math.isfinite(variance):
+        if not math.isfinite(noise_sd * noise_sd):
             raise ParameterError(f"noise_sd must have a finite variance, got {self.noise_sd}")
+
+
+def _real(v) -> float:
+    # v as a float: an integer too large for one is an infinity, and anything
+    # but a real number a NaN (a string is refused, not parsed)
+    if isinstance(v, (str, bytes)):
+        return math.nan
+    try:
+        return float(v)
+    except OverflowError:
+        return -math.inf if v < 0 else math.inf
+    except (TypeError, ValueError):
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -125,10 +134,11 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
 
     The observations are put in group order (one group per distinct
     operator, in order of first appearance), which leaves the posterior
-    unchanged.  The Gram is then assembled in one array, lower triangle
-    only: each group pair below or on the diagonal is evaluated once,
-    straight into its slice, and ``chol_psd`` reads nothing above the
-    diagonal and factors the Gram in place.  With its factor ``L``, one
+    unchanged.  The Gram's lower triangle is then filled into one
+    :class:`~gpops.linalg.PackedLower`: each group pair below or on the
+    diagonal is evaluated once, straight into the pieces of the packed array
+    that hold it, and ``chol_psd`` factors that array in place (a retry
+    refills it from the same bifunctions).  With its factor ``L``, one
     forward solve ``L [v | W] = [y - m_obs | K_obs,x]`` gives the mean
     ``m(x) + W'v``, the covariance ``K_xx - W'W`` (exactly symmetric: BLAS
     forms ``W'W`` once) and, from ``v'v``, the log marginal.  A
@@ -153,7 +163,7 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     # Group order: every group pair is one slice of the Gram.
     groups = _group_by_operator(observations)
     observations = [observations[i] for _, idx in groups for i in idx]
-    bounds = np.cumsum([0] + [len(idx) for _, idx in groups])
+    bounds = np.cumsum([0] + [len(idx) for _, idx in groups]).tolist()
     spans = [(op, slice(a, b)) for (op, _), a, b in zip(groups, bounds[:-1], bounds[1:])]
     q = len(observations)
     locs = np.array([obs.location for obs in observations])
@@ -169,21 +179,25 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
         s2k_j(x[:, None], locs[None, cols], out=k_x_obs[:, cols])
         b[cols, 0] = values[cols] - apply_to_function(op_j, p.mean)(locs[cols])
 
-    # Observation Gram, lower triangle only (chol_psd reads no more): one
-    # operator applied per argument, each group pair i >= j evaluated once
-    # straight into its slice, diagonal pairs below their diagonal.  Fortran
-    # order is the layout LAPACK reads: the Gram is not read again, so
-    # chol_psd factors it in place and returns it as L, which the solve reads
-    # as it is.
-    k_obs = np.zeros((q, q), order="F")
-    for i, (op_i, rows) in enumerate(spans):
-        for (_, cols), s2k_j in zip(spans[:i], s2k):
-            apply_arg(op_i, ARG1, s2k_j)(locs[rows, None], locs[None, cols],
-                                         out=k_obs[rows, cols])
-        apply_arg(op_i, ARG1, s2k[i]).fill_lower(locs[rows], k_obs[rows, rows])
-    k_obs[np.diag_indices(q)] += noise_var
+    # Observation Gram, lower triangle only, packed: one operator applied
+    # per argument, each group pair i >= j evaluated straight into the pieces
+    # of the packed array that hold its block, diagonal pieces below their
+    # diagonal.  chol_psd factors the array in place and calls fill again for
+    # a jitter retry; the solve reads the factor as it is.
+    pairs = [(rows, cols, apply_arg(op_i, ARG1, s2k_j))
+             for i, (op_i, rows) in enumerate(spans)
+             for (_, cols), s2k_j in zip(spans[:i + 1], s2k)]
 
-    L, jitter = chol_psd(k_obs, max_jitter=max_jitter, overwrite=True)
+    def fill(k_obs):
+        for rows, cols, k_ij in pairs:
+            for r, c, view in k_obs.pieces(rows, cols):
+                if r == c:
+                    k_ij.fill_lower(locs[r], view)
+                else:
+                    k_ij(locs[r, None], locs[None, c], out=view)
+        k_obs.add_to_diagonal(noise_var)
+
+    L, jitter = chol_psd(PackedLower(q, fill), max_jitter=max_jitter)
     vw = solve_triangular(L, b)
     v, w = vw[:, 0], vw[:, 1:]
     # v @ v is not finite when v is not, or when it overflows: a huge mean or
@@ -195,7 +209,7 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
                               f"or its square v @ v is not finite")
     post_mean = p.mean(x) + w.T @ v
     post_cov = k_xx - w.T @ w
-    log_marginal = float(-0.5 * vv - np.sum(np.log(np.diag(L)))
+    log_marginal = float(-0.5 * vv - np.sum(np.log(L.diagonal()))
                          - 0.5 * q * math.log(2.0 * math.pi))
     return PosteriorSummary(grid=grid, mean=post_mean, cov=post_cov,
                             log_marginal=log_marginal, jitter=jitter)

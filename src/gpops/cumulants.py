@@ -28,13 +28,14 @@ used here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import EvaluationError, ParameterError
 from .sampling import SampleEnsemble, empirical_cov, empirical_mean
 
 __all__ = [
@@ -133,6 +134,10 @@ def _plugin_kappa(moments, row, t, partitions):
     return total
 
 
+# Paths far from unit scale overflow the moment products of the higher orders
+# (and the jackknife squares them again): each estimate is checked, and named
+# where it is made, instead of numpy warning.
+@np.errstate(over="ignore", invalid="ignore")
 def empirical_cumulants(e: SampleEnsemble, tuples) -> list[CumulantEstimate]:
     """Plug-in cumulants of the ensemble columns picked by each index tuple.
 
@@ -149,6 +154,10 @@ def empirical_cumulants(e: SampleEnsemble, tuples) -> list[CumulantEstimate]:
     Orders 1 and 2 reproduce ``empirical_mean`` / ``empirical_cov`` entries
     exactly (identical floating-point values); their jackknife uses the mean
     and the unbiased covariance of the kept paths.
+
+    Raises :class:`EvaluationError` naming the first estimate whose value or
+    standard error is not finite, as when the paths are so large that their
+    moment products overflow.
     """
     tuples = [tuple(int(i) for i in t) for t in tuples]
     for t in tuples:
@@ -200,8 +209,12 @@ def empirical_cumulants(e: SampleEnsemble, tuples) -> list[CumulantEstimate]:
             fold_vals = fold_vals * kept / (kept - 1)
         centered = fold_vals - fold_vals.mean()
         se = float(np.sqrt((JACKKNIFE_FOLDS - 1) / JACKKNIFE_FOLDS * np.sum(centered**2)))
-        out.append(CumulantEstimate(order=n, indices=t,
-                                    points=tuple(float(e.grid.points[i]) for i in t),
+        points = tuple(float(e.grid.points[i]) for i in t)
+        if not (math.isfinite(value) and math.isfinite(se)):
+            raise EvaluationError(
+                f"empirical cumulant of order {n} at x = {points} or its standard error is "
+                f"not finite: the paths are too large for its moment products")
+        out.append(CumulantEstimate(order=n, indices=t, points=points,
                                     value=float(value), standard_error=se))
     return out
 

@@ -70,20 +70,9 @@ class Kernel:
         return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
 
 
-# Output entries per row block when a kernel is tabulated, so
-# that the profile derivatives and weights of one block stay cache-sized.
+# Output entries per block when a kernel is tabulated, so that the profile
+# derivatives and weights of one block stay cache-sized.
 BLOCK_ENTRIES = 2**15
-
-
-def _row_blocks(x1, x2, shape):
-    # Index expressions of the output's row blocks.  Rows split only when x1
-    # runs along the first axis and x2 is constant along it (an outer
-    # product); any other broadcast shape, a scalar included, is one block.
-    if (shape and x1.ndim == len(shape) and x1.shape[0] == shape[0]
-            and (x2.ndim < len(shape) or x2.shape[0] == 1)):
-        step = max(1, BLOCK_ENTRIES // max(1, math.prod(shape[1:])))
-        return [slice(lo, lo + step) for lo in range(0, shape[0], step)]
-    return [Ellipsis]
 
 
 def _value(c: Expr, x, cache):
@@ -96,10 +85,22 @@ def _value(c: Expr, x, cache):
     return cache[c]
 
 
+def _lift(v, ndim, flip=False):
+    # an argument or weight factor broadcast against a table of ``ndim`` axes,
+    # with its missing leading axes made length 1, or, with flip=True,
+    # broadcast against the table's transpose; constants stay as they are
+    if not isinstance(v, np.ndarray):
+        return v
+    v = v.reshape((1,) * (ndim - v.ndim) + v.shape)
+    return v.T if flip else v
+
+
 def _cut(v, index):
-    # a weight factor on a block of the points: arrays are sliced, constants
-    # hold everywhere
-    return v[index] if isinstance(v, np.ndarray) else v
+    # a lifted argument or weight factor on the table block ``index`` (slices
+    # of its leading axes): the axes where it has length 1 hold everywhere
+    if not isinstance(v, np.ndarray):
+        return v
+    return v[tuple(s if n > 1 else slice(None) for s, n in zip(index, v.shape))]
 
 
 def _weight_factors(pairs, x1, x2, values1, values2):
@@ -174,7 +175,12 @@ class KernelBifunction:
         return self.base.sample_smoothness - self.order(slot)
 
     def __call__(self, x1, x2, out=None):
-        """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given."""
+        """Tabulate the bifunction on ``broadcast(x1, x2)``, into ``out`` if given.
+
+        ``out`` may have any layout: the table is filled one block at a time
+        along its slow axis (see :meth:`_tabulate`), and every layout gets
+        the same bits.
+        """
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         shape = np.broadcast_shapes(x1.shape, x2.shape)
@@ -183,12 +189,8 @@ class KernelBifunction:
         elif out.shape != shape:
             raise ParameterError(f"output shape {out.shape} does not match the table's {shape}")
         values1, values2 = {}, {}
-        weights = [(m, *_weight_factors(triples, x1, x2, values1, values2))
-                   for m, triples in self._orders.items()]
-        for blk in _row_blocks(x1, x2, shape):
-            self._sum_orders(out[blk], x1[blk] - x2,
-                             [(m, w, [(c1v[blk], v) for c1v, v in rows])
-                              for m, w, rows in weights])
+        self._tabulate(x1, x2, [(m, *_weight_factors(triples, x1, x2, values1, values2))
+                                for m, triples in self._orders.items()], out)
         if x1.ndim == 0 and x2.ndim == 0:
             return float(out)
         return out
@@ -196,12 +198,14 @@ class KernelBifunction:
     def fill_lower(self, x, out):
         """Write the lower triangle of ``self(x[:, None], x[None, :])`` into ``out``.
 
-        Runs the row blocks of the full table, but each block's columns stop
-        at its last row, so about half the entries are evaluated.  Each
-        coefficient is evaluated once, on ``x``, and its values are sliced
-        per block.  Entries above the diagonal are not written.  Every entry
-        is the same elementwise arithmetic as in the full table, so the two
-        agree bit for bit.  Returns ``out``.
+        Only the entries on and below the diagonal are evaluated and written;
+        entries above it are left as they are, so ``out`` may be a square
+        whose strict upper triangle holds other data, as the pieces of a
+        :class:`~gpops.linalg.PackedLower` do.  ``out`` may have any layout,
+        as in :meth:`__call__`.  Each coefficient is evaluated once, on
+        ``x``, for both arguments.  Every entry is the same elementwise
+        arithmetic as in the full table, so the two agree bit for bit.
+        Returns ``out``.
         """
         x = np.asarray(x, dtype=float)
         n = x.size
@@ -209,27 +213,60 @@ class KernelBifunction:
             raise ParameterError(f"fill_lower needs 1-D points and an (n, n) target, "
                                  f"got {x.shape} and {out.shape}")
         values = {}  # both arguments run over x, so they share each coefficient's values
-        weights = [(m, *_weight_factors(triples, x, x, values, values))
-                   for m, triples in self._orders.items()]
-        for blk in _row_blocks(x[:, None], x[None, :], (n, n)):
-            lo, hi = blk.start, min(blk.stop, n)
-            rows, cols = (slice(lo, hi), None), (None, slice(0, hi))
-            table = np.empty((hi - lo, hi))
-            self._sum_orders(table, x[rows] - x[cols],
-                             [(m, _cut(w, cols), [(_cut(c1v, rows), _cut(v, cols))
-                                                  for c1v, v in weight_rows])
-                              for m, w, weight_rows in weights])
-            np.copyto(out[lo:hi, :hi], table, where=np.arange(hi) <= np.arange(lo, hi)[:, None])
+        weights = []
+        for m, triples in self._orders.items():
+            w, rows = _weight_factors(triples, x, x, values, values)
+            # the first argument's values run down the table, the second's across
+            weights.append((m, w, [(_lift(c1v, 2, flip=True), v) for c1v, v in rows]))
+        self._tabulate(x[:, None], x[None, :], weights, out, lower=True)
         return out
 
-    def _sum_orders(self, out, s, weights):
-        # out[...] = sum_m f^(m)(s) W_m, the arithmetic of every table entry;
-        # W_m is its part constant in x1 plus its rank-1 rows, cut to out
-        f = self.base.profile(s, self._top)
+    def _tabulate(self, x1, x2, weights, out, lower=False):
+        # Fill out with the table on broadcast(x1, x2), or with lower=True only
+        # its lower triangle, one block of rows of out's slow axis at a time:
+        # every block is then a few runs of contiguous memory.  A column-major
+        # out is tabulated as out.T, whose rows are its columns, from the
+        # arguments and weights with their axes swapped; its lower triangle
+        # is the upper triangle of out.T.  The arithmetic of each entry is
+        # the same in every case.
+        ndim = out.ndim
+        flip = ndim == 2 and abs(out.strides[0]) < abs(out.strides[1])
+        x1, x2 = _lift(x1, ndim, flip), _lift(x2, ndim, flip)
+        weights = [(m, _lift(w, ndim, flip), [(_lift(c1v, ndim, flip), _lift(v, ndim, flip))
+                                              for c1v, v in rows])
+                   for m, w, rows in weights]
+        if flip:
+            out = out.T
+        n = out.shape[0] if ndim else 1
+        step = max(1, BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            rows = slice(lo, hi)
+            if not lower:
+                index = (rows,) if ndim else ()
+                self._sum_orders(out[index + (Ellipsis,)], index, x1, x2, weights)
+                continue
+            # the triangle: the full rectangle beside the block's diagonal
+            # square, written in place, and the square's half through a mask
+            rect = (rows, slice(hi, n) if flip else slice(0, lo))
+            self._sum_orders(out[rect], rect, x1, x2, weights)
+            square = np.empty((hi - lo, hi - lo))
+            self._sum_orders(square, (rows, rows), x1, x2, weights)
+            keep = np.tri(hi - lo, dtype=bool)
+            np.copyto(out[rows, rows], square, where=keep.T if flip else keep)
+
+    def _sum_orders(self, out, index, x1, x2, weights):
+        # out[...] = sum_m f^(m)(s) W_m on the table block ``index``, the
+        # arithmetic of every table entry; W_m is its part constant in x1
+        # plus its rank-1 rows, each factor cut to the block
+        if not out.size:
+            return
+        f = self.base.profile(_cut(x1, index) - _cut(x2, index), self._top)
         out[...] = 0.0
         for m, w, rows in weights:
+            w = _cut(w, index)
             for c1v, v in rows:
-                term = c1v * v
+                term = _cut(c1v, index) * _cut(v, index)
                 w = term if w is None else w + term
             out += f[m] * w
 

@@ -1,12 +1,14 @@
 """Gram assembly, jitter-laddered Cholesky, forward substitution and the one-BLAS-thread seam.
 
-The Cholesky factor (LAPACK's ``dpotrf``) and the triangular solve (BLAS's
-``dtrsm``) are called through ``ctypes`` from the OpenBLAS that numpy bundles,
-the library whose thread count ``one_blas_thread`` holds, so the runtime
-needs no scipy.  Both work in one layout, Fortran order, the one LAPACK
-reads: the factor is returned in it and the solve reads both operands in it.
-Without such a library they fall back to ``np.linalg.cholesky`` and
-``np.linalg.solve``.
+The Cholesky factors and the triangular solve are called through ``ctypes``
+from the OpenBLAS that numpy bundles, the library whose thread count
+``one_blas_thread`` holds, so the runtime needs no scipy.  A dense matrix is
+factored by LAPACK's ``dpotrf`` in a Fortran-ordered copy.  A
+:class:`PackedLower` holds only the lower triangle of a symmetric matrix, in
+LAPACK's rectangular full packed format, q(q+1)/2 numbers instead of q²; it is
+factored in place by ``dpftrf`` and solved against by ``dtfsm``, which read
+the same layout.  Without such a library they fall back to
+``np.linalg.cholesky`` and ``np.linalg.solve`` (on an unpacked copy).
 """
 
 from __future__ import annotations
@@ -21,21 +23,29 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, NotPositiveDefiniteError, ParameterError
+from .errors import DimensionError, EvaluationError, NotPositiveDefiniteError, ParameterError
 from .grids import Grid
 
-__all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower", "one_blas_thread",
-           "blas_threads"]
+__all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower", "PackedLower",
+           "one_blas_thread", "blas_threads"]
 
 
 def gram(kernel, grid: Grid) -> np.ndarray:
     """Kernel matrix ``[k(x_i, x_j)]`` on a grid.
 
     The result is symmetrized after assembly so it is exactly symmetric.
+    Raises :class:`EvaluationError` where the symmetrization overflows a
+    finite table; an entry the kernel itself makes infinite is returned as
+    it is, for the caller to name.
     """
     x = grid.points
     m = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
-    return 0.5 * (m + m.T)
+    with np.errstate(over="ignore"):
+        sym = 0.5 * (m + m.T)
+    if not np.isfinite(sym).all() and np.isfinite(m).all():
+        raise EvaluationError(f"kernel Gram on {len(x)} points overflows where it is "
+                              f"symmetrized: the kernel or an operator coefficient is too large")
+    return sym
 
 
 def jitter_ladder(max_jitter: float):
@@ -55,33 +65,130 @@ def jitter_ladder(max_jitter: float):
     return ladder
 
 
-def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = False):
+class PackedLower:
+    """The lower triangle of a symmetric q×q matrix in rectangular full packed format.
+
+    LAPACK's RFP format (TRANSR='N', UPLO='L'; Gustavson, Waśniewski,
+    Dongarra and Langou, ACM TOMS 37(2), 2010) holds the q(q+1)/2 entries of
+    the triangle in one Fortran-ordered array ``data`` of shape (q+e)×n1,
+    with n1 = q - ⌊q/2⌋, n2 = ⌊q/2⌋ and e = 1 - q mod 2: ``data[e:e+n1, :]``
+    holds the leading n1×n1 triangle, ``data[e+n1:, :]`` the block below it
+    and ``data[:n2, 1-e:1-e+n2].T`` the trailing n2×n2 triangle.  Every
+    number of ``data`` is an entry of the triangle.  ``shape`` is (q, q),
+    the matrix it stands for.
+
+    ``fill(packed)`` writes the whole triangle through :meth:`pieces` and
+    :meth:`add_to_diagonal`.  It runs at construction and again on each
+    :meth:`refill`, which is how :func:`chol_psd` restores the matrix for a
+    jitter retry after ``dpftrf`` has overwritten it with a partial factor:
+    there is no backup copy.
+    """
+
+    def __init__(self, q: int, fill):
+        n2 = q // 2
+        self.shape = (q, q)
+        self._n1, self._e = q - n2, 1 - q % 2
+        self.data = np.empty((q + self._e, q - n2), order="F")
+        self._fill = fill
+        self.refill()
+
+    @classmethod
+    def from_dense(cls, matrix) -> PackedLower:
+        """The lower triangle of the square ``matrix``, packed; refilled from ``matrix``."""
+        m = np.asarray(matrix, dtype=float)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+        return cls(m.shape[0], lambda packed: packed._write(m))
+
+    def refill(self):
+        """Write the matrix's triangle into ``data`` again, with the ``fill`` given at construction."""
+        self._fill(self)
+
+    def pieces(self, rows: slice, cols: slice):
+        """Views of ``data`` that hold the block ``[rows, cols]`` of the matrix.
+
+        ``rows`` and ``cols`` are slices with integer bounds, for a block
+        below the diagonal (``rows.start >= cols.stop``) or on it (``rows ==
+        cols``).  Returns ``(rows, cols, view)`` triples that cover the block:
+        a piece with ``rows == cols`` is a diagonal square, of which only the
+        lower triangle is the matrix's (its strict upper triangle holds other
+        entries); every other view is a whole block.  The views of the
+        leading columns are column-major, those of the trailing triangle
+        row-major.
+        """
+        n1, e = self._n1, self._e
+        r0, r1, c0, c1 = rows.start, rows.stop, cols.start, cols.stop
+        out = []
+        if c0 < min(c1, n1):
+            # data[e + r, c] holds the entry (r, c) of a leading column c < n1
+            cm = min(c1, n1)
+            if rows == cols:
+                out.append((slice(c0, cm), slice(c0, cm), self.data[e + c0:e + cm, c0:cm]))
+                r0 = cm
+            if r0 < r1:
+                out.append((slice(r0, r1), slice(c0, cm), self.data[e + r0:e + r1, c0:cm]))
+        if c1 > n1:
+            # data[c - n1, 1 - e + r - n1] holds the entry (r, c) of a trailing column
+            c0, r0 = max(c0, n1), max(r0, n1)
+            view = self.data[c0 - n1:c1 - n1, 1 - e + r0 - n1:1 - e + r1 - n1].T
+            out.append((slice(r0, r1), slice(c0, c1), view))
+        return out
+
+    def _diagonals(self):
+        # writeable views of the diagonal: its leading n1 entries, then its trailing n2
+        q, n1, e = self.shape[0], self._n1, self._e
+        flat, ld = self.data.reshape(-1, order="F"), q + e
+        return flat[e::ld + 1][:n1], flat[(1 - e) * ld::ld + 1][:q - n1]
+
+    def diagonal(self) -> np.ndarray:
+        """A copy of the diagonal, in order."""
+        return np.concatenate(self._diagonals())
+
+    def add_to_diagonal(self, values):
+        """Add ``values``, one per diagonal entry or one for all, to the diagonal."""
+        lead, trail = self._diagonals()
+        values = np.broadcast_to(np.asarray(values, dtype=float), (self.shape[0],))
+        lead += values[:lead.size]
+        trail += values[lead.size:]
+
+    def _write(self, matrix):
+        # the lower triangle of the dense square ``matrix`` into data
+        q = self.shape[0]
+        for rows, cols, view in self.pieces(slice(0, q), slice(0, q)):
+            block = matrix[rows, cols]
+            if rows == cols:
+                np.copyto(view, block, where=np.tri(len(block), dtype=bool))
+            else:
+                view[...] = block
+
+    def unpack(self) -> np.ndarray:
+        """The triangle as a dense Fortran-ordered q×q array, zero above the diagonal."""
+        q = self.shape[0]
+        out = np.zeros((q, q), order="F")
+        for rows, cols, view in self.pieces(slice(0, q), slice(0, q)):
+            out[rows, cols] = np.tril(view) if rows == cols else view
+        return out
+
+
+def chol_psd(matrix, max_jitter: float = 1e-8):
     """Lower Cholesky factor of ``matrix + delta * I`` for the smallest workable delta.
 
     Tries the jitter ladder ``0, 1e-12, 1e-11, ..., max_jitter`` in order and
-    returns ``(L, delta)`` for the first success.  The factorization is
-    LAPACK's ``dpotrf``, in place on a Fortran-ordered work array.  Before the
-    first attempt the strict upper triangle of that array receives a mirror
-    of the lower one and the diagonal is kept in an O(q) copy, so a retry
-    restores the array from them and adds ``delta`` to its diagonal.  The
-    factor equals ``np.linalg.cholesky``'s bit for bit, which is also the
-    fallback when numpy bundles no OpenBLAS that can be found.
+    returns ``(L, delta)`` for the first success.  Only the lower triangle of
+    ``matrix`` is read.
 
-    ``L`` is always the Fortran-ordered work array.  By default that is a
-    Fortran copy of ``matrix``, which is never modified, so the memory is the
-    input plus one copy.
+    A dense ``matrix`` is never modified: LAPACK's ``dpotrf`` factors a
+    Fortran-ordered copy of it, which each retry copies afresh before it
+    adds ``delta`` to the diagonal.  ``L`` is that copy, Fortran-ordered and
+    zero above the diagonal; it equals ``np.linalg.cholesky``'s factor bit
+    for bit, which is also the fallback when numpy bundles no OpenBLAS that
+    can be found.
 
-    With ``overwrite=True`` a writeable, Fortran-ordered float64 ``matrix``
-    is itself the work array and is returned as ``L``, so on the OpenBLAS
-    path no q×q copy is made (the numpy fallback allocates one for its
-    factor).  Any other input, a C-ordered one included, cannot be factored
-    in place: it is copied and left untouched, as by default.  After an
-    error with ``overwrite=True``, an input taken over holds unspecified
-    values.
-
-    Only the lower triangle of ``matrix`` is read: entries above the
-    diagonal do not change ``L`` or ``delta``, so a caller may fill the lower
-    triangle alone.
+    A :class:`PackedLower` ``matrix`` is factored in place by LAPACK's
+    ``dpftrf`` and returned as ``L``, so no q×q array is made on the
+    OpenBLAS path (numpy's fallback factors an unpacked copy and packs the
+    factor back).  A retry refills it (:meth:`PackedLower.refill`) and adds
+    ``delta`` to its diagonal.  After an error it holds the matrix again.
 
     Raises
     ------
@@ -95,73 +202,58 @@ def chol_psd(matrix: np.ndarray, max_jitter: float = 1e-8, *, overwrite: bool = 
     ParameterError
         If ``max_jitter`` is not finite and >= 0.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    packed = isinstance(matrix, PackedLower)
+    if not packed:
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DimensionError(f"expected a square matrix, got shape {matrix.shape}")
     ladder = jitter_ladder(max_jitter)
-    owned = overwrite and m is matrix and m.flags.writeable and m.flags.f_contiguous
-    work = m if owned else np.array(m, order="F")
-    # dpotrf('L') leaves the strict upper triangle alone, so a mirror of the
-    # lower one there, and the diagonal kept aside, restore it for a retry
-    saved = work.diagonal().copy()
-    _mirror_lower(work)
+    q = matrix.shape[0]
+    work = matrix if packed else np.empty((q, q), order="F")
     for i, delta in enumerate(ladder):
+        # the matrix afresh for every rung but a packed one's first, which
+        # nothing has touched yet
+        if not packed:
+            np.copyto(work, matrix)
+        elif i:
+            work.refill()
         if delta:
-            _restore_lower(work, saved + delta)
-        if _factor_lower(work):
+            if packed:
+                work.add_to_diagonal(delta)
+            else:
+                work[np.diag_indices(q)] += delta
+        if _factor_packed(work) if packed else _factor_lower(work):
             break
     else:
-        _restore_lower(work, saved)
-        if not np.isfinite(np.tril(work)).all():
-            raise _not_finite(m, ladder)
+        if packed:
+            work.refill()
+        if not np.isfinite(work.data if packed else np.tril(matrix)).all():
+            raise _not_finite(q, ladder)
         raise NotPositiveDefiniteError(
-            f"matrix of size {m.shape[0]} is not positive definite for any jitter "
+            f"matrix of size {q} is not positive definite for any jitter "
             f"on the ladder (tried {ladder})",
             tried=ladder,
         )
     if not np.isfinite(work.diagonal()).all():
-        raise _not_finite(m, ladder[:i + 1])
-    for j in range(1, work.shape[1]):
-        work[:j, j] = 0.0
+        if packed:
+            work.refill()
+        raise _not_finite(q, ladder[:i + 1])
+    if not packed:
+        for j in range(1, q):
+            work[:j, j] = 0.0
     return work, delta
 
 
-# Columns per panel of _mirror_lower: its temporaries are q x _PANEL.
-_PANEL = 128
-
-
-def _mirror_lower(a: np.ndarray):
-    """Copy the strict lower triangle of the square ``a`` onto its strict upper one.
-
-    One column panel at a time, so each temporary is one panel and never a
-    q×q array.  ``_mirror_lower(a.T)`` copies the upper triangle back.
-    """
-    q = a.shape[0]
-    for j0 in range(0, q, _PANEL):
-        j1 = min(q, j0 + _PANEL)
-        a[:j0, j0:j1] = a[j0:j1, :j0].T
-        block = a[j0:j1, j0:j1]
-        np.copyto(block, block.T, where=~np.tri(j1 - j0, dtype=bool))
-
-
-def _restore_lower(a: np.ndarray, diagonal: np.ndarray):
-    """Refill the lower triangle of ``a`` from the mirror in its upper one and set its diagonal."""
-    _mirror_lower(a.T)
-    np.fill_diagonal(a, diagonal)
-
-
-def _not_finite(m, tried) -> NotPositiveDefiniteError:
+def _not_finite(q, tried) -> NotPositiveDefiniteError:
     return NotPositiveDefiniteError(
-        f"matrix of size {m.shape[0]} has an entry that is not finite (a NaN or an "
+        f"matrix of size {q} has an entry that is not finite (a NaN or an "
         f"infinity) in its lower triangle", tried=tried)
 
 
 def _factor_lower(work: np.ndarray) -> bool:
     """Cholesky-factor the Fortran-ordered ``work`` in place; False if it is not positive definite.
 
-    Only the lower triangle is read.  A failed attempt leaves the strict
-    upper triangle as it was, since ``chol_psd`` keeps a mirror of the lower
-    one there; after a success it holds no defined values.
+    Only the lower triangle is read, and only it is written.
     """
     blas = _resolve_openblas()
     if blas:
@@ -174,45 +266,57 @@ def _factor_lower(work: np.ndarray) -> bool:
     return True
 
 
-def solve_lower(L: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``L x = b`` in place for a lower-triangular ``L``; return ``b``, now holding ``x``.
+def _factor_packed(work: PackedLower) -> bool:
+    """Cholesky-factor the packed ``work`` in place; False if it is not positive definite."""
+    blas = _resolve_openblas()
+    if blas:
+        return blas.pftrf(work.data, work.shape[0]) == 0
+    try:
+        factor = np.linalg.cholesky(work.unpack())
+    except np.linalg.LinAlgError:
+        return False
+    work._write(factor)
+    return True
 
-    ``b`` is a writeable float64 vector or matrix of right-hand sides.  One
-    BLAS ``dtrsm`` call of one fixed shape solves for all of them, in
-    Fortran order: a Fortran-ordered ``L``, such as ``chol_psd`` returns,
-    and a vector or Fortran-ordered ``b`` are not copied, any other ``L`` is
-    read from a Fortran copy, and any other ``b`` is solved in a Fortran
-    copy that is written back.  So every layout of ``L`` and ``b`` gives the
-    same bits.  Only the lower triangle of ``L`` is read.  When numpy bundles
-    no OpenBLAS that can be found, this falls back to ``np.linalg.solve`` on
-    ``np.tril(L)``.
 
-    Raises ParameterError, before any work, for a ``b`` that cannot hold the
-    solution (anything but a writeable float64 ndarray), and DimensionError
-    unless ``L`` is square and ``b`` has as many rows.
+def solve_lower(L: PackedLower, b: np.ndarray) -> np.ndarray:
+    """Solve ``L x = b`` in place for a packed lower-triangular ``L``; return ``b``, now holding ``x``.
+
+    ``L`` is a :class:`PackedLower`, such as :func:`chol_psd` returns for
+    one.  ``b`` is a writeable float64 vector or matrix of right-hand sides.
+    One LAPACK ``dtfsm`` call solves for all of them, in Fortran order: a
+    vector or Fortran-ordered ``b`` is not copied, and any other ``b`` is
+    solved in a Fortran copy that is written back, so every layout of ``b``
+    gives the same bits.  When numpy bundles no OpenBLAS that can be found,
+    this falls back to ``np.linalg.solve`` on ``L.unpack()``.
+
+    Raises ParameterError, before any work, for an ``L`` that is not a
+    :class:`PackedLower` or a ``b`` that cannot hold the solution (anything
+    but a writeable float64 ndarray), and DimensionError unless ``b`` has as
+    many rows as ``L``.
     """
+    if not isinstance(L, PackedLower):
+        raise ParameterError(f"the factor must be a PackedLower, got {type(L).__name__}")
     if not (isinstance(b, np.ndarray) and b.dtype == np.float64 and b.flags.writeable):
         got = (f"a {'writeable' if b.flags.writeable else 'read-only'} {b.dtype} array"
                if isinstance(b, np.ndarray) else type(b).__name__)
         raise ParameterError(f"the right-hand side receives the solution, so it must be a "
                              f"writeable float64 array; got {got}")
-    L = np.asarray(L, dtype=float)
-    if L.ndim != 2 or L.shape[0] != L.shape[1] or b.ndim not in (1, 2) \
-            or b.shape[0] != L.shape[0]:
+    if b.ndim not in (1, 2) or b.shape[0] != L.shape[0]:
         raise DimensionError(f"cannot solve {L.shape} against {b.shape}")
     blas = _resolve_openblas()
     if not blas:
-        b[...] = np.linalg.solve(np.tril(L), b)
+        b[...] = np.linalg.solve(L.unpack(), b)
         return b
     x = b if b.flags.f_contiguous else np.array(b, order="F")
-    blas.trsm(np.asfortranarray(L), x)
+    blas.tfsm(L.data, x)
     if x is not b:
         b[...] = x
     return b
 
 
 class _OpenBLAS:
-    """One OpenBLAS library: its thread count, and the LAPACK factor and BLAS solve read from it.
+    """One OpenBLAS library: its thread count, and the LAPACK factors and solve read from it.
 
     The thread count is process-wide and held at one while any caller is
     inside, so entries nest and may come from several threads: the first
@@ -233,11 +337,14 @@ class _OpenBLAS:
         self._potrf = getattr(lib, f"{lapack}dpotrf_{suffix}")
         self._potrf.argtypes = [char, ptr, ctypes.c_void_p, ptr, ptr, length]
         self._potrf.restype = None
-        self._trsm = getattr(lib, f"{lapack}dtrsm_{suffix}")
-        self._trsm.argtypes = [char, char, char, char, ptr, ptr,
-                               ctypes.POINTER(ctypes.c_double), ctypes.c_void_p, ptr,
-                               ctypes.c_void_p, ptr, length, length, length, length]
-        self._trsm.restype = None
+        self._pftrf = getattr(lib, f"{lapack}dpftrf_{suffix}")
+        self._pftrf.argtypes = [char, char, ptr, ctypes.c_void_p, ptr, length, length]
+        self._pftrf.restype = None
+        self._tfsm = getattr(lib, f"{lapack}dtfsm_{suffix}")
+        self._tfsm.argtypes = [char, char, char, char, char, ptr, ptr,
+                               ctypes.POINTER(ctypes.c_double), ctypes.c_void_p,
+                               ctypes.c_void_p, ptr] + [length] * 5
+        self._tfsm.restype = None
         self._lock = threading.Lock()
         self._depth = 0
         self._saved = None
@@ -262,17 +369,25 @@ class _OpenBLAS:
                     ctypes.byref(self._int(max(1, n))), ctypes.byref(info), 1)
         return info.value
 
-    def trsm(self, L: np.ndarray, b: np.ndarray):
-        """Overwrite ``b`` by ``L^-1 b``: ``dtrsm("L", "L", "N", "N")``, lower triangle of ``L``.
+    def pftrf(self, a: np.ndarray, n: int) -> int:
+        """``dpftrf('N', 'L')`` in place on the packed order-``n`` array ``a``; LAPACK's info."""
+        info = self._int(0)
+        self._pftrf(b"N", b"L", ctypes.byref(self._int(n)), a.ctypes.data,
+                    ctypes.byref(info), 1, 1)
+        return info.value
 
-        ``L`` is a Fortran-ordered float64 square, ``b`` a Fortran-ordered
-        float64 vector or matrix with as many rows.
+    def tfsm(self, a: np.ndarray, b: np.ndarray):
+        """Overwrite ``b`` by ``L^-1 b``: ``dtfsm("N", "L", "L", "N", "N")``, ``L`` packed in ``a``.
+
+        ``a`` holds the lower triangle of ``L`` as :class:`PackedLower`
+        does; ``b`` is a Fortran-ordered float64 vector or matrix with as
+        many rows as ``L``.
         """
-        q, k = L.shape[0], b.shape[1] if b.ndim == 2 else 1
-        ld = ctypes.byref(self._int(max(1, q)))
-        self._trsm(b"L", b"L", b"N", b"N", ctypes.byref(self._int(q)),
+        q, k = b.shape[0], b.shape[1] if b.ndim == 2 else 1
+        self._tfsm(b"N", b"L", b"L", b"N", b"N", ctypes.byref(self._int(q)),
                    ctypes.byref(self._int(k)), ctypes.byref(ctypes.c_double(1.0)),
-                   L.ctypes.data, ld, b.ctypes.data, ld, 1, 1, 1, 1)
+                   a.ctypes.data, b.ctypes.data, ctypes.byref(self._int(max(1, q))),
+                   1, 1, 1, 1, 1)
 
 
 def _find_openblas() -> _OpenBLAS | None:

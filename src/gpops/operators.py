@@ -121,6 +121,7 @@ class LinearOperator:
         if not items:
             items = [(0, (Const(0.0), repr(0.0)))]
         self.terms = tuple((o, c) for o, (c, _) in items)
+        self._hash = hash(self.terms)  # taken once: observations group by operator
         self.order = self.terms[-1][0]
         self.label = label if label is not None else _default_label(items)
 
@@ -130,7 +131,7 @@ class LinearOperator:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        return self._hash
 
     def __add__(self, other):
         return add(self, other)

@@ -319,7 +319,13 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         mc_se_interior_max=float(np.max(mean_se[interior])))
 
     # (b) covariance: entrywise SE sqrt((c_ii c_jj + c_ij^2)/N), interior block
-    cov_se = np.sqrt((np.outer(law_var, law_var) + law_cov**2) / n_paths)
+    # c_ii c_jj + c_ij^2 squares the law: a law beyond about 1e154 overflows
+    # here first, and is named here
+    with np.errstate(over="ignore", invalid="ignore"):
+        law_square = np.outer(law_var, law_var) + law_cov**2
+    _check_finite([("squared discrete law c_ii c_jj + c_ij^2 of the covariance gate", "kernel",
+                   law_square)])
+    cov_se = np.sqrt(law_square / n_paths)
     var_se = cov_se.diagonal()
     cov_check = _z_gate(ecov - law_cov, cov_se, np.outer(interior, interior), tol.cov_z)
 

@@ -777,8 +777,25 @@ problem:
     ("verify", "name: se, lengthscale: 0.5", "1.0e+308", '[[1, "1"]]',
      "error: discrete law A m has an entry that is not finite: the mean or an "
      "operator coefficient is too large"),
+    # a law near 1e306 is finite, but the covariance gate squares it
+    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+153]]',
+     "error: squared discrete law c_ii c_jj + c_ij^2 of the covariance gate has an entry "
+     "that is not finite: the kernel or an operator coefficient is too large"),
+    # each entry of the image Gram is finite, but K + K^t is not
+    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+154]]',
+     "error: kernel Gram on 65 points overflows where it is symmetrized: the kernel or an "
+     "operator coefficient is too large"),
+    ("kernel-table", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+154]]',
+     "error: kernel Gram on 33 points overflows where it is symmetrized: the kernel or an "
+     "operator coefficient is too large"),
+    # a law near 1e80 passes both gates' squares, but the order-4 moment
+    # products of the paths and their jackknife overflow
+    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+40]]',
+     "error: empirical cumulant of order 4 at x = (0.0625, 0.25, 0.40625, 0.59375) or its "
+     "standard error is not finite: the paths are too large for its moment products"),
 ], ids=["matern-tiny-lengthscale", "solve-huge-mean", "verify-huge-coefficient",
-        "verify-huge-mean"])
+        "verify-huge-mean", "verify-squared-law", "verify-symmetrized-gram",
+        "kernel-table-symmetrized-gram", "verify-cumulant-products"])
 def test_overflow_is_named_where_it_is_made_exit_one(tmp_path, capsys, command, kernel, mean,
                                                       terms, message):
     # each ended after numpy overflow warnings, in the serializer or in a gate

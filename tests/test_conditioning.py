@@ -25,7 +25,7 @@ from gpops.conditioning import (NOISE_FLOOR_VARIANCE, Observation,
 from gpops.errors import ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
-from gpops.linalg import blas_threads, chol_psd, gram, jitter_ladder
+from gpops.linalg import PackedLower, blas_threads, chol_psd, gram, jitter_ladder
 from gpops.means import mean_from_expression, zero_mean
 from gpops.operators import (ARG1, ARG2, LinearOperator, apply_arg,
                              apply_to_function, derivative_operator, identity)
@@ -77,6 +77,37 @@ def test_observation_validation():
     g = Grid.uniform_on(0.0, 1.0, 9)
     with pytest.raises(ParameterError):
         condition(p, [Observation(identity(), 2.0, 0.0, 0.0)], g)  # outside span
+
+
+@pytest.mark.parametrize("location, value", [
+    (10**400, 0.0),   # an int no float holds
+    (0.0, -10**400),
+    ("0.5", 0.0),     # a string is refused, not parsed
+    (0.5, "nan"),
+    (None, 0.0),
+    (np.float64(np.inf), 0.0),
+])
+def test_observation_refuses_a_location_or_value_that_is_no_finite_float(location, value):
+    # the int and string cases escaped numpy's isfinite as a bare TypeError
+    with pytest.raises(ParameterError, match="observation location and value must be finite"):
+        Observation(identity(), location, value)
+
+
+@pytest.mark.parametrize("noise_sd, message", [
+    ("0.1", "noise_sd must be >= 0"),
+    (None, "noise_sd must be >= 0"),
+    (-10**400, "noise_sd must be >= 0"),
+    (10**400, "finite variance"),
+])
+def test_observation_refuses_a_noise_sd_that_is_no_float(noise_sd, message):
+    # the string and None cases escaped as a bare TypeError from the comparison
+    with pytest.raises(ParameterError, match=message):
+        Observation(identity(), 0.5, 0.0, noise_sd)
+
+
+def test_observation_accepts_numpy_and_python_reals():
+    for location in (0.5, 1, np.float64(0.5), np.float32(0.25), np.int64(1), np.array(0.5)):
+        Observation(identity(), location, np.float64(-2.0))
 
 
 @pytest.mark.parametrize("noise_sd", [math.inf, 1e200])
@@ -273,6 +304,7 @@ def test_condition_makes_one_triangular_solve():
     solve = gpops.conditioning.solve_triangular
 
     def spy(*args, **kwargs):
+        assert isinstance(args[0], PackedLower)  # the factor, packed as it was factored
         calls.append(args[1].shape)
         return solve(*args, **kwargs)
 
@@ -285,11 +317,13 @@ def test_condition_makes_one_triangular_solve():
 
 def test_collocation_solve_holds_one_observation_gram():
     # the solve-colloc problem: u'' + x u' + u = rhs at 2000 collocation
-    # points plus two boundary values, so a 2002 x 2002 observation Gram.
-    # chol_psd factors the Gram that condition() assembled in place, so the
-    # traced peak of a solve stays below 1.5 Grams; a factored copy would
-    # hold two of them.  numpy reports its buffers to tracemalloc.  numpy's
-    # fallback factor allocates a second Gram, so the bound holds only where
+    # points plus two boundary values, so a 2002 x 2002 observation Gram
+    # (a "Gram" below is 8 q^2 bytes).  condition() fills only its lower
+    # triangle, packed in half a Gram, and chol_psd factors it in place, so
+    # the traced peak of a solve measured 0.72 Grams and must stay below
+    # 0.85; a dense Gram alone would be 1, and the dense in-place factor
+    # peaked at 1.23.  numpy reports its buffers to tracemalloc.  numpy's
+    # fallback factors an unpacked copy, so the bound holds only where
     # LAPACK is reached through numpy's bundled OpenBLAS.
     if blas_threads() is None:
         pytest.skip("no bundled OpenBLAS found")
@@ -311,7 +345,7 @@ def test_collocation_solve_holds_one_observation_gram():
     finally:
         tracemalloc.stop()
     q = 2002
-    assert peak < 1.5 * 8 * q * q
+    assert peak < 0.85 * 8 * q * q
     assert np.max(np.abs(post.mean - np.sin(a * grid.points))) <= 1e-5
 
 
@@ -370,11 +404,12 @@ def test_equal_operators_condition_alike_as_distinct_objects(rows):
 # ------------------------------------------------------------ reported jitter
 
 def _condition_capturing_gram(p, obs, grid, **kwargs):
-    # condition(), plus every (Gram, keyword arguments) it handed to chol_psd
+    # condition(), plus every (Gram, keyword arguments) it handed to chol_psd;
+    # the Gram is packed, and is captured as a packed copy
     captured = []
 
     def spy(matrix, **kw):
-        captured.append((matrix.copy(), kw))
+        captured.append((PackedLower.from_dense(matrix.unpack()), kw))
         return chol_psd(matrix, **kw)
 
     with mock.patch("gpops.conditioning.chol_psd", spy):
@@ -409,7 +444,7 @@ def test_reported_jitter_is_zero_when_well_conditioned_and_positive_when_not():
 
 
 def _scipy_solve(L, b):
-    return scipy.linalg.solve_triangular(L, b, lower=True)
+    return scipy.linalg.solve_triangular(L.unpack(), b, lower=True)
 
 
 def test_ill_conditioned_posterior_matches_the_scipy_solve():
@@ -472,7 +507,9 @@ def _dense_reference(p, obs, grid, max_jitter):
             kmat[i, j] = bf(a.location, b.location)
     kmat = 0.5 * (kmat + kmat.T)
     kmat[np.diag_indices(q)] += [o.noise_sd**2 + NOISE_FLOOR_VARIANCE for o in obs]
-    L, jitter = chol_psd(kmat, max_jitter=max_jitter)
+    # factored as condition() factors, packed, so both take the same rung
+    L, jitter = chol_psd(PackedLower.from_dense(kmat), max_jitter=max_jitter)
+    L = L.unpack()
     k_x = np.column_stack([apply_arg(o.operator, ARG2, k)(x, o.location) for o in obs])
     residual = np.array([o.value - float(apply_to_function(o.operator, p.mean)(o.location))
                          for o in obs])

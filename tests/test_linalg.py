@@ -15,8 +15,8 @@ import gpops.verify
 from gpops.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
-from gpops.linalg import (blas_threads, chol_psd, gram, jitter_ladder, one_blas_thread,
-                          solve_lower)
+from gpops.linalg import (PackedLower, blas_threads, chol_psd, gram, jitter_ladder,
+                          one_blas_thread, solve_lower)
 from gpops.means import zero_mean
 from gpops.operators import derivative_operator
 from gpops.processes import GaussianProcessPrior
@@ -53,13 +53,14 @@ def test_chol_psd_rank_deficient_succeeds_on_ladder():
 
 def test_chol_psd_indefinite_error_reports_ladder():
     # eigenvalues 3 and -1; and a finite matrix whose partial factor
-    # overflows, which is restored before it is checked for an entry that
-    # is not finite
+    # overflows, which is restored (a packed one refilled) before it is
+    # checked for an entry that is not finite
     indefinite = ([[1.0, 2.0], [2.0, 1.0]], [[1e-300, 1e300], [1e300, 1.0]])
-    for rows, order, overwrite in itertools.product(indefinite, "CF", (False, True)):
-        m = np.array(rows, order=order)
+    for rows, layout in itertools.product(indefinite, ["C", "F", "packed"]):
+        m = (PackedLower.from_dense(rows) if layout == "packed"
+             else np.array(rows, order=layout))
         with pytest.raises(NotPositiveDefiniteError, match="not positive definite") as err:
-            chol_psd(m, max_jitter=1e-6, overwrite=overwrite)
+            chol_psd(m, max_jitter=1e-6)
         assert err.value.tried[0] == 0.0
         assert err.value.tried[1] == 1e-12
         assert err.value.tried[-1] == pytest.approx(1e-6)
@@ -100,9 +101,8 @@ def test_chol_psd_reads_only_the_lower_triangle(case):
     L, delta = chol_psd(m, max_jitter=1e-4)
     assert (delta == 0.0) == (case == "rung0")
     for lower in (np.tril(m), np.tril(m) + np.triu(np.full_like(m, np.nan), 1)):
-        for order, overwrite in itertools.product("CF", (False, True)):
-            L_lower, delta_lower = chol_psd(np.array(lower, order=order), max_jitter=1e-4,
-                                            overwrite=overwrite)
+        for order in "CF":
+            L_lower, delta_lower = chol_psd(np.array(lower, order=order), max_jitter=1e-4)
             assert delta_lower == delta
             assert np.array_equal(L_lower, L)
 
@@ -165,25 +165,22 @@ def _gram_case(kernel, q, case):
 @pytest.mark.parametrize("case", ["rung0", "retry"])
 @pytest.mark.parametrize("kernel, q", [("se", 2002), ("matern52", 257)])
 def test_chol_psd_equals_numpy_cholesky_bit_for_bit(lapack, kernel, q, case):
-    # the factor is Fortran-ordered for every input; overwrite=True factors a
-    # Fortran-ordered input in place, a retry included
+    # a dense input is factored in a Fortran copy of any layout, a retry
+    # included, and is left as it was
     m = _gram_case(kernel, q, case)
     for threads in (one_blas_thread, contextlib.nullcontext):
         with threads():
             L_ref = None
-            for order, overwrite in [("C", False), ("F", False), ("F", True)]:
+            for order in "CF":
                 layout = np.array(m, order=order)
                 before = layout.copy(order="K")
-                L, delta = chol_psd(layout, overwrite=overwrite)
+                L, delta = chol_psd(layout)
                 assert (delta == 0.0) == (case == "rung0")
                 if L_ref is None:
                     L_ref = np.linalg.cholesky(m + delta * np.eye(q))
                 assert np.array_equal(L, L_ref)
                 assert L.flags.f_contiguous
-                if overwrite:
-                    assert L is layout
-                else:
-                    assert np.array_equal(layout, before)
+                assert np.array_equal(layout, before)
 
 
 @pytest.mark.parametrize("where", ["nan-diagonal", "nan-below", "inf-below"])
@@ -191,22 +188,25 @@ def test_chol_psd_refuses_a_non_finite_lower_triangle(lapack, where):
     # neither LAPACK nor numpy flags a NaN: it would reach the factor silently.
     # An infinity below the diagonal makes every rung fail, so it is found
     # only after the ladder is exhausted, in the restored lower triangle.
+    # A packed matrix is refused alike, and holds the matrix again after.
     i, j, value = {"nan-diagonal": (1, 1, np.nan), "nan-below": (2, 0, np.nan),
                    "inf-below": (2, 1, np.inf)}[where]
-    for order, overwrite in itertools.product("CF", (False, True)):
-        m = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], order=order)
+    for layout in ["C", "F", "packed"]:
+        m = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]], order="F")
         m[i, j] = value
+        given = PackedLower.from_dense(m) if layout == "packed" else np.array(m, order=layout)
         with pytest.raises(NotPositiveDefiniteError, match="not finite") as err:
-            chol_psd(m, overwrite=overwrite)
+            chol_psd(given)
         exhausted = err.value.tried == tuple(jitter_ladder(1e-8))
         assert exhausted == (where == "inf-below")
+        if layout == "packed":
+            assert np.array_equal(given.unpack(), np.tril(m), equal_nan=True)
 
 
 @pytest.mark.parametrize("kind", ["c-ordered", "read-only", "integer", "strided"])
-def test_chol_psd_overwrite_leaves_an_input_it_cannot_own_untouched(kind):
+def test_chol_psd_leaves_a_dense_input_untouched(kind):
     m = _gram_case("se", 40, "rung0")
     if kind == "c-ordered":
-        # LAPACK factors only a Fortran-ordered array in place
         given = np.ascontiguousarray(m)
     elif kind == "read-only":
         given = np.asfortranarray(m)
@@ -219,30 +219,148 @@ def test_chol_psd_overwrite_leaves_an_input_it_cannot_own_untouched(kind):
         given = np.zeros((40, 80))[:, ::2]
         given[...] = m
     before = given.copy()
-    L, delta = chol_psd(given, overwrite=True)
+    L, delta = chol_psd(given)
     assert L is not given
     assert np.array_equal(given, before)
-    assert np.array_equal(L, chol_psd(m)[0])
+    assert np.array_equal(L, chol_psd(np.asfortranarray(m))[0])
     assert L.flags.f_contiguous
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
 def test_chol_psd_refuses_a_matrix_that_is_not_square(shape):
     # a shape fault, as in solve_lower, before any jitter is tried
-    for overwrite in (False, True):
-        with pytest.raises(DimensionError, match="square"):
-            chol_psd(np.ones(shape), overwrite=overwrite)
+    with pytest.raises(DimensionError, match="square"):
+        chol_psd(np.ones(shape))
+    with pytest.raises(DimensionError, match="square"):
+        PackedLower.from_dense(np.ones(shape))
 
 
-# ------------------------------------------------------ forward substitution
+# ------------------------------------------------ the packed layout and solve
 
-def _gram_factor(q, seed):
-    # Cholesky factor of an SE Gram on random points with a 1e-6 noise floor,
-    # the kind of factor condition() solves against
+def _lower_sample(q, seed):
+    # a dense lower triangle whose every entry is distinct, zero above
+    return np.tril(np.random.default_rng(seed).uniform(1.0, 2.0, (q, q)))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 8, 9, 2002])
+def test_packed_pieces_hold_the_lower_triangle(q):
+    # writing a known triangle through the piece views and unpacking it gives
+    # it back; the packed array is LAPACK's own RFP layout (TRANSR='N',
+    # UPLO='L'), as scipy's dtrttf lays out the same triangle
+    m = _lower_sample(q, q)
+
+    def fill(packed):
+        for rows, cols, view in packed.pieces(slice(0, q), slice(0, q)):
+            assert view.shape == (rows.stop - rows.start, cols.stop - cols.start)
+            if rows == cols:
+                np.copyto(view, m[rows, cols], where=np.tri(view.shape[0], dtype=bool))
+            else:
+                view[...] = m[rows, cols]
+
+    packed = PackedLower(q, fill)
+    assert packed.shape == (q, q)
+    assert packed.data.size == q * (q + 1) // 2
+    assert packed.data.flags.f_contiguous
+    assert np.array_equal(packed.unpack(), m)
+    assert np.array_equal(packed.diagonal(), np.diag(m))
+    rfp, info = scipy.linalg.lapack.dtrttf(m, transr="N", uplo="L")
+    assert info == 0
+    assert np.array_equal(packed.data.reshape(-1, order="F"), rfp)
+
+
+@pytest.mark.parametrize("q", [7, 8])
+def test_packed_pieces_split_a_block_at_the_packed_column(q):
+    # a group pair's block is split where the packed columns change over:
+    # every entry of the triangle is held by exactly one piece of one block
+    m = _lower_sample(q, 3)
+    edges = [0, 2, q // 2 + 1, q]
+    spans = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    seen = np.zeros((q, q), dtype=int)
+
+    def fill(packed):
+        seen[...] = 0
+        for i, rows in enumerate(spans):
+            for cols in spans[:i + 1]:
+                for r, c, view in packed.pieces(rows, cols):
+                    keep = np.tri(view.shape[0], dtype=bool) if r == c else True
+                    np.copyto(view, m[r, c], where=keep)
+                    seen[r, c] += keep
+    packed = PackedLower(q, fill)
+    assert np.array_equal(seen, np.tri(q, dtype=int))
+    assert np.array_equal(packed.unpack(), m)
+
+
+def _packed_gram(q, seed, noise=1e-6):
+    # an SE Gram on random points with a noise floor, the kind of Gram
+    # condition() factors, packed; and the dense matrix
     rng = np.random.default_rng(seed)
     m = gram(se_kernel(0.3, 1.0), Grid(np.sort(rng.uniform(0.0, 1.0, q))))
-    m[np.diag_indices_from(m)] += 1e-6
-    return np.linalg.cholesky(m), rng
+    m[np.diag_indices_from(m)] += noise
+    return PackedLower.from_dense(m), m, rng
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 9, 40, 41, 257, 2002])
+def test_packed_factor_and_solve_match_scipy(lapack, q):
+    # dpftrf and dtfsm against scipy's dense Cholesky and triangular solve.
+    # Both factors are backward stable: max |L L' - A| / max |A| measured at
+    # most 2.4e-15 on both paths over these orders, bound 1e-14.  They differ
+    # by the Gram's conditioning, at most q / 1e-6 with the 1e-6 floor: the
+    # factors by at most 4.2e-10 relative to max |L| and the solutions by at
+    # most 1.6e-8 normwise (q = 2002), against a bound of (q / 1e-6) * eps,
+    # 4.4e-7 there; numpy's own cholesky differs from scipy's alike.
+    packed, m, rng = _packed_gram(q, q)
+    L_ref = scipy.linalg.cholesky(m, lower=True)
+    L, delta = chol_psd(packed)
+    assert L is packed
+    assert delta == 0.0
+    dense = L.unpack()
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(dense @ dense.T - m)) <= 1e-14 * np.max(np.abs(m))
+    assert np.max(np.abs(dense - L_ref)) <= q / 1e-6 * eps * np.max(np.abs(L_ref))
+    b = rng.standard_normal((q, 7))
+    ref = scipy.linalg.solve_triangular(L_ref, b, lower=True)
+    x = solve_lower(L, b.copy(order="F"))
+    assert np.linalg.norm(dense @ x - b) <= 1e-15 * np.linalg.norm(dense) * np.linalg.norm(x)
+    assert np.linalg.norm(x - ref) <= q / 1e-6 * eps * np.linalg.norm(ref)
+    # one dtfsm shape: neither the layout of b nor its width reaches the bits
+    if lapack == "openblas":
+        assert np.array_equal(solve_lower(L, b.copy(order="C")), x)
+        assert np.array_equal(solve_lower(L, b[:, 0].copy()), x[:, 0])
+
+
+@pytest.mark.parametrize("q", [12, 13])
+def test_packed_retry_refills_and_reports_the_first_rung_that_factors(lapack, q):
+    # rank one, so the ladder must step past 0.  Each retry refills the packed
+    # array (dpftrf has overwritten it), so the factor is that of a fresh
+    # pack of m + delta I, bit for bit, at the first rung on which a fresh
+    # pack factors
+    v = np.random.default_rng(q).standard_normal(q)
+    m = np.outer(v, v)
+    fills = []
+    packed = PackedLower(q, lambda p: fills.append(1) or p._write(m))
+    L, delta = chol_psd(packed, max_jitter=1e-4)
+    ladder = jitter_ladder(1e-4)
+    first = next(d for d in ladder
+                 if gpops.linalg._factor_packed(PackedLower.from_dense(m + d * np.eye(q))))
+    assert delta == first > 0.0
+    assert len(fills) == ladder.index(delta) + 1
+    fresh = PackedLower.from_dense(m + delta * np.eye(q))
+    assert gpops.linalg._factor_packed(fresh)
+    assert np.array_equal(L.data, fresh.data)
+
+
+def test_packed_factor_of_a_gram_that_needs_the_ladder(lapack):
+    # the 40 noiseless values under a kernel variance of 1e8 of the
+    # reported-jitter test: the jitter is the first rung on which the packed
+    # factor succeeds, and the factor reconstructs the shifted Gram
+    m = 1e8 * np.exp(-0.5 * np.subtract.outer(*2 * [np.linspace(0.0, 1.0, 40)]) ** 2 / 0.25)
+    m[np.diag_indices(40)] += 1e-8
+    L, delta = chol_psd(PackedLower.from_dense(m), max_jitter=1e-2)
+    assert delta > 0.0
+    for d in jitter_ladder(1e-2)[:jitter_ladder(1e-2).index(delta)]:
+        assert not gpops.linalg._factor_packed(PackedLower.from_dense(m + d * np.eye(40)))
+    dense = L.unpack()
+    assert np.max(np.abs(dense @ dense.T - m - delta * np.eye(40))) <= 1e-14 * 1e8
 
 
 @pytest.mark.parametrize("q, rhs", [
@@ -254,15 +372,17 @@ def _gram_factor(q, seed):
     (2002, 202),  # the solve-colloc shape: 2000 + 2 rows, 201 + 1 columns
 ])
 def test_solve_lower_matches_scipy(q, rhs):
-    L, rng = _gram_factor(q, q)
+    packed, _, rng = _packed_gram(q, q)
+    L, _ = chol_psd(packed)
+    dense = L.unpack()
     b = rng.standard_normal(q if rhs is None else (q, rhs))
-    ref = scipy.linalg.solve_triangular(L, b, lower=True)
-    # dtrsm reads L and b in Fortran order; other layouts are solved in copies
-    for L_layout, b_layout in [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")]:
-        x = solve_lower(L.copy(order=L_layout), b.copy(order=b_layout))
+    ref = scipy.linalg.solve_triangular(dense, b, lower=True)
+    # dtfsm reads b in Fortran order; other layouts are solved in copies
+    for b_layout in "CF":
+        x = solve_lower(L, b.copy(order=b_layout))
         assert x.shape == b.shape
         # normwise relative residual (backward error), about 1e-17 here
-        assert np.linalg.norm(L @ x - b) <= 1e-12 * np.linalg.norm(L) * np.linalg.norm(x)
+        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(dense) * np.linalg.norm(x)
         # both solves are backward stable, so they differ by at most about
         # cond(L) (here below 1e5) times the rounding unit
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -270,15 +390,16 @@ def test_solve_lower_matches_scipy(q, rhs):
 
 @pytest.mark.parametrize("rhs", [None, 5])
 def test_solve_lower_matches_scipy_on_either_path(lapack, rhs):
-    L, rng = _gram_factor(257, 5)
+    packed, _, rng = _packed_gram(257, 5)
+    L, _ = chol_psd(packed)
     b = rng.standard_normal(257 if rhs is None else (257, rhs))
-    ref = scipy.linalg.solve_triangular(L, b, lower=True)
+    ref = scipy.linalg.solve_triangular(L.unpack(), b, lower=True)
     solved = []
-    for L_layout, b_layout in itertools.product("CF", "CF"):
-        x = solve_lower(L.copy(order=L_layout), b.copy(order=b_layout))
+    for b_layout in "CF":
+        x = solve_lower(L, b.copy(order=b_layout))
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         solved.append(x)
-    # one dtrsm shape: the layout of L and b does not reach the bits
+    # one dtfsm shape: the layout of b does not reach the bits
     if lapack == "openblas":
         assert all(np.array_equal(x, solved[0]) for x in solved)
 
@@ -286,7 +407,7 @@ def test_solve_lower_matches_scipy_on_either_path(lapack, rhs):
 @pytest.mark.parametrize("kind", ["integer", "list", "read-only"])
 def test_solve_lower_refuses_a_right_hand_side_that_cannot_hold_the_solution(lapack, kind):
     # an integer b would get the solution truncated in place, [0, 0] here
-    L = np.array([[2.0, 0.0], [1.0, 3.0]])
+    L = PackedLower.from_dense([[2.0, 0.0], [1.0, 3.0]])
     b = {"integer": np.array([1, 2]), "list": [1.0, 2.0],
          "read-only": np.array([1.0, 2.0])}[kind]
     if kind == "read-only":
@@ -295,17 +416,21 @@ def test_solve_lower_refuses_a_right_hand_side_that_cannot_hold_the_solution(lap
         solve_lower(L, b)
     assert list(b) == [1, 2]
     assert np.array_equal(solve_lower(L, np.array([1.0, 2.0])), [0.5, 0.5])
+    # a dense factor is not read: the one factor layout is the packed one
+    with pytest.raises(ParameterError, match="PackedLower"):
+        solve_lower(L.unpack(), np.array([1.0, 2.0]))
 
 
 def test_solve_lower_reads_only_the_lower_triangle_and_solves_in_place():
-    L, rng = _gram_factor(257, 3)
-    b = np.asfortranarray(rng.standard_normal((L.shape[0], 5)))
+    packed, m, rng = _packed_gram(257, 3)
+    L, _ = chol_psd(packed)
+    b = np.asfortranarray(rng.standard_normal((257, 5)))
     x = solve_lower(L, b.copy(order="F"))
-    garbled = L + np.triu(np.full_like(L, np.nan), 1)
+    # a packed factor made from a dense one with garbage above its diagonal
+    garbled = PackedLower.from_dense(L.unpack() + np.triu(np.full_like(m, np.nan), 1))
     assert np.array_equal(solve_lower(garbled, b.copy(order="F")), x)
-    assert np.array_equal(solve_lower(np.asfortranarray(garbled), b.copy(order="F")), x)
     # a strided view is solved in a copy and written back
-    wide = np.zeros((L.shape[0], 10))
+    wide = np.zeros((257, 10))
     wide[:, ::2] = b
     assert solve_lower(L, wide[:, ::2]).base is wide
     assert np.array_equal(wide[:, ::2], x)

@@ -8,6 +8,8 @@ each base partial evaluated on its own as the signed profile derivative
 max|value|.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,71 @@ def test_fill_lower_evaluates_each_coefficient_once(monkeypatch):
     x = np.linspace(-1.0, 1.0, 2002)
     bf.fill_lower(x, np.empty((x.size, x.size)))
     assert sorted(map(repr, evaluated)) == ["(1.0 + (x ^ 2.0))", "cos(x)", "x"]
+
+
+def _targets(shape, layout):
+    # an empty table of ``shape`` in a layout, and the array it is a view of
+    n, m = shape
+    if layout in "CF":
+        base = np.full(shape, -7.25, order=layout)
+        return base, base
+    if layout == "strided-F":
+        # a column-major view with a leading dimension larger than its rows,
+        # as the leading columns of a packed Gram are
+        base = np.full((n + 3, m + 2), -7.25, order="F")
+        return base[1:n + 1, 2:], base
+    # a row-major view of a Fortran array, as the trailing triangle of a
+    # packed Gram is
+    base = np.full((m + 2, n + 3), -7.25, order="F")
+    return base[2:, 1:n + 1].T, base
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided-F", "strided-T"])
+@pytest.mark.parametrize("kernel", ["se", "matern"])
+def test_call_and_fill_lower_give_the_same_bits_in_every_layout(layout, kernel):
+    # the tables are tabulated along the slow axis of their target, out.T for
+    # a column-major one, with the same arithmetic per entry
+    rng = np.random.default_rng([RNG_SEED, 19])
+    k = se_kernel(0.4, 1.2) if kernel == "se" else matern_kernel(3.5, 0.5, 0.9)
+    bf = transformed(k, rng, 2, 1)
+    step = _square_block_size()
+    x = np.sort(rng.uniform(-1.0, 1.0, 2 * step + 5)) ** 3
+    y = np.sort(rng.uniform(-1.0, 1.0, step + 3))
+    full = bf(x[:, None], x[None, :])
+    rect = bf(x[:, None], y[None, :])
+
+    out, base = _targets(rect.shape, layout)
+    assert bf(x[:, None], y[None, :], out=out) is out
+    assert np.array_equal(out, rect)
+    out, base = _targets(full.shape, layout)
+    before = base.copy()
+    assert bf.fill_lower(x, out) is out
+    lower, upper = np.tril_indices(x.size), np.triu_indices(x.size, 1)
+    assert np.array_equal(out[lower], full[lower])
+    assert np.all(out[upper] == -7.25)
+    # nothing outside the view is written
+    out[...] = -7.25
+    assert np.array_equal(base, before)
+
+
+def test_tabulating_into_a_fortran_target_holds_only_block_temporaries():
+    # a column-major 2000 x 2000 target is tabulated as its transpose, a few
+    # blocks at a time: measured 12 blocks of BLOCK_ENTRIES doubles at the
+    # traced peak (3.1 MB), for the full table and its lower triangle alike,
+    # against 32 MB for a temporary of the whole table
+    op = LinearOperator([(2, 1.0), (1, "x"), (0, 1.0)])
+    bf = apply_arg(op, ARG1, apply_arg(op, ARG2, se_kernel(0.5)))
+    x = np.linspace(0.0, 1.0, 2000)
+    out = np.empty((2000, 2000), order="F")
+    bf.fill_lower(x, out)  # warm-up: first-call caches are not counted
+    for fill in (lambda: bf.fill_lower(x, out), lambda: bf(x[:, None], x[None, :], out=out)):
+        tracemalloc.start()
+        try:
+            fill()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * kernels.BLOCK_ENTRIES
 
 
 def test_call_writes_into_a_given_out_array():
