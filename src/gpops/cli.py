@@ -25,6 +25,7 @@ import numpy as np
 from .config import RunConfig, load_config
 from .conditioning import solve_linear_ode
 from .errors import ConfigError, GpopsError
+from .linalg import check_finite
 from .reportio import csv_lines, dumps_json
 from .sampling import sample_paths
 from .transform import joint_blocks
@@ -115,6 +116,8 @@ def cmd_kernel_table(cfg: RunConfig) -> int:
     """Tabulate the kernel and its operator transforms on the grid square."""
     g = cfg.grid
     jb = joint_blocks(cfg.prior, cfg.operator, g, g)
+    check_finite([(f"kernel table {name}", "kernel", table) for name, table in
+                  (("k", jb.k_uu), ("T1k", jb.k_vu), ("T2k", jb.k_uv), ("T1T2k", jb.k_vv))])
     x1, x2 = np.meshgrid(g.points, g.points, indexing="ij")
     rows = np.column_stack([a.ravel() for a in
                             (x1, x2, jb.k_uu, jb.k_vu, jb.k_uv, jb.k_vv)]).tolist()

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, NotPositiveDefiniteError, ParameterError
 from .grids import Grid
-from .linalg import PackedLower, chol_psd, gram, jitter_ladder
+from .linalg import PackedLower, check_finite, chol_psd, gram, jitter_ladder
 from .linalg import solve_lower as solve_triangular  # the name perfbench traces
 from .operators import ARG1, ARG2, LinearOperator, apply_arg, apply_to_function
 from .processes import GaussianProcessPrior
@@ -197,7 +197,13 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
                     k_ij(locs[r, None], locs[None, c], out=view)
         k_obs.add_to_diagonal(noise_var)
 
-    L, jitter = chol_psd(PackedLower(q, fill), max_jitter=max_jitter)
+    k_obs = PackedLower(q, fill)
+    try:
+        L, jitter = chol_psd(k_obs, max_jitter=max_jitter)
+    except NotPositiveDefiniteError:
+        # chol_psd leaves the Gram filled again; one that is not finite is named
+        check_finite([(f"observation Gram of the {q} observations", "kernel", k_obs.data)])
+        raise
     vw = solve_triangular(L, b)
     v, w = vw[:, 0], vw[:, 1:]
     # v @ v is not finite when v is not, or when it overflows: a huge mean or

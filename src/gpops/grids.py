@@ -36,6 +36,8 @@ class Grid:
             raise ParameterError("count must be at least 1")
         if not (np.isfinite(a) and np.isfinite(b) and a < b):
             raise ParameterError("need finite endpoints with a < b")
+        if not np.isfinite(float(b) - float(a)):
+            raise ParameterError(f"the width b - a of [{a:g}, {b:g}] is not finite")
         return cls(np.linspace(a, b, count))
 
     def __len__(self):

@@ -26,26 +26,33 @@ import numpy as np
 from .errors import DimensionError, EvaluationError, NotPositiveDefiniteError, ParameterError
 from .grids import Grid
 
-__all__ = ["gram", "chol_psd", "jitter_ladder", "solve_lower", "PackedLower",
+__all__ = ["gram", "check_finite", "chol_psd", "jitter_ladder", "solve_lower", "PackedLower",
            "one_blas_thread", "blas_threads"]
 
 
 def gram(kernel, grid: Grid) -> np.ndarray:
-    """Kernel matrix ``[k(x_i, x_j)]`` on a grid.
+    """Kernel matrix ``[k(x_i, x_j)]`` on a grid, exactly symmetric.
 
-    The result is symmetrized after assembly so it is exactly symmetric.
-    Raises :class:`EvaluationError` where the symmetrization overflows a
-    finite table; an entry the kernel itself makes infinite is returned as
-    it is, for the caller to name.
+    ``kernel.fill_lower`` tabulates the lower triangle, the same bits as the
+    full table, and each band of 64 rows copies its mirror image into the
+    upper one.  A non-finite entry is returned for the caller to name.
     """
-    x = grid.points
-    m = np.asarray(kernel(x[:, None], x[None, :]), dtype=float)
-    with np.errstate(over="ignore"):
-        sym = 0.5 * (m + m.T)
-    if not np.isfinite(sym).all() and np.isfinite(m).all():
-        raise EvaluationError(f"kernel Gram on {len(x)} points overflows where it is "
-                              f"symmetrized: the kernel or an operator coefficient is too large")
-    return sym
+    n, band = len(grid), 64
+    m = kernel.fill_lower(grid.points, np.empty((n, n)))
+    upper = ~np.tri(band, dtype=bool)
+    for lo in range(0, n, band):
+        hi = min(n, lo + band)
+        m[lo:hi, hi:] = m[hi:, lo:hi].T
+        np.copyto(m[lo:hi, lo:hi], m[lo:hi, lo:hi].T, where=upper[:hi - lo, :hi - lo])
+    return m
+
+
+def check_finite(tables):
+    """Raise :class:`EvaluationError` naming the first ``(name, source, table)`` not finite."""
+    for name, source, value in tables:
+        if not np.isfinite(value).all():
+            raise EvaluationError(f"{name} has an entry that is not finite: the {source} or an "
+                                  f"operator coefficient is too large")
 
 
 def jitter_ladder(max_jitter: float):

@@ -91,7 +91,8 @@ def joint_blocks(p: GaussianProcessPrior, op: LinearOperator, grid_x: Grid,
     ``k_uv[i, j] = Cov(u(x_i), (Tu)(y_j))`` applies the operator to the
     second kernel argument, evaluated once on ``grid_x x grid_y``;
     ``k_vu`` is its transpose, exactly.  ``k_uu`` and ``k_vv`` come from
-    :func:`~gpops.linalg.gram`, so both are exactly symmetric.
+    :func:`~gpops.linalg.gram`, which mirrors each lower triangle, so both
+    are exactly symmetric; an entry that is not finite is returned as it is.
     """
     t2k = apply_arg(op, ARG2, p.kernel)
     k_uv = t2k(grid_x.points[:, None], grid_y.points[None, :])

@@ -68,7 +68,7 @@ from .cumulants import MIN_PATHS, default_cumulant_tuples, empirical_cumulants
 from .cumulants import empirical_cumulant  # noqa: F401
 from .errors import DomainViolationError, EvaluationError, ParameterError
 from .grids import Grid
-from .linalg import gram, one_blas_thread
+from .linalg import check_finite, gram, one_blas_thread
 # commutator_residual is not called here; it stays importable because
 # perfbench/tracing.py rebinds it
 from .operators import LinearOperator, commutator_residual  # noqa: F401
@@ -171,16 +171,12 @@ def _refined(grid: Grid) -> Grid:
     x = grid.points
     fine = np.empty(2 * len(x) - 1)
     fine[0::2] = x
-    fine[1::2] = 0.5 * (x[:-1] + x[1:])
+    with np.errstate(over="ignore"):
+        fine[1::2] = 0.5 * (x[:-1] + x[1:])
+    if not np.isfinite(fine).all():
+        raise EvaluationError(f"the midpoints that refine the grid on [{x[0]:g}, {x[-1]:g}] "
+                              f"overflow: its points are too large to refine")
     return Grid(fine)
-
-
-def _check_finite(tables):
-    """Raise :class:`EvaluationError` naming the first ``(name, source, table)`` not finite."""
-    for name, source, value in tables:
-        if not np.isfinite(value).all():
-            raise EvaluationError(f"{name} has an entry that is not finite: the {source} or an "
-                                  f"operator coefficient is too large")
 
 
 def _discretization_errors(law_mean, law_cov, mean_v, k_v, interior):
@@ -255,7 +251,7 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     a_mat = operator_matrix(op, grid)
     image_gram = gram(image.kernel, fine)
     # image.mean names a value that is not finite itself
-    _check_finite([("image Gram T1 T2 k", "kernel", image_gram)])
+    check_finite([("image Gram T1 T2 k", "kernel", image_gram)])
     var_v = image_gram.diagonal()[::2]
     below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(image_gram[::2, ::2])))
     if below.size:
@@ -283,7 +279,7 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     with np.errstate(over="ignore", invalid="ignore"):
         law_mean, law_cov = a_mat @ prior_mean[::2], a_mat @ prior_gram[::2, ::2] @ a_mat.T
         fine_mean, fine_cov = a_fine @ prior_mean, a_fine @ prior_gram @ a_fine.T
-    _check_finite([("discrete law A m", "mean", law_mean),
+    check_finite([("discrete law A m", "mean", law_mean),
                    ("discrete law A K A^t", "kernel", law_cov),
                    ("discrete law A m on the refinement", "mean", fine_mean),
                    ("discrete law A K A^t on the refinement", "kernel", fine_cov)])
@@ -323,7 +319,7 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     # here first, and is named here
     with np.errstate(over="ignore", invalid="ignore"):
         law_square = np.outer(law_var, law_var) + law_cov**2
-    _check_finite([("squared discrete law c_ii c_jj + c_ij^2 of the covariance gate", "kernel",
+    check_finite([("squared discrete law c_ii c_jj + c_ij^2 of the covariance gate", "kernel",
                    law_square)])
     cov_se = np.sqrt(law_square / n_paths)
     var_se = cov_se.diagonal()

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import gpops.cli
@@ -730,18 +731,19 @@ def test_operator_at_the_order_bound_runs(tmp_path):
 
 
 @pytest.mark.parametrize("command, message", [
-    ("kernel-table", "cannot serialize non-finite number inf"),
+    ("kernel-table", "kernel table T1k has an entry that is not finite: the kernel or an "
+                     "operator coefficient is too large"),
     ("verify", "derivative order must be in 1..4, got 16"),
-    ("solve", "matrix of size 17 has an entry that is not finite (a NaN or an infinity) in its "
-              "lower triangle"),
+    ("solve", "observation Gram of the 17 observations has an entry that is not finite: the "
+              "kernel or an operator coefficient is too large"),
 ])
 def test_tiny_se_lengthscale_exit_one_without_numpy_warnings(tmp_path, capsys, command,
                                                              message):
     # at lengthscale 1e-10 the SE partials of order 16, within the bound,
     # overflow; RuntimeWarning is an error here, so a numpy warning would end
     # the command in a traceback instead of its one error line.  kernel-table
-    # fails only when it serializes, which comes before the output directory
-    # is made; solve fails when it factors its observation Gram
+    # names the first table that is not finite, before the output directory
+    # is made; solve names its observation Gram when it cannot factor it
     text = ORDER_BASE % ("1.0e-10", 16, tmp_path / "out", 0)
     assert main([command, "--config", write(tmp_path, "tiny.yaml", text)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -752,7 +754,7 @@ OVERFLOW_BASE = """\
 kernel: {%s}
 mean: "%s"
 operator: {terms: %s}
-grid: {interval: [0.0, 1.0], count: 33}
+grid: {interval: %s, count: 33}
 samples: 2000
 seed: 1
 output: "%s"
@@ -763,47 +765,82 @@ problem:
     - {location: 0.0, value: 0.0}
 """
 
+SE = "name: se, lengthscale: 0.5"
+UNIT = "[0.0, 1.0]"
+# a coefficient near 1e155 overflows where the kernel sums its profile orders
+SUM_ORDERS = '[[2, "1"], [1, "x"], [0, "1.0e+155*exp(x)"]]'
+NOT_FINITE = "has an entry that is not finite: the kernel or an operator coefficient is too large"
 
-@pytest.mark.parametrize("command, kernel, mean, terms, message", [
-    ("verify", 'name: matern, nu: "5/2", lengthscale: 1.0e-320', "sin(x)", '[[1, "1"]]',
+
+@pytest.mark.parametrize("command, kernel, mean, terms, interval, message", [
+    ("verify", 'name: matern, nu: "5/2", lengthscale: 1.0e-320', "sin(x)", '[[1, "1"]]', UNIT,
      "config error: kernel: lengthscale 1e-320 is too small for nu = 2.5: "
      "the profile's coefficients are not finite"),
-    ("solve", "name: se, lengthscale: 0.5", "-1.0e+308", '[[2, "1"], [0, "1"]]',
+    ("solve", SE, "-1.0e+308", '[[2, "1"], [0, "1"]]', UNIT,
      "error: the whitened misfit v = L^-1 (y - m) of the 21 observations or its square "
      "v @ v is not finite"),
-    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, -1.0e+308]]',
-     "error: image Gram T1 T2 k has an entry that is not finite: the kernel or an "
-     "operator coefficient is too large"),
-    ("verify", "name: se, lengthscale: 0.5", "1.0e+308", '[[1, "1"]]',
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, -1.0e+308]]', UNIT,
+     f"error: image Gram T1 T2 k {NOT_FINITE}"),
+    ("verify", SE, "1.0e+308", '[[1, "1"]]', UNIT,
      "error: discrete law A m has an entry that is not finite: the mean or an "
      "operator coefficient is too large"),
     # a law near 1e306 is finite, but the covariance gate squares it
-    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+153]]',
-     "error: squared discrete law c_ii c_jj + c_ij^2 of the covariance gate has an entry "
-     "that is not finite: the kernel or an operator coefficient is too large"),
-    # each entry of the image Gram is finite, but K + K^t is not
-    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+154]]',
-     "error: kernel Gram on 65 points overflows where it is symmetrized: the kernel or an "
-     "operator coefficient is too large"),
-    ("kernel-table", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+154]]',
-     "error: kernel Gram on 33 points overflows where it is symmetrized: the kernel or an "
-     "operator coefficient is too large"),
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+153]]', UNIT,
+     f"error: squared discrete law c_ii c_jj + c_ij^2 of the covariance gate {NOT_FINITE}"),
+    # the image Gram, near 1e308, is finite; so is the law, but not its square
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+154]]', UNIT,
+     f"error: squared discrete law c_ii c_jj + c_ij^2 of the covariance gate {NOT_FINITE}"),
     # a law near 1e80 passes both gates' squares, but the order-4 moment
     # products of the paths and their jackknife overflow
-    ("verify", "name: se, lengthscale: 0.5", "sin(x)", '[[1, "1"], [0, 1.0e+40]]',
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+40]]', UNIT,
      "error: empirical cumulant of order 4 at x = (0.0625, 0.25, 0.40625, 0.59375) or its "
      "standard error is not finite: the paths are too large for its moment products"),
+    ("solve", SE, "sin(x)", SUM_ORDERS, UNIT,
+     f"error: observation Gram of the 21 observations {NOT_FINITE}"),
+    ("verify", SE, "sin(x)", SUM_ORDERS, UNIT, f"error: image Gram T1 T2 k {NOT_FINITE}"),
+    ("kernel-table", SE, "sin(x)", SUM_ORDERS, UNIT, f"error: kernel table T1T2k {NOT_FINITE}"),
+    # a grid whose width overflows is refused before linspace
+    ("sample", SE, "sin(x)", '[[1, "1"]]', "[-1.0e+308, 1.0e+308]",
+     "config error: grid: the width b - a of [-1e+308, 1e+308] is not finite"),
+    # a width just within the range: the refinement's midpoints overflow, and
+    # so do the differences in the profile
+    ("verify", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
+     "error: the midpoints that refine the grid on [0, 1e+308] overflow: its points are too "
+     "large to refine"),
+    ("kernel-table", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
+     f"error: kernel table T1k {NOT_FINITE}"),
 ], ids=["matern-tiny-lengthscale", "solve-huge-mean", "verify-huge-coefficient",
         "verify-huge-mean", "verify-squared-law", "verify-symmetrized-gram",
-        "kernel-table-symmetrized-gram", "verify-cumulant-products"])
+        "verify-cumulant-products", "solve-sum-orders", "verify-sum-orders",
+        "kernel-table-sum-orders", "sample-infinite-width", "verify-refined-midpoints",
+        "kernel-table-wide-grid"])
 def test_overflow_is_named_where_it_is_made_exit_one(tmp_path, capsys, command, kernel, mean,
-                                                      terms, message):
+                                                      terms, interval, message):
     # each ended after numpy overflow warnings, in the serializer or in a gate
     # that blamed the draw; RuntimeWarning is an error here
-    text = OVERFLOW_BASE % (kernel, mean, terms, tmp_path / "out")
+    text = OVERFLOW_BASE % (kernel, mean, terms, interval, tmp_path / "out")
     assert main([command, "--config", write(tmp_path, "overflow.yaml", text)]) == 1
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_kernel_table_near_the_overflow_is_finite_and_exactly_symmetric(tmp_path):
+    # every entry of T1 T2 k is finite, near 1e308, so the table is written;
+    # gram copies its lower triangle into the upper one
+    text = OVERFLOW_BASE % (SE, "sin(x)", '[[1, "1"], [0, 1.0e+154]]', UNIT, tmp_path / "out")
+    assert main(["kernel-table", "--config", write(tmp_path, "overflow.yaml", text)]) == 0
+    table = np.loadtxt(tmp_path / "out" / "kernel_table.csv", delimiter=",", skiprows=1)
+    assert table.shape == (33 * 33, 6) and np.isfinite(table).all()
+    t1t2k = table[:, 5].reshape(33, 33)
+    assert np.max(np.abs(t1t2k)) > 1e307
+    assert np.array_equal(t1t2k, t1t2k.T)
+
+
+def test_sample_on_a_grid_too_wide_to_refine_exit_zero(tmp_path):
+    # only verify refines the grid, so sample draws on it as before
+    text = OVERFLOW_BASE % (SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", tmp_path / "out")
+    assert main(["sample", "--config", write(tmp_path, "wide.yaml", text)]) == 0
+    assert (tmp_path / "out" / "ensemble.csv").exists()
 
 
 def _from_deep_caller(frames, fn):

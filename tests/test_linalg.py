@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ import gpops.sampling
 import gpops.verify
 from gpops.errors import DimensionError, NotPositiveDefiniteError, ParameterError
 from gpops.grids import Grid
-from gpops.kernels import matern_kernel, se_kernel
+from gpops.kernels import Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import (PackedLower, blas_threads, chol_psd, gram, jitter_ladder,
                           one_blas_thread, solve_lower)
 from gpops.means import zero_mean
-from gpops.operators import derivative_operator
+from gpops.operators import LinearOperator, apply_both, derivative_operator
 from gpops.processes import GaussianProcessPrior
 
 
@@ -34,7 +35,68 @@ def test_gram_two_points():
     m = gram(k, Grid([0.0, 1.0]))
     e = math.exp(-0.5)
     np.testing.assert_allclose(m, [[1.0, e], [e, 1.0]], rtol=1e-15)
-    assert np.array_equal(m, m.T)  # exactly symmetric after assembly
+    assert np.array_equal(m, m.T)  # the upper triangle mirrors the lower
+
+
+def _verify_small_image(k):
+    # the image kernel of perfbench's verify-small operator: three terms with
+    # variable coefficients on each argument
+    op = LinearOperator([(0, "1 + x^2"), (1, "cos(x)"), (2, "exp(-0.5*x)")])
+    return apply_both(op, k)
+
+
+def _counting(k, counts):
+    # k over a base whose profile records how many entries it evaluates
+    def profile(s, m):
+        counts.append(np.size(s))
+        return k.base.profile(s, m)
+
+    base = Kernel(profile, k.base.sample_smoothness, k.base.label)
+    return KernelBifunction(base, k.terms1, k.terms2, label=k.label)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 513])
+@pytest.mark.parametrize("kernel", ["matern52", "verify-small-image"])
+def test_gram_is_the_lower_triangle_of_the_table_mirrored(kernel, n):
+    # the lower triangle is __call__'s bit for bit, the table exactly
+    # symmetric, and each entry below the diagonal is evaluated about once:
+    # only the diagonal squares of fill_lower's row blocks are evaluated whole
+    k = matern_kernel(2.5, 0.5)
+    if kernel == "verify-small-image":
+        k = _verify_small_image(se_kernel(0.5))
+    grid = Grid.uniform_on(0.0, 1.0, n)
+    x = grid.points
+    counts = []
+    m = gram(_counting(k, counts), grid)
+    lower = np.tri(n, dtype=bool)
+    assert np.array_equal(m[lower], k(x[:, None], x[None, :])[lower])
+    assert np.array_equal(m, m.T)
+    if n == 513:
+        assert sum(counts) <= 0.6 * n * n
+
+
+def test_gram_mirror_holds_no_table_sized_temporary():
+    # a stub kernel writes a precomputed lower triangle, so the peak is the
+    # table plus what the mirror holds: two 64-row band pieces, no index
+    # array or mask of n^2 entries (that would be n^2 bytes or more)
+    n = 513
+    x = Grid.uniform_on(0.0, 1.0, n)
+    table = se_kernel(0.3)(x.points[:, None], x.points[None, :])
+    lower = np.tri(n, dtype=bool)
+
+    class Stub:
+        def fill_lower(self, points, out):
+            np.copyto(out, table, where=lower)
+            return out
+
+    tracemalloc.start()
+    try:
+        m = gram(Stub(), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(m, table)
+    assert peak - m.nbytes < n * n / 2
 
 
 def test_chol_psd_identity_needs_no_jitter():
