@@ -48,11 +48,17 @@ def gram(kernel, grid: Grid) -> np.ndarray:
 
 
 def check_finite(tables):
-    """Raise :class:`EvaluationError` naming the first ``(name, source, table)`` not finite."""
+    """Raise :class:`EvaluationError` naming the first ``(name, source, table)`` not finite.
+
+    A kernel table names the grid's width as a cause too: the differences of
+    points far apart, over a short lengthscale, overflow inside the profile.
+    """
     for name, source, value in tables:
         if not np.isfinite(value).all():
-            raise EvaluationError(f"{name} has an entry that is not finite: the {source} or an "
-                                  f"operator coefficient is too large")
+            cause = f"the {source} or an operator coefficient is too large"
+            if source == "kernel":
+                cause += ", or the grid is too wide for the kernel's lengthscale"
+            raise EvaluationError(f"{name} has an entry that is not finite: {cause}")
 
 
 def jitter_ladder(max_jitter: float):

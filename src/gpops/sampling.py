@@ -11,21 +11,27 @@ its earlier paths.
 
 A draw in factored form is a :class:`FactoredDraw`: the mean ``m``, the
 Cholesky factor ``L`` and its jitter, and the seed of the normals ``z``,
-which are drawn only when the draw is read.  Its
-:meth:`~FactoredDraw.chunks` draws the paths in chunks of about
-``CHUNK_ENTRIES`` entries into one reused buffer.  Its readers reduce each
-chunk before the next is drawn: :meth:`~FactoredDraw.moments` (``sum z``,
-``z^t z`` and ``z c``, holding 8 MB of normals, not N x n) and
-:meth:`~FactoredDraw.paths` (each chunk's ``z L^t`` into its rows of the one
-N x n array that :func:`sample_paths` returns).
+which are drawn only when the draw is read.  Every draw of normals goes
+through :meth:`~FactoredDraw.normal_blocks`, which fills row blocks of one
+reused buffer from the generator.  :meth:`~FactoredDraw.chunks` draws the
+paths' normals that way, in chunks of about ``CHUNK_ENTRIES`` entries, and
+its readers reduce each chunk before the next is drawn:
+:meth:`~FactoredDraw.moments` and :meth:`~FactoredDraw.paths` (each chunk's
+``z L^t`` into its rows of the one N x n array that :func:`sample_paths`
+returns).
 
+``moments(c, reduce)`` returns ``(zbar, cov(z))`` and passes every row of
+the image ``z c`` once, in order, through ``reduce(lo, block)``, so a
+caller reduces the image as it is drawn and no array with N rows is held.
 :func:`draw_factored` returns the Gaussian subclass :class:`GaussianDraw`,
-whose :meth:`~GaussianDraw.moments` draws ``(zbar, cov(z), z c)`` from their
-exact joint law instead: N r + O(n^2) normals, where ``r = rank c``, in place
-of N n, from the same generator.  So the N paths whose moments verify reads
-are seeded but never formed; with no more paths than points they are the
-very paths that :meth:`~FactoredDraw.paths` forms.  Its ``paths()`` is the
-chunked draw above.
+whose :meth:`~GaussianDraw.moments` draws them from their exact joint law
+instead: N r + O(n^2) normals, where ``r = rank c``, in place of N n, from
+the same generator.  The N r normals come in blocks of about
+``BLOCK_ENTRIES``, each reduced and passed on before the next is drawn.  So
+the N paths whose moments verify reads are seeded but never formed; with no
+more paths than points they are the very paths that
+:meth:`~FactoredDraw.paths` forms.  Its ``paths()`` is the chunked draw
+above.
 
 BLAS thread count
 -----------------
@@ -66,6 +72,9 @@ __all__ = [
 # runs BLAS at one thread, so no OpenBLAS worker spins at a chunk boundary
 # and a chunk costs only its share.
 CHUNK_ENTRIES = 2**20
+# Normals per block of the drawn moments' rotated columns (256 KB of doubles):
+# with its image and a block of the caller's reduction, about 1 MB.
+BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,19 @@ class FactoredDraw:
     def n_points(self) -> int:
         return len(self.mean)
 
+    def normal_blocks(self, rng: np.random.Generator, width: int, rows: int):
+        """Yield ``(lo, w)``: rows ``lo .. lo + len(w)`` of ``n_paths`` rows of ``width`` normals.
+
+        Each block of ``rows`` rows (fewer at the end) is drawn from ``rng``
+        into one buffer that the next block overwrites: copy what must
+        outlive it.  Successive blocks are the numbers of one whole draw.
+        """
+        buf = np.empty((min(rows, self.n_paths), width))
+        for lo in range(0, self.n_paths, rows):
+            w = buf[:min(rows, self.n_paths - lo)]
+            rng.standard_normal(out=w)
+            yield lo, w
+
     def chunks(self):
         """Yield ``(lo, z)``: the normals ``z`` of paths ``lo .. lo + len(z)``, in order.
 
@@ -125,35 +147,29 @@ class FactoredDraw:
         buffer that the next chunk overwrites: copy what must outlive it.
         """
         rng = np.random.Generator(np.random.Philox(key=self.seed))
-        rows = max(1, CHUNK_ENTRIES // self.n_points)
-        buf = np.empty((min(rows, self.n_paths), self.n_points))
-        for lo in range(0, self.n_paths, rows):
-            z = buf[:min(rows, self.n_paths - lo)]
-            rng.standard_normal(out=z)
-            yield lo, z
+        return self.normal_blocks(rng, self.n_points, max(1, CHUNK_ENTRIES // self.n_points))
 
     @one_blas_thread()
-    def moments(self, c: np.ndarray):
-        """``(zbar, cov(z), z c)`` of the normals ``z``, in one pass at one BLAS thread.
+    def moments(self, c: np.ndarray, reduce):
+        """``(zbar, cov(z))`` of the normals ``z``, in one pass at one BLAS thread.
 
-        Each chunk adds to ``sum z`` and ``z^t z`` and writes its rows of
-        ``z c`` before the next chunk is drawn.  Then ``cov(z) = (z^t z - N
-        zbar zbar^t) / (N - 1)``, which cancels little because ``z`` is white
-        (``|zbar|`` is of order ``N^-1/2``).  The normals are finite exactly
-        when the diagonal of ``z^t z`` is; otherwise ``ParameterError``.
+        Each chunk adds to ``sum z`` and ``z^t z`` and passes its rows of
+        ``z c`` to ``reduce(lo, block)`` before the next chunk is drawn.  Then
+        ``cov(z) = (z^t z - N zbar zbar^t) / (N - 1)``, which cancels little
+        because ``z`` is white (``|zbar|`` is of order ``N^-1/2``).  The
+        normals are finite exactly when the diagonal of ``z^t z`` is;
+        otherwise ``ParameterError``, after the last block has been passed.
         """
         n = self.n_paths
         zsum = np.zeros(self.n_points)
         ztz = np.zeros((self.n_points, self.n_points))
-        zc = np.empty((n, c.shape[1]))
         for lo, z in self.chunks():
             zsum += z.sum(axis=0)
             ztz += z.T @ z
-            np.matmul(z, c, out=zc[lo:lo + len(z)])
-        if not np.all(np.isfinite(np.diag(ztz))):
-            raise ParameterError("ensemble paths must be finite")
+            reduce(lo, z @ c)
+        _check_finite_normals(ztz)
         zbar = zsum / n
-        return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1), zc
+        return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1)
 
     @one_blas_thread()
     def paths(self) -> np.ndarray:
@@ -182,34 +198,56 @@ class GaussianDraw(FactoredDraw):
     """
 
     @one_blas_thread()
-    def moments(self, c: np.ndarray):
-        """``(zbar, cov(z), z c)`` of N seeded white paths, none of them formed."""
+    def moments(self, c: np.ndarray, reduce):
+        """``(zbar, cov(z))`` of N seeded white paths, none of them formed.
+
+        ``w1`` is drawn first, in blocks of about ``BLOCK_ENTRIES`` normals
+        through :meth:`~FactoredDraw.normal_blocks`; each block adds to ``sum
+        w1`` and ``w1^t w1`` and passes its ``z c = w1 R1`` to ``reduce(lo,
+        block)``.  Then come ``G``, the Bartlett factor and its chi-square
+        draws, from the same generator.  Normals that are not finite raise
+        ``ParameterError``.
+        """
         n_paths, n = self.n_paths, self.n_points
         if n_paths <= n:
-            return super().moments(c)
+            return super().moments(c, reduce)
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         # c = Q [R1; 0] from the SVD, which also gives its numerical rank
         q, sv, vt = np.linalg.svd(c)
         r = int(np.count_nonzero(sv > sv[:1] * max(c.shape) * np.finfo(float).eps))
-        w1 = rng.standard_normal((n_paths, r))
-        w1sum = w1.sum(axis=0)
+        r1 = sv[:r, None] * vt[:r]
+        w1sum, w1tw1 = np.zeros(r), np.zeros((r, r))
+        rows = max(1, BLOCK_ENTRIES // max(1, c.shape[1]))
+        image = np.empty((min(rows, n_paths), c.shape[1]))
+        for lo, w1 in self.normal_blocks(rng, r, rows):
+            w1sum += w1.sum(axis=0)
+            w1tw1 += w1.T @ w1
+            zc = image[:len(w1)]
+            np.matmul(w1, r1, out=zc)
+            reduce(lo, zc)
+        _check_finite_normals(w1tw1)
         utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
-                        [w1sum[:, None], w1.T @ w1]])
+                        [w1sum[:, None], w1tw1]])
         g = rng.standard_normal((n - r, r + 1))
         w2u = g @ np.linalg.cholesky(utu).T
         bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
         bartlett[np.diag_indices(n - r)] = np.sqrt(
             rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
         wtw = np.empty((n, n))
-        wtw[:r, :r] = utu[1:, 1:]
+        wtw[:r, :r] = w1tw1
         wtw[r:, :r] = w2u[:, 1:]
         wtw[:r, r:] = w2u[:, 1:].T
         wtw[r:, r:] = g @ g.T + bartlett @ bartlett.T
         zsum = q @ np.concatenate([w1sum, w2u[:, 0]])
         ztz = q @ wtw @ q.T
-        zc = w1 @ (sv[:r, None] * vt[:r])
         zbar = zsum / n_paths
-        return zbar, (ztz - n_paths * np.outer(zbar, zbar)) / (n_paths - 1), zc
+        return zbar, (ztz - n_paths * np.outer(zbar, zbar)) / (n_paths - 1)
+
+
+def _check_finite_normals(gram_of_normals):
+    # the normals are finite exactly when the diagonal of their Gram is
+    if not np.all(np.isfinite(np.diag(gram_of_normals))):
+        raise ParameterError("ensemble paths must be finite")
 
 
 def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int,

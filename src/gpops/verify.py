@@ -39,13 +39,19 @@ identity, so this product loses nothing to cancellation, where
 ``A cov(u) A^t`` cancels under a high-order stencil over a smooth prior.
 Against the covariance of 20k stencilled paths (relative to its largest
 entry), ``T cov(z) T^t`` agreed to 6e-12 and ``A cov(u) A^t`` only to 3.5e-4
-for SE with lengthscale 1 under d^4 on 65 points.  Only the few image columns
-that the cumulant tuples read are built, as ``z T[cols]^t + (A m)[cols]``.
+for SE with lengthscale 1 under d^4 on 65 points.
 
-The moments come from one call of the draw's
-:meth:`~gpops.sampling.GaussianDraw.moments`, which draws ``(zbar, cov(z),
-z T[cols]^t)`` from their exact joint law, keyed by the seed alone: the N
-paths are seeded but never formed, and verify's memory is O(n^2 + 9 N).
+The cumulants read only a few image columns, and only through per-fold sums
+of their products.  The moments come from one call of the draw's
+:meth:`~gpops.sampling.GaussianDraw.moments`, which draws ``(zbar, cov(z))``
+from their exact law, keyed by the seed alone, and passes the image columns
+``z T[cols]^t`` block by block, as they are drawn, to a
+:class:`~gpops.cumulants.FoldSums`.  Its ``columns`` are in increasing index
+order: the SVD of ``T[cols]^t`` fixes the rotation of the draw, so the order
+of the columns fixes which paths are drawn.  The constant ``(A m)[cols]`` is
+not added: cumulants of order 3 and 4 do not move under a shift.  So the N
+paths are seeded but never formed, no array with N rows is held, and
+verify's memory is O(n^2) plus blocks of about 1 MB, whatever N.
 ``verify_theorem`` runs its whole body inside
 :func:`~gpops.linalg.one_blas_thread`, so the Choleskys, the discrete laws,
 ``T = A L`` and the pushforward do not depend on the BLAS thread count
@@ -62,11 +68,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cumulants import MIN_PATHS, default_cumulant_tuples, empirical_cumulants
+from .cumulants import FoldSums, default_cumulant_tuples
 # empirical_cumulant is not called here; it stays importable because
 # perfbench/tracing.py rebinds it
 from .cumulants import empirical_cumulant  # noqa: F401
-from .errors import DomainViolationError, EvaluationError, ParameterError
+from .errors import DomainViolationError, EvaluationError
 from .grids import Grid
 from .linalg import check_finite, gram, one_blas_thread
 # commutator_residual is not called here; it stays importable because
@@ -74,7 +80,7 @@ from .linalg import check_finite, gram, one_blas_thread
 from .operators import LinearOperator, commutator_residual  # noqa: F401
 from .processes import GaussianProcessPrior
 from .reportio import csv_lines, dumps_json
-from .sampling import SampleEnsemble, draw_factored, operator_matrix
+from .sampling import draw_factored, operator_matrix
 # sample_paths, apply_operator_pathwise, empirical_mean and empirical_cov are
 # not called here; they stay importable because perfbench/tracing.py rebinds
 # them
@@ -264,13 +270,9 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     tuples = {order: default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
                                              lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
               for order in CUMULANT_ORDERS}
-    # the image columns the cumulants read
-    cols = sorted({i for ts in tuples.values() for t in ts for i in t})
-    column = {c: k for k, c in enumerate(cols)}
-
-    # the cumulants' bound, checked before the Gram is factored and drawn
-    if n_paths < MIN_PATHS:
-        raise ParameterError(f"need at least {MIN_PATHS} paths, got {n_paths}")
+    # the per-fold product sums of the image columns the cumulants read, and
+    # their bound on the paths, checked before the Gram is factored and drawn
+    cumulant_sums = FoldSums([t for order in CUMULANT_ORDERS for t in tuples[order]], n_paths)
 
     # the prior's discrete law (A m, A K A^t) against the closed form, on both
     # levels; a law that overflows is named before any gate or draw
@@ -291,16 +293,13 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     # the refinement's tables (var_v is a view of one) are freed before the draw
     del image_mean, image_gram, var_v, prior_mean, prior_gram, a_fine, fine_mean, fine_cov
 
-    # the image ensemble A u = A m + z T^t, from the moments of z (module
-    # docstring)
+    # the image ensemble A u = A m + z T^t, from the moments of z, and its
+    # columns' product sums from z T[cols]^t as it is drawn (module docstring)
     draw = draw_factored(p, grid, n_paths, seed)
     t_mat = a_mat @ draw.factor
-    a_mean = a_mat @ draw.mean
-    zbar, zcov, thin_paths = draw.moments(t_mat[cols].T)
+    zbar, zcov = draw.moments(t_mat[cumulant_sums.columns].T, cumulant_sums.add)
     t_zbar, ecov = finite_dim_pushforward(zbar, zcov, t_mat)
-    emean = a_mean + t_zbar
-    thin_paths += a_mean[cols]
-    thin = SampleEnsemble(grid=Grid(x[cols]), paths=thin_paths, seed=draw.seed, jitter=draw.jitter)
+    emean = a_mat @ draw.mean + t_zbar
 
     # the sampled vector's law is A (K + delta I) A^t, delta the draw's jitter
     law_cov = law_cov + draw.jitter * (a_mat @ a_mat.T)
@@ -326,9 +325,8 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     cov_check = _z_gate(ecov - law_cov, cov_se, np.outer(interior, interior), tol.cov_z)
 
     # (c) higher cumulants over a deterministic tuple set, interior grid indices,
-    # all estimated in one pass
-    ests = iter(empirical_cumulants(thin, [[column[i] for i in t]
-                                           for order in CUMULANT_ORDERS for t in tuples[order]]))
+    # all estimated from the one set of sums
+    ests = iter(cumulant_sums.estimates(x))
     per_order = []
     for order in CUMULANT_ORDERS:
         order_ests = [next(ests) for _ in tuples[order]]

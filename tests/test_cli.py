@@ -687,6 +687,10 @@ def test_mean_nested_too_deeply_exit_one(tmp_path, terms, exit_code):
         assert (tmp_path / "out" / "report.json").exists()
 
 
+# the cause every kernel table's overflow message names last
+WIDE_GRID = ", or the grid is too wide for the kernel's lengthscale"
+
+
 ORDER_BASE = """\
 kernel: {name: se, lengthscale: %s}
 mean: "sin(x)"
@@ -744,9 +748,11 @@ def test_tiny_se_lengthscale_exit_one_without_numpy_warnings(tmp_path, capsys, c
     # the command in a traceback instead of its one error line.  kernel-table
     # names the first table that is not finite, before the output directory
     # is made; solve names its observation Gram when it cannot factor it
+    # (and the grid's width as a cause)
     text = ORDER_BASE % ("1.0e-10", 16, tmp_path / "out", 0)
     assert main([command, "--config", write(tmp_path, "tiny.yaml", text)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    cause = WIDE_GRID if "not finite" in message else ""
+    assert capsys.readouterr().err == f"error: {message}{cause}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -769,7 +775,8 @@ SE = "name: se, lengthscale: 0.5"
 UNIT = "[0.0, 1.0]"
 # a coefficient near 1e155 overflows where the kernel sums its profile orders
 SUM_ORDERS = '[[2, "1"], [1, "x"], [0, "1.0e+155*exp(x)"]]'
-NOT_FINITE = "has an entry that is not finite: the kernel or an operator coefficient is too large"
+NOT_FINITE = ("has an entry that is not finite: the kernel or an operator coefficient is too "
+              "large" + WIDE_GRID)
 
 
 @pytest.mark.parametrize("command, kernel, mean, terms, interval, message", [
@@ -809,11 +816,13 @@ NOT_FINITE = "has an entry that is not finite: the kernel or an operator coeffic
      "large to refine"),
     ("kernel-table", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
      f"error: kernel table T1k {NOT_FINITE}"),
+    ("solve", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
+     f"error: observation Gram of the 21 observations {NOT_FINITE}"),
 ], ids=["matern-tiny-lengthscale", "solve-huge-mean", "verify-huge-coefficient",
         "verify-huge-mean", "verify-squared-law", "verify-symmetrized-gram",
         "verify-cumulant-products", "solve-sum-orders", "verify-sum-orders",
         "kernel-table-sum-orders", "sample-infinite-width", "verify-refined-midpoints",
-        "kernel-table-wide-grid"])
+        "kernel-table-wide-grid", "solve-wide-grid"])
 def test_overflow_is_named_where_it_is_made_exit_one(tmp_path, capsys, command, kernel, mean,
                                                       terms, interval, message):
     # each ended after numpy overflow warnings, in the serializer or in a gate

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gpops.cumulants
-from gpops.cumulants import (CumulantEstimate, Partition, default_cumulant_tuples,
+from gpops.cumulants import (CumulantEstimate, FoldSums, Partition, default_cumulant_tuples,
                              empirical_cumulant, empirical_cumulants, enumerate_partitions)
 from gpops.errors import ParameterError
 from gpops.grids import Grid
@@ -276,13 +276,37 @@ def test_shared_table_is_bit_identical_under_a_mean_shift(shift):
                                                     for t in tuples]
 
 
-@pytest.mark.parametrize("folds_per_chunk", [1, 2, 50])
-def test_chunking_the_paths_changes_no_bit(monkeypatch, folds_per_chunk):
-    # 50 folds per chunk builds every product row over all paths at once
+def _fold_sums_in_runs(e, tuples, rows):
+    # the columns empirical_cumulants reads, centred as it centres them, fed
+    # to the sums in runs of the given number of paths
+    sums = FoldSums(tuples, e.n_paths)
+    centred = e.paths.T[sums.columns]
+    centred -= centred.mean(axis=1, keepdims=True)
+    for lo in range(0, e.n_paths, rows):
+        sums.add(lo, centred.T[lo:lo + rows])
+    return sums.estimates(e.grid.points, empirical_mean(e), empirical_cov(e))
+
+
+@pytest.mark.parametrize("blocks_per_run", [1, 2, 50])
+def test_chunking_the_paths_changes_no_bit(monkeypatch, blocks_per_run):
+    # the sums are cut at the multiples of BLOCK_ROWS, so runs that end there
+    # give the estimates of one run to the last bit; 50 blocks of 16 paths
+    # are one run of 800 paths and one of 213
+    monkeypatch.setattr(gpops.cumulants, "BLOCK_ROWS", 16)
     e = _skewed_ensemble()
     ref = empirical_cumulants(e, SHARED_TUPLES)
-    monkeypatch.setattr(gpops.cumulants, "FOLDS_PER_CHUNK", folds_per_chunk)
-    assert empirical_cumulants(e, SHARED_TUPLES) == ref
+    assert _fold_sums_in_runs(e, SHARED_TUPLES, 16 * blocks_per_run) == ref
+
+
+@pytest.mark.parametrize("rows", [1, 37, 1000])
+def test_runs_cut_anywhere_move_the_estimates_at_roundoff_only(rows):
+    # a run that ends inside a block splits its sums, which regroups them
+    e = _skewed_ensemble()
+    ref = empirical_cumulants(e, SHARED_TUPLES)
+    for est, one in zip(_fold_sums_in_runs(e, SHARED_TUPLES, rows), ref, strict=True):
+        assert (est.order, est.indices, est.points) == (one.order, one.indices, one.points)
+        assert abs(est.value - one.value) <= 1e-12 * one.standard_error
+        assert abs(est.standard_error - one.standard_error) <= 1e-12 * one.standard_error
 
 
 def test_no_tuples_no_estimates():

@@ -333,6 +333,21 @@ def _white(n_points, n_paths, seed):
                         seed=seed)
 
 
+def collect_moments(d, c):
+    # (zbar, cov(z), z c): the draw's moments, with the blocks of z c that it
+    # passes on collected into one array; each row must come once, in order
+    zc, rows = np.empty((d.n_paths, c.shape[1])), [0]
+
+    def collect(lo, block):
+        assert lo == rows[0]
+        zc[lo:lo + len(block)] = block
+        rows[0] += len(block)
+
+    zbar, cov = d.moments(c, collect)
+    assert rows[0] == d.n_paths
+    return zbar, cov, zc
+
+
 def _mixed_statistics(zbar, cov, zc):
     # per draw, statistics of sum z, z^t z and z c, alone and mixed across
     # them; the batch axis leads
@@ -355,7 +370,7 @@ def _law_pvalues(n_points, n_paths, c, draws=LAW_DRAWS):
     # each statistic of the drawn moments against the same of explicit draws
     from scipy.stats import ks_2samp
 
-    drawn = np.array([_mixed_statistics(*_white(n_points, n_paths, seed).moments(c))
+    drawn = np.array([_mixed_statistics(*collect_moments(_white(n_points, n_paths, seed), c))
                       for seed in range(draws)])
     z = np.random.default_rng(2023).standard_normal((draws, n_paths, n_points))
     zbar = z.mean(axis=1)
@@ -367,7 +382,7 @@ def _law_pvalues(n_points, n_paths, c, draws=LAW_DRAWS):
 
 def _assert_moment_identities(n_points, n_paths, c, seed):
     # c^t sum z = sum of the rows of z c, and c^t z^t z c = (z c)^t (z c)
-    zbar, cov, zc = _white(n_points, n_paths, seed).moments(c)
+    zbar, cov, zc = collect_moments(_white(n_points, n_paths, seed), c)
     ztz = (n_paths - 1) * cov + n_paths * np.outer(zbar, zbar)
     scale = n_paths * max(1.0, float(np.max(np.abs(c))) ** 2)
     assert zc.shape == (n_paths, c.shape[1])
@@ -402,17 +417,63 @@ def test_drawn_moments_follow_the_law_with_no_more_paths_than_points():
     z = normals(7, 8, 8)
     zbar = z.sum(axis=0) / 8
     reduced = (zbar, (z.T @ z - 8 * np.outer(zbar, zbar)) / 7, z @ c)
-    assert all(np.array_equal(a, b) for a, b in zip(_white(8, 8, 7).moments(c), reduced))
+    assert all(np.array_equal(a, b) for a, b in zip(collect_moments(_white(8, 8, 7), c), reduced))
 
 
 def test_drawn_moments_depend_on_the_seed_alone():
     c = np.random.default_rng(4).standard_normal((9, 3))
-    one = _white(9, 500, 11).moments(c)
-    again = GaussianDraw(mean=np.ones(9), factor=2.0 * np.eye(9), n_paths=500,
-                         seed=11).moments(c)
-    other = _white(9, 500, 12).moments(c)
+    one = collect_moments(_white(9, 500, 11), c)
+    again = collect_moments(GaussianDraw(mean=np.ones(9), factor=2.0 * np.eye(9), n_paths=500,
+                                         seed=11), c)
+    other = collect_moments(_white(9, 500, 12), c)
     assert all(np.array_equal(a, b) for a, b in zip(one, again))
     assert not np.array_equal(one[0], other[0])
+
+
+def _moments_of_one_whole_draw(d, c):
+    # the drawn moments with w1 drawn in one call and z c formed at once: the
+    # blocked draw must read the generator in this order
+    rng = np.random.Generator(np.random.Philox(key=d.seed))
+    n_paths, n = d.n_paths, d.n_points
+    q, sv, vt = np.linalg.svd(c)
+    r = int(np.count_nonzero(sv > sv[:1] * max(c.shape) * np.finfo(float).eps))
+    w1 = rng.standard_normal((n_paths, r))
+    w1sum = w1.sum(axis=0)
+    utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
+                    [w1sum[:, None], w1.T @ w1]])
+    g = rng.standard_normal((n - r, r + 1))
+    w2u = g @ np.linalg.cholesky(utu).T
+    bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
+    bartlett[np.diag_indices(n - r)] = np.sqrt(rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
+    wtw = np.block([[utu[1:, 1:], w2u[:, 1:].T], [w2u[:, 1:], g @ g.T + bartlett @ bartlett.T]])
+    zbar = q @ np.concatenate([w1sum, w2u[:, 0]]) / n_paths
+    ztz = q @ wtw @ q.T
+    cov = (ztz - n_paths * np.outer(zbar, zbar)) / (n_paths - 1)
+    return zbar, cov, w1 @ (sv[:r, None] * vt[:r])
+
+
+@pytest.mark.parametrize("n_points, n_paths, columns, block_entries", [
+    (9, 5000, 3, 2**10), (9, 5000, 3, 2**15), (6, 1001, 9, 50), (6, 300, 2, 1)],
+    ids=["many-blocks", "one-block", "more-columns-than-points", "one-row-blocks"])
+def test_drawn_moments_in_blocks_are_the_moments_of_one_whole_draw(monkeypatch, n_points,
+                                                                  n_paths, columns,
+                                                                  block_entries):
+    # w1 is drawn block by block, before G and the Bartlett factor: the same
+    # normals, so the moments move only by the regrouped sums, at roundoff
+    monkeypatch.setattr(gpops.sampling, "BLOCK_ENTRIES", block_entries)
+    c = np.random.default_rng(n_paths).standard_normal((n_points, columns))
+    d = _white(n_points, n_paths, 3)
+    for got, ref in zip(collect_moments(d, c), _moments_of_one_whole_draw(d, c), strict=True):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_normal_blocks_are_one_whole_draw():
+    d = _white(4, 1000, 9)
+    rng = np.random.Generator(np.random.Philox(key=9))
+    blocks = [(lo, w.copy()) for lo, w in d.normal_blocks(rng, 3, 128)]
+    assert [lo for lo, _ in blocks] == list(range(0, 1000, 128))
+    assert np.array_equal(np.concatenate([w for _, w in blocks]), normals(9, 1000, 3))
 
 
 def test_draw_factored_returns_the_gaussian_draw_whose_paths_are_chunked():

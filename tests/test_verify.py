@@ -12,7 +12,7 @@ import pytest
 import gpops.linalg
 import gpops.sampling
 import gpops.verify
-from gpops.cumulants import default_cumulant_tuples, empirical_cumulant, empirical_cumulants
+from gpops.cumulants import FoldSums, default_cumulant_tuples, empirical_cumulant
 from gpops.errors import DomainViolationError, EvaluationError, GridSizeError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import Kernel, KernelBifunction, matern_kernel, se_kernel
@@ -25,6 +25,7 @@ from gpops.sampling import (FactoredDraw, GaussianDraw, SampleEnsemble, apply_op
 from gpops.stencils import interior_mask
 from gpops.transform import finite_dim_pushforward, pushforward
 from gpops.verify import DISCRETIZATION_MIN_RATE, VerificationTolerances, verify_theorem
+from test_sampling import collect_moments
 
 GRID = Grid.uniform_on(0.0, 1.0, 17)
 PRIOR = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(1.0, 1.0))
@@ -226,14 +227,24 @@ def _longer_lengthscale(p, grid, n_paths, seed):
     return draw_factored(wrong, grid, n_paths, seed)
 
 
+class _Edited:
+    # every block of normals the draw reads passes through edit(lo, z) on its
+    # way out
+    def normal_blocks(self, *args):
+        for lo, z in super().normal_blocks(*args):
+            yield lo, self.edit(lo, z)
+
+
 @dataclasses.dataclass(frozen=True)
-class EditedStream(FactoredDraw):
-    # a draw whose chunks of normals pass through edit(lo, z) on their way out
+class EditedStream(_Edited, FactoredDraw):
+    # the base draw: its chunks of the paths' normals are edited
     edit: object = None
 
-    def chunks(self):
-        for lo, z in super().chunks():
-            yield lo, self.edit(lo, z)
+
+@dataclasses.dataclass(frozen=True)
+class EditedGaussian(_Edited, GaussianDraw):
+    # the drawn moments: the blocks of their rotated columns w1 are edited
+    edit: object = None
 
 
 def _chunked_draw(*args, **kwargs):
@@ -336,17 +347,19 @@ def _nan_in_last_path(lo, z):
 
 
 def test_normals_that_are_not_finite_are_refused(monkeypatch):
-    def poisoned(*args, **kwargs):
-        return _edit_white(draw_factored(*args, **kwargs), _nan_in_last_path)
+    # through the base draw's chunks and through the drawn moments' blocks
+    for edited, n_paths in [(EditedStream, 10), (EditedGaussian, 200)]:
+        def poisoned(*args, **kwargs):
+            return edited(**vars(draw_factored(*args, **kwargs)), edit=_nan_in_last_path)
 
-    monkeypatch.setattr(gpops.verify, "draw_factored", poisoned)
-    with pytest.raises(ParameterError, match="ensemble paths must be finite"):
-        verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
-    # the moments themselves refuse it, whatever the image columns read
-    white = EditedStream(mean=np.zeros(5), factor=np.eye(5), n_paths=10, seed=1,
-                         edit=_nan_in_last_path)
-    with pytest.raises(ParameterError, match="ensemble paths must be finite"):
-        FactoredDraw.moments(white, np.zeros((5, 1)))
+        monkeypatch.setattr(gpops.verify, "draw_factored", poisoned)
+        with pytest.raises(ParameterError, match="ensemble paths must be finite"):
+            verify_theorem(PRIOR, derivative_operator(1), GRID, 1000, 1)
+        # the moments themselves refuse it, whatever reduces the image columns
+        white = edited(mean=np.zeros(5), factor=np.eye(5), n_paths=n_paths, seed=1,
+                       edit=_nan_in_last_path)
+        with pytest.raises(ParameterError, match="ensemble paths must be finite"):
+            white.moments(np.eye(5), lambda lo, block: None)
 
 
 # 4096-entry chunks: 512 rows of 8 points, 455 rows of 9 points
@@ -360,7 +373,7 @@ def test_streamed_moments_match_the_materialized_draw(monkeypatch, n_points, n_p
     white = FactoredDraw(mean=np.zeros(n_points), factor=np.eye(n_points), n_paths=n_paths,
                          seed=5)
     t_cols = np.random.default_rng(n_paths).standard_normal((n_points, 3))
-    zbar, zcov, thin = FactoredDraw.moments(white, t_cols)
+    zbar, zcov, thin = collect_moments(white, t_cols)
 
     z = np.random.Generator(np.random.Philox(key=5)).standard_normal((n_paths, n_points))
     e = SampleEnsemble(Grid.uniform_on(0.0, 1.0, n_points), z, 5)
@@ -377,9 +390,9 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
     calls, readers = [], []
     moments, chunks = GaussianDraw.moments, FactoredDraw.chunks
 
-    def spy_moments(self, c):
+    def spy_moments(self, c, reduce):
         calls.append(c.shape)
-        return moments(self, c)
+        return moments(self, c, reduce)
 
     def spy_chunks(self):
         readers.append(sys._getframe(1).f_code.co_name)
@@ -402,15 +415,17 @@ def test_verify_reduces_the_draw_through_one_moments_call_at_one_blas_thread(mon
     before = blas.get()
     blas.set(3)
     try:
-        white.moments(np.zeros((8, 1)))
+        white.moments(np.zeros((8, 1)), lambda lo, block: None)
         assert seen == [1] and blas.get() == 3
     finally:
         blas.set(before)
 
 
 def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
-    # the whole draw of 60k x 129 normals is 62 MB; verify draws the moments'
-    # 60k x 9 normals (4.3 MB), and a chunk of the base draw is 8 MB
+    # the whole draw of 60k x 129 normals is 62 MB, and a chunk of the base
+    # draw is 8 MB; verify draws the moments' 60k x 9 normals in blocks of
+    # 256 KB and holds none of their rows (traced: 4.2 MB; 18.5 MB when it
+    # held the 60k x 9 image columns)
     p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5))
     grid = Grid.uniform_on(0.0, 1.0, 129)
     tracemalloc.start()
@@ -419,7 +434,7 @@ def test_verify_holds_one_chunk_of_normals_not_the_whole_draw():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 48e6
+    assert peak < 8e6
 
 
 # verify pushes the moments of the white normals through T = A L and builds
@@ -474,19 +489,52 @@ def test_moment_pushforward_matches_pathwise_reference(monkeypatch, p, op, grid)
 
 
 def test_verify_makes_one_cumulant_call_bit_identical_to_one_tuple_at_a_time(monkeypatch):
-    # the 20 tuples verify reads on the verify-small setup, estimated in one
-    # call and again one tuple at a time on the same image columns
-    calls = []
+    # the 20 tuples verify reads on the verify-small setup, summed in one
+    # FoldSums as the image columns are drawn, and again one tuple at a time
+    # from the same blocks of columns
+    built, blocks = [], []
 
-    def spy(e, tuples):
-        calls.append((e, tuples))
-        return empirical_cumulants(e, tuples)
+    class Recorded(FoldSums):
+        def __init__(self, tuples, n_paths):
+            super().__init__(tuples, n_paths)
+            built.append(self)
 
-    monkeypatch.setattr(gpops.verify, "empirical_cumulants", spy)
+        def add(self, lo, block):
+            blocks.append((lo, block.copy()))
+            super().add(lo, block)
+
+    monkeypatch.setattr(gpops.verify, "FoldSums", Recorded)
     rep = verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, CONTROL_PATHS, 1)
-    (thin, tuples), = calls
+    (shared,) = built
+    assert len(shared.tuples) == 20 and len(blocks) > 1
+    assert sum(len(block) for _, block in blocks) == CONTROL_PATHS
     reported = [(t["value"], t["standard_error"])
                 for sec in rep.cumulant_check["per_order"] for t in sec["tuples"]]
-    alone = [empirical_cumulant(thin, t) for t in tuples]
-    assert len(reported) == 20
-    assert reported == [(est.value, est.standard_error) for est in alone]
+    alone = []
+    for t in shared.tuples:
+        one = FoldSums([t], CONTROL_PATHS)
+        picks = [shared.columns.index(i) for i in one.columns]
+        for lo, block in blocks:
+            one.add(lo, block[:, picks])
+        (est,) = one.estimates(CONTROL_GRID.points)
+        alone.append((est.value, est.standard_error))
+    assert reported == alone
+
+
+def _traced_peak(n_paths):
+    tracemalloc.start()
+    try:
+        verify_theorem(CONTROL_PRIOR, CONTROL_OP, CONTROL_GRID, n_paths, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_path_count():
+    # on the verify-small setup verify holds no array with N rows: the image
+    # columns are reduced block by block as they are drawn.  Holding the 9
+    # image columns alone would take 29 MB at 400k paths (traced peak 104.5 MB
+    # when they, their centred copies and their products were held)
+    small, large = _traced_peak(20_000), _traced_peak(400_000)
+    assert large < 8e6
+    assert large < small + 2e6
