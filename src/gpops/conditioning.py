@@ -152,9 +152,9 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
         return PosteriorSummary(grid=grid, mean=p.mean(x), cov=k_xx, log_marginal=0.0)
 
     lo, hi = x[0], x[-1]
-    span = hi - lo
+    tol = 1e-12 * (hi - lo)  # relative to the span, whatever its units
     for obs in observations:
-        if not (lo - 1e-12 * max(1.0, span) <= obs.location <= hi + 1e-12 * max(1.0, span)):
+        if not (lo - tol <= obs.location <= hi + tol):
             raise ParameterError(
                 f"observation location {obs.location} lies outside the grid span "
                 f"[{lo}, {hi}]"
@@ -177,7 +177,10 @@ def condition(p: GaussianProcessPrior, observations, grid: Grid, *,
     s2k = [apply_arg(op_j, ARG2, p.kernel) for op_j, _ in spans]
     for (op_j, cols), s2k_j in zip(spans, s2k):
         s2k_j(x[:, None], locs[None, cols], out=k_x_obs[:, cols])
-        b[cols, 0] = values[cols] - apply_to_function(op_j, p.mean)(locs[cols])
+        with np.errstate(over="ignore", invalid="ignore"):
+            b[cols, 0] = values[cols] - apply_to_function(op_j, p.mean)(locs[cols])
+    # a misfit that overflows is named here, before the Gram is built
+    check_finite([(f"misfit y - m of the {q} observations", "observed value, the mean", b[:, 0])])
 
     # Observation Gram, lower triangle only, packed: one operator applied
     # per argument, each group pair i >= j evaluated straight into the pieces

@@ -10,28 +10,25 @@ on how it is chunked, and not on a thread count.  Growing the ensemble keeps
 its earlier paths.
 
 A draw in factored form is a :class:`FactoredDraw`: the mean ``m``, the
-Cholesky factor ``L`` and its jitter, and the seed of the normals ``z``,
-which are drawn only when the draw is read.  Every draw of normals goes
-through :meth:`~FactoredDraw.normal_blocks`, which fills row blocks of one
-reused buffer from the generator.  :meth:`~FactoredDraw.chunks` draws the
-paths' normals that way, in chunks of about ``CHUNK_ENTRIES`` entries, and
-its readers reduce each chunk before the next is drawn:
-:meth:`~FactoredDraw.moments` and :meth:`~FactoredDraw.paths` (each chunk's
-``z L^t`` into its rows of the one N x n array that :func:`sample_paths`
-returns).
+Cholesky factor ``L`` of the Gram it was handed and its jitter, and the seed
+of the normals ``z``, drawn only when the draw is read, in row blocks of one
+reused buffer (:meth:`~FactoredDraw.normal_blocks`).  :func:`draw_factored`
+factors the table its caller made: :func:`sample_paths` tabulates the prior
+on its grid, and verify hands on the grid's entries of its one prior table
+on the refinement, the law its gates compare with.
+:meth:`~FactoredDraw.paths` writes each chunk's ``z L^t`` into its rows of
+the one N x n array that :func:`sample_paths` returns.
 
 ``moments(c, reduce)`` returns ``(zbar, cov(z))`` and passes every row of
 the image ``z c`` once, in order, through ``reduce(lo, block)``, so a
 caller reduces the image as it is drawn and no array with N rows is held.
-:func:`draw_factored` returns the Gaussian subclass :class:`GaussianDraw`,
-whose :meth:`~GaussianDraw.moments` draws them from their exact joint law
-instead: N r + O(n^2) normals, where ``r = rank c``, in place of N n, from
-the same generator.  The N r normals come in blocks of about
-``BLOCK_ENTRIES``, each reduced and passed on before the next is drawn.  So
-the N paths whose moments verify reads are seeded but never formed; with no
-more paths than points they are the very paths that
-:meth:`~FactoredDraw.paths` forms.  Its ``paths()`` is the chunked draw
-above.
+One reduction, :func:`_white_moments`, reads the white blocks of both draws:
+the chunks of paths of a :class:`FactoredDraw`, and for the
+:class:`GaussianDraw` that :func:`draw_factored` returns, the N r normals of
+the moments' exact joint law (``r = rank c``) in place of N n, in blocks of
+about ``BLOCK_ENTRIES``.  So the N paths whose moments verify reads are
+seeded but never formed; with no more paths than points they are the very
+paths that :meth:`~FactoredDraw.paths` forms.
 
 BLAS thread count
 -----------------
@@ -49,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 from .expressions import evaluate_finite
 from .grids import Grid
 from .linalg import chol_psd, gram, one_blas_thread
@@ -57,16 +54,8 @@ from .operators import LinearOperator
 from .processes import GaussianProcessPrior
 from .stencils import differentiation_matrix
 
-__all__ = [
-    "SampleEnsemble",
-    "FactoredDraw",
-    "GaussianDraw",
-    "draw_factored",
-    "sample_paths",
-    "apply_operator_pathwise",
-    "empirical_mean",
-    "empirical_cov",
-]
+__all__ = ["SampleEnsemble", "FactoredDraw", "GaussianDraw", "draw_factored", "sample_paths",
+           "apply_operator_pathwise", "empirical_mean", "empirical_cov"]
 
 # Path entries per chunk of a draw's normals (8 MB of doubles).  Its reducer
 # runs BLAS at one thread, so no OpenBLAS worker spins at a chunk boundary
@@ -110,7 +99,7 @@ class SampleEnsemble:
 
 @dataclass(frozen=True)
 class FactoredDraw:
-    """A seeded draw of the prior's grid marginal: path ``i`` is ``mean + factor @ z[i]``.
+    """A seeded draw of a grid marginal: path ``i`` is ``mean + factor @ z[i]``.
 
     ``jitter`` is the ``delta`` the Cholesky ``factor`` added to the Gram
     diagonal.  ``seed`` keys the one generator of the normals ``z``, drawn
@@ -151,25 +140,8 @@ class FactoredDraw:
 
     @one_blas_thread()
     def moments(self, c: np.ndarray, reduce):
-        """``(zbar, cov(z))`` of the normals ``z``, in one pass at one BLAS thread.
-
-        Each chunk adds to ``sum z`` and ``z^t z`` and passes its rows of
-        ``z c`` to ``reduce(lo, block)`` before the next chunk is drawn.  Then
-        ``cov(z) = (z^t z - N zbar zbar^t) / (N - 1)``, which cancels little
-        because ``z`` is white (``|zbar|`` is of order ``N^-1/2``).  The
-        normals are finite exactly when the diagonal of ``z^t z`` is;
-        otherwise ``ParameterError``, after the last block has been passed.
-        """
-        n = self.n_paths
-        zsum = np.zeros(self.n_points)
-        ztz = np.zeros((self.n_points, self.n_points))
-        for lo, z in self.chunks():
-            zsum += z.sum(axis=0)
-            ztz += z.T @ z
-            reduce(lo, z @ c)
-        _check_finite_normals(ztz)
-        zbar = zsum / n
-        return zbar, (ztz - n * np.outer(zbar, zbar)) / (n - 1)
+        """``(zbar, cov(z))``, each chunk of normals a white block of :func:`_white_moments`."""
+        return _white_moments(self.chunks(), c, reduce, self.n_paths)
 
     @one_blas_thread()
     def paths(self) -> np.ndarray:
@@ -202,11 +174,10 @@ class GaussianDraw(FactoredDraw):
         """``(zbar, cov(z))`` of N seeded white paths, none of them formed.
 
         ``w1`` is drawn first, in blocks of about ``BLOCK_ENTRIES`` normals
-        through :meth:`~FactoredDraw.normal_blocks`; each block adds to ``sum
-        w1`` and ``w1^t w1`` and passes its ``z c = w1 R1`` to ``reduce(lo,
-        block)``.  Then come ``G``, the Bartlett factor and its chi-square
-        draws, from the same generator.  Normals that are not finite raise
-        ``ParameterError``.
+        through :meth:`~FactoredDraw.normal_blocks`, each a white block of
+        :func:`_white_moments` that passes on its ``z c = w1 R1``.  Then come
+        ``G``, the Bartlett factor and its chi-square draws, from the same
+        generator.
         """
         n_paths, n = self.n_paths, self.n_points
         if n_paths <= n:
@@ -215,59 +186,72 @@ class GaussianDraw(FactoredDraw):
         # c = Q [R1; 0] from the SVD, which also gives its numerical rank
         q, sv, vt = np.linalg.svd(c)
         r = int(np.count_nonzero(sv > sv[:1] * max(c.shape) * np.finfo(float).eps))
-        r1 = sv[:r, None] * vt[:r]
-        w1sum, w1tw1 = np.zeros(r), np.zeros((r, r))
+
+        def whole_draw(w1sum, w1tw1):
+            # sum z and z^t z, from those of w1 and the rest of w = z Q
+            utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
+                            [w1sum[:, None], w1tw1]])
+            g = rng.standard_normal((n - r, r + 1))
+            w2u = g @ np.linalg.cholesky(utu).T
+            bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
+            bartlett[np.diag_indices(n - r)] = np.sqrt(
+                rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
+            wtw = np.block([[w1tw1, w2u[:, 1:].T], [w2u[:, 1:], g @ g.T + bartlett @ bartlett.T]])
+            return q @ np.concatenate([w1sum, w2u[:, 0]]), q @ wtw @ q.T
+
         rows = max(1, BLOCK_ENTRIES // max(1, c.shape[1]))
-        image = np.empty((min(rows, n_paths), c.shape[1]))
-        for lo, w1 in self.normal_blocks(rng, r, rows):
-            w1sum += w1.sum(axis=0)
-            w1tw1 += w1.T @ w1
-            zc = image[:len(w1)]
-            np.matmul(w1, r1, out=zc)
-            reduce(lo, zc)
-        _check_finite_normals(w1tw1)
-        utu = np.block([[np.array([[float(n_paths)]]), w1sum[None, :]],
-                        [w1sum[:, None], w1tw1]])
-        g = rng.standard_normal((n - r, r + 1))
-        w2u = g @ np.linalg.cholesky(utu).T
-        bartlett = np.tril(rng.standard_normal((n - r, n - r)), -1)
-        bartlett[np.diag_indices(n - r)] = np.sqrt(
-            rng.chisquare(n_paths - r - 1 - np.arange(n - r)))
-        wtw = np.empty((n, n))
-        wtw[:r, :r] = w1tw1
-        wtw[r:, :r] = w2u[:, 1:]
-        wtw[:r, r:] = w2u[:, 1:].T
-        wtw[r:, r:] = g @ g.T + bartlett @ bartlett.T
-        zsum = q @ np.concatenate([w1sum, w2u[:, 0]])
-        ztz = q @ wtw @ q.T
-        zbar = zsum / n_paths
-        return zbar, (ztz - n_paths * np.outer(zbar, zbar)) / (n_paths - 1)
+        return _white_moments(self.normal_blocks(rng, r, rows), sv[:r, None] * vt[:r], reduce,
+                              n_paths, whole_draw)
 
 
-def _check_finite_normals(gram_of_normals):
-    # the normals are finite exactly when the diagonal of their Gram is
-    if not np.all(np.isfinite(np.diag(gram_of_normals))):
+def _white_moments(blocks, c, reduce, n_paths, whole_draw=None):
+    """``(wbar, cov(w))`` of N white rows, read in blocks ``(lo, w)`` at row ``lo``, at least one.
+
+    Each block adds to ``sum w`` and ``w^t w`` and passes its rows of ``w c``,
+    in one buffer that the next block overwrites, to ``reduce(lo, block)``.
+    The normals are finite exactly when the diagonal of ``w^t w`` is;
+    otherwise ``ParameterError``, after the last block.  ``whole_draw(sum w,
+    w^t w)``, if given, maps the blocks' sums to those of the whole draw.  Then
+    ``cov(w) = (w^t w - N wbar wbar^t) / (N - 1)``, which cancels little
+    because ``w`` is white (``|wbar|`` is of order ``N^-1/2``).
+    """
+    for lo, w in blocks:
+        if lo == 0:  # the first block is the largest
+            wsum, wtw = np.zeros(w.shape[1]), np.zeros((w.shape[1], w.shape[1]))
+            image = np.empty((len(w), c.shape[1]))
+        wsum += w.sum(axis=0)
+        wtw += w.T @ w
+        np.matmul(w, c, out=image[:len(w)])
+        reduce(lo, image[:len(w)])
+    if not np.all(np.isfinite(np.diag(wtw))):
         raise ParameterError("ensemble paths must be finite")
+    if whole_draw is not None:
+        wsum, wtw = whole_draw(wsum, wtw)
+    wbar = wsum / n_paths
+    return wbar, (wtw - n_paths * np.outer(wbar, wbar)) / (n_paths - 1)
 
 
-def draw_factored(p: GaussianProcessPrior, grid: Grid, n_paths: int,
-                  seed: int) -> GaussianDraw:
-    """The prior's mean and Gram factor on the grid, and N paths of normals drawn when read.
+def draw_factored(mean: np.ndarray, gram: np.ndarray, n_paths: int, seed: int) -> GaussianDraw:
+    """N paths of the law ``(mean, gram)``: its Gram factor, and normals drawn when read.
 
-    ``L`` is the jitter-laddered Cholesky factor of the Gram matrix and ``z``
-    the normals, a function of the seed alone (module docstring).  A seed
-    outside [0, 2^64), and a draw of more doubles than an array can hold,
-    raise ``ParameterError`` before anything is allocated.
+    ``L`` is the jitter-laddered Cholesky factor of ``gram`` and ``z`` the
+    normals, a function of the seed alone (module docstring).  A seed outside
+    [0, 2^64), and a draw of more doubles than an array can hold, raise
+    ``ParameterError``, and a mean whose length is not the Gram's order
+    ``DimensionError``, before anything is factored or allocated.
     """
     if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
         raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     if n_paths < 2:
         raise ParameterError("need at least two paths")
-    if n_paths * len(grid) > sys.maxsize // 8:
-        raise ParameterError(f"{n_paths} paths of {len(grid)} points are more doubles "
+    if n_paths * len(mean) > sys.maxsize // 8:
+        raise ParameterError(f"{n_paths} paths of {len(mean)} points are more doubles "
                              f"than an array can hold")
-    L, jitter = chol_psd(gram(p.kernel, grid))
-    return GaussianDraw(mean=p.mean(grid.points), factor=L, n_paths=int(n_paths),
+    if len(gram) != len(mean):
+        raise DimensionError(f"a mean of {len(mean)} entries does not match a Gram of order "
+                             f"{len(gram)}")
+    L, jitter = chol_psd(gram)
+    return GaussianDraw(mean=np.array(mean, dtype=float), factor=L, n_paths=int(n_paths),
                         seed=int(seed), jitter=jitter)
 
 
@@ -278,7 +262,7 @@ def sample_paths(p: GaussianProcessPrior, grid: Grid, n_paths: int,
 
     BLAS runs at one thread throughout, the Cholesky too (module docstring).
     """
-    d = draw_factored(p, grid, n_paths, seed)
+    d = draw_factored(p.mean(grid.points), gram(p.kernel, grid), n_paths, seed)
     return SampleEnsemble(grid=grid, paths=d.paths(), seed=d.seed, jitter=d.jitter)
 
 

@@ -14,10 +14,10 @@ fall.  Each mean and kernel table is tabulated once, on the refinement; the
 grid's are its even entries, since ``_refined`` adds exact midpoints to the
 grid's own points, kept bit for bit, and tables are evaluated entry by entry.
 
-A seeded ensemble of prior paths ``u = m + L z`` then tests the sampler,
-compared with the law it samples, ``A m`` and ``A (K + delta I) A^t`` with
-``delta`` the jitter of the sampling Cholesky.  Both references come from
-the prior, never from the factor or mean that was sampled:
+A seeded ensemble of prior paths ``u = m + L z``, ``L`` factored from the
+grid's entries of that one prior table, then tests the sampler against the
+law it samples, ``A m`` and ``A (K + delta I) A^t`` (``delta`` the sampling
+jitter), never against the factor or mean of the draw:
 
 (a) the empirical mean of the transformed ensemble, standardized by the
     per-point Monte-Carlo standard error;
@@ -72,7 +72,7 @@ from .cumulants import FoldSums, default_cumulant_tuples
 # empirical_cumulant is not called here; it stays importable because
 # perfbench/tracing.py rebinds it
 from .cumulants import empirical_cumulant  # noqa: F401
-from .errors import DomainViolationError, EvaluationError
+from .errors import DomainViolationError, EvaluationError, GridSizeError
 from .grids import Grid
 from .linalg import check_finite, gram, one_blas_thread
 # commutator_residual is not called here; it stays importable because
@@ -94,6 +94,8 @@ __all__ = ["VerificationTolerances", "VerificationReport", "verify_theorem"]
 SCHEMA_VERSION = 3
 CUMULANT_ORDERS = (3, 4)
 TUPLES_PER_ORDER = 10
+# 3 interior points give TUPLES_PER_ORDER tuples of order 3 (with repeats), 2 only 4
+MIN_INTERIOR_POINTS = 3
 # A closed-form image variance within VARIANCE_RTOL * max|k_v| below 0 (about
 # 4500 ulps of that entry) is roundoff; one below that means the image
 # kernel is not a covariance.
@@ -252,9 +254,15 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     # each table is tabulated once, on the refinement: the grid's are its even entries
     x, fine = grid.points, _refined(grid)
     image_mean = image.mean(fine.points)
-    # A comes before the image Gram, so an operator without a stencil on the
-    # grid fails before any kernel table is built or anything is drawn
+    # A and the interior come before the image Gram: an operator without a stencil
+    # on the grid, or too small an interior, fails before any kernel table
     a_mat = operator_matrix(op, grid)
+    interior = interior_mask(len(grid), op.order)
+    interior_idx = np.flatnonzero(interior)
+    if interior_idx.size < MIN_INTERIOR_POINTS:
+        raise GridSizeError(f"the grid of {len(grid)} points leaves an interior of "
+                            f"{interior_idx.size} under an operator of order {op.order}; the "
+                            f"cumulant gate needs at least {MIN_INTERIOR_POINTS} interior points")
     image_gram = gram(image.kernel, fine)
     # image.mean names a value that is not finite itself
     check_finite([("image Gram T1 T2 k", "kernel", image_gram)])
@@ -265,8 +273,6 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         raise EvaluationError(f"image variance {var_v[i]:.6g} at grid point {i} (x = {x[i]:g}) "
                               f"is negative beyond roundoff: the image kernel is not a covariance")
 
-    interior = interior_mask(len(grid), op.order)
-    interior_idx = np.flatnonzero(interior)
     tuples = {order: default_cumulant_tuples(len(grid), order, count=TUPLES_PER_ORDER,
                                              lo=int(interior_idx[0]), hi=int(interior_idx[-1]))
               for order in CUMULANT_ORDERS}
@@ -290,12 +296,13 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
               _discretization_errors(fine_mean, fine_cov, image_mean, image_gram,
                                      interior_mask(len(fine), op.order))]
     discretization_check = _discretization_gate([len(grid), len(fine)], errors)
-    # the refinement's tables (var_v is a view of one) are freed before the draw
+    # the draw factors the grid's entries of the prior table; then the
+    # refinement's tables (var_v is a view of one) are freed
+    draw = draw_factored(prior_mean[::2], prior_gram[::2, ::2], n_paths, seed)
     del image_mean, image_gram, var_v, prior_mean, prior_gram, a_fine, fine_mean, fine_cov
 
     # the image ensemble A u = A m + z T^t, from the moments of z, and its
     # columns' product sums from z T[cols]^t as it is drawn (module docstring)
-    draw = draw_factored(p, grid, n_paths, seed)
     t_mat = a_mat @ draw.factor
     zbar, zcov = draw.moments(t_mat[cumulant_sums.columns].T, cumulant_sums.add)
     t_zbar, ecov = finite_dim_pushforward(zbar, zcov, t_mat)

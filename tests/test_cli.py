@@ -779,55 +779,63 @@ NOT_FINITE = ("has an entry that is not finite: the kernel or an operator coeffi
               "large" + WIDE_GRID)
 
 
-@pytest.mark.parametrize("command, kernel, mean, terms, interval, message", [
-    ("verify", 'name: matern, nu: "5/2", lengthscale: 1.0e-320', "sin(x)", '[[1, "1"]]', UNIT,
+@pytest.mark.parametrize("command, kernel, mean, terms, interval, rhs, message", [
+    ("verify", 'name: matern, nu: "5/2", lengthscale: 1.0e-320', "sin(x)", '[[1, "1"]]', UNIT, "0",
      "config error: kernel: lengthscale 1e-320 is too small for nu = 2.5: "
      "the profile's coefficients are not finite"),
-    ("solve", SE, "-1.0e+308", '[[2, "1"], [0, "1"]]', UNIT,
+    ("solve", SE, "-1.0e+308", '[[2, "1"], [0, "1"]]', UNIT, "0",
      "error: the whitened misfit v = L^-1 (y - m) of the 21 observations or its square "
      "v @ v is not finite"),
-    ("verify", SE, "sin(x)", '[[1, "1"], [0, -1.0e+308]]', UNIT,
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, -1.0e+308]]', UNIT, "0",
      f"error: image Gram T1 T2 k {NOT_FINITE}"),
-    ("verify", SE, "1.0e+308", '[[1, "1"]]', UNIT,
+    ("verify", SE, "1.0e+308", '[[1, "1"]]', UNIT, "0",
      "error: discrete law A m has an entry that is not finite: the mean or an "
      "operator coefficient is too large"),
     # a law near 1e306 is finite, but the covariance gate squares it
-    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+153]]', UNIT,
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+153]]', UNIT, "0",
      f"error: squared discrete law c_ii c_jj + c_ij^2 of the covariance gate {NOT_FINITE}"),
     # the image Gram, near 1e308, is finite; so is the law, but not its square
-    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+154]]', UNIT,
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+154]]', UNIT, "0",
      f"error: squared discrete law c_ii c_jj + c_ij^2 of the covariance gate {NOT_FINITE}"),
     # a law near 1e80 passes both gates' squares, but the order-4 moment
     # products of the paths and their jackknife overflow
-    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+40]]', UNIT,
+    ("verify", SE, "sin(x)", '[[1, "1"], [0, 1.0e+40]]', UNIT, "0",
      "error: empirical cumulant of order 4 at x = (0.0625, 0.25, 0.40625, 0.59375) or its "
      "standard error is not finite: the paths are too large for its moment products"),
-    ("solve", SE, "sin(x)", SUM_ORDERS, UNIT,
+    ("solve", SE, "sin(x)", SUM_ORDERS, UNIT, "0",
      f"error: observation Gram of the 21 observations {NOT_FINITE}"),
-    ("verify", SE, "sin(x)", SUM_ORDERS, UNIT, f"error: image Gram T1 T2 k {NOT_FINITE}"),
-    ("kernel-table", SE, "sin(x)", SUM_ORDERS, UNIT, f"error: kernel table T1T2k {NOT_FINITE}"),
+    ("verify", SE, "sin(x)", SUM_ORDERS, UNIT, "0", f"error: image Gram T1 T2 k {NOT_FINITE}"),
+    ("kernel-table", SE, "sin(x)", SUM_ORDERS, UNIT, "0",
+     f"error: kernel table T1T2k {NOT_FINITE}"),
     # a grid whose width overflows is refused before linspace
-    ("sample", SE, "sin(x)", '[[1, "1"]]', "[-1.0e+308, 1.0e+308]",
+    ("sample", SE, "sin(x)", '[[1, "1"]]', "[-1.0e+308, 1.0e+308]", "0",
      "config error: grid: the width b - a of [-1e+308, 1e+308] is not finite"),
     # a width just within the range: the refinement's midpoints overflow, and
     # so do the differences in the profile
-    ("verify", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
+    ("verify", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", "0",
      "error: the midpoints that refine the grid on [0, 1e+308] overflow: its points are too "
      "large to refine"),
-    ("kernel-table", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
+    ("kernel-table", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", "0",
      f"error: kernel table T1k {NOT_FINITE}"),
-    ("solve", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]",
+    ("solve", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", "0",
      f"error: observation Gram of the 21 observations {NOT_FINITE}"),
+    # found by tests/test_cli_fuzz.py: the value 1e308 less the image mean
+    # cos(x) - 1e308 sin(x) overflowed before the Gram was named
+    ("solve", SE, "sin(x)", '[[1, "1"], [0, -1.0e+308]]', UNIT, "1.0e+308",
+     "error: misfit y - m of the 21 observations has an entry that is not finite: the "
+     "observed value, the mean or an operator coefficient is too large"),
 ], ids=["matern-tiny-lengthscale", "solve-huge-mean", "verify-huge-coefficient",
         "verify-huge-mean", "verify-squared-law", "verify-symmetrized-gram",
         "verify-cumulant-products", "solve-sum-orders", "verify-sum-orders",
         "kernel-table-sum-orders", "sample-infinite-width", "verify-refined-midpoints",
-        "kernel-table-wide-grid", "solve-wide-grid"])
+        "kernel-table-wide-grid", "solve-wide-grid",
+        "solve-misfit"])
 def test_overflow_is_named_where_it_is_made_exit_one(tmp_path, capsys, command, kernel, mean,
-                                                      terms, interval, message):
+                                                      terms, interval, rhs, message):
     # each ended after numpy overflow warnings, in the serializer or in a gate
     # that blamed the draw; RuntimeWarning is an error here
-    text = OVERFLOW_BASE % (kernel, mean, terms, interval, tmp_path / "out")
+    text = (OVERFLOW_BASE % (kernel, mean, terms, interval, tmp_path / "out")).replace(
+        'rhs: "0"', f"rhs: {rhs}")
     assert main([command, "--config", write(tmp_path, "overflow.yaml", text)]) == 1
     assert capsys.readouterr().err == message + "\n"
     assert not (tmp_path / "out").exists()
@@ -905,6 +913,26 @@ def test_verify_refuses_the_stencil_before_drawing(tmp_path, capsys, monkeypatch
     cfg = write(tmp_path, "nostencil.yaml", text)
     assert main(["verify", "--config", cfg]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("terms, count, order, interior", [
+    ('[[0, "1"]]', 1, 0, 1), ('[[0, "1"]]', 2, 0, 2), ('[[1, "1"]]', 5, 1, 1),
+], ids=["identity-1-point", "identity-2-points", "d1-5-points"])
+def test_verify_names_a_grid_too_small_for_the_cumulants_before_any_table(
+        tmp_path, capsys, monkeypatch, terms, count, order, interior):
+    # each once tabulated the refinement's image Gram and then failed in the
+    # cumulant tuples: "only 1 tuples are constructible from indices [2, 2]"
+    calls = []
+    monkeypatch.setattr(gpops.verify, "gram", lambda *args: calls.append(args))
+    monkeypatch.setattr(gpops.sampling, "gram", lambda *args: calls.append(args))
+    text = BASE_VERIFY.format(out=tmp_path / "out").replace(
+        'terms: [[1, "1"]]', f"terms: {terms}").replace("count: 17", f"count: {count}")
+    assert main(["verify", "--config", write(tmp_path, "tiny.yaml", text)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the grid of {count} points leaves an interior of {interior} under an operator "
+        f"of order {order}; the cumulant gate needs at least 3 interior points\n")
     assert calls == []
     assert not (tmp_path / "out").exists()
 

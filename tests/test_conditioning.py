@@ -79,6 +79,19 @@ def test_observation_validation():
         condition(p, [Observation(identity(), 2.0, 0.0, 0.0)], g)  # outside span
 
 
+@pytest.mark.parametrize("span", [1e-6, 1.0, 1e6])
+def test_location_tolerance_is_relative_to_the_span(span):
+    # 0.5e-12 of the span past either end is roundoff and accepted; 2e-12 is
+    # outside.  An absolute floor of 1e-12 once accepted 5e-7 of a 1e-6 span
+    p = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(0.5 * span))
+    g = Grid.uniform_on(0.0, span, 5)
+    for location in (-0.5e-12 * span, span + 0.5e-12 * span):
+        condition(p, [Observation(identity(), location, 0.0, 0.1)], g)
+    for location in (-2e-12 * span, span + 2e-12 * span):
+        with pytest.raises(ParameterError, match="lies outside the grid span"):
+            condition(p, [Observation(identity(), location, 0.0, 0.1)], g)
+
+
 @pytest.mark.parametrize("location, value", [
     (10**400, 0.0),   # an int no float holds
     (0.0, -10**400),

@@ -6,9 +6,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gpops.errors import GridSizeError, ParameterError
+from gpops.errors import DimensionError, GridSizeError, ParameterError
 from gpops.grids import Grid
 from gpops.kernels import matern_kernel, se_kernel
+from gpops.linalg import gram
 from gpops.means import mean_from_expression, zero_mean
 import gpops.linalg
 from gpops.operators import LinearOperator, derivative_operator, identity
@@ -20,6 +21,11 @@ from gpops.stencils import interior_mask
 from gpops.transform import pushforward
 
 PRIOR = GaussianProcessPrior(mean=zero_mean(), kernel=se_kernel(1.0, 1.0))
+
+
+def prior_draw(p, grid, n_paths, seed):
+    # the draw of the prior's finite marginal on the grid, as sample_paths makes it
+    return draw_factored(p.mean(grid.points), gram(p.kernel, grid), n_paths, seed)
 
 
 def normals(seed, n_paths, n_points):
@@ -64,7 +70,7 @@ def test_same_seed_is_bit_identical():
 def test_sample_paths_is_mean_plus_factor_times_white_draw():
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=se_kernel(0.5))
     g = Grid.uniform_on(0, 1, 9)
-    d = draw_factored(p, g, 200, 42)
+    d = prior_draw(p, g, 200, 42)
     z = materialize(d)
     assert np.array_equal(z, normals(42, 200, 9))
     assert np.array_equal(d.mean, np.sin(g.points))
@@ -94,7 +100,7 @@ def test_stream_draws_nothing_until_read():
     g = Grid.uniform_on(0, 1, 9)
     tracemalloc.start()
     try:
-        chunks = draw_factored(PRIOR, g, 10**9, 1).chunks()
+        chunks = prior_draw(PRIOR, g, 10**9, 1).chunks()
         _, unread = tracemalloc.get_traced_memory()
         lo, z = next(chunks)
         _, read = tracemalloc.get_traced_memory()
@@ -113,7 +119,7 @@ def test_sample_paths_multiplies_each_chunk_of_the_stream(monkeypatch, ambient):
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5))
     g = Grid.uniform_on(0, 1, 9)
     with ambient_blas_threads(ambient):
-        d = draw_factored(p, g, 1000, 42)
+        d = prior_draw(p, g, 1000, 42)
         z = materialize(d)
         e = sample_paths(p, g, 1000, 42)
     assert np.array_equal(z, normals(42, 1000, 9))
@@ -197,13 +203,19 @@ def test_sample_paths_validation():
 def test_seed_outside_the_philox_key_range_raises(seed):
     # -1 once keyed Philox as 2^64 - 1: two seeds, one ensemble
     with pytest.raises(ParameterError, match="seed must be an integer in"):
-        draw_factored(PRIOR, Grid.uniform_on(0, 1, 5), 10, seed)
+        draw_factored(np.zeros(5), np.eye(5), 10, seed)
 
 
 def test_draw_larger_than_any_array_raises():
     # refused before any allocation: 10^18 x 17 doubles exceed sys.maxsize bytes
     with pytest.raises(ParameterError, match="1000000000000000000 paths of 17 points"):
-        draw_factored(PRIOR, Grid.uniform_on(0, 1, 17), 10**18, 1)
+        draw_factored(np.zeros(17), np.eye(17), 10**18, 1)
+
+
+def test_draw_refuses_a_mean_and_gram_of_different_sizes():
+    with pytest.raises(DimensionError, match="a mean of 4 entries does not match a Gram of "
+                                             "order 5"):
+        draw_factored(np.zeros(4), np.eye(5), 10, 1)
 
 
 # ------------------------------------------------------- pathwise operators
@@ -281,8 +293,6 @@ def test_empirical_stats_two_path_hand_example():
 def test_empirical_cov_approaches_gram():
     # measured max deviation at this configuration is ~2e-3; the frozen
     # bound of 0.05 is ~3x the largest entrywise standard error
-    from gpops.linalg import gram
-
     g = Grid.uniform_on(0, 1, 9)
     e = sample_paths(PRIOR, g, 50000, 42)
     dev = np.abs(empirical_cov(e) - gram(PRIOR.kernel, g))
@@ -477,6 +487,6 @@ def test_normal_blocks_are_one_whole_draw():
 
 
 def test_draw_factored_returns_the_gaussian_draw_whose_paths_are_chunked():
-    d = draw_factored(PRIOR, Grid.uniform_on(0.0, 1.0, 9), 300, 5)
+    d = prior_draw(PRIOR, Grid.uniform_on(0.0, 1.0, 9), 300, 5)
     assert type(d) is GaussianDraw
     assert np.array_equal(d.paths(), FactoredDraw(**vars(d)).paths())

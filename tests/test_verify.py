@@ -166,7 +166,10 @@ def test_negative_variance_is_clipped_only_within_roundoff(monkeypatch, relative
             verify_theorem(PRIOR, identity(), GRID, 1000, 1)
     else:
         # accepted, and compared with the discrete law, whose Gram carries the
-        # same entry
+        # same entry; the draw, which would factor that entry too, factors the
+        # prior's own Gram on the grid
+        monkeypatch.setattr(gpops.verify, "draw_factored", lambda mean, _, *args: draw_factored(
+            mean, gram(PRIOR.kernel, GRID), *args))
         rep = verify_theorem(PRIOR, identity(), GRID, 1000, 1)
         assert rep.discretization_check["passed"]
 
@@ -174,7 +177,8 @@ def test_negative_variance_is_clipped_only_within_roundoff(monkeypatch, relative
 def test_verify_tabulates_each_gram_once_on_the_refinement(monkeypatch):
     # the grid's points are the refinement's even points, so the grid's
     # tables are the refinement's even entries: one verification builds the
-    # image Gram and the prior Gram once each, on 2n - 1 points
+    # image Gram and the prior Gram once each, on 2n - 1 points, and the draw
+    # factors the prior Gram's even entries, tabulating none of its own
     points = []
 
     def counting_gram(kernel, grid):
@@ -182,6 +186,7 @@ def test_verify_tabulates_each_gram_once_on_the_refinement(monkeypatch):
         return gram(kernel, grid)
 
     monkeypatch.setattr(gpops.verify, "gram", counting_gram)
+    monkeypatch.setattr(gpops.sampling, "gram", counting_gram)
     p = GaussianProcessPrior(mean=mean_from_expression("sin(x)"), kernel=matern_kernel(2.5, 0.5))
     verify_theorem(p, derivative_operator(2), Grid.uniform_on(0.0, 1.0, 257), 2000, 1)
     assert points == [513, 513]
@@ -210,21 +215,20 @@ CONTROL_GRID = Grid.uniform_on(0.0, 1.0, 33)
 CONTROL_PATHS = 100_000
 
 
-def _shift_mean(p, grid, n_paths, seed):
+def _shift_mean(mean, prior_gram, n_paths, seed):
     # a constant c added to m: its image c (1 + x^2) is at least 8 Monte-Carlo
     # standard errors of the image mean at every interior point
-    d = draw_factored(p, grid, n_paths, seed)
+    d = draw_factored(mean, prior_gram, n_paths, seed)
     image = pushforward(CONTROL_PRIOR, CONTROL_OP)
-    se = np.sqrt(np.diag(gram(image.kernel, grid)) / n_paths)
-    interior = interior_mask(len(grid), CONTROL_OP.order)
-    c = 8.0 * np.max(se[interior] / (1.0 + grid.points[interior] ** 2))
+    se = np.sqrt(np.diag(gram(image.kernel, CONTROL_GRID)) / n_paths)
+    interior = interior_mask(len(CONTROL_GRID), CONTROL_OP.order)
+    c = 8.0 * np.max(se[interior] / (1.0 + CONTROL_GRID.points[interior] ** 2))
     return dataclasses.replace(d, mean=d.mean + c)
 
 
-def _longer_lengthscale(p, grid, n_paths, seed):
+def _longer_lengthscale(mean, prior_gram, n_paths, seed):
     # the factor of a kernel 5% off the one whose image the gates predict
-    wrong = GaussianProcessPrior(mean=p.mean, kernel=se_kernel(0.525))
-    return draw_factored(wrong, grid, n_paths, seed)
+    return draw_factored(mean, gram(se_kernel(0.525), CONTROL_GRID), n_paths, seed)
 
 
 class _Edited:
@@ -256,10 +260,10 @@ def _edit_white(d, edit):
     return EditedStream(**vars(d), edit=edit)
 
 
-def _scale_mixture(p, grid, n_paths, seed):
+def _scale_mixture(mean, prior_gram, n_paths, seed):
     # rows of z scaled by sqrt(W) with E W = 1: the prior's mean and
     # covariance, not Gaussian
-    d = draw_factored(p, grid, n_paths, seed)
+    d = draw_factored(mean, prior_gram, n_paths, seed)
     w = np.random.default_rng(seed).gamma(4.0, 0.25, size=(n_paths, 1))
     return _edit_white(d, lambda lo, z: np.sqrt(w[lo:lo + len(z)]) * z)
 
