@@ -14,8 +14,8 @@ Cholesky factor ``L`` of the Gram it was handed and its jitter, and the seed
 of the normals ``z``, drawn only when the draw is read, in row blocks of one
 reused buffer (:meth:`~FactoredDraw.normal_blocks`).  :func:`draw_factored`
 factors the table its caller made: :func:`sample_paths` tabulates the prior
-on its grid, and verify hands on the grid's entries of its one prior table
-on the refinement, the law its gates compare with.
+on its grid, and verify hands on its one prior table on the grid, the law
+its gates compare with.
 :meth:`~FactoredDraw.paths` writes each chunk's ``z L^t`` into its rows of
 the one N x n array that :func:`sample_paths` returns.
 

@@ -5,19 +5,22 @@ of a prior ``GP(m, k)`` on a grid with stencil matrix ``A`` in two steps.
 
 The transport claim rests on a deterministic gate.  The discrete law of the
 stencilled prior, ``A m`` and ``A K A^t`` with ``K`` the prior's Gram, must
-approach ``T m`` and ``T1 T2 k`` as the grid refines: on the grid and on its
-refinement to 2n - 1 points, the interior error relative to ``max |T1 T2 k|``
-(the mean's relative to its square root) must fall at an observed rate of at
-least 0.8 per halving of the spacing, or lie within a roundoff floor of 1e-5
-on one of the two grids.  Under a defect in the transport the error does not
-fall.  Each mean and kernel table is tabulated once, on the refinement; the
-grid's are its even entries, since ``_refined`` adds exact midpoints to the
-grid's own points, kept bit for bit, and tables are evaluated entry by entry.
+approach ``T m`` and ``T1 T2 k`` as the grid refines: on the grid's
+coarsening ``x[::2]`` to ceil(n/2) points and on the grid itself, the
+interior error relative to ``max |T1 T2 k|`` (the mean's relative to its
+square root) must fall at an observed rate of at least 0.8 per halving of the
+spacing, or lie within a roundoff floor of 1e-5 on one of the two grids.
+Under a defect in the transport the error does not fall.  Each mean and
+kernel table is tabulated once, on the grid; the coarsening's are its even
+entries, bit for bit, since tables are evaluated entry by entry, and its law
+is ``A_c K[::2, ::2] A_c^t``.  So the coarsening, like the grid, must hold
+the stencil footprint of ``order + 4`` points: a grid of fewer than
+``2 (order + 4) - 1`` points is refused before any kernel table.
 
-A seeded ensemble of prior paths ``u = m + L z``, ``L`` factored from the
-grid's entries of that one prior table, then tests the sampler against the
-law it samples, ``A m`` and ``A (K + delta I) A^t`` (``delta`` the sampling
-jitter), never against the factor or mean of the draw:
+A seeded ensemble of prior paths ``u = m + L z``, ``L`` factored from that
+one prior table, then tests the sampler against the law it samples, ``A m``
+and ``A (K + delta I) A^t`` (``delta`` the sampling jitter), never against
+the factor or mean of the draw:
 
 (a) the empirical mean of the transformed ensemble, standardized by the
     per-point Monte-Carlo standard error;
@@ -86,12 +89,12 @@ from .sampling import draw_factored, operator_matrix
 # them
 from .sampling import (apply_operator_pathwise, empirical_cov,  # noqa: F401
                        empirical_mean, sample_paths)
-from .stencils import interior_mask
+from .stencils import interior_mask, stencil_width
 from .transform import finite_dim_pushforward, pushforward
 
 __all__ = ["VerificationTolerances", "VerificationReport", "verify_theorem"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 CUMULANT_ORDERS = (3, 4)
 TUPLES_PER_ORDER = 10
 # 3 interior points give TUPLES_PER_ORDER tuples of order 3 (with repeats), 2 only 4
@@ -174,31 +177,25 @@ def _z_gate(dev, se, mask, threshold, **extra) -> dict:
             **extra, "threshold": threshold, "passed": bool(z <= threshold)}
 
 
-def _refined(grid: Grid) -> Grid:
-    """The grid with the exact midpoint of every spacing added: 2n - 1 points."""
-    x = grid.points
-    fine = np.empty(2 * len(x) - 1)
-    fine[0::2] = x
-    with np.errstate(over="ignore"):
-        fine[1::2] = 0.5 * (x[:-1] + x[1:])
-    if not np.isfinite(fine).all():
-        raise EvaluationError(f"the midpoints that refine the grid on [{x[0]:g}, {x[-1]:g}] "
-                              f"overflow: its points are too large to refine")
-    return Grid(fine)
+def _interior_slice(n_points: int, order: int) -> slice:
+    """The interior rows of :func:`~gpops.stencils.interior_mask`, one contiguous run."""
+    idx = np.flatnonzero(interior_mask(n_points, order))
+    return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
-def _discretization_errors(law_mean, law_cov, mean_v, k_v, interior):
+def _discretization_errors(law_mean, law_cov, mean_v, k_v, inner: slice):
     """Interior max ``|A m - T m|`` and ``|A K A^t - T1 T2 k|`` relative to ``max |T1 T2 k|``.
 
-    The mean's error is relative to the square root of that maximum.
+    The mean's error is relative to the square root of that maximum.  The
+    interior ``inner`` is a slice, so the covariance block is read as a view.
     """
     scale = max(float(np.max(np.abs(k_v))), np.finfo(float).tiny)
-    return (float(np.max(np.abs(law_mean - mean_v)[interior]) / np.sqrt(scale)),
-            float(np.max(np.abs(law_cov - k_v)[np.ix_(interior, interior)]) / scale))
+    return (float(np.max(np.abs(law_mean[inner] - mean_v[inner])) / np.sqrt(scale)),
+            float(np.max(np.abs(law_cov[inner, inner] - k_v[inner, inner])) / scale))
 
 
 def _discretization_gate(points, errors) -> dict:
-    """The mean and covariance errors on a grid and on its refinement, judged by their rate.
+    """The mean and covariance errors on a grid's coarsening and on the grid, judged by their rate.
 
     The rate is ``log2`` of the coarse error over the fine one.  Each part
     passes if its smaller error is within ``DISCRETIZATION_FLOOR`` or its rate
@@ -251,11 +248,12 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         return VerificationReport(config=config, tolerances=tol, mode="rejection",
                                   passed=occurred, rejection=rejection)
 
-    # each table is tabulated once, on the refinement: the grid's are its even entries
-    x, fine = grid.points, _refined(grid)
-    image_mean = image.mean(fine.points)
-    # A and the interior come before the image Gram: an operator without a stencil
-    # on the grid, or too small an interior, fails before any kernel table
+    # each table is tabulated once, on the grid: the coarsening's are its even entries
+    x = grid.points
+    image_mean = image.mean(x)
+    # A, the interior and the coarsening come before the image Gram: an operator
+    # without a stencil on the grid, too small an interior, or a coarsening
+    # smaller than the stencil footprint fails before any kernel table
     a_mat = operator_matrix(op, grid)
     interior = interior_mask(len(grid), op.order)
     interior_idx = np.flatnonzero(interior)
@@ -263,11 +261,18 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
         raise GridSizeError(f"the grid of {len(grid)} points leaves an interior of "
                             f"{interior_idx.size} under an operator of order {op.order}; the "
                             f"cumulant gate needs at least {MIN_INTERIOR_POINTS} interior points")
-    image_gram = gram(image.kernel, fine)
+    coarse = Grid(x[::2])
+    if op.order and len(coarse) < stencil_width(op.order):
+        width = stencil_width(op.order)
+        raise GridSizeError(f"the grid of {len(grid)} points coarsens to {len(coarse)}, fewer "
+                            f"than the stencil footprint {width} for derivative order "
+                            f"{op.order}; the discretization gate needs at least "
+                            f"{2 * width - 1} grid points")
+    image_gram = gram(image.kernel, grid)
     # image.mean names a value that is not finite itself
     check_finite([("image Gram T1 T2 k", "kernel", image_gram)])
-    var_v = image_gram.diagonal()[::2]
-    below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(image_gram[::2, ::2])))
+    var_v = image_gram.diagonal()
+    below = np.flatnonzero(var_v < -VARIANCE_RTOL * np.max(np.abs(image_gram)))
     if below.size:
         i = int(below[0])
         raise EvaluationError(f"image variance {var_v[i]:.6g} at grid point {i} (x = {x[i]:g}) "
@@ -280,26 +285,28 @@ def verify_theorem(p: GaussianProcessPrior, op: LinearOperator, grid: Grid,
     # their bound on the paths, checked before the Gram is factored and drawn
     cumulant_sums = FoldSums([t for order in CUMULANT_ORDERS for t in tuples[order]], n_paths)
 
-    # the prior's discrete law (A m, A K A^t) against the closed form, on both
-    # levels; a law that overflows is named before any gate or draw
-    prior_mean, prior_gram = p.mean(fine.points), gram(p.kernel, fine)
-    a_fine = operator_matrix(op, fine)
+    # the prior's discrete law (A m, A K A^t) against the closed form, on the
+    # coarsening and on the grid; a law that overflows is named before any gate or draw
+    prior_mean, prior_gram = p.mean(x), gram(p.kernel, grid)
+    a_coarse = operator_matrix(op, coarse)
     with np.errstate(over="ignore", invalid="ignore"):
-        law_mean, law_cov = a_mat @ prior_mean[::2], a_mat @ prior_gram[::2, ::2] @ a_mat.T
-        fine_mean, fine_cov = a_fine @ prior_mean, a_fine @ prior_gram @ a_fine.T
+        law_mean, law_cov = a_mat @ prior_mean, a_mat @ prior_gram @ a_mat.T
+        coarse_mean = a_coarse @ prior_mean[::2]
+        coarse_cov = a_coarse @ prior_gram[::2, ::2] @ a_coarse.T
     check_finite([("discrete law A m", "mean", law_mean),
-                   ("discrete law A K A^t", "kernel", law_cov),
-                   ("discrete law A m on the refinement", "mean", fine_mean),
-                   ("discrete law A K A^t on the refinement", "kernel", fine_cov)])
-    errors = [_discretization_errors(law_mean, law_cov, image_mean[::2], image_gram[::2, ::2],
-                                     interior),
-              _discretization_errors(fine_mean, fine_cov, image_mean, image_gram,
-                                     interior_mask(len(fine), op.order))]
-    discretization_check = _discretization_gate([len(grid), len(fine)], errors)
-    # the draw factors the grid's entries of the prior table; then the
-    # refinement's tables (var_v is a view of one) are freed
-    draw = draw_factored(prior_mean[::2], prior_gram[::2, ::2], n_paths, seed)
-    del image_mean, image_gram, var_v, prior_mean, prior_gram, a_fine, fine_mean, fine_cov
+                  ("discrete law A K A^t", "kernel", law_cov),
+                  ("discrete law A m on the coarsening", "mean", coarse_mean),
+                  ("discrete law A K A^t on the coarsening", "kernel", coarse_cov)])
+    errors = [_discretization_errors(coarse_mean, coarse_cov, image_mean[::2],
+                                     image_gram[::2, ::2],
+                                     _interior_slice(len(coarse), op.order)),
+              _discretization_errors(law_mean, law_cov, image_mean, image_gram,
+                                     _interior_slice(len(grid), op.order))]
+    discretization_check = _discretization_gate([len(coarse), len(grid)], errors)
+    # the draw factors the prior table itself; then the tables the gate alone
+    # reads (var_v is a view of one) are freed
+    draw = draw_factored(prior_mean, prior_gram, n_paths, seed)
+    del image_mean, image_gram, var_v, prior_mean, prior_gram, a_coarse, coarse_mean, coarse_cov
 
     # the image ensemble A u = A m + z T^t, from the moments of z, and its
     # columns' product sums from z T[cols]^t as it is drawn (module docstring)

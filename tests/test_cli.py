@@ -663,7 +663,7 @@ def test_negative_image_variance_exit_one(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, "v.yaml", BASE_VERIFY.format(out=tmp_path / "out"))
     assert main(["verify", "--config", cfg]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: image variance -") and "at grid point 3 (x = 0.1875)" in err
+    assert err.startswith("error: image variance -") and "at grid point 6 (x = 0.375)" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -810,11 +810,9 @@ NOT_FINITE = ("has an entry that is not finite: the kernel or an operator coeffi
     # a grid whose width overflows is refused before linspace
     ("sample", SE, "sin(x)", '[[1, "1"]]', "[-1.0e+308, 1.0e+308]", "0",
      "config error: grid: the width b - a of [-1e+308, 1e+308] is not finite"),
-    # a width just within the range: the refinement's midpoints overflow, and
-    # so do the differences in the profile
+    # a width just within the range: the differences in the profile overflow
     ("verify", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", "0",
-     "error: the midpoints that refine the grid on [0, 1e+308] overflow: its points are too "
-     "large to refine"),
+     f"error: image Gram T1 T2 k {NOT_FINITE}"),
     ("kernel-table", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", "0",
      f"error: kernel table T1k {NOT_FINITE}"),
     ("solve", SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", "0",
@@ -827,7 +825,7 @@ NOT_FINITE = ("has an entry that is not finite: the kernel or an operator coeffi
 ], ids=["matern-tiny-lengthscale", "solve-huge-mean", "verify-huge-coefficient",
         "verify-huge-mean", "verify-squared-law", "verify-symmetrized-gram",
         "verify-cumulant-products", "solve-sum-orders", "verify-sum-orders",
-        "kernel-table-sum-orders", "sample-infinite-width", "verify-refined-midpoints",
+        "kernel-table-sum-orders", "sample-infinite-width", "verify-wide-grid",
         "kernel-table-wide-grid", "solve-wide-grid",
         "solve-misfit"])
 def test_overflow_is_named_where_it_is_made_exit_one(tmp_path, capsys, command, kernel, mean,
@@ -854,7 +852,8 @@ def test_kernel_table_near_the_overflow_is_finite_and_exactly_symmetric(tmp_path
 
 
 def test_sample_on_a_grid_too_wide_to_refine_exit_zero(tmp_path):
-    # only verify refines the grid, so sample draws on it as before
+    # the prior Gram on [0, 1e308] is finite, where verify's image Gram is
+    # not, so sample draws on it as before
     text = OVERFLOW_BASE % (SE, "sin(x)", '[[1, "1"]]', "[0.0, 1.0e+308]", tmp_path / "out")
     assert main(["sample", "--config", write(tmp_path, "wide.yaml", text)]) == 0
     assert (tmp_path / "out" / "ensemble.csv").exists()
@@ -898,13 +897,21 @@ def test_deepest_expression_runs_from_a_deep_caller(tmp_path, command, old, new)
     ({'terms: [[1, "1"]]': 'terms: [[5, "1"]]'}, "derivative order must be in 1..4, got 5"),
     ({'terms: [[1, "1"]]': 'terms: [[2, "1"]]', "count: 17": "count: 5"},
      "grid of 5 points is smaller than the stencil footprint 6 for derivative order 2"),
+    ({'terms: [[1, "1"]]': 'terms: [[3, "1"]]', "count: 17": "count: 12"},
+     "the grid of 12 points coarsens to 6, fewer than the stencil footprint 7 for derivative "
+     "order 3; the discretization gate needs at least 13 grid points"),
+    ({'terms: [[1, "1"]]': 'terms: [[4, "1"]]', "count: 17": "count: 13"},
+     "the grid of 13 points coarsens to 7, fewer than the stencil footprint 8 for derivative "
+     "order 4; the discretization gate needs at least 15 grid points"),
     ({"samples: 1500": "samples: 99"}, "need at least 100 paths, got 99"),
-], ids=["order-5", "5-points-under-d2", "99-samples"])
+], ids=["order-5", "5-points-under-d2", "12-points-under-d3", "13-points-under-d4",
+        "99-samples"])
 def test_verify_refuses_the_stencil_before_drawing(tmp_path, capsys, monkeypatch, replace,
                                                    message):
-    # the operator matrix and the path count are checked before the draw, so
-    # an operator without a stencil on the grid, or too few paths for the
-    # cumulants, costs no samples
+    # the operator matrix, the coarsening's size and the path count are
+    # checked before the draw, so an operator without a stencil on the grid
+    # or on its coarsening, or too few paths for the cumulants, costs no
+    # samples
     calls = []
     monkeypatch.setattr(gpops.verify, "draw_factored", lambda *args, **kwargs: calls.append(args))
     text = BASE_VERIFY.format(out=tmp_path / "out")
