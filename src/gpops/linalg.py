@@ -51,7 +51,7 @@ def check_finite(tables):
     """Raise :class:`EvaluationError` naming the first ``(name, source, table)`` not finite.
 
     A kernel table names the grid's width as a cause too: the differences of
-    points far apart, over a short lengthscale, overflow inside the profile.
+    points far apart, over a short lengthscale, overflow inside the series.
     """
     for name, source, value in tables:
         if not np.isfinite(value).all():

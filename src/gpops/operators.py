@@ -19,7 +19,8 @@ evaluates kernels.
 Applying to an argument requires ``operator.order <= sample_smoothness`` of
 the kernel in that argument; requests beyond that budget are rejected with
 :class:`DomainViolationError`.  Within the budget every partial is
-closed-form: a catalog kernel's profile covers its whole smoothness budget.
+closed-form: a catalog kernel's derivative series covers its whole
+smoothness budget.
 One partial alone is the bifunction ``apply_arg(derivative_operator(d1),
 ARG1, apply_arg(derivative_operator(d2), ARG2, k))``.  No kernel partial
 comes from finite differences; the tests keep that reference to check the

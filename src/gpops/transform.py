@@ -7,7 +7,8 @@ arguments, and :func:`pushforward` returns it as a
 form: the mean is an expression, and the kernel is the transformed
 :class:`~gpops.kernels.KernelBifunction` over the catalog kernel.  The
 image can therefore be pushed forward again, and the second operator
-expands onto the same catalog kernel, which evaluates in one profile pass.
+expands onto the same catalog kernel, which evaluates the image as one
+weighted derivative series per row group (see :mod:`gpops.kernels`).
 
 :func:`joint_blocks` tabulates the covariance blocks of ``(u, Tu)``.  It
 evaluates ``T2 k`` once and returns its transpose as the ``(Tu, u)``

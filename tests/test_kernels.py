@@ -21,6 +21,7 @@ from gpops.expressions import Const
 from gpops.kernels import MATERN_ORDERS, Kernel, KernelBifunction, matern_kernel, se_kernel
 from gpops.linalg import chol_psd, gram
 from gpops.operators import ARG1, ARG2, apply_arg, derivative_operator
+from kernel_reference import matern_profile, se_profile, series_derivative
 
 RNG_SEED = 20240811
 
@@ -90,24 +91,40 @@ def test_matern52_at_unit_lag_three_routes():
     assert k(0.0, 1.0) == pytest.approx(ref, rel=1e-12)
 
 
-@pytest.mark.parametrize("k", [se_kernel(0.6, 1.3)] + [matern_kernel(nu, 0.8, 1.1)
-                                                        for nu in MATERN_ORDERS],
+@pytest.mark.parametrize("k, profile", [(se_kernel(0.6, 1.3), se_profile(0.6, 1.3))]
+                         + [(matern_kernel(nu, 0.8, 1.1), matern_profile(nu, 0.8, 1.1))
+                            for nu in MATERN_ORDERS],
                          ids=["se"] + [f"matern{nu}" for nu in MATERN_ORDERS])
-def test_catalog_kernel_is_the_identity_key_over_its_profile(k):
+def test_catalog_kernel_is_the_identity_key_over_its_profile(k, profile):
     # a catalog kernel is the identity operator in both arguments; its table
-    # is the profile value, bit for bit, and its Gram is that table
+    # is the per-order reference's profile value, bit for bit, and its Gram
+    # is that table
     assert isinstance(k, KernelBifunction) and isinstance(k.base, Kernel)
     assert k.terms1 == k.terms2 == ((0, Const(1.0)),) and not callable(k.base)
     assert k.sample_smoothness == k.base.sample_smoothness
     value = k(0.3, -0.45)
     assert isinstance(value, float)
-    assert value == k.base.profile(np.float64(0.3) - np.float64(-0.45), 0)[0]
+    assert value == profile(np.float64(0.3) - np.float64(-0.45), 0)[0]
     grid = Grid.uniform_on(-1.0, 2.0, 257)  # more rows than one block holds
     x = grid.points
     table = k(x[:, None], x[None, :])
-    want = k.base.profile(x[:, None] - x[None, :], 0)[0]
+    want = profile(x[:, None] - x[None, :], 0)[0]
     assert np.array_equal(table, want)
     assert np.array_equal(gram(k, grid), want)
+
+
+def test_prior_gram_keeps_the_closed_form_bits():
+    # a prior Gram is a series of one order-0 unit term, whose variance and
+    # envelope are applied last, (var * S) * envelope: the closed forms
+    # var * exp(-t^2 / 2) and (var * P(r)) * exp(-a r), bit for bit
+    x = Grid.uniform_on(-1.0, 2.0, 129).points
+    s = x[:, None] - x[None, :]
+    t = s / 0.5
+    assert np.array_equal(gram(se_kernel(0.5), Grid(x)), 1.0 * np.exp(-0.5 * t * t))
+    assert np.array_equal(gram(se_kernel(0.5, 2.5), Grid(x)), 2.5 * np.exp(-0.5 * t * t))
+    a, r = math.sqrt(5.0) / 0.5, np.abs(s)
+    poly = np.polyval([a * a / 3.0, a, 1.0], r)  # 1 + a r + (a r)^2 / 3
+    assert np.array_equal(gram(matern_kernel(2.5, 0.5), Grid(x)), 1.0 * poly * np.exp(-a * r))
 
 
 def test_non_kernel_is_refused_as_a_bifunction_base_and_by_apply_arg():
@@ -227,17 +244,22 @@ def test_se_partials_to_order_16_match_mpmath():
 
 @pytest.mark.parametrize("ell", [0.01, 0.123456789, 0.3, 0.5, 1.0, 2.7])
 def test_se_profile_overflows_to_inf_and_keeps_its_finite_values(ell):
-    # the profile's ell^-m is numpy's power, which overflows to inf where
+    # the fold's ell^-m is numpy's power, which overflows to inf where
     # Python's float power raised OverflowError (from order 155 at ell = 0.01);
     # both call C pow, so every finite value is Python's bit for bit
     for m in range(1, 150):
         if m * math.log10(1 / ell) < 300:  # Python's power is finite
             assert np.float64(ell) ** (-m) == ell ** (-m), m
     s = np.linspace(-1.0, 1.0, 17)
+    k = se_kernel(ell)
     with np.errstate(all="ignore"):
-        out = se_kernel(ell).base.profile(s, 400)
-    assert len(out) == 401 and np.all(np.isfinite(out[2]))
-    assert not np.all(np.isfinite(out[400]))
+        scales = k.base.fold(np.ones(401))
+        second, top = series_derivative(k, s, 2), series_derivative(k, s, 400)
+    assert np.all(np.isfinite(second))
+    overflows = 400 * math.log(1 / ell) > math.log(np.finfo(float).max)
+    assert np.isinf(scales[400]) == overflows
+    if overflows:
+        assert not np.all(np.isfinite(top))
 
 
 def _matern_reference_mp(nu, ell, var):

@@ -46,12 +46,12 @@ def _verify_small_image(k):
 
 
 def _counting(k, counts):
-    # k over a base whose profile records how many entries it evaluates
-    def profile(s, m):
+    # k over a base whose series records how many entries it evaluates
+    def series(s, a):
         counts.append(np.size(s))
-        return k.base.profile(s, m)
+        return k.base.series(s, a)
 
-    base = Kernel(profile, k.base.sample_smoothness, k.base.label)
+    base = Kernel(series, k.base.sample_smoothness, k.base.label, k.base.fold)
     return KernelBifunction(base, k.terms1, k.terms2, label=k.label)
 
 

@@ -1,11 +1,12 @@
-"""Transformed kernels: the shared-pass evaluator against a per-term oracle.
+"""Transformed kernels: the one-series evaluator against a per-term oracle.
 
-``KernelBifunction`` evaluates every partial a transformed kernel needs in
-one pass per row block.  The oracle here is the plain per-term sum
-``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the bifunction's terms, with
-each base partial evaluated on its own as the signed profile derivative
-``(-1)^d2 f^(d1+d2)(x1 - x2)``.  The two must agree to 1e-12 relative to
-max|value|.
+``KernelBifunction`` sums every partial a transformed kernel needs as one
+weighted derivative series per row group.  The oracle here is the plain
+per-term sum ``sum c1(x1) c2(x2) * partial(d1, d2) k`` over the
+bifunction's terms, with each base partial evaluated on its own as the
+signed profile derivative ``(-1)^d2 f^(d1+d2)(x1 - x2)`` of the per-order
+reference (``tests/kernel_reference.py``).  The two must agree to 1e-12
+relative to max|value|.
 """
 
 import tracemalloc
@@ -24,6 +25,7 @@ from gpops.processes import GaussianProcessPrior
 from gpops.transform import pushforward
 
 from fd_reference import per_term_sum
+from kernel_reference import matern_profile, se_profile, series_derivative
 
 RNG_SEED = 20240917
 RTOL = 1e-12
@@ -38,9 +40,26 @@ def random_operator(rng, order):
     return LinearOperator(terms)
 
 
+# the per-order reference profile of each catalog base the tests build
+PROFILES = {}
+
+
+def se(ell, var):
+    k = se_kernel(ell, var)
+    PROFILES[k.base] = se_profile(ell, var)
+    return k
+
+
+def matern(nu, ell, var):
+    k = matern_kernel(nu, ell, var)
+    PROFILES[k.base] = matern_profile(nu, ell, var)
+    return k
+
+
 def per_term(bf, x1, x2):
+    profile = PROFILES[bf.base]
     return per_term_sum(bf, x1, x2, lambda d1, d2: lambda a, b: (
-        (-1.0) ** d2 * bf.base.profile(a - b, d1 + d2)[d1 + d2]))
+        (-1.0) ** d2 * profile(a - b, d1 + d2)[d1 + d2]))
 
 
 def outer_points():
@@ -78,13 +97,13 @@ def transformed(k, rng, order1, order2):
 @pytest.mark.parametrize("case", range(4))
 def test_se_matches_per_term_sum(case):
     rng = np.random.default_rng([RNG_SEED, case])
-    bf = transformed(se_kernel(0.7, 1.3), rng, int(rng.integers(0, 3)), 2)
+    bf = transformed(se(0.7, 1.3), rng, int(rng.integers(0, 3)), 2)
     assert_matches_per_term(bf)
 
 
 @pytest.mark.parametrize("nu", [1.5, 2.5, 3.5])
 def test_matern_matches_per_term_sum(nu):
-    k = matern_kernel(nu, 0.8, 1.1)
+    k = matern(nu, 0.8, 1.1)
     p = k.sample_smoothness
     for case in range(2):
         rng = np.random.default_rng([RNG_SEED, int(2 * nu), case])
@@ -96,8 +115,8 @@ def test_nested_pushforward_expands_onto_the_catalog_kernel():
     # image forward again keeps every key within the base profile
     rng = np.random.default_rng([RNG_SEED, 99])
     x1, x2 = outer_points()
-    for k, inner_order, outer_order in ((se_kernel(0.6, 0.9), 2, 1),
-                                        (matern_kernel(3.5, 1.1, 1.0), 1, 2)):
+    for k, inner_order, outer_order in ((se(0.6, 0.9), 2, 1),
+                                        (matern(3.5, 1.1, 1.0), 1, 2)):
         prior = GaussianProcessPrior(mean=zero_mean(), kernel=k)
         t, s = random_operator(rng, inner_order), random_operator(rng, outer_order)
         nested = pushforward(pushforward(prior, t), s).kernel
@@ -110,9 +129,9 @@ def test_nested_pushforward_expands_onto_the_catalog_kernel():
 
 def test_se_keys_past_total_order_six_are_closed_form():
     # total order 3 + 4 = 7: the squared exponential's profile has no order
-    # limit, so the top keys share the one profile pass with the lower ones
+    # limit, so the top keys are summed in one series with the lower ones
     rng = np.random.default_rng([RNG_SEED, 7])
-    k = se_kernel(0.9, 1.0)
+    k = se(0.9, 1.0)
     op2 = random_operator(rng, 2)
     bf = apply_arg(random_operator(rng, 3), ARG1, apply_arg(op2, ARG2, apply_arg(op2, ARG2, k)))
     assert bf.order(ARG1) + bf.order(ARG2) == 7
@@ -126,8 +145,7 @@ def test_catalog_partials_are_signed_profile_derivatives():
     s = np.linspace(-2.0, 2.0, 41)
     for k in (se_kernel(0.7, 1.3), matern_kernel(2.5, 0.8, 1.1), matern_kernel(3.5, 0.6, 0.9)):
         top = min(2 * k.sample_smoothness, 9)  # the squared exponential has no top order
-        derivs = k.base.profile(s, top)
-        assert len(derivs) == top + 1
+        derivs = [series_derivative(k, s, m) for m in range(top + 1)]
         assert np.array_equal(derivs[0], k(s, np.zeros_like(s)))
         budget = min(k.sample_smoothness, top)
         for d1 in range(budget + 1):
@@ -168,7 +186,7 @@ def test_fill_lower_is_the_lower_triangle_of_the_table(size, kernel):
 
 
 def test_fill_lower_evaluates_each_coefficient_once(monkeypatch):
-    # 2002 points are 126 row blocks; both coefficients of the second
+    # 2002 points are 68 blocks of the triangle; both coefficients of the second
     # argument's operator are the first's too, so the arguments share values
     evaluated = []
 
@@ -232,8 +250,8 @@ def test_call_and_fill_lower_give_the_same_bits_in_every_layout(layout, kernel):
 
 def test_tabulating_into_a_fortran_target_holds_only_block_temporaries():
     # a column-major 2000 x 2000 target is tabulated as its transpose, a few
-    # blocks at a time: measured 12 blocks of BLOCK_ENTRIES doubles at the
-    # traced peak (3.1 MB), for the full table and its lower triangle alike,
+    # blocks at a time: measured 8 blocks of BLOCK_ENTRIES doubles at the
+    # traced peak (2.1 MB), for the full table and its lower triangle alike,
     # against 32 MB for a temporary of the whole table
     op = LinearOperator([(2, 1.0), (1, "x"), (0, 1.0)])
     bf = apply_arg(op, ARG1, apply_arg(op, ARG2, se_kernel(0.5)))

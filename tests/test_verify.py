@@ -151,7 +151,7 @@ def test_refused_stencil_builds_no_image_gram(monkeypatch, op, grid, error):
 def test_negative_image_variance_is_an_error_naming_the_grid_point():
     # the negated SE "kernel": every closed-form image variance is -1
     se = se_kernel(1.0).base
-    negated = Kernel(lambda s, m: [-v for v in se.profile(s, m)], math.inf, "-se")
+    negated = Kernel(lambda s, a: [-v for v in se.series(s, a)], math.inf, "-se", se.fold)
     p = GaussianProcessPrior(mean=zero_mean(), kernel=KernelBifunction(negated))
     with pytest.raises(EvaluationError, match=r"image variance -1 at grid point 0 \(x = 0\)"):
         verify_theorem(p, identity(), GRID, 1000, 1)
@@ -315,11 +315,16 @@ WRONG_COEFFICIENT_OP = LinearOperator([(0, "1 + x^2"), (1, "1.01*cos(x)"), (2, "
 
 
 def _odd_orders_negated(kernel):
-    # the profile with the sign of every odd derivative flipped
+    # the profile with the sign of every odd derivative flipped: each odd
+    # order's series coefficient is negated before the base folds it
     base = kernel.base
-    return KernelBifunction(Kernel(lambda s, m: [-v if k % 2 else v
-                                                 for k, v in enumerate(base.profile(s, m))],
-                                   base.sample_smoothness, "odd-negated " + base.label))
+
+    def fold(g):
+        signs = np.where(np.arange(g.shape[0]) % 2, -1.0, 1.0)
+        return base.fold(g * signs.reshape((-1,) + (1,) * (g.ndim - 1)))
+
+    return KernelBifunction(Kernel(base.series, base.sample_smoothness,
+                                   "odd-negated " + base.label, fold))
 
 
 def _wrong_coefficient(monkeypatch):
