@@ -24,7 +24,7 @@ identity, so prior and image kernels are one type with one evaluator.  Its
   kernel-regularity => path-regularity implication is an analytic fact
   assumed per catalog entry, not something checked numerically.
 
-A custom kernel is ``KernelBifunction(Kernel(series, sample_smoothness, label))``.
+A custom kernel is ``KernelBifunction(Kernel(series, sample_smoothness, label, fold))``.
 """
 
 from __future__ import annotations
@@ -68,20 +68,18 @@ class Kernel:
         ``d1 + d2`` are closed-form.
     label : str
         Display name.
-    fold : callable, optional
+    fold : callable
         ``fold(g)``, linear: one group's coefficients ``g``, whose leading
         axis is the derivative order ``m = 0..M``, in the form ``series``
         takes, with the profile's own scalars folded in.  A bifunction
-        folds its coefficients once per table, not once per block.  By
-        default a group's coefficients are ``g`` itself, and ``series(s,
-        [g])[0]`` is the sum.
+        folds its coefficients once per table, not once per block.
     """
 
-    def __init__(self, series, sample_smoothness, label, fold=None):
+    def __init__(self, series, sample_smoothness, label, fold):
         self.series = series
         self.sample_smoothness = sample_smoothness
         self.label = label
-        self.fold = (lambda g: g) if fold is None else fold
+        self.fold = fold
 
     def __repr__(self):
         return f"Kernel({self.label!r}, sample_smoothness={self.sample_smoothness})"
@@ -90,7 +88,6 @@ class Kernel:
 # Output entries per block when a kernel is tabulated, so that the series'
 # recurrence arrays of one block stay cache-sized.
 BLOCK_ENTRIES = 2**15
-_SQUARE_ROWS = math.isqrt(BLOCK_ENTRIES // 8)
 
 
 def _value(c: Expr, x, cache):
@@ -284,32 +281,23 @@ class KernelBifunction:
             x1, x2, out = x1.T, x2.T, out.T
             c1 = [c if c is None else c.T for c in c1]
             a = [np.swapaxes(ag, -1, -2) for ag in a]
-        n, lo = out.shape[0], 0
+        n = out.shape[0]
         step = max(1, BLOCK_ENTRIES // max(1, math.prod(out.shape[1:])))
-        while lo < n:
-            if not lower:
-                hi = min(n, lo + step)
-                index = (slice(lo, hi),) + (slice(None),) * (ndim - 1)
-                self._sum_groups(out[index], index, x1, x2, c1, k, a)
-                lo = hi
-                continue
-            # the triangle, in blocks of about BLOCK_ENTRIES entries: the
-            # block's rows up to and with its diagonal square, written in
-            # place, with the square's other half, at most an eighth of a
-            # block, kept aside and put back
-            if flip:
-                h = BLOCK_ENTRIES // (n - lo)
-            else:
-                h = (math.isqrt(lo * lo + 4 * BLOCK_ENTRIES) - lo) // 2
-            hi = min(n, lo + max(1, min(h, _SQUARE_ROWS)))
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
             rows = slice(lo, hi)
-            square = out[rows, rows]
-            other = ~np.tri(hi - lo, dtype=bool)
-            other, kept = (other.T, np.tril(square, -1)) if flip else (other, np.triu(square, 1))
-            block = (rows, slice(lo, n) if flip else slice(0, hi))
-            self._sum_groups(out[block], block, x1, x2, c1, k, a)
-            np.copyto(square, kept, where=other)
-            lo = hi
+            if not lower:
+                index = (rows,) + (slice(None),) * (ndim - 1)
+                self._sum_groups(out[index], index, x1, x2, c1, k, a)
+                continue
+            # the triangle: the full rectangle beside the block's diagonal
+            # square, written in place, and the square's half through a mask
+            rect = (rows, slice(hi, n) if flip else slice(0, lo))
+            self._sum_groups(out[rect], rect, x1, x2, c1, k, a)
+            square = np.empty((hi - lo, hi - lo))
+            self._sum_groups(square, (rows, rows), x1, x2, c1, k, a)
+            keep = np.tri(hi - lo, dtype=bool)
+            np.copyto(out[rows, rows], square, where=keep.T if flip else keep)
 
     def _sum_groups(self, out, index, x1, x2, c1, k, a):
         # out[...] = 2^k sum_g c1_g(x1) series_g(x1 - x2) on the table block

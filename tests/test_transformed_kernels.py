@@ -186,7 +186,7 @@ def test_fill_lower_is_the_lower_triangle_of_the_table(size, kernel):
 
 
 def test_fill_lower_evaluates_each_coefficient_once(monkeypatch):
-    # 2002 points are 68 blocks of the triangle; both coefficients of the second
+    # 2002 points are 126 row blocks; both coefficients of the second
     # argument's operator are the first's too, so the arguments share values
     evaluated = []
 
@@ -251,7 +251,7 @@ def test_call_and_fill_lower_give_the_same_bits_in_every_layout(layout, kernel):
 def test_tabulating_into_a_fortran_target_holds_only_block_temporaries():
     # a column-major 2000 x 2000 target is tabulated as its transpose, a few
     # blocks at a time: measured 8 blocks of BLOCK_ENTRIES doubles at the
-    # traced peak (2.1 MB), for the full table and its lower triangle alike,
+    # traced peak (2.0 MB), for the full table and its lower triangle alike,
     # against 32 MB for a temporary of the whole table
     op = LinearOperator([(2, 1.0), (1, "x"), (0, 1.0)])
     bf = apply_arg(op, ARG1, apply_arg(op, ARG2, se_kernel(0.5)))
